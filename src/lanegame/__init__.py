@@ -11,15 +11,15 @@ The usual entry points:
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
                     LaneView, NeighborView, comfort_cost, desired_speed,
-                    efficiency_cost, ego_cost, lateral_safety_cost,
-                    longitudinal_safety_cost, pair_payoff_matrices)
+                    ego_cost, lateral_safety_cost, longitudinal_safety_cost,
+                    pair_payoff_matrices)
 from .errors import ConfigError, DomainError, InfeasibleDecisionError
 from .field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
                     gamma_crit, obstacle_field, road_field, total_field)
 from .games import (ActionGrid, GameSolution, nash_2p_matrices, solve_nash_2p,
                     solve_nash_two_ac, solve_solo, solve_stackelberg_2p,
                     solve_stackelberg_two_ac, stackelberg_2p_matrices)
-from .planner import MpcConfig, PlanResult, apply_receding, solve_plan
+from .planner import MpcConfig, PlanResult, solve_plan
 from .road import LaneSpec, RoadGeometry
 from .scenario import (DecisionParams, ScenarioConfig, VehicleSpec,
                        load_scenario, validate)

@@ -14,11 +14,12 @@ import sys
 import numpy as np
 
 from .errors import ConfigError
-from .field import ObstaclePose, total_field
+from .field import total_field
 from .road import RoadGeometry
-from .scenario import EGO_ROLE, STRATEGIES, load_scenario, validate
-from .simulate import (STYLES_ALL, batch, comparison_csv, metrics_lines,
-                       run_simulation, summarize, write_metrics, write_trace)
+from .scenario import STRATEGIES, load_scenario
+from .simulate import (STYLES_ALL, batch, comparison_csv, initial_cars,
+                       metrics_lines, obstacle_poses, run_simulation,
+                       summarize, write_metrics, write_trace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,15 +121,7 @@ def _cmd_field_dump(args) -> int:
     if s_hi <= s_lo or args.ds <= 0 or args.dd <= 0:
         raise ConfigError("field-dump: empty sample window")
     d_max, d_min = road.lateral_extent()
-    obstacles = []
-    for spec in cfg.vehicles:
-        if spec.role == EGO_ROLE:
-            continue
-        d0 = road.lane_offset(spec.lane) if spec.d is None else spec.d
-        x, y = road.to_global(spec.s, d0)
-        obstacles.append(ObstaclePose(x=float(x), y=float(y),
-                                      heading=float(road.tangent_heading(spec.s)),
-                                      v=spec.v))
+    obstacles = obstacle_poses(road, initial_cars(cfg))
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)
     dd = np.arange(d_min, d_max + 1e-9, args.dd)
     lines = ["s,d,x,y,gamma"]
@@ -146,12 +139,7 @@ def _cmd_field_dump(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = load_scenario(args.scenario)
-    problems = validate(cfg)
-    if problems:
-        for p in problems:
-            sys.stderr.write(p + "\n")
-        return 3
+    cfg = load_scenario(args.scenario)  # a failed check raises ConfigError
     sys.stdout.write(f"{cfg.name}: ok ({len(cfg.vehicles)} vehicles, "
                      f"{cfg.road.lane_count} lanes)\n")
     return 0

@@ -15,7 +15,7 @@ Sign conventions for the velocity gates:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,19 +125,9 @@ class NeighborView:
         return self.end_remaining.get(lane, INF)
 
     def v_cap(self, lane: int, ds_ahead=0.0):
-        """Speed cap on a lane at a point ds_ahead meters up the road.
-
-        On an ending lane the cap falls off as the square-root braking
-        profile toward the end margin; elsewhere it is the lane limit.
-        Broadcasts over ds_ahead.
-        """
-        lv = self.lanes[lane]
-        rem = self.remaining(lane)
-        if not math.isfinite(rem):
-            return lv.v_max if np.ndim(ds_ahead) == 0 else np.full(np.shape(ds_ahead), lv.v_max)
-        run = np.maximum(rem - np.asarray(ds_ahead, dtype=float) - self.end_margin, 0.0)
-        cap = np.sqrt(2.0 * self.a_end * run)
-        return np.minimum(lv.v_max, cap)
+        """Speed cap on a lane at a point ds_ahead meters up the road."""
+        return speed_cap(self.lanes[lane].v_max, self.remaining(lane),
+                         self.a_end, self.end_margin, ds_ahead)
 
     def keep_lane_blocked(self, lane: int, v: float) -> bool:
         """True when staying on an ending lane can no longer be offered.
@@ -151,12 +141,26 @@ class NeighborView:
         return rem < v * v / (2.0 * self.a_brake) + self.end_margin
 
 
-def lane_change_lat_accel(w_lane: float, t_lc: float = T_LC) -> float:
-    """Peak lateral acceleration of a sinusoidal lane change.
+def speed_cap(v_max, remaining, a_end, end_margin, ds_ahead=0.0):
+    """Attainable speed at a point ds_ahead meters up a lane.
 
-    One lane width w in time t_lc along y = w/2 (1 - cos(pi t/t_lc)) peaks
-    at w/2 (pi/t_lc)^2... kept here in the commonly quoted 2 pi w / t^2
-    form used throughout the package.
+    On a lane that ends `remaining` meters ahead the cap falls off as the
+    square-root braking profile at a_end (> 0) toward the end margin; on
+    an endless lane (remaining = inf) it is the lane limit v_max.
+    Broadcasts over ds_ahead.
+    """
+    if math.isinf(remaining):
+        return v_max if np.ndim(ds_ahead) == 0 else np.full(np.shape(ds_ahead), v_max)
+    run = np.maximum(remaining - np.asarray(ds_ahead, dtype=float) - end_margin, 0.0)
+    return np.minimum(v_max, np.sqrt(2.0 * a_end * run))
+
+
+def lane_change_lat_accel(w_lane: float, t_lc: float = T_LC) -> float:
+    """Peak lateral acceleration of a one-lane change of width w_lane.
+
+    The lateral path y = w (t/T - sin(2 pi t/T) / (2 pi)) over T = t_lc
+    has the sine acceleration profile 2 pi w / T^2 sin(2 pi t/T), whose
+    peak is 2 pi w / T^2.
     """
     return 2.0 * math.pi * w_lane / (t_lc * t_lc)
 
@@ -180,11 +184,19 @@ def propagate(s, v, a, t):
     return pos, vel
 
 
-def _gap_term(dv, dist, kv, ks, eps, l_v):
-    """Safety integrand: closing-speed penalty plus inverse-square gap."""
-    gap = np.maximum(np.abs(dist) - l_v, 0.0)
+def _gap_term(dv, dist, g: CostGains, lateral: bool):
+    """Safety integrand: closing-speed penalty plus inverse-square gap.
+
+    The lateral gain pair applies between the ego and its merge partner,
+    the longitudinal pair between a car and the car it follows.
+    """
+    if lateral:
+        kv, ks = g.kappa_v_lat, g.kappa_s_lat
+    else:
+        kv, ks = g.kappa_v_lon, g.kappa_s_lon
+    gap = np.maximum(np.abs(dist) - g.l_v, 0.0)
     closing = np.where(dv < 0.0, 1.0, 0.0)
-    return kv * closing * dv * dv + ks / (gap * gap + eps)
+    return kv * closing * dv * dv + ks / (gap * gap + g.epsilon)
 
 
 def longitudinal_safety_cost(ego: KinematicState, lead: KinematicState | None,
@@ -192,9 +204,7 @@ def longitudinal_safety_cost(ego: KinematicState, lead: KinematicState | None,
     """Instantaneous following risk against the lead car on the same lane."""
     if lead is None:
         return 0.0
-    dv = lead.v - ego.v
-    return float(_gap_term(dv, lead.s - ego.s, g.kappa_v_lon, g.kappa_s_lon,
-                           g.epsilon, g.l_v))
+    return float(_gap_term(lead.v - ego.v, lead.s - ego.s, g, lateral=False))
 
 
 def lateral_safety_cost(ego: KinematicState, adjacent: KinematicState | None,
@@ -206,24 +216,12 @@ def lateral_safety_cost(ego: KinematicState, adjacent: KinematicState | None,
     """
     if adjacent is None:
         return 0.0
-    dv = ego.v - adjacent.v
-    return float(_gap_term(dv, adjacent.s - ego.s, g.kappa_v_lat, g.kappa_s_lat,
-                           g.epsilon, g.l_v))
+    return float(_gap_term(ego.v - adjacent.v, adjacent.s - ego.s, g, lateral=True))
 
 
-def comfort_cost(a_x: float, a_y: float, sigma: int, g: CostGains) -> float:
+def comfort_cost(a_x, a_y, sigma: int, g: CostGains):
+    """Longitudinal plus sigma^2-gated lateral acceleration penalty. Broadcasts."""
     return g.kappa_ax * a_x * a_x + sigma * sigma * g.kappa_ay * a_y * a_y
-
-
-def efficiency_cost(v_ego: float, lane: int, neighbors: NeighborView) -> float:
-    """Squared shortfall from the lane's attainable speed.
-
-    The attainable speed is the lane limit capped by the lead car's speed;
-    no lead means the limit itself.
-    """
-    lv = neighbors.lanes[lane]
-    v_bar = lv.v_max if lv.lead is None else min(lv.v_max, lv.lead.v)
-    return (v_ego - v_bar) ** 2
 
 
 def desired_speed(v_limit, lead_v, v_factor: float, anchor_default):
@@ -262,27 +260,17 @@ def _ego_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
     se, ve = propagate(ego.s, ego.v, a_e[..., None], ts)
     target = ego_lane + sigma
 
-    if sigma != 0:
-        if partner is not None:
-            pa = np.asarray(partner_a, dtype=float)
-            sa, va = propagate(partner.s, partner.v, pa[..., None], ts)
-            term = _gap_term(ve - va, sa - se, g.kappa_v_lat, g.kappa_s_lat,
-                             g.epsilon, g.l_v)
-            j_ds = np.max(term, axis=-1)
-        else:
-            j_ds = np.zeros(a_e.shape)
-    else:
-        lead = nb.lead(ego_lane)
-        if lead is not None:
-            sl, vl = propagate(lead.s, lead.v, 0.0, ts)
-            term = _gap_term(vl - ve, sl - se, g.kappa_v_lon, g.kappa_s_lon,
-                             g.epsilon, g.l_v)
-            j_ds = np.max(term, axis=-1)
-        else:
-            j_ds = np.zeros(a_e.shape)
+    lead = nb.lead(ego_lane)
+    j_ds = np.zeros(a_e.shape)
+    if sigma != 0 and partner is not None:
+        pa = np.asarray(partner_a, dtype=float)
+        sa, va = propagate(partner.s, partner.v, pa[..., None], ts)
+        j_ds = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
+    elif sigma == 0 and lead is not None:
+        sl, vl = propagate(lead.s, lead.v, 0.0, ts)
+        j_ds = np.max(_gap_term(vl - ve, sl - se, g, lateral=False), axis=-1)
 
-    a_y = lane_change_lat_accel(nb.lane_width)
-    j_rc = g.kappa_ax * a_e * a_e + sigma * sigma * g.kappa_ay * a_y * a_y
+    j_rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
 
     v_end = ve[..., -1]
     lead_t = nb.lead(target)
@@ -310,31 +298,23 @@ def _ac_parts(ac: KinematicState, ac_lane: int, ego: KinematicState,
     shape = np.broadcast(a_e, a_a).shape
 
     is_partner = sigma != 0 and ego_lane + sigma == ac_lane
+    lane = nb.lanes[ac_lane]
+    own_lead = lane.ac_lead
+    j_ds = 0.0
     if is_partner:
-        term = _gap_term(ve - va, sa - se, g.kappa_v_lat, g.kappa_s_lat,
-                         g.epsilon, g.l_v)
-        j_ds = np.broadcast_to(np.max(term, axis=-1), shape)
-    elif sigma == 0:
-        own_lead = nb.lanes[ac_lane].ac_lead
-        if own_lead is not None:
-            sl, vl = propagate(own_lead.s, own_lead.v, 0.0, ts)
-            term = _gap_term(vl - va, sl - sa, g.kappa_v_lon, g.kappa_s_lon,
-                             g.epsilon, g.l_v)
-            j_ds = np.broadcast_to(np.max(term, axis=-1), shape)
-        else:
-            j_ds = np.zeros(shape)
-    else:
-        j_ds = np.zeros(shape)
+        j_ds = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
+    elif sigma == 0 and own_lead is not None:
+        sl, vl = propagate(own_lead.s, own_lead.v, 0.0, ts)
+        j_ds = np.max(_gap_term(vl - va, sl - sa, g, lateral=False), axis=-1)
+    j_ds = np.broadcast_to(j_ds, shape)
 
-    j_rc = np.broadcast_to(g.kappa_ax * a_a * a_a, shape)
+    j_rc = np.broadcast_to(comfort_cost(a_a, 0.0, 0, g), shape)
 
     sa_end, va_end = sa[..., -1], va[..., -1]
     se_end, ve_end = se[..., -1], ve[..., -1]
-    lane = nb.lanes[ac_lane]
     v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
     # The adjacent car defends its own cruise speed, not the lane limit.
     cap = min(lane.v_max, v_ref)
-    own_lead = lane.ac_lead
     base_lead_v = own_lead.v if own_lead is not None else INF
     if is_partner:
         # A merged ego that ends up ahead becomes this car's lead.
@@ -395,23 +375,15 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma: int,
     Rows index ego accelerations, columns the adjacent car's. Without an
     adjacent car the ego column is constant and the opponent matrix zero.
     """
-    n_e, n_a = len(ego_accels), len(ac_accels)
+    shape = (len(ego_accels), len(ac_accels))
     a_e = np.asarray(ego_accels, dtype=float)[:, None]
     a_a = np.asarray(ac_accels, dtype=float)[None, :]
-
-    if ac is None or ac_lane is None:
-        partner = None
-        j_ds, j_rc, j_pe = _ego_parts(ego, ego_lane, sigma, a_e, neighbors,
-                                      ego_style, gains, horizon, partner, 0.0)
-        j_ego = np.broadcast_to(combine(ego_style, j_ds, j_rc, j_pe), (n_e, n_a))
-        return np.array(j_ego), np.zeros((n_e, n_a))
-
     partner = ac if sigma != 0 and ego_lane + sigma == ac_lane else None
-    j_ds, j_rc, j_pe = _ego_parts(ego, ego_lane, sigma, a_e, neighbors,
-                                  ego_style, gains, horizon, partner, a_a)
-    j_ego = np.broadcast_to(combine(ego_style, j_ds, j_rc, j_pe), (n_e, n_a))
-
-    k_ds, k_rc, k_pe = _ac_parts(ac, ac_lane, ego, ego_lane, sigma, a_e, a_a,
-                                 neighbors, ac_style, gains, horizon)
-    j_ac = np.broadcast_to(combine(ac_style, k_ds, k_rc, k_pe), (n_e, n_a))
-    return np.array(j_ego), np.array(j_ac)
+    j_ego = combine(ego_style, *_ego_parts(ego, ego_lane, sigma, a_e, neighbors,
+                                           ego_style, gains, horizon, partner, a_a))
+    if ac is None or ac_lane is None:
+        j_ac = np.zeros(shape)
+    else:
+        j_ac = combine(ac_style, *_ac_parts(ac, ac_lane, ego, ego_lane, sigma, a_e,
+                                            a_a, neighbors, ac_style, gains, horizon))
+    return np.array(np.broadcast_to(j_ego, shape)), np.array(np.broadcast_to(j_ac, shape))

@@ -206,21 +206,31 @@ def _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c, mult,
                         security_fallback=security, side=side)
 
 
-def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
-                  ac_lane: int, nb: NeighborView, ego_grid: ActionGrid,
-                  ac_grid: ActionGrid, ego_style: StyleProfile,
-                  ac_style: StyleProfile, gains: CostGains,
-                  horizon: float = T_DM) -> GameSolution:
-    """Mutual best response between the ego and one adjacent car."""
+def _solve_2p(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
+              ego_style, ac_style, gains, horizon) -> GameSolution:
     cands = ego_candidates(ego, ego_lane, ego_grid, nb, horizon)
     if not cands:
         raise InfeasibleDecisionError("no feasible ego action")
     ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
     j_e, j_a = _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands,
                                   ac_accels, ego_style, ac_style, gains, horizon)
-    r, c, mult, sec = nash_2p_matrices(j_e, j_a)
+    if kind == "nash":
+        r, c, mult, sec = nash_2p_matrices(j_e, j_a)
+    else:
+        r, c, mult = stackelberg_2p_matrices(j_e, j_a)
+        sec = False
     return _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c,
-                   mult, sec, "nash", ego_style, ac_style, gains, horizon)
+                   mult, sec, kind, ego_style, ac_style, gains, horizon)
+
+
+def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
+                  ac_lane: int, nb: NeighborView, ego_grid: ActionGrid,
+                  ac_grid: ActionGrid, ego_style: StyleProfile,
+                  ac_style: StyleProfile, gains: CostGains,
+                  horizon: float = T_DM) -> GameSolution:
+    """Mutual best response between the ego and one adjacent car."""
+    return _solve_2p("nash", ego, ego_lane, ac, ac_lane, nb, ego_grid,
+                     ac_grid, ego_style, ac_style, gains, horizon)
 
 
 def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
@@ -229,15 +239,8 @@ def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
                          ac_style: StyleProfile, gains: CostGains,
                          horizon: float = T_DM) -> GameSolution:
     """Ego leads, the adjacent car follows; worst case over follower ties."""
-    cands = ego_candidates(ego, ego_lane, ego_grid, nb, horizon)
-    if not cands:
-        raise InfeasibleDecisionError("no feasible ego action")
-    ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
-    j_e, j_a = _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands,
-                                  ac_accels, ego_style, ac_style, gains, horizon)
-    r, c, mult = stackelberg_2p_matrices(j_e, j_a)
-    return _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c,
-                   mult, False, "stackelberg", ego_style, ac_style, gains, horizon)
+    return _solve_2p("stackelberg", ego, ego_lane, ac, ac_lane, nb, ego_grid,
+                     ac_grid, ego_style, ac_style, gains, horizon)
 
 
 def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
@@ -256,7 +259,7 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                         ac_costs={}, equilibrium_kind=kind, multiplicity=1)
 
 
-def _side_solve(solver, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
+def _side_solve(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
                 ego_style, ac_style, gains, horizon, sigmas):
     if ac_lane not in nb.lanes:
         return None
@@ -264,6 +267,8 @@ def _side_solve(solver, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
         grid = ego_grid.restrict_sigmas(sigmas)
     except ValueError:
         return None
+    # Looked up at call time, so a wrapped module attribute is honoured.
+    solver = solve_nash_2p if kind == "nash" else solve_stackelberg_2p
     try:
         return solver(ego, ego_lane, ac, ac_lane, nb, grid, ac_grid,
                       ego_style, ac_style, gains, horizon)
@@ -295,6 +300,18 @@ def _merge_two_ac(sub_left, sub_right) -> GameSolution:
                         security_fallback=winner.security_fallback, side=side)
 
 
+def _solve_two_ac(kind, ego, ego_lane, ac_left, ac_right, nb, ego_grid,
+                  ac_grid, ego_style, left_style, right_style, gains,
+                  horizon) -> GameSolution:
+    sub_l = _side_solve(kind, ego, ego_lane, ac_left, ego_lane - 1, nb,
+                        ego_grid, ac_grid, ego_style, left_style, gains,
+                        horizon, (-1, 0))
+    sub_r = _side_solve(kind, ego, ego_lane, ac_right, ego_lane + 1, nb,
+                        ego_grid, ac_grid, ego_style, right_style, gains,
+                        horizon, (0, 1))
+    return _merge_two_ac(sub_l, sub_r)
+
+
 def solve_nash_two_ac(ego: KinematicState, ego_lane: int,
                       ac_left: KinematicState, ac_right: KinematicState,
                       nb: NeighborView, ego_grid: ActionGrid,
@@ -304,13 +321,9 @@ def solve_nash_two_ac(ego: KinematicState, ego_lane: int,
     """Two side subgames (left allows sigma in {-1,0}, right in {0,+1});
     the branch with the lower ego equilibrium cost decides the ego action.
     Each adjacent car keeps the acceleration from its own branch."""
-    sub_l = _side_solve(solve_nash_2p, ego, ego_lane, ac_left, ego_lane - 1,
-                        nb, ego_grid, ac_grid, ego_style, left_style, gains,
-                        horizon, (-1, 0))
-    sub_r = _side_solve(solve_nash_2p, ego, ego_lane, ac_right, ego_lane + 1,
-                        nb, ego_grid, ac_grid, ego_style, right_style, gains,
-                        horizon, (0, 1))
-    return _merge_two_ac(sub_l, sub_r)
+    return _solve_two_ac("nash", ego, ego_lane, ac_left, ac_right, nb,
+                         ego_grid, ac_grid, ego_style, left_style,
+                         right_style, gains, horizon)
 
 
 def solve_stackelberg_two_ac(ego: KinematicState, ego_lane: int,
@@ -320,10 +333,8 @@ def solve_stackelberg_two_ac(ego: KinematicState, ego_lane: int,
                              left_style: StyleProfile, right_style: StyleProfile,
                              gains: CostGains,
                              horizon: float = T_DM) -> GameSolution:
-    sub_l = _side_solve(solve_stackelberg_2p, ego, ego_lane, ac_left,
-                        ego_lane - 1, nb, ego_grid, ac_grid, ego_style,
-                        left_style, gains, horizon, (-1, 0))
-    sub_r = _side_solve(solve_stackelberg_2p, ego, ego_lane, ac_right,
-                        ego_lane + 1, nb, ego_grid, ac_grid, ego_style,
-                        right_style, gains, horizon, (0, 1))
-    return _merge_two_ac(sub_l, sub_r)
+    """The two-sided decomposition of solve_nash_two_ac with each side
+    game solved leader-follower."""
+    return _solve_two_ac("stackelberg", ego, ego_lane, ac_left, ac_right, nb,
+                         ego_grid, ac_grid, ego_style, left_style,
+                         right_style, gains, horizon)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
 from .field import ObstacleFieldParams, ObstaclePose, RoadFieldParams, total_field
 from .road import RoadGeometry
 from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
@@ -82,7 +83,7 @@ class HorizonModel:
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
                  vp: VehicleParams, dp: DriverParams, cfg: MpcConfig):
         if x0[0] <= V_FLOOR:
-            raise ValueError("linearization needs forward speed above the floor")
+            raise DomainError("linearization needs forward speed above the floor")
         self.x0 = np.asarray(x0, dtype=float)
         self.u_prev = float(u_prev)
         self.cfg = cfg
@@ -125,17 +126,6 @@ class HorizonModel:
         if du.ndim == 1:
             return self.base + np.tensordot(du, self.sens, axes=([-1], [2]))
         return self.base + np.einsum("bj,ixj->bix", du, self.sens)
-
-
-def predict_outputs(model: HorizonModel, du: np.ndarray,
-                    obstacles: list[ObstaclePose], road: RoadGeometry,
-                    target_lane: int, ofp: ObstacleFieldParams,
-                    rfp: RoadFieldParams) -> tuple[np.ndarray, np.ndarray]:
-    """States and output channels along the horizon for one du sequence."""
-    states = model.states(np.asarray(du, dtype=float))
-    coasted = _coasted(obstacles, model.cfg)
-    y = _outputs(model, states, coasted, road, target_lane, ofp, rfp)
-    return states, y
 
 
 def _coasted(obstacles: list[ObstaclePose], cfg: MpcConfig) -> list[ObstaclePose]:
@@ -260,7 +250,3 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
                       cost=final, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded)
 
-
-def apply_receding(u_prev: float, plan: PlanResult) -> float:
-    """Apply only the first increment; the rest is re-planned next step."""
-    return float(u_prev + plan.du_sequence[0])

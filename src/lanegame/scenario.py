@@ -24,6 +24,7 @@ from .games import ActionGrid
 from .planner import MpcConfig
 from .road import LaneSpec, RoadGeometry
 from .styles import BUILTIN_STYLES
+from .vehicle import V_FLOOR
 
 STRATEGIES = ("nash", "stackelberg")
 EGO_ROLE = "EC"
@@ -205,11 +206,19 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     roles = [v.role for v in cfg.vehicles]
     if len(set(roles)) != len(roles):
         problems.append("vehicles: duplicate roles")
+    strategic_lanes = set()
     for i, v in enumerate(cfg.vehicles):
         if not cfg.road.has_lane(v.lane):
             problems.append(f"vehicles[{i}].lane: no lane {v.lane} on the road")
         if not math.isfinite(v.s) or not math.isfinite(v.v) or v.v < 0:
             problems.append(f"vehicles[{i}]: position/velocity invalid")
+        elif v.role == EGO_ROLE and v.v <= V_FLOOR:
+            problems.append(f"vehicles[{i}].v: ego speed must exceed {V_FLOOR} m/s")
+        if v.strategic:
+            if v.lane in strategic_lanes:
+                problems.append(f"vehicles[{i}].lane: lane {v.lane} already "
+                                f"has a strategic car")
+            strategic_lanes.add(v.lane)
         if v.style not in BUILTIN_STYLES:
             problems.append(f"vehicles[{i}].style: unknown style {v.style!r}")
     if cfg.strategy not in STRATEGIES:

@@ -6,10 +6,21 @@ decision game, (3) log style-free running cost components, (4) plan the
 steering preview command, (5) integrate the ego and advance the other
 cars as point masses.
 
+The running `j_*` columns differ from the decision cost on purpose. They
+are instantaneous (the scene now, not a projection over the decision
+horizon) and style-free, so runs of different styles are scored on one
+scale: safety follows the active interaction partner, comfort is
+`comfort_cost` of the held command, and efficiency is the squared
+shortfall from `speed_cap` on the lane the ego occupies, not from the
+style-shaped `desired_speed`. Only `j_total` weights them by the ego
+style.
+
 Other cars follow their initial lane; adjacent (strategic) cars apply
 the acceleration from their side of the game while one is active and
 hold it during the ego's lane change, then coast. Everything is
-deterministic, so repeated runs produce identical traces.
+deterministic, so repeated runs produce identical traces. A layer that
+fails (no feasible decision, a query outside a model's domain) aborts
+the run with a reason; the rows produced so far are kept.
 """
 
 from __future__ import annotations
@@ -19,16 +30,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import (CostGains, KinematicState, LaneView, NeighborView,
-                    lane_change_lat_accel, lateral_safety_cost,
-                    longitudinal_safety_cost)
-from .errors import InfeasibleDecisionError
+from .costs import (KinematicState, LaneView, NeighborView, combine,
+                    comfort_cost, lane_change_lat_accel, lateral_safety_cost,
+                    longitudinal_safety_cost, speed_cap)
+from .errors import DomainError, InfeasibleDecisionError
 from .field import ObstaclePose, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
 from .planner import solve_plan
 from .road import RoadGeometry
-from .scenario import EGO_ROLE, ScenarioConfig
+from .scenario import EGO_ROLE, ScenarioConfig, VehicleSpec
 from .styles import style_profile
 from .vehicle import (DEFAULT_VEHICLE, IDELTA, IPHI, IR, IVX, IVY, IX, IY,
                       ControlInput, DriverParams, step)
@@ -206,16 +217,6 @@ def _decide(cfg: ScenarioConfig, strategy: str, nb: NeighborView,
                       horizon, kind=strategy), 0
 
 
-def _metric_cap(road: RoadGeometry, cfg: ScenarioConfig, lane: int, s: float) -> float:
-    """Attainable speed on a lane at station s, end-of-lane profile included."""
-    lv = road.lanes[lane]
-    rem = road.remaining(lane, s)
-    if not math.isfinite(rem):
-        return lv.v_max
-    run = max(rem - cfg.decision.end_margin, 0.0)
-    return min(lv.v_max, math.sqrt(2.0 * cfg.decision.a_end * run))
-
-
 def _u_box(road: RoadGeometry, cfg: ScenarioConfig, dp: DriverParams,
            s_e: float, v_e: float) -> tuple[float, float]:
     """Global lateral bounds for the preview command over the horizon.
@@ -235,20 +236,38 @@ def _u_box(road: RoadGeometry, cfg: ScenarioConfig, dp: DriverParams,
     return min(ys), max(ys)
 
 
-def _lane_share_clearance(ego_s, ego_d, ego_x, ego_y, cars, road) -> float:
-    """Smallest distance among pairs currently sharing a lane laterally."""
-    poses = [(ego_s, ego_d, ego_x, ego_y)]
+def _start_offset(road: RoadGeometry, spec: VehicleSpec) -> float:
+    """Initial lateral offset: the vehicle's own d, else its lane centerline."""
+    return road.lane_offset(spec.lane) if spec.d is None else spec.d
+
+
+def initial_cars(cfg: ScenarioConfig) -> list[_Car]:
+    """Point-mass state of every non-ego vehicle at t = 0, in roster order."""
+    return [_Car(role=spec.role, lane=spec.lane, strategic=spec.strategic,
+                 style=spec.style, s=spec.s, d=_start_offset(cfg.road, spec),
+                 v=spec.v, v_ref=spec.v)
+            for spec in cfg.vehicles if spec.role != EGO_ROLE]
+
+
+def obstacle_poses(road: RoadGeometry, cars: list[_Car]) -> list[ObstaclePose]:
+    """Global poses of the other cars, as the planner and the field see them."""
+    poses = []
     for c in cars:
         x, y = road.to_global(c.s, c.d)
-        poses.append((c.s, c.d, float(x), float(y)))
+        poses.append(ObstaclePose(x=float(x), y=float(y),
+                                  heading=float(road.tangent_heading(c.s)), v=c.v))
+    return poses
+
+
+def _lane_share_clearance(ego_d, ego_x, ego_y, cars, obstacles) -> float:
+    """Smallest distance among pairs currently sharing a lane laterally."""
+    poses = [(ego_d, ego_x, ego_y)]
+    poses += [(c.d, o.x, o.y) for c, o in zip(cars, obstacles)]
     best = math.inf
-    for i in range(len(poses)):
-        for j in range(i + 1, len(poses)):
-            if abs(poses[i][1] - poses[j][1]) >= LANE_SHARE_BAND:
-                continue
-            dist = math.hypot(poses[i][2] - poses[j][2],
-                              poses[i][3] - poses[j][3])
-            best = min(best, dist)
+    for i, (d_i, x_i, y_i) in enumerate(poses):
+        for d_j, x_j, y_j in poses[i + 1:]:
+            if abs(d_i - d_j) < LANE_SHARE_BAND:
+                best = min(best, math.hypot(x_i - x_j, y_i - y_j))
     return best
 
 
@@ -256,6 +275,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                    strategy: str | None = None) -> TraceLog:
     """Simulate one run; ego style and strategy may override the scenario."""
     road = cfg.road
+    dec = cfg.decision
     strategy = strategy or cfg.strategy
     ego_spec = cfg.ego()
     style_name = style or ego_spec.style
@@ -263,26 +283,15 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     vp = DEFAULT_VEHICLE
     dp = ego_style.driver
 
-    cars = []
-    for spec in cfg.vehicles:
-        if spec.role == EGO_ROLE:
-            continue
-        d0 = road.lane_offset(spec.lane) if spec.d is None else spec.d
-        cars.append(_Car(role=spec.role, lane=spec.lane, strategic=spec.strategic,
-                         style=spec.style, s=spec.s, d=d0, v=spec.v,
-                         v_ref=spec.v))
+    cars = initial_cars(cfg)
     roles = [c.role for c in cars]
-    columns = list(BASE_COLUMNS)
-    for r in roles:
-        rl = r.lower()
-        columns += [f"s_{rl}", f"d_{rl}", f"v_{rl}", f"a_{rl}"]
+    columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
     trace = TraceLog(scenario=cfg.name, style=style_name, strategy=strategy,
                      dt=cfg.dt, columns=columns, roles=roles)
 
     # Ego starts aligned with the road on its lane centerline.
     s0 = ego_spec.s
-    d0 = road.lane_offset(ego_spec.lane) if ego_spec.d is None else ego_spec.d
-    x0, y0 = road.to_global(s0, d0)
+    x0, y0 = road.to_global(s0, _start_offset(road, ego_spec))
     phi0 = float(road.tangent_heading(s0))
     state = np.zeros(8)
     state[IVX] = ego_spec.v
@@ -299,53 +308,66 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     a_cmd = 0.0
     flow_ref = ego_spec.v
     a_y_change = lane_change_lat_accel(road.lane_width)
-    last = {"mode": -1.0, "mult": 0.0, "sec": 0.0, "side": 0.0,
-            "dec": (0.0, 0.0, 0.0, 0.0)}
+    game = (-1.0, 0.0, 0.0, 0.0)       # mode, multiplicity, security, side
+    dec_cost = (0.0, 0.0, 0.0, 0.0)    # j_ds, j_rc, j_pe, total
 
     n_steps = int(round(cfg.duration / cfg.dt))
     for k in range(n_steps):
         t = k * cfg.dt
-        s_e, d_e = road.to_frenet(state[IX], state[IY])
+        x = state
+        s_e, d_e = road.to_frenet(x[IX], x[IY])
         s_e, d_e = float(s_e), float(d_e)
-        v_e = float(state[IVX])
+        v_e = float(x[IVX])
         ego_kin = KinematicState(s=s_e, v=v_e)
 
         if latched:
             y2 = d_e - road.lane_offset(target_lane)
-            y3 = float(state[IPHI]) - float(road.tangent_heading(s_e))
-            if (abs(y2) < cfg.decision.commit_lat_tol
-                    and abs(y3) < cfg.decision.commit_yaw_tol):
+            y3 = float(x[IPHI]) - float(road.tangent_heading(s_e))
+            if abs(y2) < dec.commit_lat_tol and abs(y3) < dec.commit_yaw_tol:
                 ego_lane = target_lane
                 latched = False
                 sigma_now = 0
 
+        obstacles = obstacle_poses(road, cars)
+        u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
         decided = 0.0
-        if not latched:
-            nb = _neighbor_view(road, cfg, cars, ego_lane, s_e, flow_ref)
-            try:
+        try:
+            if not latched:
+                nb = _neighbor_view(road, cfg, cars, ego_lane, s_e, flow_ref)
                 sol, mode = _decide(cfg, strategy, nb, ego_kin, ego_lane,
                                     ego_style, cars)
-            except InfeasibleDecisionError as exc:
-                trace.aborted = True
-                trace.abort_reason = f"decision infeasible at t={t:.2f}: {exc}"
-                break
-            decided = 1.0
-            sigma_now = sol.ego_action.sigma
-            a_cmd = sol.ego_action.a_x
-            if sigma_now != 0:
-                latched = True
-                target_lane = ego_lane + sigma_now
-            for c in cars:
-                if c.strategic:
-                    c.a = sol.ac_actions.get(c.lane, 0.0)
-            cb = sol.ego_cost
-            last = {"mode": float(mode), "mult": float(sol.multiplicity),
-                    "sec": float(sol.security_fallback),
-                    "side": 0.0 if sol.side is None else float(sol.side),
-                    "dec": (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)}
+                decided = 1.0
+                sigma_now = sol.ego_action.sigma
+                a_cmd = sol.ego_action.a_x
+                if sigma_now != 0:
+                    latched = True
+                    target_lane = ego_lane + sigma_now
+                for c in cars:
+                    if c.strategic:
+                        c.a = sol.ac_actions.get(c.lane, 0.0)
+                cb = sol.ego_cost
+                game = (float(mode), float(sol.multiplicity),
+                        float(sol.security_fallback),
+                        0.0 if sol.side is None else float(sol.side))
+                dec_cost = (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)
+            plan = solve_plan(x, u_prev, a_cmd, obstacles, road,
+                              target_lane if latched else ego_lane,
+                              cfg.obstacle_field, cfg.road_field,
+                              replace(cfg.mpc, u_min=u_lo, u_max=u_hi), vp, dp)
+            field_here = float(total_field(x[IX], x[IY], obstacles, road,
+                                           cfg.obstacle_field, cfg.road_field))
+        except (InfeasibleDecisionError, DomainError) as exc:
+            what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
+                    else "domain error")
+            trace.aborted = True
+            trace.abort_reason = f"{what} at t={t:.2f}: {exc}"
+            break
+        u_cmd = plan.u_applied
+        box_violation = float(not (u_lo - 1e-9 <= u_cmd <= u_hi + 1e-9)
+                              or plan.cost > plan.cost_zero + 1e-9)
 
-        # Style-free running cost components (weighted total uses the ego
-        # style); safety follows the active interaction partner.
+        # Running cost components (see the module docstring); safety
+        # follows the active interaction partner.
         if sigma_now != 0:
             adj = _adjacent_on(cars, target_lane, ego_lane)
             adj_kin = None if adj is None else KinematicState(s=adj.s, v=adj.v)
@@ -353,51 +375,29 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         else:
             lead = _lead_for(cars, ego_lane, ego_lane, s_e)
             j_ds_m = longitudinal_safety_cost(ego_kin, lead, cfg.gains)
-        j_rc_m = cfg.gains.kappa_ax * a_cmd * a_cmd
-        if sigma_now != 0:
-            j_rc_m += cfg.gains.kappa_ay * a_y_change * a_y_change
+        j_rc_m = comfort_cost(a_cmd, a_y_change, sigma_now, cfg.gains)
         lane_near = road.nearest_lane(d_e)
-        cap_here = _metric_cap(road, cfg, lane_near, s_e)
+        cap_here = float(speed_cap(road.lanes[lane_near].v_max,
+                                   road.remaining(lane_near, s_e),
+                                   dec.a_end, dec.end_margin))
         j_pe_m = (v_e - cap_here) ** 2
-        w_ds, w_rc, w_pe = ego_style.weights
-        j_total_m = w_ds * j_ds_m + w_rc * j_rc_m + w_pe * j_pe_m
+        j_total_m = float(combine(ego_style, j_ds_m, j_rc_m, j_pe_m))
+        clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]),
+                                          cars, obstacles)
 
-        obstacles = []
-        for c in cars:
-            ox, oy = road.to_global(c.s, c.d)
-            obstacles.append(ObstaclePose(x=float(ox), y=float(oy),
-                                          heading=float(road.tangent_heading(c.s)),
-                                          v=c.v))
-        u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
-        mpc_cfg = replace(cfg.mpc, u_min=u_lo, u_max=u_hi)
-        plan = solve_plan(state, u_prev, a_cmd, obstacles, road,
-                          target_lane if latched else ego_lane,
-                          cfg.obstacle_field, cfg.road_field, mpc_cfg, vp, dp)
-        u_cmd = plan.u_applied
-        box_violation = float(not (u_lo - 1e-9 <= u_cmd <= u_hi + 1e-9)
-                              or plan.cost > plan.cost_zero + 1e-9)
-
-        field_here = float(total_field(state[IX], state[IY], obstacles, road,
-                                       cfg.obstacle_field, cfg.road_field))
-        clearance = _lane_share_clearance(s_e, d_e, float(state[IX]),
-                                          float(state[IY]), cars, road)
-
-        row = [t, s_e, d_e, v_e, float(state[IVY]), float(state[IPHI]),
-               float(state[IX]), float(state[IY]), float(state[IDELTA]),
+        state, clamped = step(x, ControlInput(y_p=u_cmd, a_x=a_cmd), vp, dp,
+                              cfg.dt)
+        row = [t, s_e, d_e, v_e, float(x[IVY]), float(x[IPHI]),
+               float(x[IX]), float(x[IY]), float(x[IDELTA]),
                float(ego_lane), float(target_lane), float(sigma_now), a_cmd,
-               float(latched), decided, last["mode"], last["mult"],
-               last["sec"], last["side"], u_cmd, plan.cost, plan.cost_zero,
-               float(plan.iterations), float(plan.degraded), box_violation,
-               *last["dec"], j_ds_m, j_rc_m, j_pe_m, j_total_m, field_here,
-               clearance, 0.0]
+               float(latched), decided, *game, u_cmd, plan.cost,
+               plan.cost_zero, float(plan.iterations), float(plan.degraded),
+               box_violation, *dec_cost, j_ds_m, j_rc_m, j_pe_m, j_total_m,
+               field_here, clearance, float(clamped)]
         for c in cars:
             row += [c.s, c.d, c.v, c.a]
         trace.rows.append(row)
 
-        state, clamped = step(state, ControlInput(y_p=u_cmd, a_x=a_cmd),
-                              vp, dp, cfg.dt)
-        if clamped:
-            trace.rows[-1][columns.index("clamped")] = 1.0
         if not np.all(np.isfinite(state)):
             trace.aborted = True
             trace.abort_reason = f"non-finite ego state after t={t:.2f}"

@@ -458,3 +458,56 @@ def test_determinism(merge_runs, tmp_path):
     write_trace(base, str(p1))
     write_trace(again, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- locked behaviour -----------------------------------------------------
+
+# Per-run metrics of the 12 bundled runs, recorded before the cost terms
+# were consolidated. A refactor must reproduce them; an intended change
+# to any of them must be justified in CHANGES.md. t_commit is k * dt at
+# the committing step and is compared exactly, like the other integers.
+GOLDEN_EXACT = ("steps", "t_commit", "sigma_commit", "merged", "final_lane")
+GOLDEN_CLOSE = ("rms_safety", "rms_comfort", "rms_efficiency", "rms_total",
+                "min_clearance", "max_field")
+GOLDEN_REL_TOL = 1e-6
+_GOLDEN_BY_STYLE = {
+    ("scenario_a", "aggressive"): (240, 0.9, -1, True, 1, 2.97152621,
+                                   4.72393904, 7.94299419, 6.80183459,
+                                   15.2860331, 8.8858772),
+    ("scenario_a", "normal"): (240, 2.15, -1, True, 1, 0.257327847,
+                               3.3341468, 13.1813445, 3.36741276,
+                               21.5466852, 5.25963065),
+    ("scenario_a", "conservative"): (240, 2.7, -1, True, 1, 0.177939347,
+                                     3.48818712, 18.886575, 2.31318366,
+                                     24.3608447, 5.55758872),
+    ("scenario_b", "aggressive"): (300, 1.7000000000000002, -1, True, 1,
+                                   15.0543896, 5.64091806, 7.13086319,
+                                   7.33266358, 21.4817051, 6.07317919),
+    ("scenario_b", "normal"): (300, 3.3000000000000003, -1, True, 1,
+                               12.3004836, 5.8409287, 15.0045072,
+                               9.6209515, 22.6541854, 6.06716272),
+    ("scenario_b", "conservative"): (300, math.nan, 0, False, 2,
+                                     10.4968179, 0.190394328, 60.7761344,
+                                     11.9874522, 12.6501664, 5.32845331),
+}
+# Nash and Stackelberg give the same metrics on every bundled run.
+GOLDEN = {(scen, strat, style): vals
+          for (scen, style), vals in _GOLDEN_BY_STYLE.items()
+          for strat in STRATS}
+
+
+def test_golden_run_metrics(merge_runs, overtake_runs):
+    runs = merge_runs[2] + overtake_runs[2]
+    seen = {(m.scenario, m.strategy, m.style): m for _, m in runs}
+    assert set(seen) == set(GOLDEN)
+    for key, vals in GOLDEN.items():
+        m = seen[key]
+        want = dict(zip(GOLDEN_EXACT + GOLDEN_CLOSE, vals))
+        for name in GOLDEN_EXACT:
+            got, exp = getattr(m, name), want[name]
+            assert got == exp or (math.isnan(exp) and math.isnan(got)), \
+                (key, name, got, exp)
+        for name in GOLDEN_CLOSE:
+            got, exp = getattr(m, name), want[name]
+            assert math.isclose(got, exp, rel_tol=GOLDEN_REL_TOL), \
+                (key, name, got, exp)

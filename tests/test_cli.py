@@ -43,6 +43,20 @@ def test_missing_scenario_is_config_error(capsys):
     assert "no such scenario" in capsys.readouterr().err
 
 
+def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
+    # 5 m before the road end the planner queries the field off the road.
+    cfg = json.loads(_bundled_text("scenario_a"))
+    cfg["duration"] = 0.5
+    cfg["vehicles"][0]["s"] = 495.0   # the ego, EC
+    p = tmp_path / "road_end.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["run", str(p)]) == 4
+    captured = capsys.readouterr()
+    assert "aborted=1" in captured.out
+    assert "run aborted: domain error at t=0.00" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_run_writes_trace_and_metrics(short_scene, tmp_path, capsys):
     trace = tmp_path / "t.csv"
     metrics = tmp_path / "m.txt"

@@ -7,10 +7,10 @@ import pytest
 
 from lanegame.costs import (INFEASIBLE, CostGains, DecisionAction,
                             KinematicState, LaneView, NeighborView, T_DM,
-                            ac_cost, comfort_cost, desired_speed,
-                            efficiency_cost, ego_cost, lane_change_lat_accel,
-                            lateral_safety_cost, longitudinal_safety_cost,
-                            pair_payoff_matrices, propagate)
+                            ac_cost, comfort_cost, desired_speed, ego_cost,
+                            lane_change_lat_accel, lateral_safety_cost,
+                            longitudinal_safety_cost, pair_payoff_matrices,
+                            propagate)
 from lanegame.styles import style_profile
 
 from conftest import make_neighbors
@@ -64,21 +64,13 @@ def test_comfort_gating(gains):
     assert comfort_cost(0.0, 1.2, -1, gains) == pytest.approx(1.44)
     assert comfort_cost(0.0, 5.0, 0, gains) == 0.0
     assert comfort_cost(2.0, 1.0, 1, gains) == pytest.approx(5.0)
+    # Broadcasts over candidate accelerations.
+    assert comfort_cost(np.array([1.5, 2.0]), 1.0, 1, gains) == \
+        pytest.approx([3.25, 5.0])
 
 
 def test_lane_change_lat_accel_closed_form():
     assert lane_change_lat_accel(4.0) == pytest.approx(2.0 * math.pi * 4.0 / 9.0)
-
-
-def test_efficiency_oracle():
-    nb = make_neighbors(lanes={
-        1: LaneView(),
-        2: LaneView(lead=KinematicState(s=50.0, v=15.0)),
-    })
-    assert efficiency_cost(20.0, 2, nb) == pytest.approx(25.0)
-    # No lead: the target is the lane limit itself.
-    assert efficiency_cost(20.0, 1, nb) == pytest.approx(25.0)
-    assert efficiency_cost(25.0, 1, nb) == 0.0
 
 
 def test_desired_speed_shaping():

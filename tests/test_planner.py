@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from lanegame.errors import DomainError
 from lanegame.field import ObstacleFieldParams, ObstaclePose, RoadFieldParams, total_field
-from lanegame.planner import (HorizonModel, MpcConfig, PlanResult, _coasted,
-                              _outputs, _project, apply_receding, mpc_cost,
-                              predict_outputs, solve_plan)
+from lanegame.planner import (HorizonModel, MpcConfig, _coasted, _outputs,
+                              _project, mpc_cost, solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IVX, IX, IY, NX, VehicleParams
 
@@ -54,7 +54,8 @@ def test_config_validation():
 
 
 def test_horizon_model_needs_forward_speed():
-    with pytest.raises(ValueError):
+    # A named domain error, so a closed-loop run can abort on it cleanly.
+    with pytest.raises(DomainError):
         HorizonModel(_x0(v=0.2), 0.0, 0.0, VP, DP, small_cfg())
 
 
@@ -118,8 +119,8 @@ def test_outputs_channels(two_lane_road):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
-    states, y = predict_outputs(m, np.zeros(cfg.n_c), obs, two_lane_road, 1,
-                                OFP, RFP)
+    states = m.states(np.zeros(cfg.n_c))
+    y = _outputs(m, states, _coasted(obs, cfg), two_lane_road, 1, OFP, RFP)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
     t = (np.arange(cfg.n_p) + 1) * cfg.dt
@@ -211,9 +212,11 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
 
 
-def test_apply_receding_uses_first_increment():
-    plan = PlanResult(du_sequence=np.array([0.2, -0.1]), u_applied=1.2,
-                      predicted_states=np.zeros((1, NX)),
-                      predicted_outputs=np.zeros((1, 3)), cost=0.0,
-                      cost_zero=0.0, iterations=1, degraded=False)
-    assert apply_receding(1.0, plan) == pytest.approx(1.2)
+def test_applied_command_is_first_increment(two_lane_road):
+    # Receding horizon: only the first increment of the plan is applied.
+    cfg = small_cfg()
+    obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
+    plan = solve_plan(_x0(), 0.4, 0.0, obs, two_lane_road, 1, OFP, RFP,
+                      cfg, VP, DP)
+    assert np.any(plan.du_sequence != 0.0)
+    assert plan.u_applied == 0.4 + plan.du_sequence[0]

@@ -87,6 +87,12 @@ def test_missing_blocks_rejected():
     (lambda d: d.__setitem__("strategy", "minimax"), "strategy"),
     (lambda d: d.__setitem__("duration", 0.0), "duration"),
     (lambda d: d.__setitem__("dt", -0.05), "dt"),
+    # The planner linearizes about the ego's forward speed, which must
+    # clear the vehicle model's floor.
+    (lambda d: d["vehicles"][0].__setitem__("v", 0.5), "ego speed must exceed"),
+    # One strategic car per lane: the game reads a single opponent there.
+    (lambda d: d["vehicles"].append({"role": "AC2", "lane": 1, "s": 40.0, "v": 15.0}),
+     "lane 1 already has a strategic car"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()

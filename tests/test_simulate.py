@@ -107,6 +107,21 @@ def test_summarize_empty_trace():
     assert m.min_clearance == math.inf
 
 
+def test_layer_failure_aborts_with_reason(merge_cfg):
+    # 40 m before the road end the planner's horizon soon leaves the road:
+    # the run stops at that step, names it, and keeps the rows before it.
+    vehicles = [replace(v, s=460.0) if v.role == "EC" else v
+                for v in merge_cfg.vehicles]
+    cfg = replace(merge_cfg, vehicles=vehicles, duration=1.0)
+    tr = run_simulation(cfg)
+    assert tr.aborted
+    assert 0 < len(tr.rows) < 20
+    assert tr.abort_reason.startswith(
+        f"domain error at t={len(tr.rows) * cfg.dt:.2f}: ")
+    m = summarize(tr)
+    assert m.aborted and m.steps == len(tr.rows)
+
+
 def test_metrics_text_outputs(short_trace, tmp_path):
     m = summarize(short_trace)
     lines = metrics_lines(m)

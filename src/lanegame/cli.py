@@ -120,6 +120,8 @@ def _cmd_field_dump(args) -> int:
     s_hi = args.s_max if args.s_max is not None else min(road.length, ego.s + 120.0)
     if s_hi <= s_lo or args.ds <= 0 or args.dd <= 0:
         raise ConfigError("field-dump: empty sample window")
+    if s_lo < 0 or s_hi > road.length:
+        raise ConfigError(f"field-dump: window outside the road [0, {road.length:g}]")
     d_max, d_min = road.lateral_extent()
     obstacles = obstacle_poses(road, initial_cars(cfg))
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)

@@ -29,22 +29,27 @@ _SIGMA_ORDER = {0: 0, -1: 1, 1: 2}
 _VTOL = 1e-9
 
 
-def _default_accels() -> tuple[float, ...]:
-    return tuple(np.round(np.arange(-4.0, 3.0 + 0.25, 0.5), 6))
+ACCEL_RANGE = (-4.0, 3.0, 0.5)  # default grid: a_min, a_max, step, m/s^2
+
+
+def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
+    """Evenly spaced accelerations from a_min to a_max, both included."""
+    if step <= 0 or a_max < a_min:
+        raise ValueError("need step > 0 and a_max >= a_min")
+    n = int(round((a_max - a_min) / step))
+    return tuple(round(a_min + i * step, 9) for i in range(n + 1))
 
 
 @dataclass(frozen=True)
 class ActionGrid:
     """Finite action menu: acceleration samples, allowed sigmas, speed envelope."""
 
-    accelerations: tuple[float, ...] = None  # type: ignore[assignment]
+    accelerations: tuple[float, ...] = accel_range(*ACCEL_RANGE)
     sigmas: tuple[int, ...] = (-1, 0, 1)
     v_min: float = 0.0
     v_max: float = 25.0
 
     def __post_init__(self) -> None:
-        if self.accelerations is None:
-            object.__setattr__(self, "accelerations", _default_accels())
         accs = tuple(float(a) for a in self.accelerations)
         object.__setattr__(self, "accelerations", accs)
         if not accs:

@@ -28,12 +28,18 @@ from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
                       VehicleParams, derivatives, discretize, linearize)
 
 
+# Central finite-difference step of the cost gradient, in preview-command m.
+FD_STEP = 1e-4
+
+
 def _default_q() -> np.ndarray:
     return np.diag([1.0, 10.0, 50.0])
 
 
 @dataclass
 class MpcConfig:
+    """Planner settings; a closed-loop run sets dt and the u box each step."""
+
     n_p: int = 20
     n_c: int = 5
     dt: float = 0.05
@@ -45,7 +51,6 @@ class MpcConfig:
     du_max: float = 0.3
     max_iter: int = 100
     tol: float = 1e-6
-    fd_step: float = 1e-4
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float)
@@ -209,7 +214,6 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     du = np.zeros(n_c)
     best = float(cost_of(du))
     cost_zero = best
-    h = cfg.fd_step
     eye = np.eye(n_c)
     iterations = 0
     grad0_norm = 0.0
@@ -217,9 +221,9 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
 
     for _ in range(cfg.max_iter):
         iterations += 1
-        probe = np.concatenate([du + h * eye, du - h * eye], axis=0)
+        probe = np.concatenate([du + FD_STEP * eye, du - FD_STEP * eye], axis=0)
         vals = cost_of(probe)
-        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * h)
+        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * FD_STEP)
         gnorm = float(np.max(np.abs(grad)))
         if iterations == 1:
             grad0_norm = gnorm

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dfield
+from dataclasses import MISSING, dataclass, field as dfield, fields
 from importlib import resources
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .costs import CostGains
 from .errors import ConfigError
 from .field import ObstacleFieldParams, RoadFieldParams
-from .games import ActionGrid
+from .games import ACCEL_RANGE, ActionGrid, accel_range
 from .planner import MpcConfig
 from .road import LaneSpec, RoadGeometry
 from .styles import BUILTIN_STYLES
@@ -58,14 +58,14 @@ class DecisionParams:
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
-            raise ConfigError("decision.horizon must be positive")
+            raise ConfigError("horizon must be positive")
         if self.a_end <= 0 or self.a_brake <= 0:
-            raise ConfigError("decision.a_end and decision.a_brake must be positive")
+            raise ConfigError("a_end and a_brake must be positive")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    name: str
+    name: str = "unnamed"
     road: RoadGeometry
     vehicles: list[VehicleSpec]
     strategy: str = "nash"
@@ -82,114 +82,109 @@ class ScenarioConfig:
         return next(v for v in self.vehicles if v.role == EGO_ROLE)
 
 
-def _road_from(block: dict) -> RoadGeometry:
-    lanes = {}
-    for ln in block.get("lanes", []):
-        spec = LaneSpec(index=int(ln["index"]),
-                        v_min=float(ln.get("v_min", 0.0)),
-                        v_max=float(ln.get("v_max", 25.0)),
-                        end_station=ln.get("end_station"))
-        if spec.end_station is not None:
-            spec.end_station = float(spec.end_station)
-        lanes[spec.index] = spec
+# Declared field type -> cast of a JSON value; other fields are not keys.
+_CASTS = {
+    "str": str, "int": int, "float": float,
+    "float | None": lambda v: None if v is None else float(v),
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "tuple[int, ...]": lambda v: tuple(int(x) for x in v),
+    "np.ndarray": lambda v: np.asarray(v, dtype=float),
+}
+
+_LOOP_SET = ("dt", "u_min", "u_max")  # MpcConfig fields the closed loop sets
+
+# Top-level keys parsed as blocks of their own; "description" is free text.
+_BLOCKS = ("road", "vehicles", "grid", "gains", "field", "mpc", "decision",
+           "description")
+
+_RANGE_KEYS = ("a_min", "a_max", "step")  # grid form standing in for accelerations
+
+
+def _cast(cast, value, where: str):
     try:
-        return RoadGeometry(kind=block.get("kind", "straight"),
-                            radius=float(block.get("radius", 0.0)),
-                            length=float(block.get("length", 500.0)),
-                            lane_width=float(block.get("lane_width", 4.0)),
-                            lanes=lanes)
-    except ValueError as exc:
-        raise ConfigError(f"road: {exc}") from exc
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _grid_from(block: dict) -> ActionGrid:
-    if "accelerations" in block:
-        accs = tuple(float(a) for a in block["accelerations"])
-    else:
-        a_min = float(block.get("a_min", -4.0))
-        a_max = float(block.get("a_max", 3.0))
-        step = float(block.get("step", 0.5))
-        if step <= 0 or a_max < a_min:
-            raise ConfigError("grid: need step > 0 and a_max >= a_min")
-        n = int(round((a_max - a_min) / step))
-        accs = tuple(round(a_min + i * step, 9) for i in range(n + 1))
-    sigmas = tuple(int(s) for s in block.get("sigmas", (-1, 0, 1)))
+def _expect(block, kind: type, label: str):
+    if not isinstance(block, kind):
+        raise ConfigError(f"{label}: expected a JSON {'object' if kind is dict else 'list'}")
+    return block
+
+
+def _build(cls, block, label: str, skip=(), **given):
+    """An instance of dataclass `cls` from one JSON object.
+
+    The class's fields are the block's keys: each value is cast by the
+    field's declared type and an absent key keeps the class default.
+    Nested blocks are parsed by the caller and passed in `given`; those
+    keys and the ones in `skip` are not read from the block.
+    """
+    kw = dict(given)
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in _expect(block, dict, label).items():
+        cast = _CASTS.get(types.get(key))
+        if cast is None or key in given or key in skip:
+            raise ConfigError(f"{label}: unknown key {key!r}")
+        kw[key] = _cast(cast, value, f"{label}.{key}")
+    for f in fields(cls):
+        if f.name not in kw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{label}: missing key {f.name!r}")
     try:
-        return ActionGrid(accelerations=accs, sigmas=sigmas,
-                          v_min=float(block.get("v_min", 0.0)),
-                          v_max=float(block.get("v_max", 25.0)))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-
-def _mpc_from(block: dict) -> MpcConfig:
-    kw = {}
-    for key in ("n_p", "n_c", "max_iter"):
-        if key in block:
-            kw[key] = int(block[key])
-    for key in ("dt", "r", "u_min", "u_max", "du_min", "du_max", "tol", "fd_step"):
-        if key in block:
-            kw[key] = float(block[key])
-    if "q_diag" in block:
-        d = block["q_diag"]
-        if len(d) != 3:
-            raise ConfigError("mpc.q_diag must have 3 entries")
-        kw["q"] = np.diag([float(x) for x in d])
-    elif "q" in block:
-        kw["q"] = np.asarray(block["q"], dtype=float)
-    try:
-        return MpcConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"mpc: {exc}") from exc
-
-
-def _dataclass_from(cls, block: dict, label: str):
-    try:
-        return cls(**{k: float(v) for k, v in block.items()})
-    except TypeError as exc:
-        raise ConfigError(f"{label}: unknown or missing key ({exc})") from exc
+        return cls(**kw)
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
 
-def _vehicles_from(block: list) -> list[VehicleSpec]:
-    out = []
-    for i, v in enumerate(block):
-        try:
-            out.append(VehicleSpec(role=str(v["role"]), lane=int(v["lane"]),
-                                   s=float(v["s"]), v=float(v["v"]),
-                                   d=None if v.get("d") is None else float(v["d"]),
-                                   style=str(v.get("style", "normal"))))
-        except KeyError as exc:
-            raise ConfigError(f"vehicles[{i}]: missing key {exc}") from exc
-    return out
+def _road_from(block) -> RoadGeometry:
+    rest = dict(_expect(block, dict, "road"))
+    lanes = [_build(LaneSpec, ln, f"road.lanes[{i}]")
+             for i, ln in enumerate(_expect(rest.pop("lanes", []), list, "road.lanes"))]
+    return _build(RoadGeometry, rest, "road", lanes={ln.index: ln for ln in lanes})
+
+
+def _grid_from(block) -> ActionGrid:
+    rest = dict(_expect(block, dict, "grid"))
+    given = {}
+    if any(k in rest for k in _RANGE_KEYS):
+        bounds = [_cast(float, rest.pop(k, d), f"grid.{k}")
+                  for k, d in zip(_RANGE_KEYS, ACCEL_RANGE)]
+        given["accelerations"] = _cast(lambda b: accel_range(*b), bounds, "grid")
+    return _build(ActionGrid, rest, "grid", **given)
+
+
+def _mpc_from(block) -> MpcConfig:
+    rest = dict(_expect(block, dict, "mpc"))
+    given = {}
+    if "q_diag" in rest:
+        diag = _cast(_CASTS["tuple[float, ...]"], rest.pop("q_diag"), "mpc.q_diag")
+        if len(diag) != 3:
+            raise ConfigError("mpc.q_diag must have 3 entries")
+        given["q"] = np.diag(diag)
+    return _build(MpcConfig, rest, "mpc", skip=_LOOP_SET, **given)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a JSON object")
+    doc = _expect(doc, dict, "scenario")
     if "road" not in doc or "vehicles" not in doc:
         raise ConfigError("scenario needs 'road' and 'vehicles' blocks")
-    cfg = ScenarioConfig(
-        name=str(doc.get("name", "unnamed")),
+    # One field block feeds both field dataclasses; keys in neither are unknown.
+    obstacle_keys = {f.name for f in fields(ObstacleFieldParams)}
+    fb = _expect(doc.get("field", {}), dict, "field")
+    ofb = {k: v for k, v in fb.items() if k in obstacle_keys}
+    rfb = {k: v for k, v in fb.items() if k not in obstacle_keys}
+    cfg = _build(
+        ScenarioConfig, {k: v for k, v in doc.items() if k not in _BLOCKS}, "scenario",
         road=_road_from(doc["road"]),
-        vehicles=_vehicles_from(doc["vehicles"]),
-        strategy=str(doc.get("strategy", "nash")),
-        duration=float(doc.get("duration", 12.0)),
-        dt=float(doc.get("dt", 0.05)),
+        vehicles=[_build(VehicleSpec, v, f"vehicles[{i}]")
+                  for i, v in enumerate(_expect(doc["vehicles"], list, "vehicles"))],
         grid=_grid_from(doc.get("grid", {})),
-        gains=_dataclass_from(CostGains, doc.get("gains", {}), "gains"),
-        obstacle_field=_dataclass_from(ObstacleFieldParams,
-                                       {k: v for k, v in doc.get("field", {}).items()
-                                        if k in ("a_oc", "rho_x", "rho_y", "b", "c")},
-                                       "field"),
-        road_field=_dataclass_from(RoadFieldParams,
-                                   {k: v for k, v in doc.get("field", {}).items()
-                                    if k in ("a_r", "d_safe", "w", "edge_weight",
-                                             "interior_weight")},
-                                   "field"),
+        gains=_build(CostGains, doc.get("gains", {}), "gains"),
+        obstacle_field=_build(ObstacleFieldParams, ofb, "field"),
+        road_field=_build(RoadFieldParams, rfb, "field"),
         mpc=_mpc_from(doc.get("mpc", {})),
-        decision=_dataclass_from(DecisionParams, doc.get("decision", {}), "decision"),
+        decision=_build(DecisionParams, doc.get("decision", {}), "decision"),
     )
     problems = validate(cfg)
     if problems:
@@ -207,9 +202,17 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     if len(set(roles)) != len(roles):
         problems.append("vehicles: duplicate roles")
     strategic_lanes = set()
+    road = cfg.road
     for i, v in enumerate(cfg.vehicles):
-        if not cfg.road.has_lane(v.lane):
+        if not road.has_lane(v.lane):
             problems.append(f"vehicles[{i}].lane: no lane {v.lane} on the road")
+        elif min(road.remaining(v.lane, v.s), road.length - v.s) < 0:
+            problems.append(f"vehicles[{i}].s: past the end of lane {v.lane}")
+        elif v.d is not None and not (abs(v.d - road.lane_offset(v.lane))
+                                      <= road.lane_width / 2):  # NaN fails too
+            problems.append(f"vehicles[{i}].d: outside lane {v.lane}")
+        if v.role == EGO_ROLE and v.s < 0:
+            problems.append(f"vehicles[{i}].s: the ego must start at s >= 0")
         if not math.isfinite(v.s) or not math.isfinite(v.v) or v.v < 0:
             problems.append(f"vehicles[{i}]: position/velocity invalid")
         elif v.role == EGO_ROLE and v.v <= V_FLOOR:
@@ -223,10 +226,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"vehicles[{i}].style: unknown style {v.style!r}")
     if cfg.strategy not in STRATEGIES:
         problems.append(f"strategy: must be one of {STRATEGIES}")
-    if cfg.duration <= 0:
-        problems.append("duration: must be positive")
-    if cfg.dt <= 0:
-        problems.append("dt: must be positive")
+    if not 0 < cfg.duration < math.inf:   # NaN fails too
+        problems.append("duration: must be positive and finite")
+    if not 0 < cfg.dt < math.inf:
+        problems.append("dt: must be positive and finite")
     return problems
 
 

@@ -26,7 +26,7 @@ the run with a reason; the rows produced so far are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
 from .planner import solve_plan
 from .road import RoadGeometry
 from .scenario import EGO_ROLE, ScenarioConfig, VehicleSpec
-from .styles import style_profile
+from .styles import BUILTIN_STYLES, style_profile
 from .vehicle import (DEFAULT_VEHICLE, IDELTA, IPHI, IR, IVX, IVY, IX, IY,
                       ControlInput, DriverParams, step)
 
@@ -88,30 +88,33 @@ class TraceLog:
 
 @dataclass
 class RunMetrics:
+    """Per-run outcome; the defaults are those of a run with no steps."""
+
     scenario: str
     style: str
     strategy: str
     steps: int
     aborted: bool
     abort_reason: str
-    t_commit: float              # first lane-change commitment, nan if none
-    sigma_commit: int            # direction of that first commitment
-    merged: bool                 # a lane change finished during the run
-    t_merge_done: float
-    final_lane: int
-    gap_at_commit: dict[str, float]  # role -> s_ego - s_role at t_commit
-    v_at_commit: dict[str, float]    # role (and EC) -> speed at t_commit
-    rms_safety: float
-    rms_comfort: float
-    rms_efficiency: float
-    rms_total: float
-    min_clearance: float         # lane-sharing pairs only; inf if none occur
-    max_field: float
-    planner_regressions: int     # steps where the plan lost to zero increments
-    box_violations: int
-    degraded_steps: int
-    security_steps: int
-    clamp_steps: int
+    t_commit: float = math.nan   # first lane-change commitment, nan if none
+    sigma_commit: int = 0        # direction of that first commitment
+    merged: bool = False         # a lane change finished during the run
+    t_merge_done: float = math.nan
+    final_lane: int = 0
+    # role -> s_ego - s_role, and role (and EC) -> speed, at t_commit
+    gap_at_commit: dict[str, float] = field(default_factory=dict)
+    v_at_commit: dict[str, float] = field(default_factory=dict)
+    rms_safety: float = math.nan
+    rms_comfort: float = math.nan
+    rms_efficiency: float = math.nan
+    rms_total: float = math.nan
+    min_clearance: float = math.inf  # lane-sharing pairs only; inf if none occur
+    max_field: float = math.nan
+    planner_regressions: int = 0     # steps where the plan lost to zero increments
+    box_violations: int = 0
+    degraded_steps: int = 0
+    security_steps: int = 0
+    clamp_steps: int = 0
 
 
 BASE_COLUMNS = [
@@ -226,7 +229,7 @@ def _u_box(road: RoadGeometry, cfg: ScenarioConfig, dp: DriverParams,
     the global Y-extent of those sections (exactly the road edges on a
     straight segment).
     """
-    far = s_e + v_e * (dp.t_p + cfg.mpc.n_p * cfg.mpc.dt)
+    far = s_e + v_e * (dp.t_p + cfg.mpc.n_p * cfg.dt)
     d_max, d_min = road.lateral_extent()
     ys = []
     for ss in (s_e, far):
@@ -353,7 +356,8 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
             plan = solve_plan(x, u_prev, a_cmd, obstacles, road,
                               target_lane if latched else ego_lane,
                               cfg.obstacle_field, cfg.road_field,
-                              replace(cfg.mpc, u_min=u_lo, u_max=u_hi), vp, dp)
+                              replace(cfg.mpc, dt=cfg.dt, u_min=u_lo, u_max=u_hi),
+                              vp, dp)
             field_here = float(total_field(x[IX], x[IY], obstacles, road,
                                            cfg.obstacle_field, cfg.road_field))
         except (InfeasibleDecisionError, DomainError) as exc:
@@ -416,18 +420,11 @@ def summarize(trace: TraceLog) -> RunMetrics:
     """Reduce a trace to the quantities the scenario studies compare."""
     col = trace.column
     n = len(trace.rows)
+    head = RunMetrics(scenario=trace.scenario, style=trace.style,
+                      strategy=trace.strategy, steps=n, aborted=trace.aborted,
+                      abort_reason=trace.abort_reason)
     if n == 0:
-        return RunMetrics(scenario=trace.scenario, style=trace.style,
-                          strategy=trace.strategy, steps=0,
-                          aborted=trace.aborted, abort_reason=trace.abort_reason,
-                          t_commit=math.nan, sigma_commit=0, merged=False,
-                          t_merge_done=math.nan, final_lane=0,
-                          gap_at_commit={}, v_at_commit={},
-                          rms_safety=math.nan, rms_comfort=math.nan,
-                          rms_efficiency=math.nan, rms_total=math.nan,
-                          min_clearance=math.inf, max_field=math.nan,
-                          planner_regressions=0, box_violations=0,
-                          degraded_steps=0, security_steps=0, clamp_steps=0)
+        return head
     sigma = col("sigma")
     t = col("t")
     committed = np.flatnonzero(sigma != 0)
@@ -453,10 +450,8 @@ def summarize(trace: TraceLog) -> RunMetrics:
         x = col(name)
         return float(np.sqrt(np.mean(x * x)))
 
-    return RunMetrics(
-        scenario=trace.scenario, style=trace.style, strategy=trace.strategy,
-        steps=n, aborted=trace.aborted, abort_reason=trace.abort_reason,
-        t_commit=t_commit, sigma_commit=sigma_commit, merged=merged,
+    return replace(
+        head, t_commit=t_commit, sigma_commit=sigma_commit, merged=merged,
         t_merge_done=t_merge_done, final_lane=int(lane[-1]),
         gap_at_commit=gap_at_commit, v_at_commit=v_at_commit,
         rms_safety=rms("j_ds"), rms_comfort=rms("j_rc"),
@@ -479,30 +474,24 @@ def write_trace(trace: TraceLog, path: str) -> None:
             fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
+def _fmt(value) -> str:
+    """One metric value as text: flags as 0/1, floats to 9 significant digits."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
 def metrics_lines(m: RunMetrics) -> list[str]:
-    """Flat key=value rendering of one run's metrics."""
-    out = [f"scenario={m.scenario}", f"style={m.style}",
-           f"strategy={m.strategy}", f"steps={m.steps}",
-           f"aborted={int(m.aborted)}"]
-    if m.abort_reason:
-        out.append(f"abort_reason={m.abort_reason}")
-    out += [f"t_commit={m.t_commit:.9g}", f"sigma_commit={m.sigma_commit}",
-            f"merged={int(m.merged)}", f"t_merge_done={m.t_merge_done:.9g}",
-            f"final_lane={m.final_lane}"]
-    for r, g in m.gap_at_commit.items():
-        out.append(f"gap_at_commit_{r}={g:.9g}")
-    for r, v in m.v_at_commit.items():
-        out.append(f"v_at_commit_{r}={v:.9g}")
-    out += [f"rms_safety={m.rms_safety:.9g}", f"rms_comfort={m.rms_comfort:.9g}",
-            f"rms_efficiency={m.rms_efficiency:.9g}",
-            f"rms_total={m.rms_total:.9g}",
-            f"min_clearance={m.min_clearance:.9g}",
-            f"max_field={m.max_field:.9g}",
-            f"planner_regressions={m.planner_regressions}",
-            f"box_violations={m.box_violations}",
-            f"degraded_steps={m.degraded_steps}",
-            f"security_steps={m.security_steps}",
-            f"clamp_steps={m.clamp_steps}"]
+    """Flat key=value lines in field order, a per-role dict one line per role."""
+    out = []
+    for f in fields(RunMetrics):
+        value = getattr(m, f.name)
+        if isinstance(value, dict):
+            out += [f"{f.name}_{r}={_fmt(v)}" for r, v in value.items()]
+        elif f.name != "abort_reason" or value:
+            out.append(f"{f.name}={_fmt(value)}")
     return out
 
 
@@ -511,7 +500,7 @@ def write_metrics(m: RunMetrics, path: str) -> None:
         fh.write("\n".join(metrics_lines(m)) + "\n")
 
 
-STYLES_ALL = ("aggressive", "normal", "conservative")
+STYLES_ALL = tuple(BUILTIN_STYLES)
 
 
 def batch(cfg: ScenarioConfig, styles=STYLES_ALL,
@@ -527,18 +516,10 @@ def batch(cfg: ScenarioConfig, styles=STYLES_ALL,
 
 def comparison_csv(metrics: list[RunMetrics]) -> str:
     """Side-by-side table over runs, one row per run."""
-    cols = ["scenario", "style", "strategy", "t_commit", "sigma_commit",
+    cols = ("scenario", "style", "strategy", "t_commit", "sigma_commit",
             "merged", "t_merge_done", "final_lane", "rms_safety",
             "rms_comfort", "rms_efficiency", "rms_total", "min_clearance",
-            "max_field", "aborted"]
+            "max_field", "aborted")
     lines = [",".join(cols)]
-    for m in metrics:
-        vals = [m.scenario, m.style, m.strategy, f"{m.t_commit:.9g}",
-                str(m.sigma_commit), str(int(m.merged)),
-                f"{m.t_merge_done:.9g}", str(m.final_lane),
-                f"{m.rms_safety:.9g}", f"{m.rms_comfort:.9g}",
-                f"{m.rms_efficiency:.9g}", f"{m.rms_total:.9g}",
-                f"{m.min_clearance:.9g}", f"{m.max_field:.9g}",
-                str(int(m.aborted))]
-        lines.append(",".join(vals))
+    lines += [",".join(_fmt(getattr(m, c)) for c in cols) for m in metrics]
     return "\n".join(lines) + "\n"

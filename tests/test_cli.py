@@ -45,9 +45,10 @@ def test_missing_scenario_is_config_error(capsys):
 
 def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
     # 5 m before the road end the planner queries the field off the road.
+    # Lane 1 runs the full length; lane 2 ends at 200 m.
     cfg = json.loads(_bundled_text("scenario_a"))
     cfg["duration"] = 0.5
-    cfg["vehicles"][0]["s"] = 495.0   # the ego, EC
+    cfg["vehicles"][0].update(s=495.0, lane=1)   # the ego, EC
     p = tmp_path / "road_end.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", str(p)]) == 4
@@ -114,6 +115,10 @@ def test_field_dump_empty_window(short_scene, capsys):
     assert main(["field-dump", short_scene, "--s-min", "10",
                  "--s-max", "5"]) == 3
     assert "empty sample window" in capsys.readouterr().err
+    # The field is defined over the road's stations only.
+    for window in (["--s-max", "600"], ["--s-min", "-5"]):
+        assert main(["field-dump", short_scene, *window]) == 3
+        assert "outside the road [0, 500]" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

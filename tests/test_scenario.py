@@ -1,13 +1,16 @@
 """Scenario parsing, validation, and the bundled references."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanegame.errors import ConfigError
-from lanegame.scenario import (DecisionParams, config_from_dict, load_scenario,
-                               validate)
+from lanegame.scenario import (BUNDLED, DecisionParams, config_from_dict,
+                               load_scenario, validate)
+from lanegame.simulate import run_simulation
 
 
 def minimal_doc(**over):
@@ -93,12 +96,61 @@ def test_missing_blocks_rejected():
     # One strategic car per lane: the game reads a single opponent there.
     (lambda d: d["vehicles"].append({"role": "AC2", "lane": 1, "s": 40.0, "v": 15.0}),
      "lane 1 already has a strategic car"),
+    # Placement: on the road, inside the car's own lane, the ego ahead of 0.
+    (lambda d: d["vehicles"][1].__setitem__("s", 510.0), "past the end of lane 1"),
+    (lambda d: (d["road"]["lanes"][1].__setitem__("end_station", 200.0),
+                d["vehicles"][0].__setitem__("s", 250.0)), "past the end of lane 2"),
+    (lambda d: d["vehicles"][0].__setitem__("s", -1.0), "the ego must start at s >= 0"),
+    (lambda d: d["vehicles"][0].__setitem__("d", 2.1), "d: outside lane 2"),
+    (lambda d: d["vehicles"][1].__setitem__("d", 1.9), "d: outside lane 1"),
+    (lambda d: d.__setitem__("duration", float("nan")),
+     "duration: must be positive and finite"),
+    (lambda d: d.__setitem__("dt", float("inf")), "dt: must be positive and finite"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()
     mutate(doc)
     with pytest.raises(ConfigError, match=needle):
         config_from_dict(doc)
+
+
+def test_placement_allows_cars_behind_start_and_off_center():
+    doc = minimal_doc()
+    doc["vehicles"][1].update(s=-20.0, d=2.1)   # AC1 on lane 1, centered at d=4
+    doc["vehicles"][0]["d"] = -1.9
+    assert validate(config_from_dict(doc)) == []
+
+
+UNKNOWN_KEYS = [
+    ("scenario", (), "durration"),
+    ("road", ("road",), "lenght"),
+    ("road.lanes[1]", ("road", "lanes", 1), "vmax"),
+    ("vehicles[0]", ("vehicles", 0), "stlye"),
+    ("grid", ("grid",), "stepp"),
+    ("gains", ("gains",), "kappa_v_lonn"),
+    ("field", ("field",), "a_OC"),
+    ("mpc", ("mpc",), "n_pp"),
+    ("decision", ("decision",), "horizn"),
+    # The closed loop sets the planner step from dt and the u box from
+    # the road; the finite-difference step is a planner constant.
+    ("mpc", ("mpc",), "dt"),
+    ("mpc", ("mpc",), "u_min"),
+    ("mpc", ("mpc",), "u_max"),
+    ("mpc", ("mpc",), "fd_step"),
+]
+
+
+@pytest.mark.parametrize("label,path,key", UNKNOWN_KEYS,
+                         ids=[f"{label}.{key}" for label, _, key in UNKNOWN_KEYS])
+def test_unknown_key_names_block_and_key(label, path, key):
+    doc = minimal_doc(grid={}, gains={}, field={}, mpc={}, decision={})
+    block = doc
+    for step in path:
+        block = block[step]
+    block[key] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(doc)
+    assert label in str(exc.value) and key in str(exc.value)
 
 
 def test_vehicle_missing_key_names_index():
@@ -166,3 +218,41 @@ def test_explicit_lateral_offset_survives():
     doc["vehicles"][0]["d"] = 1.25
     cfg = config_from_dict(doc)
     assert cfg.ego().d == 1.25
+
+
+def _objects(node):
+    """Every JSON object in a document, the document itself first."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _objects(child)
+
+
+PERTURBED = {"s": st.floats(-60.0, 650.0), "v": st.floats(-2.0, 30.0),
+             "d": st.floats(-10.0, 10.0), "lane": st.integers(0, 4)}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(BUNDLED), misspell=st.booleans(), data=st.data())
+def test_mutated_scenario_runs_or_fails_cleanly(name, misspell, data):
+    """One typo or one moved vehicle: a named config error, or a short run
+    that ends cleanly or aborts with a reason; never another exception."""
+    text = resources.files("lanegame.scenarios").joinpath(f"{name}.json").read_text()
+    doc = json.loads(text)
+    doc["duration"] = 0.25
+    if misspell:
+        block = data.draw(st.sampled_from(list(_objects(doc))), label="block")
+        key = data.draw(st.sampled_from(sorted(block)), label="key")
+        block[key + key[-1]] = block.pop(key)   # last letter typed twice
+    else:
+        car = data.draw(st.sampled_from(doc["vehicles"]), label="car")
+        key = data.draw(st.sampled_from(sorted(PERTURBED)), label="key")
+        car[key] = data.draw(PERTURBED[key], label="value")
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    trace = run_simulation(cfg)
+    assert trace.abort_reason if trace.aborted else len(trace.rows) == 5

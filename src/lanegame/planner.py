@@ -8,7 +8,9 @@ The optimizer works on the control increments du over the control
 horizon, with the preview command held after that; it is a projected
 gradient descent with backtracking that only ever accepts improvements,
 so the returned sequence never scores worse than leaving the command
-alone.
+alone. Each iteration scores all of its halving trial steps in one
+batched cost evaluation and takes the first that improves, which is the
+step a one-trial-at-a-time halving loop would accept.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
@@ -30,6 +32,10 @@ from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
 
 # Central finite-difference step of the cost gradient, in preview-command m.
 FD_STEP = 1e-4
+# Line-search step factors 0.5**k: every trial of one iteration, scored as
+# one batch. Halving by 0.5 is exact, so these are the steps a loop that
+# halves alpha would try.
+HALVINGS = 0.5 ** np.arange(25)
 
 
 def _default_q() -> np.ndarray:
@@ -172,20 +178,21 @@ def mpc_cost(outputs: np.ndarray, du: np.ndarray, q: np.ndarray, r: float):
 
 
 def _project(du: np.ndarray, u_prev: float, cfg: MpcConfig) -> np.ndarray:
-    """Clip a du sequence into the du boxes and the cumulative u box.
+    """Clip du sequences into the du boxes and the cumulative u box.
 
-    Sequential: each increment is clipped to the intersection of its own
-    box with what keeps the running command inside [u_min, u_max]. The
-    intersection is never empty while the running command stays in the
-    box, which it does by induction.
+    Works on one sequence or a batch over leading axes. Sequential along
+    the last axis: each increment is clipped to the intersection of its
+    own box with what keeps the running command inside [u_min, u_max].
+    The intersection is never empty while the running command stays in
+    the box, which it does by induction.
     """
     out = np.empty_like(du)
-    u = u_prev
-    for j in range(len(du)):
-        lo = max(cfg.du_min, cfg.u_min - u)
-        hi = min(cfg.du_max, cfg.u_max - u)
-        out[j] = min(max(du[j], lo), hi)
-        u += out[j]
+    u = np.full(du.shape[:-1], float(u_prev))
+    for j in range(du.shape[-1]):
+        lo = np.maximum(cfg.du_min, cfg.u_min - u)
+        hi = np.minimum(cfg.du_max, cfg.u_max - u)
+        out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
+        u = u + out[..., j]
     return out
 
 
@@ -197,10 +204,13 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     """Minimize the horizon cost over bounded preview increments.
 
     Projected gradient descent with central finite differences and
-    backtracking. Only improving iterates are accepted, so the result
-    never exceeds the zero-increment cost; if the very first iterate
-    cannot improve on zero while the gradient is clearly nonzero, the
-    plan is flagged degraded.
+    backtracking. All trial steps alpha0 * HALVINGS of an iteration are
+    scored in one batch, and the first that beats the best cost so far
+    is taken, exactly as a loop that halves until improvement would.
+    Only improving iterates are accepted, so the result never exceeds
+    the zero-increment cost; if the very first iterate cannot improve on
+    zero while the gradient is clearly nonzero, the plan is flagged
+    degraded.
     """
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg)
     n_c = cfg.n_c
@@ -217,7 +227,6 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     eye = np.eye(n_c)
     iterations = 0
     grad0_norm = 0.0
-    converged = False
 
     for _ in range(cfg.max_iter):
         iterations += 1
@@ -229,20 +238,18 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
             grad0_norm = gnorm
         if gnorm == 0.0:
             break
-        alpha = 1.0 / gnorm  # first trial moves the largest component by 1
-        accepted = False
-        for _ in range(25):
-            cand = _project(du - alpha * grad, u_prev, cfg)
-            val = float(cost_of(cand))
-            if val < best:
-                drop = best - val
-                du, best = cand, val
-                accepted = True
-                converged = drop <= cfg.tol * max(1.0, best)
-                break
-            alpha *= 0.5
-        if not accepted or converged:
+        # The first trial moves the largest component by 1.
+        alphas = (1.0 / gnorm) * HALVINGS
+        cands = _project(du - alphas[:, None] * grad, u_prev, cfg)
+        vals = cost_of(cands)
+        improving = np.flatnonzero(vals < best)
+        if improving.size == 0:
             break
+        k = improving[0]
+        drop = best - float(vals[k])
+        du, best = cands[k], float(vals[k])
+        if drop <= cfg.tol * max(1.0, best):
+            break  # converged
 
     states = model.states(du)
     y = _outputs(model, states, coasted, road, target_lane, ofp, rfp)

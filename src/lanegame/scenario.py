@@ -139,9 +139,13 @@ def _build(cls, block, label: str, skip=(), **given):
 
 def _road_from(block) -> RoadGeometry:
     rest = dict(_expect(block, dict, "road"))
-    lanes = [_build(LaneSpec, ln, f"road.lanes[{i}]")
-             for i, ln in enumerate(_expect(rest.pop("lanes", []), list, "road.lanes"))]
-    return _build(RoadGeometry, rest, "road", lanes={ln.index: ln for ln in lanes})
+    lanes = {}
+    for i, ln in enumerate(_expect(rest.pop("lanes", []), list, "road.lanes")):
+        lane = _build(LaneSpec, ln, f"road.lanes[{i}]")
+        if lane.index in lanes:
+            raise ConfigError(f"road.lanes[{i}]: repeats lane index {lane.index}")
+        lanes[lane.index] = lane
+    return _build(RoadGeometry, rest, "road", lanes=lanes)
 
 
 def _grid_from(block) -> ActionGrid:

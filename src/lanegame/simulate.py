@@ -37,7 +37,7 @@ from .errors import DomainError, InfeasibleDecisionError
 from .field import ObstaclePose, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
-from .planner import solve_plan
+from .planner import MpcConfig, solve_plan
 from .road import RoadGeometry
 from .scenario import EGO_ROLE, ScenarioConfig, VehicleSpec
 from .styles import BUILTIN_STYLES, style_profile
@@ -77,6 +77,7 @@ class TraceLog:
     roles: list[str] = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
+    max_iter: int = MpcConfig.max_iter   # the planner's iteration cap in this run
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -113,6 +114,7 @@ class RunMetrics:
     planner_regressions: int = 0     # steps where the plan lost to zero increments
     box_violations: int = 0
     degraded_steps: int = 0
+    maxiter_steps: int = 0           # plans that stopped at the iteration cap
     security_steps: int = 0
     clamp_steps: int = 0
 
@@ -290,7 +292,8 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     roles = [c.role for c in cars]
     columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
     trace = TraceLog(scenario=cfg.name, style=style_name, strategy=strategy,
-                     dt=cfg.dt, columns=columns, roles=roles)
+                     dt=cfg.dt, columns=columns, roles=roles,
+                     max_iter=cfg.mpc.max_iter)
 
     # Ego starts aligned with the road on its lane centerline.
     s0 = ego_spec.s
@@ -461,6 +464,7 @@ def summarize(trace: TraceLog) -> RunMetrics:
         planner_regressions=int(np.sum(col("mpc_cost") > col("mpc_cost_zero") + 1e-9)),
         box_violations=int(np.sum(col("box_violation"))),
         degraded_steps=int(np.sum(col("mpc_degraded"))),
+        maxiter_steps=int(np.sum(col("mpc_iters") >= trace.max_iter)),
         security_steps=int(np.sum(col("security"))),
         clamp_steps=int(np.sum(col("clamped"))),
     )

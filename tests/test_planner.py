@@ -5,10 +5,10 @@ import pytest
 
 from lanegame.errors import DomainError
 from lanegame.field import ObstacleFieldParams, ObstaclePose, RoadFieldParams, total_field
-from lanegame.planner import (HorizonModel, MpcConfig, _coasted, _outputs,
-                              _project, mpc_cost, solve_plan)
+from lanegame.planner import (FD_STEP, HorizonModel, MpcConfig, _coasted,
+                              _outputs, _project, mpc_cost, solve_plan)
 from lanegame.styles import style_profile
-from lanegame.vehicle import IPHI, IVX, IX, IY, NX, VehicleParams
+from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
 VP = VehicleParams()
 DP = style_profile("normal").driver
@@ -156,6 +156,107 @@ def test_project_respects_running_command_box():
     # Inside every box the projection is the identity.
     du = np.array([0.1, -0.2, 0.05, 0.0])
     assert np.allclose(_project(du, 0.0, cfg), du)
+
+
+def test_project_batch_matches_rows(rng):
+    cfg = small_cfg(u_min=-1.0, u_max=1.0, du_min=-0.3, du_max=0.3)
+    for u_prev in (0.0, 0.85, -0.95):
+        batch = rng.uniform(-0.6, 0.6, (9, cfg.n_c))
+        got = _project(batch, u_prev, cfg)
+        assert got.shape == batch.shape
+        for b in range(9):
+            assert np.array_equal(got[b], _project(batch[b], u_prev, cfg))
+
+
+def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
+    """(du, iterations, cost) of a line search that scores one trial at a time.
+
+    Each iteration halves the step from 1/max|grad| until a trial beats
+    the best cost, scoring every trial alone as a one-row batch, with an
+    elementwise projection written out here.
+    """
+    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg)
+    coasted = _coasted(obstacles, cfg)
+
+    def cost_of(du):
+        y = _outputs(model, model.states(du), coasted, road, lane, OFP, RFP)
+        return mpc_cost(y, du, cfg.q, cfg.r)
+
+    def project(du):
+        out, u = np.empty_like(du), u_prev
+        for j in range(len(du)):
+            lo = max(cfg.du_min, cfg.u_min - u)
+            hi = min(cfg.du_max, cfg.u_max - u)
+            out[j] = min(max(du[j], lo), hi)
+            u += out[j]
+        return out
+
+    n_c = cfg.n_c
+    eye = np.eye(n_c)
+    du = np.zeros(n_c)
+    best = float(cost_of(du))
+    iterations = 0
+    for _ in range(cfg.max_iter):
+        iterations += 1
+        vals = cost_of(np.concatenate([du + FD_STEP * eye, du - FD_STEP * eye]))
+        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * FD_STEP)
+        gnorm = float(np.max(np.abs(grad)))
+        if gnorm == 0.0:
+            break
+        alpha = 1.0 / gnorm
+        accepted = converged = False
+        for _ in range(25):
+            cand = project(du - alpha * grad)
+            val = float(cost_of(cand[None])[0])
+            if val < best:
+                converged = best - val <= cfg.tol * max(1.0, val)
+                du, best, accepted = cand, val, True
+                break
+            alpha *= 0.5
+        if not accepted or converged:
+            break
+    return du, iterations, float(cost_of(du))
+
+
+def _random_scene(rng, road):
+    """A planning problem anywhere near the middle of the road."""
+    lane = int(rng.integers(1, road.lane_count + 1))
+    s = rng.uniform(100.0, 250.0)
+    d = road.lane_offset(lane) + rng.uniform(-1.5, 1.5)
+    phi = float(road.tangent_heading(s)) + rng.uniform(-0.03, 0.03)
+    v = rng.uniform(8.0, 30.0)
+    x0 = np.zeros(NX)
+    x0[IVX], x0[IVY], x0[IPHI] = v, rng.uniform(-0.2, 0.2), phi
+    x0[IX], x0[IY] = (float(c) for c in road.to_global(s, d))
+    x0[IR] = (v / road.radius if road.kind == "arc" else 0.0) + rng.uniform(-0.02, 0.02)
+    u_prev = float(x0[IY] + DP.t_p * v * phi) + rng.uniform(-0.5, 0.5)
+    obstacles = []
+    for _ in range(rng.integers(0, 4)):
+        so = s + rng.uniform(-10.0, 40.0)
+        xo, yo = road.to_global(so, road.lane_offset(int(rng.integers(1, road.lane_count + 1))))
+        obstacles.append(ObstaclePose(x=float(xo), y=float(yo),
+                                      heading=float(road.tangent_heading(so)),
+                                      v=rng.uniform(5.0, 25.0)))
+    # A tight command box around u_prev makes the projection bite.
+    reach = rng.choice([0.2, 1.0, 10.0])
+    cfg = MpcConfig(max_iter=40, u_min=u_prev - reach, u_max=u_prev + reach)
+    target = int(np.clip(lane + rng.integers(-1, 2), 1, road.lane_count))
+    return x0, u_prev, rng.uniform(-3.0, 2.0), obstacles, target, cfg
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lane_arc):
+    rng = np.random.default_rng(seed)
+    road = two_lane_road if seed % 2 else three_lane_arc
+    x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
+    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
+                      cfg, VP, DP)
+    du, iterations, cost = _halving_search(x0, u_prev, a_x, obstacles, road,
+                                           target, cfg)
+    assert np.array_equal(plan.du_sequence, du)
+    assert plan.iterations == iterations
+    assert plan.cost == cost
+    assert plan.cost <= plan.cost_zero
 
 
 def test_plan_never_beats_zero_baseline(two_lane_road, rng):

@@ -106,6 +106,9 @@ def test_missing_blocks_rejected():
     (lambda d: d.__setitem__("duration", float("nan")),
      "duration: must be positive and finite"),
     (lambda d: d.__setitem__("dt", float("inf")), "dt: must be positive and finite"),
+    # A repeated lane index would silently drop the earlier lane.
+    (lambda d: d["road"]["lanes"].append({"index": 2, "v_max": 10.0}),
+     r"road\.lanes\[2\]: repeats lane index 2"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()

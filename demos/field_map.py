@@ -6,7 +6,8 @@ Run: python3 demos/field_map.py
 import numpy as np
 
 from lanegame.field import (ObstacleFieldParams, ObstaclePose,
-                            RoadFieldParams, gamma_crit, total_field)
+                            RoadFieldParams, gamma_crit, prepare_field,
+                            total_field)
 from lanegame.road import LaneSpec, RoadGeometry
 
 SHADES = " .,:;o*#@"
@@ -23,6 +24,7 @@ def main():
         ObstaclePose(x=40.0, y=4.0, heading=0.0, v=18.0),
     ]
 
+    field = prepare_field(cars, road, ofp, rfp)
     xs = np.arange(10.0, 110.0, 2.0)
     ds = np.arange(6.5, -2.75, -0.5)
     crit = gamma_crit(ofp)
@@ -30,7 +32,7 @@ def main():
     print(f"cars at x=60 (lane 2, 10 m/s) and x=40 (lane 1, 18 m/s)")
     print()
     for d in ds:
-        vals = total_field(xs, np.full_like(xs, d), cars, road, ofp, rfp)
+        vals = total_field(xs, np.full_like(xs, d), field)
         row = []
         for v in np.asarray(vals):
             if v >= crit:

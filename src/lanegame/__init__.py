@@ -6,16 +6,19 @@ The usual entry points:
 - ``load_scenario`` / ``run_simulation`` / ``summarize`` for closed-loop runs
 - ``solve_nash_2p`` / ``solve_stackelberg_2p`` and the two-opponent variants
   for standalone decision games
-- ``total_field`` for risk-map sampling, ``solve_plan`` for one planner step
+- ``prepare_field`` / ``total_field`` for risk-map sampling, ``solve_plan``
+  for one planner step
 """
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
                     LaneView, NeighborView, comfort_cost, desired_speed,
                     ego_cost, lateral_safety_cost, longitudinal_safety_cost,
                     pair_payoff_matrices)
-from .errors import ConfigError, DomainError, InfeasibleDecisionError
+from .errors import (ConfigError, DomainError, InfeasibleDecisionError,
+                     LanegameError)
 from .field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                    gamma_crit, obstacle_field, road_field, total_field)
+                    gamma_crit, obstacle_field, prepare_field, road_field,
+                    total_field)
 from .games import (ActionGrid, GameSolution, nash_2p_matrices, solve_nash_2p,
                     solve_nash_two_ac, solve_solo, solve_stackelberg_2p,
                     solve_stackelberg_two_ac, stackelberg_2p_matrices)

@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError
-from .field import total_field
+from .errors import ConfigError, LanegameError
+from .field import prepare_field, total_field
 from .road import RoadGeometry
 from .scenario import STRATEGIES, load_scenario
 from .simulate import (STYLES_ALL, batch, comparison_csv, initial_cars,
@@ -123,14 +123,14 @@ def _cmd_field_dump(args) -> int:
     if s_lo < 0 or s_hi > road.length:
         raise ConfigError(f"field-dump: window outside the road [0, {road.length:g}]")
     d_max, d_min = road.lateral_extent()
-    obstacles = obstacle_poses(road, initial_cars(cfg))
+    field = prepare_field(obstacle_poses(road, initial_cars(cfg)), road,
+                          cfg.obstacle_field, cfg.road_field)
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)
     dd = np.arange(d_min, d_max + 1e-9, args.dd)
     lines = ["s,d,x,y,gamma"]
     for s in ss:
         xs, ys = road.to_global(np.full_like(dd, s), dd)
-        vals = total_field(xs, ys, obstacles, road, cfg.obstacle_field,
-                           cfg.road_field)
+        vals = total_field(xs, ys, field)
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 3
-    except (RuntimeError, OSError) as exc:
+    except (LanegameError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
 

@@ -3,14 +3,17 @@
 Two ingredients: a velocity-skewed exponential bump around each obstacle
 car, and an exponential barrier along the road edge lines. Both are summed
 into a single scalar surface that the planner reads as its first output
-channel. All query arguments broadcast, so a whole prediction horizon (or
-a batch of candidate horizons) evaluates in one call.
+channel. `prepare_field` lays a scene out once (obstacles stacked along a
+leading axis, zero-weight lane lines dropped) and `total_field` queries
+it; all query arguments broadcast, so a whole prediction horizon (or a
+batch of candidate horizons) evaluates in one call. `_bumps` is the one
+obstacle-field formula, shared by the stacked and the single-pose paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,41 +68,76 @@ def gamma_crit(p: ObstacleFieldParams) -> float:
     return p.a_oc * math.exp(-1.0)
 
 
-def obstacle_field(qx, qy, obs: ObstaclePose, p: ObstacleFieldParams) -> np.ndarray:
-    """Field of one obstacle car at query position(s) (qx, qy).
+def _bumps(dx, dy, cos_h, sin_h, cv, p: ObstacleFieldParams) -> np.ndarray:
+    """The obstacle bump at offsets (dx, dy) from the obstacle CoG.
 
-    The query is rotated into the obstacle frame; ahead of a moving
-    obstacle the exponent picks up a positive skew so the bump reaches
-    farther forward than backward. The skew ratio is 0 at the CoG, which
-    keeps the exponent continuous there and pins the peak at a_oc.
+    The one obstacle-field formula: every path to an obstacle's field
+    value runs through here. The offset is rotated into the obstacle
+    frame by (cos_h, sin_h); ahead of a moving obstacle the exponent picks
+    up a positive skew cv = c*v so the bump reaches farther forward than
+    backward. The skew ratio is 0 at the CoG, which keeps the exponent
+    continuous there and pins the peak at a_oc. All arguments broadcast.
     """
-    qx = np.asarray(qx, dtype=float)
-    qy = np.asarray(qy, dtype=float)
-    ch, sh = math.cos(obs.heading), math.sin(obs.heading)
-    dx = qx - obs.x
-    dy = qy - obs.y
-    xh = ch * dx + sh * dy
-    yh = -sh * dx + ch * dy
+    xh = cos_h * dx + sin_h * dy
+    yh = -sin_h * dx + cos_h * dy
 
     ax = xh * xh / (2.0 * p.rho_x**2)
     ay = yh * yh / (2.0 * p.rho_y**2)
     r2 = ax + ay
     denom = np.sqrt(np.where(r2 > 0.0, r2, 1.0))
     skew = np.where(xh < 0.0, -1.0, 1.0) * np.where(r2 > 0.0, ax / denom, 0.0)
-    theta = -np.power(r2, p.b) + p.c * obs.v * skew
+    theta = -np.power(r2, p.b) + cv * skew
     return p.a_oc * np.exp(theta)
 
 
-def _lane_line_offsets(road: RoadGeometry, p: RoadFieldParams) -> list[tuple[float, float]]:
-    """(lateral offset, weight) for each lane line of the road."""
+def obstacle_field(qx, qy, obs: ObstaclePose, p: ObstacleFieldParams) -> np.ndarray:
+    """Field of one obstacle car at query position(s) (qx, qy)."""
+    qx = np.asarray(qx, dtype=float)
+    qy = np.asarray(qy, dtype=float)
+    return _bumps(qx - obs.x, qy - obs.y, math.cos(obs.heading),
+                  math.sin(obs.heading), p.c * obs.v, p)
+
+
+def _weighted_lines(road: RoadGeometry, p: RoadFieldParams):
+    """(lateral offsets, weight * a_r) of the lane lines with non-zero weight."""
     d_left, _ = road.lateral_extent()
-    lines = []
     n_lines = road.lane_count + 1
+    offsets, gains = [], []
     for i in range(n_lines):
-        d = d_left - i * road.lane_width
         edge = i == 0 or i == n_lines - 1
-        lines.append((d, p.edge_weight if edge else p.interior_weight))
-    return lines
+        weight = p.edge_weight if edge else p.interior_weight
+        if weight != 0.0:
+            offsets.append(d_left - i * road.lane_width)
+            gains.append(weight * p.a_r)
+    return np.array(offsets), np.array(gains)
+
+
+def _in_order(terms, shape) -> np.ndarray:
+    """Sum of `terms` taken one after another, starting from zeros."""
+    total = np.zeros(shape)
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
+    """View of an (n, *rest) array as (n, 1, ..., 1, *rest) with `ndim` axes.
+
+    Lines a per-obstacle (or per-line) array up with a query of
+    `ndim - 1` axes, so the leading axis broadcasts over the entries.
+    """
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
+             p: RoadFieldParams) -> np.ndarray:
+    """Lane-line barrier at road coordinates (s, d), lines summed in order."""
+    if np.any(s < -1e-9) or np.any(s > road.length + 1e-9):
+        raise DomainError("query station outside the road's station range")
+    d = np.asarray(d, dtype=float)
+    dist = np.abs(d - _leading(offsets, d.ndim + 1))
+    terms = _leading(gains, d.ndim + 1) * np.exp(-dist + p.d_safe + 0.5 * p.w)
+    return _in_order(terms, np.broadcast(s, d).shape)
 
 
 def road_field(qx, qy, road: RoadGeometry, p: RoadFieldParams) -> np.ndarray:
@@ -113,25 +151,67 @@ def road_field(qx, qy, road: RoadGeometry, p: RoadFieldParams) -> np.ndarray:
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
     s, d = road.to_frenet(qx, qy)
-    if np.any(s < -1e-9) or np.any(s > road.length + 1e-9):
-        raise DomainError("query station outside the road's station range")
-    total = np.zeros(np.broadcast(qx, qy).shape)
-    for d_line, weight in _lane_line_offsets(road, p):
-        if weight == 0.0:
-            continue
-        dist = np.abs(d - d_line)
-        total = total + weight * p.a_r * np.exp(-dist + p.d_safe + 0.5 * p.w)
-    return total
+    return _barrier(s, d, road, *_weighted_lines(road, p), p)
 
 
-def total_field(qx, qy, obstacles, road: RoadGeometry | None,
-                ofp: ObstacleFieldParams, rfp: RoadFieldParams) -> np.ndarray:
-    """Obstacle fields summed over all OCs plus the road barrier."""
+@dataclass(frozen=True)
+class PreparedField:
+    """Obstacles and lane lines of one field, laid out for many queries.
+
+    The obstacle arrays carry a leading obstacle axis: `x` and `y` are
+    (n_obs,) for fixed poses or (n_obs, n) for poses swept over n
+    prediction steps; `cos`, `sin` (of the heading) and `cv` (the skew
+    c*v) are (n_obs,). `offsets` and `gains` hold only the lane lines
+    with non-zero weight. Build one with `prepare_field`.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    cv: np.ndarray
+    road: RoadGeometry | None
+    offsets: np.ndarray
+    gains: np.ndarray
+    ofp: ObstacleFieldParams
+    rfp: RoadFieldParams
+
+
+def prepare_field(obstacles, road: RoadGeometry | None,
+                  ofp: ObstacleFieldParams, rfp: RoadFieldParams) -> PreparedField:
+    """Stack obstacle poses (all of one position shape) and keep the weighted lines."""
+    obstacles = list(obstacles)
+    if road is None:
+        offsets = gains = np.zeros(0)
+    else:
+        offsets, gains = _weighted_lines(road, rfp)
+    return PreparedField(
+        x=np.array([o.x for o in obstacles], dtype=float),
+        y=np.array([o.y for o in obstacles], dtype=float),
+        cos=np.array([math.cos(o.heading) for o in obstacles]),
+        sin=np.array([math.sin(o.heading) for o in obstacles]),
+        cv=np.array([ofp.c * o.v for o in obstacles]),
+        road=road, offsets=offsets, gains=gains, ofp=ofp, rfp=rfp)
+
+
+def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
+    """Obstacle fields summed over all OCs plus the road barrier.
+
+    All obstacles are evaluated in one broadcast over the leading
+    obstacle axis and added up in obstacle order; the barrier is added
+    last. `frenet` may pass road coordinates (s, d) of the query that the
+    caller already holds, so they are not computed twice.
+    """
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
-    total = np.zeros(np.broadcast(qx, qy).shape)
-    for obs in obstacles:
-        total = total + obstacle_field(qx, qy, obs, ofp)
-    if road is not None:
-        total = total + road_field(qx, qy, road, rfp)
+    shape = np.broadcast(qx, qy).shape
+    ndim = 1 + max(len(shape), field.x.ndim - 1)
+    bumps = _bumps(qx - _leading(field.x, ndim), qy - _leading(field.y, ndim),
+                   _leading(field.cos, ndim), _leading(field.sin, ndim),
+                   _leading(field.cv, ndim), field.ofp)
+    total = _in_order(bumps, shape)
+    if field.road is not None:
+        s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
+        total = total + _barrier(s, d, field.road, field.offsets, field.gains,
+                                 field.rfp)
     return total

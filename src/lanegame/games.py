@@ -30,6 +30,9 @@ _VTOL = 1e-9
 
 
 ACCEL_RANGE = (-4.0, 3.0, 0.5)  # default grid: a_min, a_max, step, m/s^2
+# Largest range accel_range builds: every decision step enumerates the
+# grid once per player, so an unbounded step count is refused up front.
+MAX_ACCELS = 1000
 
 
 def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
@@ -37,6 +40,9 @@ def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
     if step <= 0 or a_max < a_min:
         raise ValueError("need step > 0 and a_max >= a_min")
     n = int(round((a_max - a_min) / step))
+    if n + 1 > MAX_ACCELS:
+        raise ValueError(f"range holds {n + 1} accelerations, at most "
+                         f"{MAX_ACCELS} allowed")
     return tuple(round(a_min + i * step, 9) for i in range(n + 1))
 
 

@@ -8,9 +8,19 @@ The optimizer works on the control increments du over the control
 horizon, with the preview command held after that; it is a projected
 gradient descent with backtracking that only ever accepts improvements,
 so the returned sequence never scores worse than leaving the command
-alone. Each iteration scores all of its halving trial steps in one
-batched cost evaluation and takes the first that improves, which is the
-step a one-trial-at-a-time halving loop would accept.
+alone. Each iteration scores its halving trial steps in at most two
+batched cost evaluations, the first FIRST_TRIALS and then the rest only
+if none of those improves, and takes the first that improves, which is
+the step a one-trial-at-a-time halving loop would accept.
+
+The horizon cost is prepared once per solve. The coasted obstacles are
+stacked into one PreparedField, so a cost call evaluates every obstacle
+in one broadcast; a batch of du sequences is predicted on the 3 channels
+the cost reads (X, Y, phi); and each cost call maps the predicted
+positions to road coordinates once, for the road barrier and for y2/y3
+alike. Every value is the one the per-obstacle, full-state evaluation
+gives, bit for bit. The full 8-state prediction is made for the
+returned plan.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
@@ -24,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .field import ObstacleFieldParams, ObstaclePose, RoadFieldParams, total_field
+from .field import (ObstacleFieldParams, ObstaclePose, PreparedField,
+                    RoadFieldParams, prepare_field, total_field)
 from .road import RoadGeometry
 from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
                       VehicleParams, derivatives, discretize, linearize)
@@ -36,6 +47,14 @@ FD_STEP = 1e-4
 # one batch. Halving by 0.5 is exact, so these are the steps a loop that
 # halves alpha would try.
 HALVINGS = 0.5 ** np.arange(25)
+# Trials 0..FIRST_TRIALS-1 are scored first, the rest only if none of
+# those improves. In the six bundled Nash runs 21 of 46,032 accepted
+# steps had an index above 12, none of them in the slowest run
+# (scenario_b conservative, 15,889 steps), so the second batch is rare.
+FIRST_TRIALS = 13
+# State channels the cost reads: position for the field and the lateral
+# offset, yaw for the heading error.
+CHANNELS = [IX, IY, IPHI]
 
 
 def _default_q() -> np.ndarray:
@@ -130,6 +149,8 @@ class HorizonModel:
             for j in range(min(i + 1, n_c)):
                 sens[i, :, j] = cum[i + 1 - j]
         self.sens = sens
+        self.base_xyphi = base[:, CHANNELS]
+        self.sens_xyphi = sens[:, CHANNELS, :]
 
     def states(self, du: np.ndarray) -> np.ndarray:
         """Predicted states for du sequences; batches over a leading axis."""
@@ -137,6 +158,18 @@ class HorizonModel:
         if du.ndim == 1:
             return self.base + np.tensordot(du, self.sens, axes=([-1], [2]))
         return self.base + np.einsum("bj,ixj->bix", du, self.sens)
+
+    def poses(self, du: np.ndarray) -> np.ndarray:
+        """Predicted (X, Y, phi), equal to states(du)[..., CHANNELS].
+
+        A batch contracts only those 3 channels. One sequence goes
+        through `states`, whose BLAS contraction a 3-channel one would
+        not reproduce bit for bit.
+        """
+        du = np.asarray(du, dtype=float)
+        if du.ndim == 1:
+            return self.states(du)[:, CHANNELS]
+        return self.base_xyphi + np.einsum("bj,ixj->bix", du, self.sens_xyphi)
 
 
 def _coasted(obstacles: list[ObstaclePose], cfg: MpcConfig) -> list[ObstaclePose]:
@@ -153,19 +186,21 @@ def _coasted(obstacles: list[ObstaclePose], cfg: MpcConfig) -> list[ObstaclePose
             for o in obstacles]
 
 
-def _outputs(model: HorizonModel, states: np.ndarray, coasted, road,
-             target_lane, ofp, rfp) -> np.ndarray:
-    """(..., n_p, 3) outputs for (..., n_p, 8) states.
+def _outputs(poses: np.ndarray, prepared: PreparedField, target_lane) -> np.ndarray:
+    """(..., n_p, 3) outputs for (..., n_p, 3) predicted (X, Y, phi).
 
-    `coasted` must come from _coasted so the obstacle positions line up
-    with the prediction steps on the last axis.
+    `prepared` must come from _coasted poses so the obstacle
+    positions line up with the prediction steps on the last axis. The
+    road coordinates of the poses are computed once and serve both the
+    road barrier and y2/y3.
     """
-    xs = states[..., IX]
-    ys = states[..., IY]
-    y1 = total_field(xs, ys, coasted, road, ofp, rfp)
+    xs = poses[..., 0]
+    ys = poses[..., 1]
+    road = prepared.road
     s, d = road.to_frenet(xs, ys)
+    y1 = total_field(xs, ys, prepared, frenet=(s, d))
     y2 = d - road.lane_offset(target_lane)
-    y3 = states[..., IPHI] - road.tangent_heading(s)
+    y3 = poses[..., 2] - road.tangent_heading(s)
     return np.stack([y1, y2, y3], axis=-1)
 
 
@@ -204,21 +239,25 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     """Minimize the horizon cost over bounded preview increments.
 
     Projected gradient descent with central finite differences and
-    backtracking. All trial steps alpha0 * HALVINGS of an iteration are
-    scored in one batch, and the first that beats the best cost so far
+    backtracking. The horizon cost is prepared once per solve: the
+    coasted obstacles are stacked into one PreparedField, a batch of du
+    sequences is predicted on the 3 channels the cost reads, and each
+    cost call maps the predicted positions to road coordinates once.
+    The trial steps alpha0 * HALVINGS of an iteration are scored in two
+    batches, the first FIRST_TRIALS and then, only if none of those
+    improves, the rest; the first trial that beats the best cost so far
     is taken, exactly as a loop that halves until improvement would.
     Only improving iterates are accepted, so the result never exceeds
     the zero-increment cost; if the very first iterate cannot improve on
     zero while the gradient is clearly nonzero, the plan is flagged
-    degraded.
+    degraded. The full 8-state prediction is made for the returned plan.
     """
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg)
     n_c = cfg.n_c
-    coasted = _coasted(obstacles, cfg)
+    prepared = prepare_field(_coasted(obstacles, cfg), road, ofp, rfp)
 
     def cost_of(du_batch: np.ndarray) -> np.ndarray:
-        states = model.states(du_batch)
-        y = _outputs(model, states, coasted, road, target_lane, ofp, rfp)
+        y = _outputs(model.poses(du_batch), prepared, target_lane)
         return mpc_cost(y, du_batch, cfg.q, cfg.r)
 
     du = np.zeros(n_c)
@@ -241,18 +280,23 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         # The first trial moves the largest component by 1.
         alphas = (1.0 / gnorm) * HALVINGS
         cands = _project(du - alphas[:, None] * grad, u_prev, cfg)
-        vals = cost_of(cands)
-        improving = np.flatnonzero(vals < best)
-        if improving.size == 0:
+        step = None
+        for trials in (cands[:FIRST_TRIALS], cands[FIRST_TRIALS:]):
+            vals = cost_of(trials)
+            improving = np.flatnonzero(vals < best)
+            if improving.size:
+                k = improving[0]
+                step = trials[k], float(vals[k])
+                break
+        if step is None:
             break
-        k = improving[0]
-        drop = best - float(vals[k])
-        du, best = cands[k], float(vals[k])
+        drop = best - step[1]
+        du, best = step
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
 
     states = model.states(du)
-    y = _outputs(model, states, coasted, road, target_lane, ofp, rfp)
+    y = _outputs(states[:, CHANNELS], prepared, target_lane)
     final = float(mpc_cost(y, du, cfg.q, cfg.r))
     degraded = final >= cost_zero and grad0_norm > 1e-6 and not np.any(du)
     u_applied = float(u_prev + du[0])
@@ -260,4 +304,3 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
                       predicted_states=states, predicted_outputs=y,
                       cost=final, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded)
-

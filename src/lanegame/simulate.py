@@ -34,7 +34,7 @@ from .costs import (KinematicState, LaneView, NeighborView, combine,
                     comfort_cost, lane_change_lat_accel, lateral_safety_cost,
                     longitudinal_safety_cost, speed_cap)
 from .errors import DomainError, InfeasibleDecisionError
-from .field import ObstaclePose, total_field
+from .field import ObstaclePose, prepare_field, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
 from .planner import MpcConfig, solve_plan
@@ -361,8 +361,8 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                               cfg.obstacle_field, cfg.road_field,
                               replace(cfg.mpc, dt=cfg.dt, u_min=u_lo, u_max=u_hi),
                               vp, dp)
-            field_here = float(total_field(x[IX], x[IY], obstacles, road,
-                                           cfg.obstacle_field, cfg.road_field))
+            here = prepare_field(obstacles, road, cfg.obstacle_field, cfg.road_field)
+            field_here = float(total_field(x[IX], x[IY], here))
         except (InfeasibleDecisionError, DomainError) as exc:
             what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
                     else "domain error")

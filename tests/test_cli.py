@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from lanegame import cli
 from lanegame.cli import main
+from lanegame.errors import DomainError, InfeasibleDecisionError
 from lanegame.scenario import load_scenario
 
 
@@ -125,3 +127,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("exc", [
+    DomainError("query station outside the road's station range"),
+    InfeasibleDecisionError("every candidate action was excluded"),
+])
+def test_package_error_exits_4_without_traceback(exc, short_scene, monkeypatch, capsys):
+    # Any LanegameError that reaches main() is a runtime failure (exit 4)
+    # with a one-line message, whatever builtin base it also has.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "total_field", fail)
+    assert main(["field-dump", short_scene]) == 4
+    assert capsys.readouterr().err == f"error: {exc}\n"

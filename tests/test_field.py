@@ -7,7 +7,8 @@ import pytest
 
 from lanegame.errors import DomainError
 from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                            gamma_crit, obstacle_field, road_field, total_field)
+                            gamma_crit, obstacle_field, prepare_field, road_field,
+                            total_field)
 
 P = ObstacleFieldParams(a_oc=50.0, rho_x=8.0, rho_y=1.2, b=1.0, c=0.05)
 
@@ -118,11 +119,11 @@ def test_total_is_sum_of_parts(two_lane_road):
     obs = [ObstaclePose(x=30.0, y=0.0, v=10.0), ObstaclePose(x=60.0, y=4.0, v=5.0)]
     qx = np.linspace(10.0, 80.0, 15)
     qy = np.linspace(-1.0, 5.0, 15)
-    total = total_field(qx, qy, obs, two_lane_road, P, rp)
+    total = total_field(qx, qy, prepare_field(obs, two_lane_road, P, rp))
     parts = (obstacle_field(qx, qy, obs[0], P) + obstacle_field(qx, qy, obs[1], P)
              + road_field(qx, qy, two_lane_road, rp))
     assert np.allclose(total, parts, rtol=1e-14)
-    off_road = total_field(qx, qy, obs, None, P, rp)
+    off_road = total_field(qx, qy, prepare_field(obs, None, P, rp))
     assert np.allclose(off_road, parts - road_field(qx, qy, two_lane_road, rp),
                        rtol=1e-13)
 
@@ -138,3 +139,67 @@ def test_param_validation():
         RoadFieldParams(a_r=0.0)
     with pytest.raises(ValueError):
         RoadFieldParams(d_safe=-1.0)
+
+
+def _reference_field(qx, qy, poses, road, p, rp):
+    """The field one obstacle and one lane line at a time, written out."""
+    total = np.zeros(np.broadcast(qx, qy).shape)
+    for o in poses:
+        ch, sh = math.cos(o.heading), math.sin(o.heading)
+        dx, dy = qx - o.x, qy - o.y
+        xh = ch * dx + sh * dy
+        yh = -sh * dx + ch * dy
+        ax = xh * xh / (2.0 * p.rho_x**2)
+        ay = yh * yh / (2.0 * p.rho_y**2)
+        r2 = ax + ay
+        ratio = np.where(r2 > 0.0, ax / np.sqrt(np.where(r2 > 0.0, r2, 1.0)), 0.0)
+        skew = np.where(xh < 0.0, -1.0, 1.0) * ratio
+        total = total + p.a_oc * np.exp(-np.power(r2, p.b) + p.c * o.v * skew)
+    _, d = road.to_frenet(qx, qy)
+    barrier = np.zeros(np.shape(d))
+    d_left, _ = road.lateral_extent()
+    for i in range(road.lane_count + 1):
+        weight = rp.edge_weight if i in (0, road.lane_count) else rp.interior_weight
+        if weight != 0.0:
+            dist = np.abs(d - (d_left - i * road.lane_width))
+            barrier = barrier + weight * rp.a_r * np.exp(-dist + rp.d_safe + 0.5 * rp.w)
+    return total + barrier
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc):
+    # Seeds cycle through 0-3 obstacles on a straight and on an arc road.
+    rng = np.random.default_rng(seed)
+    road = two_lane_road if (seed // 4) % 2 else three_lane_arc
+    rp = RoadFieldParams(interior_weight=0.5 if seed >= 8 else 0.0)
+    t = np.arange(1, 21) * 0.05
+    fixed, swept = [], []
+    for _ in range(seed % 4):
+        so = rng.uniform(110.0, 140.0)
+        xo, yo = (float(c) for c in road.to_global(so, rng.uniform(-4.0, 4.0)))
+        turn = rng.choice([0.0, rng.uniform(-0.3, 0.3)])
+        heading = float(road.tangent_heading(so)) + turn
+        v = float(rng.choice([0.0, rng.uniform(5.0, 25.0)]))
+        fixed.append(ObstaclePose(x=xo, y=yo, heading=heading, v=v))
+        swept.append(ObstaclePose(x=xo + v * t * np.cos(heading),
+                                  y=yo + v * t * np.sin(heading), heading=heading, v=v))
+    # Query batches shaped like the planner's (rows, horizon), all near the cars.
+    rows = int(rng.integers(1, 26))
+    qx, qy = road.to_global(rng.uniform(100.0, 160.0, (rows, t.size)),
+                            rng.uniform(-5.0, 5.0, (rows, t.size)))
+    for poses in (fixed, swept):
+        field = prepare_field(poses, road, P, rp)
+        want = _reference_field(qx, qy, poses, road, P, rp)
+        assert np.array_equal(total_field(qx, qy, field), want)
+        # Road coordinates handed in give the same values.
+        assert np.array_equal(total_field(qx, qy, field, frenet=road.to_frenet(qx, qy)),
+                              want)
+        # A query off the road's station range is still refused.
+        off_x, off_y = road.to_global(np.linspace(-5.0, 120.0, t.size), np.zeros(t.size))
+        with pytest.raises(DomainError):
+            total_field(off_x, off_y, field)
+    # One point at a time, as simulate queries the field at the ego.
+    field = prepare_field(fixed, road, P, rp)
+    for i in range(rows):
+        assert np.array_equal(total_field(qx[i, 0], qy[i, 0], field),
+                              _reference_field(qx[i, 0], qy[i, 0], fixed, road, P, rp))

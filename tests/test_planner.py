@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lanegame.errors import DomainError
-from lanegame.field import ObstacleFieldParams, ObstaclePose, RoadFieldParams, total_field
-from lanegame.planner import (FD_STEP, HorizonModel, MpcConfig, _coasted,
-                              _outputs, _project, mpc_cost, solve_plan)
+from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
+                            obstacle_field, prepare_field, road_field, total_field)
+from lanegame.planner import (FD_STEP, FIRST_TRIALS, HorizonModel, MpcConfig,
+                              _coasted, _outputs, _project, mpc_cost, solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
@@ -88,6 +89,16 @@ def test_states_batched_matches_rows(rng):
     assert got.shape == (7, cfg.n_p, NX)
     for b in range(7):
         assert np.allclose(got[b], m.states(batch[b]), atol=1e-13)
+    # The cost's 3-channel prediction is the full one, bit for bit, for
+    # one sequence and for batches of the sizes the planner scores.
+    for n_p, n_c, rows in ((12, 4, 7), (20, 5, 10), (20, 5, 13), (20, 5, 12),
+                           (30, 8, 25), (5, 1, 3)):
+        cfg = small_cfg(n_p=n_p, n_c=n_c)
+        m = HorizonModel(_x0(v=rng.uniform(8.0, 30.0), y=rng.uniform(-2.0, 2.0)),
+                         rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg)
+        batch = rng.uniform(-0.3, 0.3, (rows, n_c))
+        assert np.array_equal(m.poses(batch), m.states(batch)[..., [IX, IY, IPHI]])
+        assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
 
 
 def test_states_linear_in_du(rng):
@@ -120,14 +131,15 @@ def test_outputs_channels(two_lane_road):
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     states = m.states(np.zeros(cfg.n_c))
-    y = _outputs(m, states, _coasted(obs, cfg), two_lane_road, 1, OFP, RFP)
+    field = prepare_field(_coasted(obs, cfg), two_lane_road, OFP, RFP)
+    y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
     t = (np.arange(cfg.n_p) + 1) * cfg.dt
     for i in range(cfg.n_p):
         stepped = [ObstaclePose(x=30.0 + 10.0 * t[i], y=0.0, heading=0.0, v=10.0)]
-        ref = total_field(states[i, IX], states[i, IY], stepped,
-                          two_lane_road, OFP, RFP)
+        ref = total_field(states[i, IX], states[i, IY],
+                          prepare_field(stepped, two_lane_road, OFP, RFP))
         assert y[i, 0] == pytest.approx(float(ref), rel=1e-12)
     # Lane 1 centerline sits at +4 on this road; the ego starts at 0.
     s, d = two_lane_road.to_frenet(states[:, IX], states[:, IY])
@@ -169,17 +181,28 @@ def test_project_batch_matches_rows(rng):
 
 
 def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
-    """(du, iterations, cost) of a line search that scores one trial at a time.
+    """(du, iterations, cost, accepted) of a line search that scores one
+    trial at a time.
 
     Each iteration halves the step from 1/max|grad| until a trial beats
     the best cost, scoring every trial alone as a one-row batch, with an
-    elementwise projection written out here.
+    elementwise projection written out here. `accepted` lists the
+    accepted halving counts.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg)
     coasted = _coasted(obstacles, cfg)
 
     def cost_of(du):
-        y = _outputs(model, model.states(du), coasted, road, lane, OFP, RFP)
+        # The full prediction, and the field one obstacle at a time.
+        states = model.states(du)
+        xs, ys = states[..., IX], states[..., IY]
+        y1 = np.zeros(xs.shape)
+        for o in coasted:
+            y1 = y1 + obstacle_field(xs, ys, o, OFP)
+        y1 = y1 + road_field(xs, ys, road, RFP)
+        s, d = road.to_frenet(xs, ys)
+        y = np.stack([y1, d - road.lane_offset(lane),
+                      states[..., IPHI] - road.tangent_heading(s)], axis=-1)
         return mpc_cost(y, du, cfg.q, cfg.r)
 
     def project(du):
@@ -196,6 +219,7 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
     du = np.zeros(n_c)
     best = float(cost_of(du))
     iterations = 0
+    accepted = []
     for _ in range(cfg.max_iter):
         iterations += 1
         vals = cost_of(np.concatenate([du + FD_STEP * eye, du - FD_STEP * eye]))
@@ -204,18 +228,21 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
         if gnorm == 0.0:
             break
         alpha = 1.0 / gnorm
-        accepted = converged = False
-        for _ in range(25):
+        converged = False
+        for k in range(25):
             cand = project(du - alpha * grad)
             val = float(cost_of(cand[None])[0])
             if val < best:
                 converged = best - val <= cfg.tol * max(1.0, val)
-                du, best, accepted = cand, val, True
+                du, best = cand, val
+                accepted.append(k)
                 break
             alpha *= 0.5
-        if not accepted or converged:
+        else:
             break
-    return du, iterations, float(cost_of(du))
+        if converged:
+            break
+    return du, iterations, float(cost_of(du)), accepted
 
 
 def _random_scene(rng, road):
@@ -244,19 +271,48 @@ def _random_scene(rng, road):
     return x0, u_prev, rng.uniform(-3.0, 2.0), obstacles, target, cfg
 
 
-@pytest.mark.parametrize("seed", range(24))
+def _settled_scene(rng):
+    """A lane change nearly done: the ego 0.2 m short of lane 1's centerline.
+
+    The state is the bundled merge (scenario_a, normal) at t = 10.2 s,
+    scaled per entry by 1 + 0.003 * U(-1, 1), with the car it merged
+    behind 70 m back. Near such a rest point the first improving trial
+    can lie past FIRST_TRIALS halvings.
+    """
+    x0 = np.array([22.1316, -0.0131, 0.01536, -0.00148, 220.479, 3.8063,
+                   0.00204, -0.00814]) * (1.0 + 0.003 * rng.uniform(-1.0, 1.0, NX))
+    u_prev = 3.79692 + 0.003 * rng.uniform(-1.0, 1.0)
+    obstacles = [ObstaclePose(x=153.0, y=4.0, heading=0.0, v=15.0)]
+    cfg = MpcConfig(n_p=30, q=np.diag([1.0, 60.0, 50.0]), r=5.0, u_min=-2.0, u_max=6.0)
+    return x0, u_prev, 0.0, obstacles, 1, cfg
+
+
+# Seeds 0-23 are random scenes; 21 of them end on a line search where no
+# trial improves, so both batches are scored and rejected. The other
+# seeds are settled scenes whose accepted trial index reaches FIRST_TRIALS,
+# so the second batch is scored and one of its trials taken.
+SETTLED_SEEDS = (26, 50, 116, 120, 138)
+
+
+@pytest.mark.parametrize("seed", [*range(24), *SETTLED_SEEDS])
 def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lane_arc):
     rng = np.random.default_rng(seed)
-    road = two_lane_road if seed % 2 else three_lane_arc
-    x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
+    if seed in SETTLED_SEEDS:
+        road = two_lane_road
+        x0, u_prev, a_x, obstacles, target, cfg = _settled_scene(rng)
+    else:
+        road = two_lane_road if seed % 2 else three_lane_arc
+        x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
     plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
                       cfg, VP, DP)
-    du, iterations, cost = _halving_search(x0, u_prev, a_x, obstacles, road,
-                                           target, cfg)
+    du, iterations, cost, accepted = _halving_search(x0, u_prev, a_x, obstacles,
+                                                     road, target, cfg)
     assert np.array_equal(plan.du_sequence, du)
     assert plan.iterations == iterations
     assert plan.cost == cost
     assert plan.cost <= plan.cost_zero
+    if seed in SETTLED_SEEDS:
+        assert max(accepted) >= FIRST_TRIALS
 
 
 def test_plan_never_beats_zero_baseline(two_lane_road, rng):

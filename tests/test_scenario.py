@@ -109,6 +109,9 @@ def test_missing_blocks_rejected():
     # A repeated lane index would silently drop the earlier lane.
     (lambda d: d["road"]["lanes"].append({"index": 2, "v_max": 10.0}),
      r"road\.lanes\[2\]: repeats lane index 2"),
+    # A range form with a tiny step would enumerate millions of actions.
+    (lambda d: d.__setitem__("grid", {"step": 1e-6}),
+     "grid: range holds 7000001 accelerations, at most 1000 allowed"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()

@@ -3,9 +3,10 @@
 Two layers. The matrix cores work on plain cost matrices (rows = ego
 candidates, columns = opponent accelerations) and know nothing about
 driving; they carry the equilibrium logic and the documented index
-tie-breaks. The scene wrappers enumerate feasible candidates, assemble
-the matrices through the cost module, and map the winning cell back to
-actions and cost breakdowns.
+tie-breaks. The scene wrappers enumerate feasible candidates (one
+projection of the whole grid per player), score every game, the solo
+one included, through the cost module's payoff matrices, and map the
+winning cell back to actions and cost breakdowns.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -86,29 +87,33 @@ class GameSolution:
     side: int | None = None  # winning branch of a two-opponent solve
 
 
+def _envelope(grid, nb, lane, s, s_end, v_end):
+    """Mask of end speeds inside the grid envelope cut to the lane's bounds,
+    its end-of-lane cap taken at each projected station s_end; and (lo, hi)."""
+    lo = max(grid.v_min, nb.lanes[lane].v_min)
+    hi = np.minimum(grid.v_max, nb.v_cap(lane, s_end - s))
+    return (lo - _VTOL <= v_end) & (v_end <= hi + _VTOL), lo, hi
+
+
 def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
                    nb: NeighborView, horizon: float = T_DM) -> list[DecisionAction]:
     """Feasible (sigma, a_x) pairs in tie-break preference order.
 
     A candidate survives when its target lane exists, keeping an ending
     lane is still allowed, and the projected end speed stays inside the
-    grid envelope intersected with the target lane's bounds (including
-    the end-of-lane cap evaluated at the projected position).
+    envelope of its target lane. The grid is projected once, since the
+    projection does not depend on sigma, and tested per target lane.
     """
+    accs = grid.accelerations
+    s_end, v_end = propagate(ego.s, ego.v, accs, horizon)
     out = []
     for sigma in grid.sigmas:
         target = ego_lane + sigma
-        if not nb.has_lane(target):
+        if not nb.has_lane(target) or (
+                sigma == 0 and nb.keep_lane_blocked(ego_lane, ego.v)):
             continue
-        if sigma == 0 and nb.keep_lane_blocked(ego_lane, ego.v):
-            continue
-        lv = nb.lanes[target]
-        lo = max(grid.v_min, lv.v_min)
-        for a in grid.accelerations:
-            s_end, v_end = propagate(ego.s, ego.v, a, horizon)
-            hi = min(grid.v_max, float(nb.v_cap(target, float(s_end) - ego.s)))
-            if lo - _VTOL <= float(v_end) <= hi + _VTOL:
-                out.append(DecisionAction(sigma=sigma, a_x=a))
+        ok = _envelope(grid, nb, target, ego.s, s_end, v_end)[0]
+        out += [DecisionAction(sigma=sigma, a_x=accs[i]) for i in np.flatnonzero(ok)]
     out.sort(key=lambda c: (abs(c.a_x), _SIGMA_ORDER[c.sigma], c.a_x))
     return out
 
@@ -117,25 +122,19 @@ def ac_candidates(ac: KinematicState, ac_lane: int, grid: ActionGrid,
                   nb: NeighborView, horizon: float = T_DM) -> list[float]:
     """Feasible accelerations for an adjacent car, preference-ordered.
 
-    Falls back to the least-violating single action when the envelope
-    excludes everything, so the game always has an opponent move.
+    Falls back to the least-violating single action (ties to the smaller
+    |a|, then the smaller a) when the envelope excludes everything, so
+    the game always has an opponent move.
     """
-    lv = nb.lanes[ac_lane]
-    lo = max(grid.v_min, lv.v_min)
-    feasible, violations = [], []
-    for a in grid.accelerations:
-        s_end, v_end = propagate(ac.s, ac.v, a, horizon)
-        hi = min(grid.v_max, float(nb.v_cap(ac_lane, float(s_end) - ac.s)))
-        v_end = float(v_end)
-        if lo - _VTOL <= v_end <= hi + _VTOL:
-            feasible.append(a)
-        else:
-            violations.append((max(lo - v_end, v_end - hi), abs(a), a))
-    if not feasible:
-        violations.sort()
-        feasible = [violations[0][2]]
-    feasible.sort(key=lambda a: (abs(a), a))
-    return feasible
+    accs = np.asarray(grid.accelerations)
+    s_end, v_end = propagate(ac.s, ac.v, accs, horizon)
+    ok, lo, hi = _envelope(grid, nb, ac_lane, ac.s, s_end, v_end)
+    if ok.any():
+        keep = np.flatnonzero(ok)
+    else:
+        violation = np.maximum(lo - v_end, v_end - hi)
+        keep = np.lexsort((accs, np.abs(accs), violation))[:1]
+    return sorted((grid.accelerations[i] for i in keep), key=lambda a: (abs(a), a))
 
 
 def nash_2p_matrices(j_row: np.ndarray, j_col: np.ndarray) -> tuple[int, int, int, bool]:
@@ -188,18 +187,14 @@ def stackelberg_2p_matrices(j_row: np.ndarray, j_col: np.ndarray,
 
 def _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels,
                        ego_style, ac_style, gains, horizon):
-    n_e, n_a = len(cands), len(ac_accels)
-    j_e = np.empty((n_e, n_a))
-    j_a = np.empty((n_e, n_a))
+    j_e, j_a = np.empty((2, len(cands), len(ac_accels)))
     accel_arr = np.asarray(ac_accels, dtype=float)
     for sigma in sorted({c.sigma for c in cands}):
         rows = [i for i, c in enumerate(cands) if c.sigma == sigma]
         accs = np.asarray([cands[i].a_x for i in rows])
-        je, ja = pair_payoff_matrices(ego, ego_lane, sigma, accs, ac, ac_lane,
-                                      accel_arr, nb, ego_style, ac_style,
-                                      gains, horizon)
-        j_e[rows, :] = je
-        j_a[rows, :] = ja
+        j_e[rows], j_a[rows] = pair_payoff_matrices(
+            ego, ego_lane, sigma, accs, ac, ac_lane, accel_arr, nb, ego_style,
+            ac_style, gains, horizon)
     return j_e, j_a
 
 
@@ -257,16 +252,20 @@ def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
 def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                grid: ActionGrid, style: StyleProfile, gains: CostGains,
                horizon: float = T_DM, kind: str = "nash") -> GameSolution:
-    """Degenerate game with no adjacent car: plain argmin for the ego."""
+    """Degenerate game with no adjacent car: plain argmin for the ego.
+
+    Scores through the payoff assembly with no opponent, so an adjacent
+    car would not enter; `simulate._decide` calls this only when neither
+    side lane has one. Exact ties go to the earlier candidate.
+    """
     cands = ego_candidates(ego, ego_lane, grid, nb, horizon)
     if not cands:
         raise InfeasibleDecisionError("no feasible ego action")
-    best, best_cb = None, None
-    for cand in cands:
-        cb = ego_cost(ego, ego_lane, cand, {}, nb, style, gains, horizon)
-        if best_cb is None or cb.total < best_cb.total:
-            best, best_cb = cand, cb
-    return GameSolution(ego_action=best, ac_actions={}, ego_cost=best_cb,
+    j_e, _ = _assemble_matrices(ego, ego_lane, None, None, nb, cands, (0.0,),
+                                style, style, gains, horizon)
+    best = cands[int(np.argmin(j_e[:, 0]))]
+    cb = ego_cost(ego, ego_lane, best, {}, nb, style, gains, horizon)
+    return GameSolution(ego_action=best, ac_actions={}, ego_cost=cb,
                         ac_costs={}, equilibrium_kind=kind, multiplicity=1)
 
 

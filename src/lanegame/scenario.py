@@ -207,6 +207,10 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         problems.append("vehicles: duplicate roles")
     strategic_lanes = set()
     road = cfg.road
+    # The planner queries the road field along its whole first horizon, so
+    # the ego's fastest projection over it must stay on the road.
+    t_plan = cfg.mpc.n_p * cfg.dt
+    a_top = max(0.0, max(cfg.grid.accelerations))
     for i, v in enumerate(cfg.vehicles):
         if not road.has_lane(v.lane):
             problems.append(f"vehicles[{i}].lane: no lane {v.lane} on the road")
@@ -221,6 +225,12 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             problems.append(f"vehicles[{i}]: position/velocity invalid")
         elif v.role == EGO_ROLE and v.v <= V_FLOOR:
             problems.append(f"vehicles[{i}].v: ego speed must exceed {V_FLOOR} m/s")
+        elif v.role == EGO_ROLE:
+            reach = v.s + v.v * t_plan + 0.5 * a_top * t_plan * t_plan
+            if reach > road.length:
+                problems.append(f"vehicles[{i}].s: the first {t_plan:g} s planner "
+                                f"horizon reaches s={reach:.1f}, past the road end "
+                                f"at {road.length:g}")
         if v.strategic:
             if v.lane in strategic_lanes:
                 problems.append(f"vehicles[{i}].lane: lane {v.lane} already "

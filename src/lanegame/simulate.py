@@ -523,7 +523,7 @@ def comparison_csv(metrics: list[RunMetrics]) -> str:
     cols = ("scenario", "style", "strategy", "t_commit", "sigma_commit",
             "merged", "t_merge_done", "final_lane", "rms_safety",
             "rms_comfort", "rms_efficiency", "rms_total", "min_clearance",
-            "max_field", "aborted")
+            "max_field", "aborted", "maxiter_steps")
     lines = [",".join(cols)]
     lines += [",".join(_fmt(getattr(m, c)) for c in cols) for m in metrics]
     return "\n".join(lines) + "\n"

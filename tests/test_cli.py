@@ -46,17 +46,19 @@ def test_missing_scenario_is_config_error(capsys):
 
 
 def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
-    # 5 m before the road end the planner queries the field off the road.
-    # Lane 1 runs the full length; lane 2 ends at 200 m.
+    # The ego starts 60 m before the road end: its first planner horizon
+    # ends on the road, so the scenario validates, but it drives on until
+    # the planner queries the field past the end. Lane 1 runs the full
+    # length; lane 2 ends at 200 m.
     cfg = json.loads(_bundled_text("scenario_a"))
-    cfg["duration"] = 0.5
-    cfg["vehicles"][0].update(s=495.0, lane=1)   # the ego, EC
+    cfg["duration"] = 2.0
+    cfg["vehicles"][0].update(s=440.0, lane=1)   # the ego, EC
     p = tmp_path / "road_end.json"
     p.write_text(json.dumps(cfg))
     assert main(["run", str(p)]) == 4
     captured = capsys.readouterr()
     assert "aborted=1" in captured.out
-    assert "run aborted: domain error at t=0.00" in captured.err
+    assert "run aborted: domain error at t=1.40" in captured.err
     assert "Traceback" not in captured.err
 
 

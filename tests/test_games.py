@@ -1,10 +1,12 @@
 """Game solvers: matrix cores against brute force, scene wrappers, merging."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lanegame.costs import (CostGains, DecisionAction, KinematicState,
-                            LaneView, ac_cost, ego_cost)
+from lanegame.costs import (T_DM, CostGains, DecisionAction, KinematicState,
+                            LaneView, ac_cost, ego_cost, propagate)
 from lanegame.errors import InfeasibleDecisionError
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
@@ -133,20 +135,121 @@ def test_ac_candidates_fallback():
     assert accs == [2.0]
 
 
+def scalar_ego_candidates(ego, ego_lane, grid, nb, seen):
+    """Per-acceleration reference for ego_candidates; notes in `seen`
+    which bound dropped a candidate that the grid envelope kept."""
+    out = []
+    for sigma in grid.sigmas:
+        target = ego_lane + sigma
+        if not nb.has_lane(target):
+            continue
+        if sigma == 0 and nb.keep_lane_blocked(ego_lane, ego.v):
+            seen.add("keep blocked")
+            continue
+        lv = nb.lanes[target]
+        lo = max(grid.v_min, lv.v_min)
+        for a in grid.accelerations:
+            s_end, v_end = propagate(ego.s, ego.v, a, T_DM)
+            hi = min(grid.v_max, float(nb.v_cap(target, float(s_end) - ego.s)))
+            v_end = float(v_end)
+            if lo - 1e-9 <= v_end <= hi + 1e-9:
+                out.append(DecisionAction(sigma=sigma, a_x=a))
+            elif v_end < lo - 1e-9 and v_end >= grid.v_min:
+                seen.add("lane v_min")
+            elif v_end > hi + 1e-9 and v_end <= min(grid.v_max, lv.v_max):
+                seen.add("lane-end cap")
+    order = {0: 0, -1: 1, 1: 2}
+    return sorted(out, key=lambda c: (abs(c.a_x), order[c.sigma], c.a_x))
+
+
+def scalar_ac_candidates(ac, ac_lane, grid, nb, seen):
+    """Per-acceleration reference for ac_candidates."""
+    lo = max(grid.v_min, nb.lanes[ac_lane].v_min)
+    feasible, violations = [], []
+    for a in grid.accelerations:
+        s_end, v_end = propagate(ac.s, ac.v, a, T_DM)
+        hi = min(grid.v_max, float(nb.v_cap(ac_lane, float(s_end) - ac.s)))
+        v_end = float(v_end)
+        if lo - 1e-9 <= v_end <= hi + 1e-9:
+            feasible.append(a)
+        else:
+            violations.append((max(lo - v_end, v_end - hi), abs(a), a))
+    if not feasible:
+        seen.add("fallback")
+        feasible = [min(violations)[2]]
+    return sorted(feasible, key=lambda a: (abs(a), a))
+
+
+def random_candidate_scene(rng):
+    """Three lanes with random bounds and lane ends, the ego on the middle
+    one, an opponent on a side lane, and a grid of +-a pairs around 0."""
+    lanes, ends = {}, {}
+    for lane in (1, 2, 3):
+        lanes[lane] = LaneView(v_min=float(rng.choice([0.0, rng.uniform(8.0, 18.0)])),
+                               v_max=float(rng.uniform(18.0, 30.0)))
+        if rng.random() < 0.5:
+            ends[lane] = float(rng.uniform(0.0, 150.0))
+    nb = make_neighbors(lanes=lanes, end_remaining=ends)
+    mags = np.sort(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0], rng.integers(1, 5),
+                              replace=False))
+    accs = np.concatenate([-mags[::-1], [0.0] if rng.random() < 0.7 else [], mags])
+    sigmas = (-1, 0, 1) if rng.random() < 0.7 else tuple(
+        rng.choice([-1, 0, 1], rng.integers(1, 3), replace=False).tolist())
+    grid = ActionGrid(accelerations=tuple(round(float(a), 9) for a in accs),
+                      sigmas=sigmas, v_min=float(rng.uniform(0.0, 5.0)),
+                      v_max=float(rng.uniform(20.0, 30.0)))
+    ego = KinematicState(s=float(rng.uniform(0.0, 50.0)), v=float(rng.uniform(2.0, 28.0)))
+    ac = KinematicState(s=float(rng.uniform(-20.0, 40.0)), v=float(rng.uniform(0.0, 30.0)))
+    return ego, ac, int(rng.choice([1, 3])), grid, nb
+
+
+def test_broadcast_candidates_match_scalar_loop():
+    seen = set()
+    for seed in range(200):
+        ego, ac, ac_lane, grid, nb = random_candidate_scene(np.random.default_rng(seed))
+        cands = ego_candidates(ego, 2, grid, nb)
+        assert cands == scalar_ego_candidates(ego, 2, grid, nb, seen), seed
+        assert all(type(c.a_x) is float for c in cands)
+        accs = ac_candidates(ac, ac_lane, grid, nb)
+        assert accs == scalar_ac_candidates(ac, ac_lane, grid, nb, seen), seed
+        assert all(type(a) is float for a in accs)
+        if {c.sigma for c in cands} == {-1, 0, 1}:
+            seen.add("all sigmas")
+    assert seen == {"keep blocked", "lane v_min", "lane-end cap", "fallback",
+                    "all sigmas"}
+    # Equal-|a| pairs: |a| first, then keep, left, right, then the sign.
+    grid = ActionGrid(accelerations=(-1.0, -0.5, 0.5, 1.0))
+    nb = make_neighbors(lanes={1: LaneView(), 2: LaneView(), 3: LaneView()})
+    got = [(c.sigma, c.a_x) for c in ego_candidates(KinematicState(0.0, 20.0), 2,
+                                                      grid, nb)]
+    assert got[:6] == [(0, -0.5), (0, 0.5), (-1, -0.5), (-1, 0.5), (1, -0.5), (1, 0.5)]
+    assert ac_candidates(KinematicState(0.0, 20.0), 1, grid, nb) == [-0.5, 0.5, -1.0, 1.0]
+
+
+SOLO_SCENES = [
+    # A slower lead on the ego lane: (neighbors, grid, style, tied minima).
+    (make_neighbors(lanes={1: LaneView(),
+                           2: LaneView(lead=KinematicState(s=30.0, v=12.0))}),
+     GRID, style_profile("aggressive"), 1),
+    # With v_factor 0 the desired speed is the 20 m/s flow speed, which the
+    # ego drives: keeping the lane at -1 and at +1 ends 3 m/s off it at
+    # equal comfort cost, an exact tie the earlier candidate must win.
+    (make_neighbors(), ActionGrid(accelerations=(-1.0, 1.0)),
+     replace(style_profile("normal"), v_factor=0.0), 2),
+]
+
+
 def test_solo_matches_enumeration(gains):
-    nb = make_neighbors(lanes={
-        1: LaneView(),
-        2: LaneView(lead=KinematicState(s=30.0, v=12.0)),
-    })
     ego = KinematicState(s=0.0, v=20.0)
-    style = style_profile("aggressive")
-    sol = solve_solo(ego, 2, nb, GRID, style, gains)
-    best = min((ego_cost(ego, 2, c, {}, nb, style, gains).total, i)
-               for i, c in enumerate(ego_candidates(ego, 2, GRID, nb)))
-    cands = ego_candidates(ego, 2, GRID, nb)
-    assert sol.ego_action == cands[best[1]]
-    assert sol.ego_cost.total == pytest.approx(best[0])
-    assert sol.ac_actions == {}
+    for nb, grid, style, n_best in SOLO_SCENES:
+        sol = solve_solo(ego, 2, nb, grid, style, gains)
+        cands = ego_candidates(ego, 2, grid, nb)
+        totals = [ego_cost(ego, 2, c, {}, nb, style, gains).total for c in cands]
+        best = totals.index(min(totals))   # the first of equal minima
+        assert totals.count(totals[best]) == n_best
+        assert sol.ego_action == cands[best]
+        assert sol.ego_cost.total == totals[best]
+        assert sol.ac_actions == {} and sol.multiplicity == 1
 
 
 def _pair_scene(gains):

@@ -106,6 +106,14 @@ def test_missing_blocks_rejected():
     (lambda d: d.__setitem__("duration", float("nan")),
      "duration: must be positive and finite"),
     (lambda d: d.__setitem__("dt", float("inf")), "dt: must be positive and finite"),
+    # The ego's first planner horizon (n_p * dt, at the grid's top
+    # acceleration) must end on the road: 495 + 20 + 1.5 > 500, and with
+    # scenario_a's 30-step horizon 470 + 30 + 3.375 > 500.
+    (lambda d: d["vehicles"][0].update(s=495.0, lane=1),
+     r"vehicles\[0\]\.s: the first 1 s planner horizon reaches s=516\.5, "
+     r"past the road end at 500"),
+    (lambda d: (d["vehicles"][0].update(s=470.0, lane=1), d.__setitem__("mpc", {"n_p": 30})),
+     r"the first 1\.5 s planner horizon reaches s=503\.4"),
     # A repeated lane index would silently drop the earlier lane.
     (lambda d: d["road"]["lanes"].append({"index": 2, "v_max": 10.0}),
      r"road\.lanes\[2\]: repeats lane index 2"),
@@ -124,6 +132,10 @@ def test_placement_allows_cars_behind_start_and_off_center():
     doc = minimal_doc()
     doc["vehicles"][1].update(s=-20.0, d=2.1)   # AC1 on lane 1, centered at d=4
     doc["vehicles"][0]["d"] = -1.9
+    assert validate(config_from_dict(doc)) == []
+    # The first 1.5 s horizon from s=466 ends at 499.375, on the road.
+    doc["vehicles"][0].update(s=466.0, lane=1, d=None)
+    doc["mpc"] = {"n_p": 30}
     assert validate(config_from_dict(doc)) == []
 
 

@@ -158,5 +158,6 @@ def test_batch_and_comparison_table(merge_cfg):
     lines = csv.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("scenario,style,strategy,")
+    assert lines[0].endswith(",aborted,maxiter_steps")
     assert lines[1].split(",")[1] == "normal"
     assert STYLES_ALL == ("aggressive", "normal", "conservative")

@@ -21,6 +21,9 @@ from .simulate import (STYLES_ALL, batch, comparison_csv, initial_cars,
                        metrics_lines, obstacle_poses, run_simulation,
                        summarize, write_metrics, write_trace)
 
+# Largest field-dump grid in points (the default window holds a few thousand).
+FIELD_DUMP_MAX_POINTS = 1_000_000
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lanegame",
@@ -92,6 +95,10 @@ def _cmd_batch(args) -> int:
     cfg = load_scenario(args.scenario)
     styles = tuple(s for s in args.styles.split(",") if s)
     strategies = tuple(s for s in args.strategies.split(",") if s)
+    if not styles:
+        raise ConfigError("--styles names no style")
+    if not strategies:
+        raise ConfigError("--strategies names no strategy")
     for s in styles:
         if s not in STYLES_ALL:
             raise ConfigError(f"unknown style {s!r}")
@@ -118,11 +125,18 @@ def _cmd_field_dump(args) -> int:
     ego = cfg.ego()
     s_lo = args.s_min if args.s_min is not None else max(0.0, ego.s - 20.0)
     s_hi = args.s_max if args.s_max is not None else min(road.length, ego.s + 120.0)
+    if not np.isfinite([s_lo, s_hi, args.ds, args.dd]).all():
+        raise ConfigError("field-dump: window and steps must be finite")
     if s_hi <= s_lo or args.ds <= 0 or args.dd <= 0:
         raise ConfigError("field-dump: empty sample window")
     if s_lo < 0 or s_hi > road.length:
         raise ConfigError(f"field-dump: window outside the road [0, {road.length:g}]")
     d_max, d_min = road.lateral_extent()
+    points = (np.ceil((s_hi + 1e-9 - s_lo) / args.ds)
+              * np.ceil((d_max + 1e-9 - d_min) / args.dd))
+    if points > FIELD_DUMP_MAX_POINTS:
+        raise ConfigError(f"field-dump: grid of {points:.3g} points exceeds "
+                          f"{FIELD_DUMP_MAX_POINTS:,}")
     field = prepare_field(obstacle_poses(road, initial_cars(cfg)), road,
                           cfg.obstacle_field, cfg.road_field)
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)

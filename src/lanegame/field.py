@@ -8,6 +8,10 @@ leading axis, zero-weight lane lines dropped) and `total_field` queries
 it; all query arguments broadcast, so a whole prediction horizon (or a
 batch of candidate horizons) evaluates in one call. `_bumps` is the one
 obstacle-field formula, shared by the stacked and the single-pose paths.
+
+Obstacles and lines are summed with `.sum(axis=0)`, which numpy takes
+row after row, bit for bit a per-obstacle loop. Only a one-point query
+with 8 or more terms reduces a 1-D array, which numpy sums pairwise.
 """
 
 from __future__ import annotations
@@ -112,14 +116,6 @@ def _weighted_lines(road: RoadGeometry, p: RoadFieldParams):
     return np.array(offsets), np.array(gains)
 
 
-def _in_order(terms, shape) -> np.ndarray:
-    """Sum of `terms` taken one after another, starting from zeros."""
-    total = np.zeros(shape)
-    for term in terms:
-        total = total + term
-    return total
-
-
 def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
     """View of an (n, *rest) array as (n, 1, ..., 1, *rest) with `ndim` axes.
 
@@ -131,13 +127,13 @@ def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
 
 def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
              p: RoadFieldParams) -> np.ndarray:
-    """Lane-line barrier at road coordinates (s, d), lines summed in order."""
+    """Lane-line barrier at road coordinates (s, d), summed over the lines."""
     if np.any(s < -1e-9) or np.any(s > road.length + 1e-9):
         raise DomainError("query station outside the road's station range")
     d = np.asarray(d, dtype=float)
     dist = np.abs(d - _leading(offsets, d.ndim + 1))
     terms = _leading(gains, d.ndim + 1) * np.exp(-dist + p.d_safe + 0.5 * p.w)
-    return _in_order(terms, np.broadcast(s, d).shape)
+    return terms.sum(axis=0)
 
 
 def road_field(qx, qy, road: RoadGeometry, p: RoadFieldParams) -> np.ndarray:
@@ -170,21 +166,18 @@ class PreparedField:
     cos: np.ndarray
     sin: np.ndarray
     cv: np.ndarray
-    road: RoadGeometry | None
+    road: RoadGeometry
     offsets: np.ndarray
     gains: np.ndarray
     ofp: ObstacleFieldParams
     rfp: RoadFieldParams
 
 
-def prepare_field(obstacles, road: RoadGeometry | None,
+def prepare_field(obstacles, road: RoadGeometry,
                   ofp: ObstacleFieldParams, rfp: RoadFieldParams) -> PreparedField:
     """Stack obstacle poses (all of one position shape) and keep the weighted lines."""
     obstacles = list(obstacles)
-    if road is None:
-        offsets = gains = np.zeros(0)
-    else:
-        offsets, gains = _weighted_lines(road, rfp)
+    offsets, gains = _weighted_lines(road, rfp)
     return PreparedField(
         x=np.array([o.x for o in obstacles], dtype=float),
         y=np.array([o.y for o in obstacles], dtype=float),
@@ -209,9 +202,6 @@ def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
     bumps = _bumps(qx - _leading(field.x, ndim), qy - _leading(field.y, ndim),
                    _leading(field.cos, ndim), _leading(field.sin, ndim),
                    _leading(field.cv, ndim), field.ofp)
-    total = _in_order(bumps, shape)
-    if field.road is not None:
-        s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
-        total = total + _barrier(s, d, field.road, field.offsets, field.gains,
-                                 field.rfp)
-    return total
+    s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
+    return bumps.sum(axis=0) + _barrier(s, d, field.road, field.offsets,
+                                        field.gains, field.rfp)

@@ -28,6 +28,8 @@ from .styles import StyleProfile
 
 _SIGMA_ORDER = {0: 0, -1: 1, 1: 2}
 _VTOL = 1e-9
+# Relative tolerance of the Stackelberg follower's best-response set.
+_BRTOL = 1e-9
 
 
 ACCEL_RANGE = (-4.0, 3.0, 0.5)  # default grid: a_min, a_max, step, m/s^2
@@ -163,20 +165,21 @@ def nash_2p_matrices(j_row: np.ndarray, j_col: np.ndarray) -> tuple[int, int, in
     return r, c, int(len(cells)), False
 
 
-def stackelberg_2p_matrices(j_row: np.ndarray, j_col: np.ndarray,
-                            tol: float = 1e-9) -> tuple[int, int, int]:
+def stackelberg_2p_matrices(j_row: np.ndarray,
+                            j_col: np.ndarray) -> tuple[int, int, int]:
     """Leader-follower cell: min over rows of the worst cost across the
     follower's best-response set.
 
-    The follower's set per row holds every column within a relative
-    tolerance of the row's minimum follower cost. Returns (row, col,
+    The follower's set per row holds every column within the relative
+    tolerance _BRTOL of the row's minimum follower cost, so ties up to
+    rounding count as best responses. Returns (row, col,
     multiplicity) where multiplicity counts rows achieving the leader
     value and col realizes the worst case on the chosen row.
     """
     j_row = np.asarray(j_row, dtype=float)
     j_col = np.asarray(j_col, dtype=float)
     m = j_col.min(axis=1, keepdims=True)
-    br = j_col <= m + tol * np.maximum(1.0, np.abs(m))
+    br = j_col <= m + _BRTOL * np.maximum(1.0, np.abs(m))
     worst = np.where(br, j_row, -np.inf).max(axis=1)
     r = int(np.argmin(worst))
     in_set = br[r] & (j_row[r] == worst[r])

@@ -13,14 +13,13 @@ batched cost evaluations, the first FIRST_TRIALS and then the rest only
 if none of those improves, and takes the first that improves, which is
 the step a one-trial-at-a-time halving loop would accept.
 
-The horizon cost is prepared once per solve. The coasted obstacles are
-stacked into one PreparedField, so a cost call evaluates every obstacle
-in one broadcast; a batch of du sequences is predicted on the 3 channels
-the cost reads (X, Y, phi); and each cost call maps the predicted
-positions to road coordinates once, for the road barrier and for y2/y3
-alike. Every value is the one the per-obstacle, full-state evaluation
-gives, bit for bit. The full 8-state prediction is made for the
-returned plan.
+The horizon cost is prepared once per solve and has one evaluation
+path, which the zero-increment cost, every trial and the returned plan
+share: the coasted obstacles are stacked into one PreparedField, one
+contraction predicts the 3 channels the cost reads (X, Y, phi) for one
+du sequence or a batch, and the positions are mapped to road coordinates
+once per call. Every value is the one the per-obstacle, full-state
+evaluation gives, bit for bit, and the plan's cost is the accepted one.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
@@ -153,23 +152,12 @@ class HorizonModel:
         self.sens_xyphi = sens[:, CHANNELS, :]
 
     def states(self, du: np.ndarray) -> np.ndarray:
-        """Predicted states for du sequences; batches over a leading axis."""
-        du = np.asarray(du, dtype=float)
-        if du.ndim == 1:
-            return self.base + np.tensordot(du, self.sens, axes=([-1], [2]))
-        return self.base + np.einsum("bj,ixj->bix", du, self.sens)
+        """Predicted states for one du sequence or a batch over leading axes."""
+        return self.base + np.einsum("...j,ixj->...ix", du, self.sens)
 
     def poses(self, du: np.ndarray) -> np.ndarray:
-        """Predicted (X, Y, phi), equal to states(du)[..., CHANNELS].
-
-        A batch contracts only those 3 channels. One sequence goes
-        through `states`, whose BLAS contraction a 3-channel one would
-        not reproduce bit for bit.
-        """
-        du = np.asarray(du, dtype=float)
-        if du.ndim == 1:
-            return self.states(du)[:, CHANNELS]
-        return self.base_xyphi + np.einsum("bj,ixj->bix", du, self.sens_xyphi)
+        """Predicted (X, Y, phi), equal to states(du)[..., CHANNELS] bit for bit."""
+        return self.base_xyphi + np.einsum("...j,ixj->...ix", du, self.sens_xyphi)
 
 
 def _coasted(obstacles: list[ObstaclePose], cfg: MpcConfig) -> list[ObstaclePose]:
@@ -247,10 +235,11 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     batches, the first FIRST_TRIALS and then, only if none of those
     improves, the rest; the first trial that beats the best cost so far
     is taken, exactly as a loop that halves until improvement would.
-    Only improving iterates are accepted, so the result never exceeds
-    the zero-increment cost; if the very first iterate cannot improve on
-    zero while the gradient is clearly nonzero, the plan is flagged
-    degraded. The full 8-state prediction is made for the returned plan.
+    Only improving iterates are accepted, so the returned cost, which is
+    the accepted one, never exceeds the zero-increment cost; if no step
+    is accepted while the first gradient is clearly nonzero, the plan is
+    flagged degraded. The returned outputs are the ones that cost read,
+    and the full 8-state prediction is made for the returned plan.
     """
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg)
     n_c = cfg.n_c
@@ -295,12 +284,10 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
 
-    states = model.states(du)
-    y = _outputs(states[:, CHANNELS], prepared, target_lane)
-    final = float(mpc_cost(y, du, cfg.q, cfg.r))
-    degraded = final >= cost_zero and grad0_norm > 1e-6 and not np.any(du)
+    degraded = grad0_norm > 1e-6 and not np.any(du)
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
-                      predicted_states=states, predicted_outputs=y,
-                      cost=final, cost_zero=cost_zero, iterations=iterations,
+                      predicted_states=model.states(du),
+                      predicted_outputs=_outputs(model.poses(du), prepared, target_lane),
+                      cost=best, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded)

@@ -394,7 +394,7 @@ def test_planner_invariants(merge_runs, overtake_runs):
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
         plan = solve_plan(x0, 0.0, 0.0, obstacles, road, 1, ofp, rfp,
                           cfg, vp, dp)
-        assert plan.cost <= plan.cost_zero + 1e-12
+        assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)
         u = np.cumsum(plan.du_sequence)

@@ -88,6 +88,14 @@ def test_batch_rejects_unknown_style(short_scene, capsys):
     assert "unknown style" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--styles", ""), ("--strategies", ",")])
+def test_batch_rejects_empty_sweep(flag, value, short_scene, capsys):
+    assert main(["batch", short_scene, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert f"{flag} names no" in captured.err
+    assert captured.out == ""
+
+
 def test_batch_writes_comparison_and_traces(short_scene, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     tdir = tmp_path / "traces"
@@ -123,6 +131,14 @@ def test_field_dump_empty_window(short_scene, capsys):
     for window in (["--s-max", "600"], ["--s-min", "-5"]):
         assert main(["field-dump", short_scene, *window]) == 3
         assert "outside the road [0, 500]" in capsys.readouterr().err
+    for window in (["--ds", "nan"], ["--dd", "nan"], ["--s-min", "nan"],
+                   ["--s-max", "inf"], ["--ds", "inf"]):
+        assert main(["field-dump", short_scene, *window]) == 3
+        assert "must be finite" in capsys.readouterr().err
+    # Grids past the point cap are refused before anything is allocated.
+    for steps in (["--ds", "1e-9"], ["--dd", "1e-300"], ["--ds", "1e-4", "--dd", "1e-3"]):
+        assert main(["field-dump", short_scene, *steps]) == 3
+        assert "exceeds 1,000,000" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

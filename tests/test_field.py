@@ -123,9 +123,6 @@ def test_total_is_sum_of_parts(two_lane_road):
     parts = (obstacle_field(qx, qy, obs[0], P) + obstacle_field(qx, qy, obs[1], P)
              + road_field(qx, qy, two_lane_road, rp))
     assert np.allclose(total, parts, rtol=1e-14)
-    off_road = total_field(qx, qy, prepare_field(obs, None, P, rp))
-    assert np.allclose(off_road, parts - road_field(qx, qy, two_lane_road, rp),
-                       rtol=1e-13)
 
 
 def test_param_validation():

@@ -145,9 +145,6 @@ def _cmd_field_dump(args) -> int:
     for s in ss:
         xs, ys = road.to_global(np.full_like(dd, s), dd)
         vals = total_field(xs, ys, field)
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
         for j, d in enumerate(dd):
             lines.append(f"{s:.9g},{d:.9g},{xs[j]:.9g},{ys[j]:.9g},{vals[j]:.9g}")
     _emit("\n".join(lines) + "\n", args.out)

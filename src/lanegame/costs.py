@@ -5,7 +5,9 @@ move one lane right, together with a longitudinal acceleration held for
 the decision horizon. Costs are evaluated on constant-acceleration
 projections of every involved car, not on the instantaneous scene; the
 safety terms take their worst value along the projection so a candidate
-cannot score well by teleporting past a conflict.
+cannot score well by teleporting past a conflict. The ego's and the
+adjacent car's costs come from one evaluation: each payoff call projects
+every car once, and merge partners share the one lateral pair term.
 
 Sign conventions for the velocity gates:
   longitudinal: dv = v_lead - v_ego, penalized only while closing (dv < 0)
@@ -247,84 +249,64 @@ def _sample_times(horizon: float) -> np.ndarray:
     return np.linspace(0.0, horizon, K_SAMPLES)
 
 
-def _ego_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
-               nb: NeighborView, style: StyleProfile, g: CostGains,
-               horizon: float, partner: KinematicState | None, partner_a):
-    """Safety/comfort/efficiency arrays for ego candidates.
+def _pair_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
+                ego_style: StyleProfile | None, ac: KinematicState | None,
+                ac_lane: int | None, a_a, ac_style: StyleProfile | None,
+                nb: NeighborView, g: CostGains, horizon: float):
+    """Safety/comfort/efficiency arrays of the ego and the adjacent car.
 
-    a_e and partner_a broadcast against each other; returns arrays in the
-    broadcast shape.
-    """
-    ts = _sample_times(horizon)
-    a_e = np.asarray(a_e, dtype=float)
-    se, ve = propagate(ego.s, ego.v, a_e[..., None], ts)
-    target = ego_lane + sigma
-
-    lead = nb.lead(ego_lane)
-    j_ds = np.zeros(a_e.shape)
-    if sigma != 0 and partner is not None:
-        pa = np.asarray(partner_a, dtype=float)
-        sa, va = propagate(partner.s, partner.v, pa[..., None], ts)
-        j_ds = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
-    elif sigma == 0 and lead is not None:
-        sl, vl = propagate(lead.s, lead.v, 0.0, ts)
-        j_ds = np.max(_gap_term(vl - ve, sl - se, g, lateral=False), axis=-1)
-
-    j_rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
-
-    v_end = ve[..., -1]
-    lead_t = nb.lead(target)
-    lead_v = lead_t.v if lead_t is not None else INF
-    v_bar = desired_speed(nb.lanes[target].v_max, lead_v, style.v_factor,
-                          nb.flow_ref)
-    j_pe = (v_end - v_bar) ** 2
-    return j_ds, j_rc, j_pe
-
-
-def _ac_parts(ac: KinematicState, ac_lane: int, ego: KinematicState,
-              ego_lane: int, sigma: int, a_e, a_a, nb: NeighborView,
-              ac_style: StyleProfile, g: CostGains, horizon: float):
-    """Safety/comfort/efficiency arrays for the adjacent car.
-
-    The lateral safety value is the shared pair term, identical to the
-    ego's, gated by the ego's sigma. Comfort covers only the longitudinal
-    acceleration: the adjacent car is not the one swerving.
+    Every car is projected once: the ego over a_e, the adjacent car over
+    a_a (the two broadcast against each other) and, on keep-lane, each
+    follower's lead at its constant speed. When sigma moves the ego onto
+    the adjacent car's lane the two are merge partners and both pay the
+    one lateral pair term; otherwise each follows its own lead. The
+    adjacent car's comfort covers only its longitudinal acceleration: it
+    is not the one swerving. Returns (ego parts, adjacent parts), each a
+    (j_ds, j_rc, j_pe) triple broadcasting to the shape of a_e and a_a,
+    or None for a player whose style is not given.
     """
     ts = _sample_times(horizon)
     a_e = np.asarray(a_e, dtype=float)
     a_a = np.asarray(a_a, dtype=float)
     se, ve = propagate(ego.s, ego.v, a_e[..., None], ts)
-    sa, va = propagate(ac.s, ac.v, a_a[..., None], ts)
-    shape = np.broadcast(a_e, a_a).shape
+    if ac is not None:
+        sa, va = propagate(ac.s, ac.v, a_a[..., None], ts)
+    pair = None
+    if sigma != 0 and ac is not None and ego_lane + sigma == ac_lane:
+        pair = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
 
-    is_partner = sigma != 0 and ego_lane + sigma == ac_lane
-    lane = nb.lanes[ac_lane]
-    own_lead = lane.ac_lead
-    j_ds = 0.0
-    if is_partner:
-        j_ds = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
-    elif sigma == 0 and own_lead is not None:
-        sl, vl = propagate(own_lead.s, own_lead.v, 0.0, ts)
-        j_ds = np.max(_gap_term(vl - va, sl - sa, g, lateral=False), axis=-1)
-    j_ds = np.broadcast_to(j_ds, shape)
+    def safety(lead, s, v):
+        # Merge partners share the pair term; a car keeping its lane
+        # follows its lead, and a car moving to a free lane pays nothing.
+        if pair is not None:
+            return pair
+        if sigma != 0 or lead is None:
+            return 0.0
+        sl, vl = propagate(lead.s, lead.v, 0.0, ts)
+        return np.max(_gap_term(vl - v, sl - s, g, lateral=False), axis=-1)
 
-    j_rc = np.broadcast_to(comfort_cost(a_a, 0.0, 0, g), shape)
-
-    sa_end, va_end = sa[..., -1], va[..., -1]
-    se_end, ve_end = se[..., -1], ve[..., -1]
-    v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
-    # The adjacent car defends its own cruise speed, not the lane limit.
-    cap = min(lane.v_max, v_ref)
-    base_lead_v = own_lead.v if own_lead is not None else INF
-    if is_partner:
-        # A merged ego that ends up ahead becomes this car's lead.
-        merged_ahead = se_end > sa_end
-        lead_v = np.where(merged_ahead, ve_end, base_lead_v)
-    else:
-        lead_v = np.broadcast_to(base_lead_v, shape)
-    v_bar = desired_speed(cap, lead_v, ac_style.v_factor, v_ref)
-    j_pe = np.broadcast_to((va_end - v_bar) ** 2, shape)
-    return j_ds, j_rc, j_pe
+    ego_parts = ac_parts = None
+    if ego_style is not None:
+        target = ego_lane + sigma
+        lead_t = nb.lead(target)
+        v_bar = desired_speed(nb.lanes[target].v_max,
+                              lead_t.v if lead_t is not None else INF,
+                              ego_style.v_factor, nb.flow_ref)
+        ego_parts = (safety(nb.lead(ego_lane), se, ve),
+                     comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g),
+                     (ve[..., -1] - v_bar) ** 2)
+    if ac_style is not None and ac is not None:
+        lane = nb.lanes[ac_lane]
+        v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
+        lead_v = lane.ac_lead.v if lane.ac_lead is not None else INF
+        if pair is not None:
+            # A merged ego that ends up ahead becomes this car's lead.
+            lead_v = np.where(se[..., -1] > sa[..., -1], ve[..., -1], lead_v)
+        # The adjacent car defends its own cruise speed, not the lane limit.
+        v_bar = desired_speed(min(lane.v_max, v_ref), lead_v, ac_style.v_factor, v_ref)
+        ac_parts = (safety(lane.ac_lead, sa, va), comfort_cost(a_a, 0.0, 0, g),
+                    (va[..., -1] - v_bar) ** 2)
+    return ego_parts, ac_parts
 
 
 def combine(style: StyleProfile, j_ds, j_rc, j_pe):
@@ -343,12 +325,10 @@ def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
     if action.sigma == 0 and neighbors.keep_lane_blocked(ego_lane, ego.v):
         return INFEASIBLE
     partner = neighbors.adjacent(target) if action.sigma != 0 else None
-    partner_a = opponent_accels.get(target, 0.0)
-    j_ds, j_rc, j_pe = _ego_parts(ego, ego_lane, action.sigma,
-                                  np.float64(action.a_x), neighbors, style,
-                                  gains, horizon, partner, np.float64(partner_a))
-    total = combine(style, j_ds, j_rc, j_pe)
-    return CostBreakdown(float(j_ds), float(j_rc), float(j_pe), float(total))
+    parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
+                           partner, target, opponent_accels.get(target, 0.0),
+                           None, neighbors, gains, horizon)
+    return CostBreakdown(*map(float, parts), float(combine(style, *parts)))
 
 
 def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
@@ -356,12 +336,10 @@ def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
             neighbors: NeighborView, ac_style: StyleProfile, gains: CostGains,
             horizon: float = T_DM) -> CostBreakdown:
     """Cost breakdown of one adjacent-car response to one ego candidate."""
-    j_ds, j_rc, j_pe = _ac_parts(ac, ac_lane, ego, ego_lane, ego_action.sigma,
-                                 np.float64(ego_action.a_x),
-                                 np.float64(ac_accel), neighbors, ac_style,
-                                 gains, horizon)
-    total = combine(ac_style, j_ds, j_rc, j_pe)
-    return CostBreakdown(float(j_ds), float(j_rc), float(j_pe), float(total))
+    _, parts = _pair_parts(ego, ego_lane, ego_action.sigma, ego_action.a_x,
+                           None, ac, ac_lane, ac_accel, ac_style, neighbors,
+                           gains, horizon)
+    return CostBreakdown(*map(float, parts), float(combine(ac_style, *parts)))
 
 
 def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma: int,
@@ -372,18 +350,16 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma: int,
                          horizon: float = T_DM) -> tuple[np.ndarray, np.ndarray]:
     """Cost matrices (ego, adjacent) for one sigma block of the game.
 
-    Rows index ego accelerations, columns the adjacent car's. Without an
+    Rows index ego accelerations, columns the adjacent car's. Both
+    matrices come from one parts evaluation, so every car is projected
+    once per call and a merge's pair term is computed once. Without an
     adjacent car the ego column is constant and the opponent matrix zero.
     """
     shape = (len(ego_accels), len(ac_accels))
-    a_e = np.asarray(ego_accels, dtype=float)[:, None]
-    a_a = np.asarray(ac_accels, dtype=float)[None, :]
-    partner = ac if sigma != 0 and ego_lane + sigma == ac_lane else None
-    j_ego = combine(ego_style, *_ego_parts(ego, ego_lane, sigma, a_e, neighbors,
-                                           ego_style, gains, horizon, partner, a_a))
-    if ac is None or ac_lane is None:
-        j_ac = np.zeros(shape)
-    else:
-        j_ac = combine(ac_style, *_ac_parts(ac, ac_lane, ego, ego_lane, sigma, a_e,
-                                            a_a, neighbors, ac_style, gains, horizon))
+    ego_parts, ac_parts = _pair_parts(
+        ego, ego_lane, sigma, np.asarray(ego_accels, dtype=float)[:, None],
+        ego_style, ac, ac_lane, np.asarray(ac_accels, dtype=float)[None, :],
+        ac_style, neighbors, gains, horizon)
+    j_ego = combine(ego_style, *ego_parts)
+    j_ac = 0.0 if ac_parts is None else combine(ac_style, *ac_parts)
     return np.array(np.broadcast_to(j_ego, shape)), np.array(np.broadcast_to(j_ac, shape))

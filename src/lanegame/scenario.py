@@ -82,13 +82,30 @@ class ScenarioConfig:
         return next(v for v in self.vehicles if v.role == EGO_ROLE)
 
 
+def _finite(value) -> float:
+    """A float that is a real number: JSON readers accept NaN, Infinity
+    and overflowing literals such as 1e400, which no parameter means."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
+
+
+def _finite_array(value) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"{bad[0]} is not a finite number")
+    return a
+
+
 # Declared field type -> cast of a JSON value; other fields are not keys.
 _CASTS = {
-    "str": str, "int": int, "float": float,
-    "float | None": lambda v: None if v is None else float(v),
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "str": str, "int": int, "float": _finite,
+    "float | None": lambda v: None if v is None else _finite(v),
+    "tuple[float, ...]": lambda v: tuple(_finite(x) for x in v),
     "tuple[int, ...]": lambda v: tuple(int(x) for x in v),
-    "np.ndarray": lambda v: np.asarray(v, dtype=float),
+    "np.ndarray": _finite_array,
 }
 
 _LOOP_SET = ("dt", "u_min", "u_max")  # MpcConfig fields the closed loop sets
@@ -152,7 +169,7 @@ def _grid_from(block) -> ActionGrid:
     rest = dict(_expect(block, dict, "grid"))
     given = {}
     if any(k in rest for k in _RANGE_KEYS):
-        bounds = [_cast(float, rest.pop(k, d), f"grid.{k}")
+        bounds = [_cast(_finite, rest.pop(k, d), f"grid.{k}")
                   for k, d in zip(_RANGE_KEYS, ACCEL_RANGE)]
         given["accelerations"] = _cast(lambda b: accel_range(*b), bounds, "grid")
     return _build(ActionGrid, rest, "grid", **given)

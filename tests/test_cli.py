@@ -45,6 +45,21 @@ def test_missing_scenario_is_config_error(capsys):
     assert "no such scenario" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_value_exits_3(tmp_path, capsys):
+    # json writes and reads Infinity; the parser refuses it before a run
+    # overflows on it.
+    cfg = json.loads(_bundled_text("scenario_a"))
+    cfg["duration"] = 1.0
+    cfg["decision"]["horizon"] = float("inf")
+    p = tmp_path / "inf_horizon.json"
+    p.write_text(json.dumps(cfg))
+    assert "Infinity" in p.read_text()
+    assert main(["run", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "decision.horizon: inf is not a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
     # The ego starts 60 m before the road end: its first planner horizon
     # ends on the road, so the scenario validates, but it drives on until

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lanegame import costs
 from lanegame.costs import (INFEASIBLE, CostGains, DecisionAction,
                             KinematicState, LaneView, NeighborView, T_DM,
                             ac_cost, comfort_cost, desired_speed, ego_cost,
@@ -208,29 +209,76 @@ def test_ac_defends_its_own_cruise_speed(gains):
     assert hold.j_pe == pytest.approx(0.0, abs=1e-12)
 
 
-def test_matrices_match_scalar_entries(gains, rng):
-    """Vectorized payoff assembly equals cell-by-cell scalar evaluation."""
+def _two_lane_merge():
+    """Ego on lane 2 (ending, lead ahead), the AC on lane 1 with its lead."""
     nb = make_neighbors(lanes={
         1: LaneView(adjacent=KinematicState(s=4.0, v=16.0), adjacent_v_ref=16.0,
                     ac_lead=KinematicState(s=60.0, v=14.0)),
         2: LaneView(lead=KinematicState(s=45.0, v=15.0)),
     }, end_remaining={2: 150.0})
-    ego = KinematicState(s=0.0, v=20.0)
-    ac = KinematicState(s=4.0, v=16.0)
+    return nb, KinematicState(s=0.0, v=20.0), KinematicState(s=4.0, v=16.0), 1
+
+
+def _three_lane_right_opponent():
+    """Ego on lane 2, the AC on lane 3 just behind it, lane 1 free of
+    opponents. Sigma +1 makes the AC the merge partner, and the ego ends
+    ahead of it in some cells only; sigma -1 moves away from it."""
+    nb = make_neighbors(lanes={
+        1: LaneView(lead=KinematicState(s=50.0, v=17.0)),
+        2: LaneView(lead=KinematicState(s=40.0, v=16.0)),
+        3: LaneView(adjacent=KinematicState(s=-3.0, v=19.0), adjacent_v_ref=21.0,
+                    ac_lead=KinematicState(s=70.0, v=18.0)),
+    })
+    return nb, KinematicState(s=0.0, v=20.0), KinematicState(s=-3.0, v=19.0), 3
+
+
+def test_matrices_match_scalar_entries(gains):
+    """Vectorized payoff assembly equals cell-by-cell scalar evaluation,
+    for every sigma: merge, keep-lane, and a move away from the AC."""
     e_acc = np.array([-2.0, 0.0, 1.5])
     a_acc = np.array([-1.0, 0.0, 2.0])
     st_e, st_a = _style("aggressive"), _style("normal")
-    for sigma in (-1, 0):
-        j_e, j_a = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, 1, a_acc,
+    for scene, sigma in ((_two_lane_merge, -1), (_two_lane_merge, 0),
+                         (_three_lane_right_opponent, -1),
+                         (_three_lane_right_opponent, 0),
+                         (_three_lane_right_opponent, 1)):
+        nb, ego, ac, ac_lane = scene()
+        j_e, j_a = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane, a_acc,
                                         nb, st_e, st_a, gains)
         for i, ae in enumerate(e_acc):
             for j, aa in enumerate(a_acc):
                 eb = ego_cost(ego, 2, DecisionAction(sigma, float(ae)),
-                              {1: float(aa)}, nb, st_e, gains)
-                ab = ac_cost(ac, 1, ego, 2, DecisionAction(sigma, float(ae)),
+                              {ac_lane: float(aa)}, nb, st_e, gains)
+                ab = ac_cost(ac, ac_lane, ego, 2, DecisionAction(sigma, float(ae)),
                              float(aa), nb, st_a, gains)
                 assert j_e[i, j] == pytest.approx(eb.total, rel=1e-12)
                 assert j_a[i, j] == pytest.approx(ab.total, rel=1e-12)
+                if sigma == -1 and ac_lane == 3:
+                    assert ab.j_ds == 0.0   # moving away: no pair term
+
+
+def test_one_projection_per_car(gains, monkeypatch):
+    """One payoff call projects every car it involves exactly once: the
+    ego and its merge partner on a merge; the ego, the AC and the lead of
+    each on keep-lane."""
+    seen = []
+    real = costs.propagate
+
+    def counted(s, v, a, t):
+        seen.append((float(s), float(v)))
+        return real(s, v, a, t)
+
+    monkeypatch.setattr(costs, "propagate", counted)
+    nb, ego, ac, ac_lane = _two_lane_merge()
+    cars = {"ego": (0.0, 20.0), "ac": (4.0, 16.0), "ego lead": (45.0, 15.0),
+            "ac lead": (60.0, 14.0)}
+    for sigma, involved in ((-1, ("ego", "ac")),
+                            (0, ("ego", "ac", "ego lead", "ac lead"))):
+        seen.clear()
+        pair_payoff_matrices(ego, 2, sigma, np.array([-2.0, 0.0, 1.5]), ac, ac_lane,
+                             np.array([-1.0, 0.0, 2.0]), nb, _style("aggressive"),
+                             _style("normal"), gains)
+        assert sorted(seen) == sorted(cars[c] for c in involved), sigma
 
 
 def test_matrices_without_opponent(gains):

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, and the bundled references."""
 
 import json
+import re
 from importlib import resources
 
 import numpy as np
@@ -104,8 +105,8 @@ def test_missing_blocks_rejected():
     (lambda d: d["vehicles"][0].__setitem__("d", 2.1), "d: outside lane 2"),
     (lambda d: d["vehicles"][1].__setitem__("d", 1.9), "d: outside lane 1"),
     (lambda d: d.__setitem__("duration", float("nan")),
-     "duration: must be positive and finite"),
-    (lambda d: d.__setitem__("dt", float("inf")), "dt: must be positive and finite"),
+     "scenario.duration: nan .* finite"),
+    (lambda d: d.__setitem__("dt", float("inf")), "scenario.dt: inf .* finite"),
     # The ego's first planner horizon (n_p * dt, at the grid's top
     # acceleration) must end on the road: 495 + 20 + 1.5 > 500, and with
     # scenario_a's 30-step horizon 470 + 30 + 3.375 > 500.
@@ -125,6 +126,47 @@ def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()
     mutate(doc)
     with pytest.raises(ConfigError, match=needle):
+        config_from_dict(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Python's json reads NaN, Infinity and 1e400 (as inf); no float key of
+# any block may take such a value, nor any entry of a float list.
+NON_FINITE = [
+    ("gains", "kappa_ax", NAN),
+    ("decision", "end_margin", NAN),
+    ("decision", "horizon", INF),
+    ("grid", "accelerations", [0.0, NAN]),
+    ("grid", "a_min", -INF),
+    ("mpc", "r", NAN),
+    ("mpc", "q_diag", [1.0, INF, 1.0]),
+    ("mpc", "q", [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]),
+    ("field", "rho_x", NAN),
+    ("field", "a_r", INF),
+    ("road", "length", INF),
+    ("road.lanes[0]", "v_max", NAN),
+    ("road.lanes[1]", "end_station", NAN),
+    ("vehicles[1]", "s", INF),
+    ("vehicles[0]", "d", NAN),
+]
+
+
+def _block(doc, label):
+    """The JSON object a dotted label such as road.lanes[0] names."""
+    block = doc
+    for part in label.replace("[", ".").replace("]", "").split("."):
+        block = block[int(part)] if part.isdigit() else block.setdefault(part, {})
+    return block
+
+
+@pytest.mark.parametrize("label,key,value", NON_FINITE,
+                         ids=[f"{label}.{key}" for label, key, _ in NON_FINITE])
+def test_non_finite_value_names_block_and_key(label, key, value):
+    doc = minimal_doc()
+    _block(doc, label)[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{label}.{key}: ")
+                       + ".*not a finite number"):
         config_from_dict(doc)
 
 

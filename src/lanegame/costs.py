@@ -294,7 +294,7 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
                               ego_style.v_factor, nb.flow_ref)
         ego_parts = (safety(nb.lead(ego_lane), se, ve),
                      comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g),
-                     (ve[..., -1] - v_bar) ** 2)
+                     np.square(ve[..., -1] - v_bar))
     if ac_style is not None and ac is not None:
         lane = nb.lanes[ac_lane]
         v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
@@ -305,7 +305,7 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
         # The adjacent car defends its own cruise speed, not the lane limit.
         v_bar = desired_speed(min(lane.v_max, v_ref), lead_v, ac_style.v_factor, v_ref)
         ac_parts = (safety(lane.ac_lead, sa, va), comfort_cost(a_a, 0.0, 0, g),
-                    (va[..., -1] - v_bar) ** 2)
+                    np.square(va[..., -1] - v_bar))
     return ego_parts, ac_parts
 
 

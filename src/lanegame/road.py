@@ -52,6 +52,13 @@ class RoadGeometry:
             raise ValueError("road must have 2 or 3 lanes")
         if sorted(self.lanes) != list(range(1, n + 1)):
             raise ValueError("lanes must be numbered 1..lane_count")
+        # to_frenet maps angles in (-pi, pi] and needs r = radius - d > 0.
+        if self.kind == "arc" and self.length >= math.pi * self.radius:
+            raise ValueError(f"arc length {self.length:g} must stay below "
+                             f"pi * radius = {math.pi * self.radius:g}")
+        if self.kind == "arc" and self.radius <= self.lateral_extent()[0]:
+            raise ValueError(f"arc radius {self.radius:g} must exceed the left "
+                             f"road edge offset {self.lateral_extent()[0]:g}")
 
     @property
     def lane_count(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field as dfield, fields
 from importlib import resources
 
@@ -219,9 +220,8 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     egos = [v for v in cfg.vehicles if v.role == EGO_ROLE]
     if len(egos) != 1:
         problems.append(f"vehicles: exactly one {EGO_ROLE} required, found {len(egos)}")
-    roles = [v.role for v in cfg.vehicles]
-    if len(set(roles)) != len(roles):
-        problems.append("vehicles: duplicate roles")
+    # Roles name trace columns such as s_ac1: plain words, unique ignoring case.
+    roles: dict[str, str] = {}
     strategic_lanes = set()
     road = cfg.road
     # The planner queries the road field along its whole first horizon, so
@@ -229,6 +229,13 @@ def validate(cfg: ScenarioConfig) -> list[str]:
     t_plan = cfg.mpc.n_p * cfg.dt
     a_top = max(0.0, max(cfg.grid.accelerations))
     for i, v in enumerate(cfg.vehicles):
+        if not re.fullmatch(r"[A-Za-z0-9_]+", v.role):
+            problems.append(f"vehicles[{i}].role: {v.role!r} must be letters, "
+                            f"digits and _ only")
+        elif v.role.lower() in roles:
+            problems.append(f"vehicles[{i}].role: duplicate roles {roles[v.role.lower()]!r} "
+                            f"and {v.role!r} (case is ignored)")
+        roles.setdefault(v.role.lower(), v.role)
         if not road.has_lane(v.lane):
             problems.append(f"vehicles[{i}].lane: no lane {v.lane} on the road")
         elif min(road.remaining(v.lane, v.s), road.length - v.s) < 0:

@@ -1,19 +1,23 @@
 """Closed-loop simulation of one scenario and its run metrics.
 
-Per step: (1) finish or continue any committed lane change, (2) if no
-change is in progress, build the ego's view of the scene and solve the
-decision game, (3) log style-free running cost components, (4) plan the
-steering preview command, (5) integrate the ego and advance the other
-cars as point masses.
+Per step: (1) finish or continue any committed lane change, (2) build
+the ego's view of the scene once (`_scene_view`: each lane's lead and
+speed cap, and the game opponent on each other lane), (3) if no change
+is in progress, solve the decision game against the opponents beside
+the ego, (4) log style-free running cost components, (5) plan the
+steering preview command, (6) integrate the ego and advance the other
+cars as point masses. The game and the running costs read the roster
+only through that view.
 
 The running `j_*` columns differ from the decision cost on purpose. They
 are instantaneous (the scene now, not a projection over the decision
 horizon) and style-free, so runs of different styles are scored on one
-scale: safety follows the active interaction partner, comfort is
+scale: safety follows the active interaction partner (the opponent on
+the target lane during a change, else the lead), comfort is
 `comfort_cost` of the held command, and efficiency is the squared
-shortfall from `speed_cap` on the lane the ego occupies, not from the
-style-shaped `desired_speed`. Only `j_total` weights them by the ego
-style.
+shortfall from the view's speed cap on the lane the ego occupies, not
+from the style-shaped `desired_speed`. Only `j_total` weights them by
+the ego style.
 
 Other cars follow their initial lane; adjacent (strategic) cars apply
 the acceleration from their side of the game while one is active and
@@ -32,7 +36,7 @@ import numpy as np
 
 from .costs import (KinematicState, LaneView, NeighborView, combine,
                     comfort_cost, lane_change_lat_accel, lateral_safety_cost,
-                    longitudinal_safety_cost, speed_cap)
+                    longitudinal_safety_cost)
 from .errors import DomainError, InfeasibleDecisionError
 from .field import ObstaclePose, prepare_field, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
@@ -130,51 +134,35 @@ BASE_COLUMNS = [
 ]
 
 
-def _lead_for(cars: list[_Car], lane: int, ego_lane: int, s_e: float) -> KinematicState | None:
-    """Nearest car ahead that the ego would follow on this lane.
+def _scene_view(road: RoadGeometry, cfg: ScenarioConfig, cars: list[_Car],
+                ego_lane: int, s_e: float,
+                flow_ref: float) -> tuple[NeighborView, dict[int, _Car]]:
+    """The ego's view of the roster at station s_e, one pass per lane.
 
-    Strategic cars count only once the ego shares their lane; elsewhere
-    they appear as game opponents, not leads.
+    A lane's lead is the nearest car ahead of the ego that it would
+    follow there: strategic cars count only on the ego's lane, elsewhere
+    they are game opponents. Every other lane's opponent is its first
+    strategic car, and that lane's `ac_lead` the nearest car ahead of it.
+    Ties go to the earlier car in roster order. Returns the view and the
+    opponents by lane.
     """
-    best = None
-    for c in cars:
-        if c.lane != lane or c.s <= s_e:
-            continue
-        if c.strategic and lane != ego_lane:
-            continue
-        if best is None or c.s < best.s:
-            best = c
-    if best is None:
-        return None
-    return KinematicState(s=best.s, v=best.v)
+    def nearest_ahead(pool, s):
+        car = min((c for c in pool if c.s > s), key=lambda c: c.s, default=None)
+        return None if car is None else KinematicState(s=car.s, v=car.v)
 
-
-def _adjacent_on(cars: list[_Car], lane: int, ego_lane: int) -> _Car | None:
-    if lane == ego_lane:
-        return None
-    for c in cars:
-        if c.strategic and c.lane == lane:
-            return c
-    return None
-
-
-def _neighbor_view(road: RoadGeometry, cfg: ScenarioConfig, cars: list[_Car],
-                   ego_lane: int, s_e: float, flow_ref: float) -> NeighborView:
     lanes: dict[int, LaneView] = {}
+    opponents: dict[int, _Car] = {}
     end_remaining: dict[int, float] = {}
     for idx, spec in road.lanes.items():
-        adj = _adjacent_on(cars, idx, ego_lane)
-        ac_lead = None
-        if adj is not None:
-            ahead = [c for c in cars if c.lane == idx and c.s > adj.s]
-            if ahead:
-                nearest = min(ahead, key=lambda c: c.s)
-                ac_lead = KinematicState(s=nearest.s, v=nearest.v)
+        on = [c for c in cars if c.lane == idx]
+        opp = None if idx == ego_lane else next((c for c in on if c.strategic), None)
+        if opp is not None:
+            opponents[idx] = opp
         lanes[idx] = LaneView(
-            lead=_lead_for(cars, idx, ego_lane, s_e),
-            adjacent=None if adj is None else KinematicState(s=adj.s, v=adj.v),
-            ac_lead=ac_lead,
-            adjacent_v_ref=None if adj is None else adj.v_ref,
+            lead=nearest_ahead([c for c in on if idx == ego_lane or not c.strategic], s_e),
+            adjacent=None if opp is None else KinematicState(s=opp.s, v=opp.v),
+            ac_lead=None if opp is None else nearest_ahead(on, opp.s),
+            adjacent_v_ref=None if opp is None else opp.v_ref,
             v_min=spec.v_min,
             v_max=spec.v_max,
         )
@@ -182,44 +170,37 @@ def _neighbor_view(road: RoadGeometry, cfg: ScenarioConfig, cars: list[_Car],
         if math.isfinite(rem):
             end_remaining[idx] = rem
     dec = cfg.decision
-    return NeighborView(lanes=lanes, lane_width=road.lane_width,
-                        flow_ref=flow_ref, end_remaining=end_remaining,
-                        a_end=dec.a_end, end_margin=dec.end_margin,
-                        a_brake=dec.a_brake)
+    return NeighborView(lanes=lanes, lane_width=road.lane_width, flow_ref=flow_ref,
+                        end_remaining=end_remaining, a_end=dec.a_end,
+                        end_margin=dec.end_margin, a_brake=dec.a_brake), opponents
 
 
 def _decide(cfg: ScenarioConfig, strategy: str, nb: NeighborView,
             ego_kin: KinematicState, ego_lane: int, ego_style,
-            cars: list[_Car]) -> tuple[GameSolution, int]:
-    """Solve the decision game matching the adjacency pattern.
+            opponents: dict[int, _Car]) -> tuple[GameSolution, int]:
+    """Solve the decision game against the opponents beside the ego.
 
-    Returns the solution and a mode code: 0 solo, 1 one opponent,
-    2 opponents on both sides.
+    Returns the solution and its mode, the number of side opponents: 0
+    solo, 1 one opponent, 2 opponents on both sides. The solvers are
+    looked up by name at call time.
     """
-    left = _adjacent_on(cars, ego_lane - 1, ego_lane) if nb.has_lane(ego_lane - 1) else None
-    right = _adjacent_on(cars, ego_lane + 1, ego_lane) if nb.has_lane(ego_lane + 1) else None
+    sides = [lane for lane in (ego_lane - 1, ego_lane + 1) if lane in opponents]
+    styles = [style_profile(opponents[lane].style) for lane in sides]
     grid = cfg.grid
     gains = cfg.gains
     horizon = cfg.decision.horizon
-    if left is not None and right is not None:
+    if len(sides) == 2:
         solver = solve_nash_two_ac if strategy == "nash" else solve_stackelberg_two_ac
-        sol = solver(ego_kin, ego_lane,
-                     KinematicState(s=left.s, v=left.v),
-                     KinematicState(s=right.s, v=right.v),
-                     nb, grid, grid, ego_style,
-                     style_profile(left.style), style_profile(right.style),
-                     gains, horizon)
-        return sol, 2
-    if left is not None or right is not None:
-        ac = left if left is not None else right
-        ac_lane = ego_lane - 1 if left is not None else ego_lane + 1
+        sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), nb.adjacent(sides[1]),
+                     nb, grid, grid, ego_style, *styles, gains, horizon)
+    elif sides:
         solver = solve_nash_2p if strategy == "nash" else solve_stackelberg_2p
-        sol = solver(ego_kin, ego_lane, KinematicState(s=ac.s, v=ac.v),
-                     ac_lane, nb, grid, grid, ego_style,
-                     style_profile(ac.style), gains, horizon)
-        return sol, 1
-    return solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains,
-                      horizon, kind=strategy), 0
+        sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), sides[0], nb,
+                     grid, grid, ego_style, *styles, gains, horizon)
+    else:
+        sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon,
+                         kind=strategy)
+    return sol, len(sides)
 
 
 def _u_box(road: RoadGeometry, cfg: ScenarioConfig, dp: DriverParams,
@@ -334,14 +315,14 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                 latched = False
                 sigma_now = 0
 
+        nb, opponents = _scene_view(road, cfg, cars, ego_lane, s_e, flow_ref)
         obstacles = obstacle_poses(road, cars)
         u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
         decided = 0.0
         try:
             if not latched:
-                nb = _neighbor_view(road, cfg, cars, ego_lane, s_e, flow_ref)
                 sol, mode = _decide(cfg, strategy, nb, ego_kin, ego_lane,
-                                    ego_style, cars)
+                                    ego_style, opponents)
                 decided = 1.0
                 sigma_now = sol.ego_action.sigma
                 a_cmd = sol.ego_action.a_x
@@ -376,18 +357,11 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         # Running cost components (see the module docstring); safety
         # follows the active interaction partner.
         if sigma_now != 0:
-            adj = _adjacent_on(cars, target_lane, ego_lane)
-            adj_kin = None if adj is None else KinematicState(s=adj.s, v=adj.v)
-            j_ds_m = lateral_safety_cost(ego_kin, adj_kin, cfg.gains)
+            j_ds_m = lateral_safety_cost(ego_kin, nb.adjacent(target_lane), cfg.gains)
         else:
-            lead = _lead_for(cars, ego_lane, ego_lane, s_e)
-            j_ds_m = longitudinal_safety_cost(ego_kin, lead, cfg.gains)
+            j_ds_m = longitudinal_safety_cost(ego_kin, nb.lead(ego_lane), cfg.gains)
         j_rc_m = comfort_cost(a_cmd, a_y_change, sigma_now, cfg.gains)
-        lane_near = road.nearest_lane(d_e)
-        cap_here = float(speed_cap(road.lanes[lane_near].v_max,
-                                   road.remaining(lane_near, s_e),
-                                   dec.a_end, dec.end_margin))
-        j_pe_m = (v_e - cap_here) ** 2
+        j_pe_m = (v_e - float(nb.v_cap(road.nearest_lane(d_e)))) ** 2
         j_total_m = float(combine(ego_style, j_ds_m, j_rc_m, j_pe_m))
         clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]),
                                           cars, obstacles)

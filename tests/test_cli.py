@@ -60,6 +60,20 @@ def test_non_finite_scenario_value_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("radius", [60.0, 3.0])
+def test_validate_arc_outside_the_frenet_mapping_exits_3(tmp_path, capsys, radius):
+    # scenario_b is 600 m long: radius 60 wraps past half a turn, radius 3
+    # also puts the left lane beyond the center of curvature.
+    cfg = json.loads(_bundled_text("scenario_b"))
+    cfg["road"]["radius"] = radius
+    p = tmp_path / "tight_arc.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["validate", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "road: arc length 600 must stay below pi * radius" in err
+    assert "Traceback" not in err
+
+
 def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
     # The ego starts 60 m before the road end: its first planner horizon
     # ends on the road, so the scenario validates, but it drives on until

@@ -12,7 +12,7 @@ from lanegame.costs import (INFEASIBLE, CostGains, DecisionAction,
                             lane_change_lat_accel, lateral_safety_cost,
                             longitudinal_safety_cost, pair_payoff_matrices,
                             propagate)
-from lanegame.styles import style_profile
+from lanegame.styles import BUILTIN_STYLES, style_profile
 
 from conftest import make_neighbors
 
@@ -255,6 +255,45 @@ def test_matrices_match_scalar_entries(gains):
                 assert j_a[i, j] == pytest.approx(ab.total, rel=1e-12)
                 if sigma == -1 and ac_lane == 3:
                     assert ab.j_ds == 0.0   # moving away: no pair term
+
+
+def _random_three_lane_scene(rng):
+    """Ego on lane 2 at s = 0, the AC on lane 1 or 3, leads drawn at random."""
+    def maybe_lead(s_from):
+        if rng.random() < 0.3:
+            return None
+        return KinematicState(s=float(rng.uniform(s_from + 5.0, s_from + 80.0)),
+                              v=float(rng.uniform(10.0, 24.0)))
+
+    ac_lane = int(rng.choice([1, 3]))
+    ac = KinematicState(s=float(rng.uniform(-20.0, 20.0)), v=float(rng.uniform(12.0, 24.0)))
+    lanes = {i: LaneView(lead=maybe_lead(0.0), v_max=float(rng.uniform(18.0, 28.0)))
+             for i in (1, 2, 3)}
+    lanes[ac_lane] = LaneView(adjacent=ac, adjacent_v_ref=float(rng.uniform(12.0, 24.0)),
+                              ac_lead=maybe_lead(ac.s), v_max=lanes[ac_lane].v_max)
+    nb = make_neighbors(lanes=lanes, flow_ref=float(rng.uniform(15.0, 25.0)))
+    return nb, KinematicState(s=0.0, v=float(rng.uniform(12.0, 24.0))), ac, ac_lane
+
+
+def test_breakdown_totals_equal_matrix_cells_exactly(gains, rng):
+    """The breakdown a solver reports is the matrix entry it chose on, to
+    the last bit: both paths square the end-speed error the same way. On
+    300 random scenes a scalar `** 2` put several cells one rounding step
+    off."""
+    names = sorted(BUILTIN_STYLES)
+    for _ in range(300):
+        nb, ego, ac, ac_lane = _random_three_lane_scene(rng)
+        st_e, st_a = (_style(str(rng.choice(names))) for _ in range(2))
+        e_acc, a_acc = rng.uniform(-4.0, 3.0, (2, 6))
+        for sigma in (-1, 0, 1):
+            j_e, j_a = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane, a_acc,
+                                            nb, st_e, st_a, gains)
+            # One cell per row and column: each breakdown has its own speeds.
+            for i, (ae, aa) in enumerate(zip(e_acc, a_acc)):
+                action = DecisionAction(sigma, float(ae))
+                eb = ego_cost(ego, 2, action, {ac_lane: float(aa)}, nb, st_e, gains)
+                ab = ac_cost(ac, ac_lane, ego, 2, action, float(aa), nb, st_a, gains)
+                assert (eb.total, ab.total) == (j_e[i, i], j_a[i, i]), (sigma, i)
 
 
 def test_one_projection_per_car(gains, monkeypatch):

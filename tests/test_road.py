@@ -66,6 +66,17 @@ def test_constructor_rejects_bad_shapes():
         RoadGeometry(lanes={2: LaneSpec(index=2), 3: LaneSpec(index=3)})
     with pytest.raises(ValueError, match="lane_width"):
         RoadGeometry(lane_width=0.0)
+    # An arc must stay where to_frenet inverts to_global: past half a turn
+    # the station wraps (on R = 50, s = 200 maps back to -114), and two
+    # lanes reach d = 6 to the left, beyond the center of a 3 m arc.
+    road = RoadGeometry(kind="arc", radius=50.0, length=150.0)
+    s, _ = road.to_frenet(*road.to_global(200.0, 0.0))
+    assert float(s) == pytest.approx(200.0 - 2.0 * math.pi * 50.0)
+    with pytest.raises(ValueError, match=r"arc length 200 must stay below pi \* radius"):
+        RoadGeometry(kind="arc", radius=50.0, length=200.0)
+    with pytest.raises(ValueError, match="arc radius 3 must exceed the left road edge"):
+        RoadGeometry(kind="arc", radius=3.0, length=5.0)
+    RoadGeometry(kind="arc", radius=6.5, length=20.0)
 
 
 def test_default_road_has_two_lanes():

@@ -121,6 +121,15 @@ def test_missing_blocks_rejected():
     # A range form with a tiny step would enumerate millions of actions.
     (lambda d: d.__setitem__("grid", {"step": 1e-6}),
      "grid: range holds 7000001 accelerations, at most 1000 allowed"),
+    # Roles name trace columns (s_ec, s_ac1): unique ignoring case, plain words.
+    (lambda d: d["vehicles"].append({"role": "ec", "lane": 1, "s": 120.0, "v": 20.0}),
+     r"vehicles\[2\]\.role: duplicate roles 'EC' and 'ec'"),
+    (lambda d: d["vehicles"].append({"role": "Ac1", "lane": 2, "s": 60.0, "v": 20.0}),
+     r"vehicles\[2\]\.role: duplicate roles 'AC1' and 'Ac1'"),
+    (lambda d: d["vehicles"][1].__setitem__("role", "AC,1"),
+     r"vehicles\[1\]\.role: 'AC,1' must be letters, digits and _ only"),
+    (lambda d: d["vehicles"][1].__setitem__("role", ""),
+     r"vehicles\[1\]\.role: '' must be letters"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()

@@ -6,10 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lanegame import simulate
+from lanegame.costs import KinematicState, speed_cap
+from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.scenario import load_scenario
-from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, batch,
-                               comparison_csv, metrics_lines, run_simulation,
-                               summarize, write_metrics, write_trace)
+from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
+                               _scene_view, batch, comparison_csv,
+                               metrics_lines, run_simulation, summarize,
+                               write_metrics, write_trace)
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,98 @@ def test_batch_and_comparison_table(merge_cfg):
     assert lines[0].endswith(",aborted,maxiter_steps")
     assert lines[1].split(",")[1] == "normal"
     assert STYLES_ALL == ("aggressive", "normal", "conservative")
+
+
+def _reference_view(cars, lanes, ego_lane, s_e):
+    """Reference: one roster scan per question the view answers. Per lane
+    the lead the ego would follow, the first strategic car on any other
+    lane, and the nearest car ahead of that one."""
+    def lead_for(lane):
+        best = None
+        for c in cars:
+            if c.lane != lane or c.s <= s_e:
+                continue
+            if c.strategic and lane != ego_lane:
+                continue
+            if best is None or c.s < best.s:
+                best = c
+        return best
+
+    def adjacent_on(lane):
+        if lane == ego_lane:
+            return None
+        for c in cars:
+            if c.strategic and c.lane == lane:
+                return c
+        return None
+
+    out = {}
+    for lane in lanes:
+        adj = adjacent_on(lane)
+        ahead = [c for c in cars if adj is not None and c.lane == lane and c.s > adj.s]
+        out[lane] = (lead_for(lane), adj, min(ahead, key=lambda c: c.s) if ahead else None)
+    return out
+
+
+def _kin(car):
+    return None if car is None else KinematicState(s=car.s, v=car.v)
+
+
+def test_scene_view_matches_the_roster_scans(merge_cfg):
+    """On seeded rosters (2-3 lanes, strategic cars on the ego's lane, cars
+    behind the ego, stations on a 5 m grid so ties are common) the view
+    holds what the separate scans found, field for field; every car has
+    its own speed, so a tie broken the other way shows."""
+    rng = np.random.default_rng(99)
+    dec = merge_cfg.decision
+    ties = 0
+    for _ in range(400):
+        n_lanes = int(rng.integers(2, 4))
+        road = RoadGeometry(lanes={i: LaneSpec(index=i, v_max=20.0 + i,
+                                               end_station=150.0 if i == 2 else None)
+                                   for i in range(1, n_lanes + 1)})
+        ego_lane = int(rng.integers(1, n_lanes + 1))
+        s_e = float(rng.choice([0.0, 10.0, 25.0]))
+        cars = [_Car(role=f"C{k}", lane=int(rng.integers(1, n_lanes + 1)),
+                     strategic=bool(rng.random() < 0.4), style="normal",
+                     s=5.0 * float(rng.integers(-4, 12)), d=0.0, v=10.0 + k,
+                     v_ref=30.0 - k)
+                for k in range(int(rng.integers(0, 9)))]
+        stations = [(c.lane, c.s) for c in cars]
+        ties += len(stations) - len(set(stations))
+        nb, opponents = _scene_view(road, merge_cfg, cars, ego_lane, s_e, 17.0)
+        ref = _reference_view(cars, road.lanes, ego_lane, s_e)
+        assert set(nb.lanes) == set(road.lanes)
+        assert (nb.lane_width, nb.flow_ref) == (road.lane_width, 17.0)
+        assert (nb.a_end, nb.end_margin, nb.a_brake) == (dec.a_end, dec.end_margin,
+                                                         dec.a_brake)
+        for lane, (lead, adj, ac_lead) in ref.items():
+            view = nb.lanes[lane]
+            assert view.lead == _kin(lead)
+            assert view.adjacent == _kin(adj)
+            assert view.ac_lead == _kin(ac_lead)
+            assert view.adjacent_v_ref == (None if adj is None else adj.v_ref)
+            assert opponents.get(lane) is adj
+            assert (view.v_min, view.v_max) == (road.lanes[lane].v_min,
+                                                road.lanes[lane].v_max)
+            assert nb.v_cap(lane) == speed_cap(road.lanes[lane].v_max,
+                                               road.remaining(lane, s_e),
+                                               dec.a_end, dec.end_margin)
+    assert ties > 50
+
+
+def test_decide_looks_the_solver_up_at_call_time(merge_cfg, monkeypatch):
+    # Layer timing wraps the solvers by module attribute, so the closed
+    # loop must call whatever `simulate.solve_nash_2p` names now.
+    calls = []
+    real = simulate.solve_nash_2p
+
+    def counted(*args, **kw):
+        calls.append(args[3])   # the opponent's lane
+        return real(*args, **kw)
+
+    monkeypatch.setattr(simulate, "solve_nash_2p", counted)
+    tr = run_simulation(replace(merge_cfg, duration=0.25), style="normal",
+                        strategy="nash")
+    assert calls == [1] * int(np.sum(tr.column("decided")))
+    assert calls and set(tr.column("mode")) == {1.0}

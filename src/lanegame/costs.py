@@ -127,9 +127,17 @@ class NeighborView:
         return self.end_remaining.get(lane, INF)
 
     def v_cap(self, lane: int, ds_ahead=0.0):
-        """Speed cap on a lane at a point ds_ahead meters up the road."""
-        return speed_cap(self.lanes[lane].v_max, self.remaining(lane),
-                         self.a_end, self.end_margin, ds_ahead)
+        """Attainable speed on a lane at a point ds_ahead meters up the road.
+
+        On a lane that ends the cap falls off as the square-root braking
+        profile at a_end (> 0) toward the end margin; on an endless lane
+        it is the lane limit v_max. Broadcasts over ds_ahead.
+        """
+        v_max, rem = self.lanes[lane].v_max, self.remaining(lane)
+        if math.isinf(rem):
+            return v_max if np.ndim(ds_ahead) == 0 else np.full(np.shape(ds_ahead), v_max)
+        run = np.maximum(rem - np.asarray(ds_ahead, dtype=float) - self.end_margin, 0.0)
+        return np.minimum(v_max, np.sqrt(2.0 * self.a_end * run))
 
     def keep_lane_blocked(self, lane: int, v: float) -> bool:
         """True when staying on an ending lane can no longer be offered.
@@ -141,20 +149,6 @@ class NeighborView:
         if not math.isfinite(rem):
             return False
         return rem < v * v / (2.0 * self.a_brake) + self.end_margin
-
-
-def speed_cap(v_max, remaining, a_end, end_margin, ds_ahead=0.0):
-    """Attainable speed at a point ds_ahead meters up a lane.
-
-    On a lane that ends `remaining` meters ahead the cap falls off as the
-    square-root braking profile at a_end (> 0) toward the end margin; on
-    an endless lane (remaining = inf) it is the lane limit v_max.
-    Broadcasts over ds_ahead.
-    """
-    if math.isinf(remaining):
-        return v_max if np.ndim(ds_ahead) == 0 else np.full(np.shape(ds_ahead), v_max)
-    run = np.maximum(remaining - np.asarray(ds_ahead, dtype=float) - end_margin, 0.0)
-    return np.minimum(v_max, np.sqrt(2.0 * a_end * run))
 
 
 def lane_change_lat_accel(w_lane: float, t_lc: float = T_LC) -> float:

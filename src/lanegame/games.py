@@ -51,12 +51,11 @@ def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ActionGrid:
-    """Finite action menu: acceleration samples, allowed sigmas, speed envelope."""
+    """Finite action menu: acceleration samples and allowed sigmas. The
+    speed band a candidate must end in belongs to its lane."""
 
     accelerations: tuple[float, ...] = accel_range(*ACCEL_RANGE)
     sigmas: tuple[int, ...] = (-1, 0, 1)
-    v_min: float = 0.0
-    v_max: float = 25.0
 
     def __post_init__(self) -> None:
         accs = tuple(float(a) for a in self.accelerations)
@@ -65,10 +64,10 @@ class ActionGrid:
             raise ValueError("acceleration grid is empty")
         if any(b <= a for a, b in zip(accs, accs[1:])):
             raise ValueError("acceleration grid must be strictly ascending")
-        if not self.sigmas or any(s not in (-1, 0, 1) for s in self.sigmas):
-            raise ValueError("sigmas must be a non-empty subset of {-1, 0, +1}")
-        if self.v_min > self.v_max:
-            raise ValueError("velocity bounds out of order")
+        if (not self.sigmas or any(s not in (-1, 0, 1) for s in self.sigmas)
+                or len(set(self.sigmas)) != len(self.sigmas)):
+            raise ValueError("sigmas must be a non-empty subset of {-1, 0, +1}, "
+                             "each listed once")
 
     def restrict_sigmas(self, allowed) -> "ActionGrid":
         kept = tuple(s for s in self.sigmas if s in allowed)
@@ -83,17 +82,16 @@ class GameSolution:
     ac_actions: dict[int, float]
     ego_cost: CostBreakdown
     ac_costs: dict[int, CostBreakdown]
-    equilibrium_kind: str
     multiplicity: int
     security_fallback: bool = False
     side: int | None = None  # winning branch of a two-opponent solve
 
 
-def _envelope(grid, nb, lane, s, s_end, v_end):
-    """Mask of end speeds inside the grid envelope cut to the lane's bounds,
-    its end-of-lane cap taken at each projected station s_end; and (lo, hi)."""
-    lo = max(grid.v_min, nb.lanes[lane].v_min)
-    hi = np.minimum(grid.v_max, nb.v_cap(lane, s_end - s))
+def _envelope(nb, lane, s, s_end, v_end):
+    """Mask of end speeds inside a lane's band, its upper bound the lane
+    cap taken at each projected station s_end; and (lo, hi)."""
+    lo = nb.lanes[lane].v_min
+    hi = nb.v_cap(lane, s_end - s)
     return (lo - _VTOL <= v_end) & (v_end <= hi + _VTOL), lo, hi
 
 
@@ -103,7 +101,7 @@ def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
 
     A candidate survives when its target lane exists, keeping an ending
     lane is still allowed, and the projected end speed stays inside the
-    envelope of its target lane. The grid is projected once, since the
+    speed band of its target lane. The grid is projected once, since the
     projection does not depend on sigma, and tested per target lane.
     """
     accs = grid.accelerations
@@ -114,7 +112,7 @@ def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
         if not nb.has_lane(target) or (
                 sigma == 0 and nb.keep_lane_blocked(ego_lane, ego.v)):
             continue
-        ok = _envelope(grid, nb, target, ego.s, s_end, v_end)[0]
+        ok = _envelope(nb, target, ego.s, s_end, v_end)[0]
         out += [DecisionAction(sigma=sigma, a_x=accs[i]) for i in np.flatnonzero(ok)]
     out.sort(key=lambda c: (abs(c.a_x), _SIGMA_ORDER[c.sigma], c.a_x))
     return out
@@ -125,12 +123,12 @@ def ac_candidates(ac: KinematicState, ac_lane: int, grid: ActionGrid,
     """Feasible accelerations for an adjacent car, preference-ordered.
 
     Falls back to the least-violating single action (ties to the smaller
-    |a|, then the smaller a) when the envelope excludes everything, so
+    |a|, then the smaller a) when the lane band excludes everything, so
     the game always has an opponent move.
     """
     accs = np.asarray(grid.accelerations)
     s_end, v_end = propagate(ac.s, ac.v, accs, horizon)
-    ok, lo, hi = _envelope(grid, nb, ac_lane, ac.s, s_end, v_end)
+    ok, lo, hi = _envelope(nb, ac_lane, ac.s, s_end, v_end)
     if ok.any():
         keep = np.flatnonzero(ok)
     else:
@@ -202,7 +200,7 @@ def _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels,
 
 
 def _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c, mult,
-            security, kind, ego_style, ac_style, gains, horizon, side=None):
+            security, ego_style, ac_style, gains, horizon):
     action = cands[r]
     a_ac = float(ac_accels[c])
     eb = ego_cost(ego, ego_lane, action, {ac_lane: a_ac}, nb, ego_style,
@@ -211,8 +209,7 @@ def _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c, mult,
                  gains, horizon)
     return GameSolution(ego_action=action, ac_actions={ac_lane: a_ac},
                         ego_cost=eb, ac_costs={ac_lane: ab},
-                        equilibrium_kind=kind, multiplicity=mult,
-                        security_fallback=security, side=side)
+                        multiplicity=mult, security_fallback=security)
 
 
 def _solve_2p(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
@@ -229,7 +226,7 @@ def _solve_2p(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
         r, c, mult = stackelberg_2p_matrices(j_e, j_a)
         sec = False
     return _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c,
-                   mult, sec, kind, ego_style, ac_style, gains, horizon)
+                   mult, sec, ego_style, ac_style, gains, horizon)
 
 
 def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
@@ -254,7 +251,7 @@ def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
 
 def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                grid: ActionGrid, style: StyleProfile, gains: CostGains,
-               horizon: float = T_DM, kind: str = "nash") -> GameSolution:
+               horizon: float = T_DM) -> GameSolution:
     """Degenerate game with no adjacent car: plain argmin for the ego.
 
     Scores through the payoff assembly with no opponent, so an adjacent
@@ -269,7 +266,7 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     best = cands[int(np.argmin(j_e[:, 0]))]
     cb = ego_cost(ego, ego_lane, best, {}, nb, style, gains, horizon)
     return GameSolution(ego_action=best, ac_actions={}, ego_cost=cb,
-                        ac_costs={}, equilibrium_kind=kind, multiplicity=1)
+                        ac_costs={}, multiplicity=1)
 
 
 def _side_solve(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
@@ -290,27 +287,17 @@ def _side_solve(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
 
 
 def _merge_two_ac(sub_left, sub_right) -> GameSolution:
-    if sub_left is None and sub_right is None:
+    sides = [(sub, side) for sub, side in ((sub_left, -1), (sub_right, +1))
+             if sub is not None]
+    if not sides:
         raise InfeasibleDecisionError("both side games infeasible")
-    if sub_right is None:
-        winner, side = sub_left, -1
-    elif sub_left is None:
-        winner, side = sub_right, +1
-    # Exact tie goes to the left branch.
-    elif sub_left.ego_cost.total <= sub_right.ego_cost.total:
-        winner, side = sub_left, -1
-    else:
-        winner, side = sub_right, +1
+    # min keeps the first of equal totals: an exact tie goes to the left.
+    winner, side = min(sides, key=lambda p: p[0].ego_cost.total)
     ac_actions, ac_costs = {}, {}
-    for sub in (sub_left, sub_right):
-        if sub is not None:
-            ac_actions.update(sub.ac_actions)
-            ac_costs.update(sub.ac_costs)
-    return GameSolution(ego_action=winner.ego_action, ac_actions=ac_actions,
-                        ego_cost=winner.ego_cost, ac_costs=ac_costs,
-                        equilibrium_kind=winner.equilibrium_kind,
-                        multiplicity=winner.multiplicity,
-                        security_fallback=winner.security_fallback, side=side)
+    for sub, _ in sides:
+        ac_actions.update(sub.ac_actions)
+        ac_costs.update(sub.ac_costs)
+    return replace(winner, ac_actions=ac_actions, ac_costs=ac_costs, side=side)
 
 
 def _solve_two_ac(kind, ego, ego_lane, ac_left, ac_right, nb, ego_grid,

@@ -86,8 +86,13 @@ class MpcConfig:
             raise ValueError("q must be a symmetric 3x3 matrix")
         if np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
             raise ValueError("q must be positive semidefinite")
-        if self.u_min > self.u_max or self.du_min > self.du_max:
+        if self.u_min > self.u_max:
             raise ValueError("bounds out of order")
+        # The solver's zero-increment baseline must be a feasible plan.
+        if not self.du_min <= 0.0 <= self.du_max:
+            raise ValueError("the increment box [du_min, du_max] must contain 0")
+        if self.max_iter < 1 or self.tol < 0:
+            raise ValueError("need max_iter >= 1 and tol >= 0")
 
 
 @dataclass

@@ -27,6 +27,11 @@ class LaneSpec:
     v_max: float = 25.0
     end_station: float | None = None  # None means the lane runs the full length
 
+    def __post_init__(self):
+        if not 0.0 <= self.v_min <= self.v_max:   # NaN fails too
+            raise ValueError(f"speed band [{self.v_min:g}, {self.v_max:g}] must "
+                             f"satisfy 0 <= v_min <= v_max")
+
 
 @dataclass
 class RoadGeometry:

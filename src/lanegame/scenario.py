@@ -62,6 +62,11 @@ class DecisionParams:
             raise ConfigError("horizon must be positive")
         if self.a_end <= 0 or self.a_brake <= 0:
             raise ConfigError("a_end and a_brake must be positive")
+        # A zero or negative tolerance is never met: a change never ends.
+        if self.commit_lat_tol <= 0 or self.commit_yaw_tol <= 0:
+            raise ConfigError("commit_lat_tol and commit_yaw_tol must be positive")
+        if self.end_margin < 0:
+            raise ConfigError("end_margin must be nonnegative")
 
 
 @dataclass(kw_only=True)
@@ -83,30 +88,47 @@ class ScenarioConfig:
         return next(v for v in self.vehicles if v.role == EGO_ROLE)
 
 
-def _finite(value) -> float:
-    """A float that is a real number: JSON readers accept NaN, Infinity
-    and overflowing literals such as 1e400, which no parameter means."""
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number that is a real number. Booleans and strings are not
+    numbers, and JSON readers accept NaN, Infinity and overflowing
+    literals such as 1e400, which no parameter means."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"{x} is not a finite number")
     return x
 
 
-def _finite_array(value) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    bad = a[~np.isfinite(a)]
-    if bad.size:
-        raise ValueError(f"{bad[0]} is not a finite number")
-    return a
+def _whole(value) -> int:
+    """A JSON number with no fractional part, such as 3 or 3.0."""
+    if not _number(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _list_of(each):
+    def cast(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return tuple(each(x) for x in value)
+    return cast
 
 
 # Declared field type -> cast of a JSON value; other fields are not keys.
 _CASTS = {
-    "str": str, "int": int, "float": _finite,
-    "float | None": lambda v: None if v is None else _finite(v),
-    "tuple[float, ...]": lambda v: tuple(_finite(x) for x in v),
-    "tuple[int, ...]": lambda v: tuple(int(x) for x in v),
-    "np.ndarray": _finite_array,
+    "str": _text, "int": _whole, "float": _number,
+    "float | None": lambda v: None if v is None else _number(v),
+    "tuple[float, ...]": _list_of(_number),
+    "tuple[int, ...]": _list_of(_whole),
+    "np.ndarray": lambda v: np.vectorize(_number, otypes=[float])(
+        np.asarray(v, dtype=object)),
 }
 
 _LOOP_SET = ("dt", "u_min", "u_max")  # MpcConfig fields the closed loop sets
@@ -170,7 +192,7 @@ def _grid_from(block) -> ActionGrid:
     rest = dict(_expect(block, dict, "grid"))
     given = {}
     if any(k in rest for k in _RANGE_KEYS):
-        bounds = [_cast(_finite, rest.pop(k, d), f"grid.{k}")
+        bounds = [_cast(_number, rest.pop(k, d), f"grid.{k}")
                   for k, d in zip(_RANGE_KEYS, ACCEL_RANGE)]
         given["accelerations"] = _cast(lambda b: accel_range(*b), bounds, "grid")
     return _build(ActionGrid, rest, "grid", **given)

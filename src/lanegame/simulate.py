@@ -75,7 +75,6 @@ class TraceLog:
     scenario: str
     style: str
     strategy: str
-    dt: float
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
     roles: list[str] = field(default_factory=list)
@@ -198,8 +197,7 @@ def _decide(cfg: ScenarioConfig, strategy: str, nb: NeighborView,
         sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), sides[0], nb,
                      grid, grid, ego_style, *styles, gains, horizon)
     else:
-        sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon,
-                         kind=strategy)
+        sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon)
     return sol, len(sides)
 
 
@@ -273,8 +271,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     roles = [c.role for c in cars]
     columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
     trace = TraceLog(scenario=cfg.name, style=style_name, strategy=strategy,
-                     dt=cfg.dt, columns=columns, roles=roles,
-                     max_iter=cfg.mpc.max_iter)
+                     columns=columns, roles=roles, max_iter=cfg.mpc.max_iter)
 
     # Ego starts aligned with the road on its lane centerline.
     s0 = ego_spec.s
@@ -386,8 +383,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         for c in cars:
             lane = road.lanes[c.lane]
             c.s += c.v * cfg.dt + 0.5 * c.a * cfg.dt * cfg.dt
-            c.v = float(np.clip(c.v + c.a * cfg.dt, max(0.0, lane.v_min),
-                                lane.v_max))
+            c.v = float(np.clip(c.v + c.a * cfg.dt, lane.v_min, lane.v_max))
         u_prev = u_cmd
 
     return trace

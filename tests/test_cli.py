@@ -60,6 +60,36 @@ def test_non_finite_scenario_value_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BAD_VALUES = [
+    # Lane 1's band: reversed, then below zero; np.clip would pin the car.
+    (lambda c: c["road"]["lanes"][0].update(v_min=30.0, v_max=10.0),
+     "road.lanes[0]: speed band [30, 10] must satisfy 0 <= v_min <= v_max"),
+    (lambda c: c["road"]["lanes"][0].update(v_max=-5.0),
+     "road.lanes[0]: speed band [0, -5] must satisfy"),
+    # A fractional lane is not rounded to a lane that exists.
+    (lambda c: c["vehicles"][1].update(lane=1.5),
+     "vehicles[1].lane: expected a whole number, got 1.5"),
+    # The speed band belongs to the lanes, not to the action grid.
+    (lambda c: c["grid"].update(v_max=25.0), "grid: unknown key 'v_max'"),
+]
+
+
+@pytest.mark.parametrize("mutate,needle", BAD_VALUES,
+                         ids=["band_reversed", "band_negative", "lane_fraction",
+                              "grid_v_max"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_scenario_value_exits_3(tmp_path, capsys, command, mutate, needle):
+    cfg = json.loads(_bundled_text("scenario_a"))
+    cfg["duration"] = 0.5
+    mutate(cfg)
+    p = tmp_path / "bad_value.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert needle in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("radius", [60.0, 3.0])
 def test_validate_arc_outside_the_frenet_mapping_exits_3(tmp_path, capsys, radius):
     # scenario_b is 600 m long: radius 60 wraps past half a turn, radius 3

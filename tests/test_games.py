@@ -95,7 +95,7 @@ def test_stackelberg_pessimism_over_follower_ties():
     assert mult == 1
 
 
-GRID = ActionGrid(accelerations=(-4.0, -2.0, 0.0, 2.0), v_min=0.0, v_max=25.0)
+GRID = ActionGrid(accelerations=(-4.0, -2.0, 0.0, 2.0))
 
 
 def test_candidate_feasibility_rules():
@@ -104,7 +104,7 @@ def test_candidate_feasibility_rules():
     cands = ego_candidates(ego, 2, GRID, nb)
     # Lane 3 does not exist on the two-lane road: sigma +1 never appears.
     assert {c.sigma for c in cands} == {-1, 0}
-    # a = +2 would end at 26 m/s, past the envelope.
+    # a = +2 would end at 26 m/s, past the lanes' 25 m/s limit.
     assert all(c.a_x != 2.0 for c in cands)
     # Preference order: |a| ascending, keep-lane before left at equal |a|.
     assert cands[0] == DecisionAction(0, 0.0)
@@ -137,7 +137,7 @@ def test_ac_candidates_fallback():
 
 def scalar_ego_candidates(ego, ego_lane, grid, nb, seen):
     """Per-acceleration reference for ego_candidates; notes in `seen`
-    which bound dropped a candidate that the grid envelope kept."""
+    which rule dropped a candidate."""
     out = []
     for sigma in grid.sigmas:
         target = ego_lane + sigma
@@ -147,16 +147,15 @@ def scalar_ego_candidates(ego, ego_lane, grid, nb, seen):
             seen.add("keep blocked")
             continue
         lv = nb.lanes[target]
-        lo = max(grid.v_min, lv.v_min)
         for a in grid.accelerations:
             s_end, v_end = propagate(ego.s, ego.v, a, T_DM)
-            hi = min(grid.v_max, float(nb.v_cap(target, float(s_end) - ego.s)))
+            hi = float(nb.v_cap(target, float(s_end) - ego.s))
             v_end = float(v_end)
-            if lo - 1e-9 <= v_end <= hi + 1e-9:
+            if lv.v_min - 1e-9 <= v_end <= hi + 1e-9:
                 out.append(DecisionAction(sigma=sigma, a_x=a))
-            elif v_end < lo - 1e-9 and v_end >= grid.v_min:
+            elif v_end < lv.v_min - 1e-9:
                 seen.add("lane v_min")
-            elif v_end > hi + 1e-9 and v_end <= min(grid.v_max, lv.v_max):
+            elif v_end <= lv.v_max:
                 seen.add("lane-end cap")
     order = {0: 0, -1: 1, 1: 2}
     return sorted(out, key=lambda c: (abs(c.a_x), order[c.sigma], c.a_x))
@@ -164,11 +163,11 @@ def scalar_ego_candidates(ego, ego_lane, grid, nb, seen):
 
 def scalar_ac_candidates(ac, ac_lane, grid, nb, seen):
     """Per-acceleration reference for ac_candidates."""
-    lo = max(grid.v_min, nb.lanes[ac_lane].v_min)
+    lo = nb.lanes[ac_lane].v_min
     feasible, violations = [], []
     for a in grid.accelerations:
         s_end, v_end = propagate(ac.s, ac.v, a, T_DM)
-        hi = min(grid.v_max, float(nb.v_cap(ac_lane, float(s_end) - ac.s)))
+        hi = float(nb.v_cap(ac_lane, float(s_end) - ac.s))
         v_end = float(v_end)
         if lo - 1e-9 <= v_end <= hi + 1e-9:
             feasible.append(a)
@@ -196,8 +195,7 @@ def random_candidate_scene(rng):
     sigmas = (-1, 0, 1) if rng.random() < 0.7 else tuple(
         rng.choice([-1, 0, 1], rng.integers(1, 3), replace=False).tolist())
     grid = ActionGrid(accelerations=tuple(round(float(a), 9) for a in accs),
-                      sigmas=sigmas, v_min=float(rng.uniform(0.0, 5.0)),
-                      v_max=float(rng.uniform(20.0, 30.0)))
+                      sigmas=sigmas)
     ego = KinematicState(s=float(rng.uniform(0.0, 50.0)), v=float(rng.uniform(2.0, 28.0)))
     ac = KinematicState(s=float(rng.uniform(-20.0, 40.0)), v=float(rng.uniform(0.0, 30.0)))
     return ego, ac, int(rng.choice([1, 3])), grid, nb
@@ -283,7 +281,6 @@ def test_scene_wrappers_match_enumeration(kind, gains):
     want_action, want_acc = brute_solve_pair(kind, ego, ac, nb, gains, st_e, st_a)
     assert sol.ego_action == want_action
     assert sol.ac_actions[1] == pytest.approx(want_acc)
-    assert sol.equilibrium_kind == kind
     # Reported breakdowns are the equilibrium cell re-evaluated.
     cb = ego_cost(ego, 2, sol.ego_action, {1: sol.ac_actions[1]}, nb, st_e, gains)
     assert sol.ego_cost.total == pytest.approx(cb.total)
@@ -345,8 +342,8 @@ def test_grid_validation():
         ActionGrid(accelerations=(1.0, 1.0))
     with pytest.raises(ValueError):
         ActionGrid(accelerations=(0.0,), sigmas=(2,))
-    with pytest.raises(ValueError):
-        ActionGrid(accelerations=(0.0,), v_min=10.0, v_max=5.0)
+    with pytest.raises(ValueError, match="each listed once"):
+        ActionGrid(accelerations=(0.0,), sigmas=(0, 0))
     with pytest.raises(ValueError):
         GRID.restrict_sigmas(())
     assert GRID.restrict_sigmas((-1, 0)).sigmas == (-1, 0)

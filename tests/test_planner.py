@@ -53,6 +53,17 @@ def test_config_validation():
         MpcConfig(u_min=1.0, u_max=-1.0)
     with pytest.raises(ValueError):
         MpcConfig(du_min=0.5, du_max=-0.5)
+    # The zero-increment baseline must be feasible, every solve must
+    # iterate at least once, and a negative tolerance is never met.
+    with pytest.raises(ValueError, match="must contain 0"):
+        MpcConfig(du_min=0.1, du_max=0.3)
+    with pytest.raises(ValueError, match="must contain 0"):
+        MpcConfig(du_min=-0.3, du_max=-0.1)
+    with pytest.raises(ValueError, match="max_iter >= 1"):
+        MpcConfig(max_iter=0)
+    with pytest.raises(ValueError, match="tol >= 0"):
+        MpcConfig(tol=-1.0)
+    MpcConfig(du_min=0.0, du_max=0.0, max_iter=1, tol=0.0)
 
 
 def test_horizon_model_needs_forward_speed():

@@ -79,6 +79,15 @@ def test_constructor_rejects_bad_shapes():
     RoadGeometry(kind="arc", radius=6.5, length=20.0)
 
 
+@pytest.mark.parametrize("v_min,v_max", [(10.0, 5.0), (-1.0, 20.0), (0.0, -5.0)])
+def test_lane_speed_band_must_be_ordered_and_nonnegative(v_min, v_max):
+    # The closed loop clips each car to its lane's band and the decision
+    # layer keeps candidates inside it, so the band must be a real interval.
+    with pytest.raises(ValueError, match="0 <= v_min <= v_max"):
+        LaneSpec(index=1, v_min=v_min, v_max=v_max)
+    LaneSpec(index=1, v_min=0.0, v_max=0.0)
+
+
 def test_default_road_has_two_lanes():
     road = RoadGeometry()
     assert road.lane_count == 2

@@ -130,6 +130,23 @@ def test_missing_blocks_rejected():
      r"vehicles\[1\]\.role: 'AC,1' must be letters, digits and _ only"),
     (lambda d: d["vehicles"][1].__setitem__("role", ""),
      r"vehicles\[1\]\.role: '' must be letters"),
+    # A tolerance the lane change can never meet keeps it from finishing.
+    (lambda d: d.__setitem__("decision", {"commit_lat_tol": -1.0}),
+     "decision: commit_lat_tol and commit_yaw_tol must be positive"),
+    (lambda d: d.__setitem__("decision", {"commit_yaw_tol": 0.0}),
+     "decision: commit_lat_tol and commit_yaw_tol must be positive"),
+    (lambda d: d.__setitem__("decision", {"end_margin": -1.0}),
+     "decision: end_margin must be nonnegative"),
+    # Each lane owns its speed band; the grid has none.
+    (lambda d: d["road"]["lanes"][0].update(v_min=30.0, v_max=10.0),
+     r"road\.lanes\[0\]: speed band \[30, 10\] must satisfy 0 <= v_min <= v_max"),
+    (lambda d: d["road"]["lanes"][0].update(v_max=-5.0),
+     r"road\.lanes\[0\]: speed band \[0, -5\]"),
+    (lambda d: d.__setitem__("grid", {"v_min": 0.0}), "grid: unknown key 'v_min'"),
+    (lambda d: d.__setitem__("grid", {"v_max": 25.0}), "grid: unknown key 'v_max'"),
+    # A sigma listed twice would enumerate its candidates twice.
+    (lambda d: d.__setitem__("grid", {"sigmas": [0, 0]}),
+     "grid: sigmas must be .* each listed once"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()
@@ -177,6 +194,48 @@ def test_non_finite_value_names_block_and_key(label, key, value):
     with pytest.raises(ConfigError, match=re.escape(f"{label}.{key}: ")
                        + ".*not a finite number"):
         config_from_dict(doc)
+
+
+# Values of the wrong JSON type were cast to the declared one (1.5 -> lane
+# 1, "1" -> 1, true -> 1.0, 7 -> "7", [-0.5, 0.5] -> sigmas (0, 0)); each
+# is refused, naming its block and key.
+MISTYPED = [
+    ("vehicles[1]", "lane", 1.5, "a whole number"),
+    ("vehicles[1]", "lane", "1", "a number"),
+    ("vehicles[1]", "role", 7, "a string"),
+    ("mpc", "n_p", 30.7, "a whole number"),
+    ("mpc", "n_c", True, "a number"),
+    ("mpc", "r", "5", "a number"),
+    ("mpc", "q_diag", [1.0, True, 1.0], "a number"),
+    ("mpc", "q", [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]], "a number"),
+    ("road", "length", "500", "a number"),
+    ("road.lanes[1]", "index", 2.9, "a whole number"),
+    ("road.lanes[1]", "end_station", "200", "a number"),
+    ("gains", "kappa_ax", True, "a number"),
+    ("grid", "sigmas", [-0.5, 0.5], "a whole number"),
+    ("grid", "sigmas", [True, 0], "a number"),
+    ("grid", "sigmas", "0", "a list"),
+    ("grid", "accelerations", [0.0, "1"], "a number"),
+    ("grid", "a_min", "-4", "a number"),
+    ("decision", "end_margin", True, "a number"),
+]
+
+
+@pytest.mark.parametrize("label,key,value,kind", MISTYPED,
+                         ids=[f"{label}.{key}={value!r}" for label, key, value, _ in MISTYPED])
+def test_mistyped_value_names_block_and_key(label, key, value, kind):
+    doc = minimal_doc()
+    _block(doc, label)[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{label}.{key}: expected {kind}, got ")):
+        config_from_dict(doc)
+
+
+def test_whole_numbers_written_as_floats_are_accepted():
+    doc = minimal_doc(mpc={"n_p": 30.0}, grid={"sigmas": [-1.0, 0]})
+    doc["vehicles"][1]["lane"] = 1.0
+    cfg = config_from_dict(doc)
+    assert cfg.mpc.n_p == 30 and type(cfg.mpc.n_p) is int
+    assert cfg.grid.sigmas == (-1, 0) and cfg.vehicles[1].lane == 1
 
 
 def test_placement_allows_cars_behind_start_and_off_center():

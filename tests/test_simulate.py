@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lanegame import simulate
-from lanegame.costs import KinematicState, speed_cap
+from lanegame.costs import KinematicState
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.scenario import load_scenario
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
@@ -102,7 +102,7 @@ def test_summarize_recomputes_from_columns(short_trace):
 
 
 def test_summarize_empty_trace():
-    tr = TraceLog(scenario="x", style="normal", strategy="nash", dt=0.05,
+    tr = TraceLog(scenario="x", style="normal", strategy="nash",
                   columns=list(BASE_COLUMNS), aborted=True,
                   abort_reason="nothing ran")
     m = summarize(tr)
@@ -209,11 +209,11 @@ def test_scene_view_matches_the_roster_scans(merge_cfg):
     its own speed, so a tie broken the other way shows."""
     rng = np.random.default_rng(99)
     dec = merge_cfg.decision
-    ties = 0
+    ties = capped = 0
     for _ in range(400):
         n_lanes = int(rng.integers(2, 4))
         road = RoadGeometry(lanes={i: LaneSpec(index=i, v_max=20.0 + i,
-                                               end_station=150.0 if i == 2 else None)
+                                               end_station=100.0 if i == 2 else None)
                                    for i in range(1, n_lanes + 1)})
         ego_lane = int(rng.integers(1, n_lanes + 1))
         s_e = float(rng.choice([0.0, 10.0, 25.0]))
@@ -239,10 +239,14 @@ def test_scene_view_matches_the_roster_scans(merge_cfg):
             assert opponents.get(lane) is adj
             assert (view.v_min, view.v_max) == (road.lanes[lane].v_min,
                                                 road.lanes[lane].v_max)
-            assert nb.v_cap(lane) == speed_cap(road.lanes[lane].v_max,
-                                               road.remaining(lane, s_e),
-                                               dec.a_end, dec.end_margin)
-    assert ties > 50
+            # The cap written out: the lane limit, cut on the ending lane
+            # by the braking profile toward the end margin.
+            v_max, rem = road.lanes[lane].v_max, road.remaining(lane, s_e)
+            run = max(rem - dec.end_margin, 0.0)
+            cap = v_max if math.isinf(rem) else min(v_max, math.sqrt(2.0 * dec.a_end * run))
+            capped += cap < v_max
+            assert nb.v_cap(lane) == cap
+    assert ties > 50 and capped > 50
 
 
 def test_decide_looks_the_solver_up_at_call_time(merge_cfg, monkeypatch):

@@ -5,13 +5,13 @@ current state, discretizes it, and predicts the horizon with those frozen
 matrices plus the affine remainder of the linearization (which is what
 carries the commanded longitudinal acceleration into the prediction).
 The optimizer works on the control increments du over the control
-horizon, with the preview command held after that; it is a projected
-gradient descent with backtracking that only ever accepts improvements,
-so the returned sequence never scores worse than leaving the command
-alone. Each iteration scores its halving trial steps in at most two
-batched cost evaluations, the first FIRST_TRIALS and then the rest only
-if none of those improves, and takes the first that improves, which is
-the step a one-trial-at-a-time halving loop would accept.
+horizon, with the preview command held after that. It is a projected
+Newton method on a Gauss-Newton model of the cost (Bertsekas 1982): each
+iteration takes the output Jacobian by forward differences in one batch,
+solves for a Newton step with the increments held on their bounds
+removed, and scores halvings of that step and of the gradient step in
+one more batch. Only improvements are accepted, so the returned sequence
+never scores worse than leaving the command alone.
 
 The horizon cost is prepared once per solve and has one evaluation
 path, which the zero-increment cost, every trial and the returned plan
@@ -40,17 +40,14 @@ from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
                       VehicleParams, derivatives, discretize, linearize)
 
 
-# Central finite-difference step of the cost gradient, in preview-command m.
+# Forward finite-difference step of the output Jacobian, in preview-command m.
 FD_STEP = 1e-4
-# Line-search step factors 0.5**k: every trial of one iteration, scored as
-# one batch. Halving by 0.5 is exact, so these are the steps a loop that
-# halves alpha would try.
-HALVINGS = 0.5 ** np.arange(25)
-# Trials 0..FIRST_TRIALS-1 are scored first, the rest only if none of
-# those improves. In the six bundled Nash runs 21 of 46,032 accepted
-# steps had an index above 12, none of them in the slowest run
-# (scenario_b conservative, 15,889 steps), so the second batch is rare.
-FIRST_TRIALS = 13
+# Trial step factors of one iteration, all scored as one batch: halvings
+# of the Newton step, and of the gradient step that moves the largest
+# increment by 1. The gradient trials take the tiny gains near a rest
+# point; with 13 of them the bundled aggressive merge has 2 degraded steps.
+NEWTON_STEPS = 0.5 ** np.arange(6)
+GRADIENT_STEPS = 0.5 ** np.arange(25)
 # State channels the cost reads: position for the field and the lateral
 # offset, yaw for the heading error.
 CHANNELS = [IX, IY, IPHI]
@@ -147,14 +144,12 @@ class HorizonModel:
             acc = acc + power
             cum[k] = acc
             power = self.a_d @ power
-        # sens[i, :, j] maps du_j to state i (du frozen after n_c).
-        sens = np.zeros((n_p, NX, n_c))
-        for i in range(n_p):
-            for j in range(min(i + 1, n_c)):
-                sens[i, :, j] = cum[i + 1 - j]
-        self.sens = sens
+        # sens[i, :, j] = cum[i + 1 - j] maps du_j to state i (du frozen
+        # after n_c); cum[0] = 0 fills the steps before du_j acts.
+        lag = np.clip(np.arange(1, n_p + 1)[:, None] - np.arange(n_c), 0, None)
+        self.sens = np.ascontiguousarray(cum[lag].transpose(0, 2, 1))
         self.base_xyphi = base[:, CHANNELS]
-        self.sens_xyphi = sens[:, CHANNELS, :]
+        self.sens_xyphi = self.sens[:, CHANNELS, :]
 
     def states(self, du: np.ndarray) -> np.ndarray:
         """Predicted states for one du sequence or a batch over leading axes."""
@@ -217,11 +212,15 @@ def _project(du: np.ndarray, u_prev: float, cfg: MpcConfig) -> np.ndarray:
     out = np.empty_like(du)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
-        lo = np.maximum(cfg.du_min, cfg.u_min - u)
-        hi = np.minimum(cfg.du_max, cfg.u_max - u)
+        lo, hi = _bounds(u, cfg)
         out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
         u = u + out[..., j]
     return out
+
+
+def _bounds(u, cfg: MpcConfig):
+    """(lo, hi) at running command u: the du box within what keeps u in the u box."""
+    return np.maximum(cfg.du_min, cfg.u_min - u), np.minimum(cfg.du_max, cfg.u_max - u)
 
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
@@ -231,68 +230,68 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
                dp: DriverParams) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
 
-    Projected gradient descent with central finite differences and
-    backtracking. The horizon cost is prepared once per solve: the
-    coasted obstacles are stacked into one PreparedField, a batch of du
-    sequences is predicted on the 3 channels the cost reads, and each
-    cost call maps the predicted positions to road coordinates once.
-    The trial steps alpha0 * HALVINGS of an iteration are scored in two
-    batches, the first FIRST_TRIALS and then, only if none of those
-    improves, the rest; the first trial that beats the best cost so far
-    is taken, exactly as a loop that halves until improvement would.
-    Only improving iterates are accepted, so the returned cost, which is
-    the accepted one, never exceeds the zero-increment cost; if no step
-    is accepted while the first gradient is clearly nonzero, the plan is
-    flagged degraded. The returned outputs are the ones that cost read,
-    and the full 8-state prediction is made for the returned plan.
+    Projected Newton on a Gauss-Newton model. Each iteration keeps the
+    outputs y of the accepted du, scores the n_c rows du + FD_STEP * e_j
+    in one batch and takes the output Jacobian J from forward differences
+    against y. With Q applying q at every horizon step, g = J'Qy + r du is
+    half the cost gradient and H = J'QJ + r I its Gauss-Newton Hessian.
+    An increment on its bound (the du box intersected with the running u
+    box, as _project clips) whose gradient points outward is active; its
+    row and column of H are cut to the diagonal before solving H d = -g.
+    The trials du + NEWTON_STEPS * d and du - GRADIENT_STEPS * g / max|g|
+    go through _project and are scored in one batch, and the lowest is
+    taken if it beats the best cost so far. The search stops when no
+    trial does or the drop is at most tol * max(1, best), so the returned
+    cost, which is the accepted one, never exceeds the zero-increment
+    cost. If no step is accepted while the first cost gradient 2g is
+    clearly nonzero, the plan is flagged degraded. The returned outputs
+    are the ones the accepted cost read, and the full 8-state prediction
+    is made for the returned plan.
     """
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg)
-    n_c = cfg.n_c
+    n_c, q, r = cfg.n_c, cfg.q, cfg.r
     prepared = prepare_field(_coasted(obstacles, cfg), road, ofp, rfp)
 
-    def cost_of(du_batch: np.ndarray) -> np.ndarray:
-        y = _outputs(model.poses(du_batch), prepared, target_lane)
-        return mpc_cost(y, du_batch, cfg.q, cfg.r)
+    def outputs_of(du_batch: np.ndarray) -> np.ndarray:
+        return _outputs(model.poses(du_batch), prepared, target_lane)
 
     du = np.zeros(n_c)
-    best = float(cost_of(du))
+    y = outputs_of(du)
+    best = float(mpc_cost(y, du, q, r))
     cost_zero = best
     eye = np.eye(n_c)
-    iterations = 0
-    grad0_norm = 0.0
 
-    for _ in range(cfg.max_iter):
-        iterations += 1
-        probe = np.concatenate([du + FD_STEP * eye, du - FD_STEP * eye], axis=0)
-        vals = cost_of(probe)
-        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * FD_STEP)
-        gnorm = float(np.max(np.abs(grad)))
-        if iterations == 1:
-            grad0_norm = gnorm
+    for iterations in range(1, cfg.max_iter + 1):
+        jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP    # (n_c, n_p, 3)
+        jq = (jac @ q).reshape(n_c, -1)
+        g = jq @ y.ravel() + r * du
+        gnorm = float(np.max(np.abs(g)))
         if gnorm == 0.0:
             break
-        # The first trial moves the largest component by 1.
-        alphas = (1.0 / gnorm) * HALVINGS
-        cands = _project(du - alphas[:, None] * grad, u_prev, cfg)
-        step = None
-        for trials in (cands[:FIRST_TRIALS], cands[FIRST_TRIALS:]):
-            vals = cost_of(trials)
-            improving = np.flatnonzero(vals < best)
-            if improving.size:
-                k = improving[0]
-                step = trials[k], float(vals[k])
-                break
-        if step is None:
+        # Summed in _project's order, so a clipped increment equals its bound.
+        lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), cfg)
+        free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
+        hess = jq @ jac.reshape(n_c, -1).T + r * eye
+        hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
+        d = np.linalg.solve(hess, -g)
+        trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
+                                          du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
+                          u_prev, cfg)
+        ys = outputs_of(trials)
+        vals = mpc_cost(ys, trials, q, r)
+        k = int(np.argmin(vals))
+        if not vals[k] < best:
             break
-        drop = best - step[1]
-        du, best = step
+        drop = best - float(vals[k])
+        du, best, y = trials[k], float(vals[k]), ys[k]
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
 
-    degraded = grad0_norm > 1e-6 and not np.any(du)
+    # A run that accepted no step stopped in its first iteration, so
+    # gnorm is still the first gradient's.
+    degraded = not np.any(du) and 2.0 * gnorm > 1e-6
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
-                      predicted_states=model.states(du),
-                      predicted_outputs=_outputs(model.poses(du), prepared, target_lane),
+                      predicted_states=model.states(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded)

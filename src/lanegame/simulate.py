@@ -118,6 +118,7 @@ class RunMetrics:
     box_violations: int = 0
     degraded_steps: int = 0
     maxiter_steps: int = 0           # plans that stopped at the iteration cap
+    mpc_iterations: int = 0          # planner iterations summed over the run
     security_steps: int = 0
     clamp_steps: int = 0
 
@@ -435,6 +436,7 @@ def summarize(trace: TraceLog) -> RunMetrics:
         box_violations=int(np.sum(col("box_violation"))),
         degraded_steps=int(np.sum(col("mpc_degraded"))),
         maxiter_steps=int(np.sum(col("mpc_iters") >= trace.max_iter)),
+        mpc_iterations=int(np.sum(col("mpc_iters"))),
         security_steps=int(np.sum(col("security"))),
         clamp_steps=int(np.sum(col("clamped"))),
     )

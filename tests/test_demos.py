@@ -2,7 +2,7 @@
 
 Each demo runs in its own interpreter with `PYTHONPATH=src`, as the
 README tells a reader to run it. `overtake_styles.py` is left out: it
-simulates the overtake scenario once per style, about 18 s, and the
+simulates the overtake scenario once per style, about 5 s, and the
 closed loop it drives is covered by the acceptance tests.
 """
 

@@ -6,9 +6,8 @@ import pytest
 from lanegame.errors import DomainError
 from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
                             obstacle_field, prepare_field, road_field, total_field)
-from lanegame.planner import (CHANNELS, FD_STEP, FIRST_TRIALS, HorizonModel,
-                              MpcConfig, _coasted, _outputs, _project, mpc_cost,
-                              solve_plan)
+from lanegame.planner import (CHANNELS, HorizonModel, MpcConfig, _coasted,
+                              _outputs, _project, mpc_cost, solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
@@ -93,6 +92,21 @@ def test_base_is_held_command_rollout():
     assert np.allclose(m.states(np.zeros(cfg.n_c)), m.base)
 
 
+def test_sens_is_the_lagged_cumulative_input_gain():
+    cfg = small_cfg(n_p=9, n_c=4)
+    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg)
+    # cum[k] = sum_{i<k} A^i B, written out as a loop.
+    cum, power = [np.zeros(NX)], m.b_u.copy()
+    for _ in range(cfg.n_p):
+        cum.append(cum[-1] + power)
+        power = m.a_d @ power
+    assert m.sens.shape == (cfg.n_p, NX, cfg.n_c)
+    for i in range(cfg.n_p):
+        for j in range(cfg.n_c):
+            want = cum[i + 1 - j] if j <= i else np.zeros(NX)
+            assert np.array_equal(m.sens[i, :, j], want)
+
+
 def test_states_batched_matches_rows(rng):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
@@ -102,17 +116,21 @@ def test_states_batched_matches_rows(rng):
     for b in range(7):
         assert np.array_equal(got[b], m.states(batch[b]))
     # The cost's 3-channel prediction is the full one, bit for bit, for
-    # one sequence and for batches of the sizes the planner scores, and
-    # one sequence gives its row in a batch.
-    for n_p, n_c, rows in ((12, 4, 7), (20, 5, 10), (20, 5, 13), (20, 5, 12),
-                           (30, 8, 25), (5, 1, 3)):
+    # one sequence and for batches of the sizes the planner scores (n_c
+    # Jacobian rows, 31 trials), and one sequence gives its row in a
+    # batch, prediction and cost alike.
+    q = np.diag([1.0, 10.0, 50.0])
+    for n_p, n_c, rows in ((12, 4, 7), (20, 5, 5), (20, 5, 31), (30, 5, 31),
+                           (30, 8, 8), (30, 8, 25), (5, 1, 3)):
         cfg = small_cfg(n_p=n_p, n_c=n_c)
         m = HorizonModel(_x0(v=rng.uniform(8.0, 30.0), y=rng.uniform(-2.0, 2.0)),
                          rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg)
         batch = rng.uniform(-0.3, 0.3, (rows, n_c))
-        assert np.array_equal(m.poses(batch), m.states(batch)[..., [IX, IY, IPHI]])
+        poses = m.poses(batch)
+        assert np.array_equal(poses, m.states(batch)[..., [IX, IY, IPHI]])
         assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
-        assert np.array_equal(m.poses(batch[-1]), m.poses(batch)[-1])
+        assert np.array_equal(m.poses(batch[-1]), poses[-1])
+        assert mpc_cost(poses, batch, q, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], q, 1.0)
 
 
 def test_states_linear_in_du(rng):
@@ -195,16 +213,17 @@ def test_project_batch_matches_rows(rng):
 
 
 def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
-    """(du, iterations, cost, accepted) of a line search that scores one
-    trial at a time.
+    """Cost of the plan a one-trial-at-a-time gradient search finds.
 
-    Each iteration halves the step from 1/max|grad| until a trial beats
-    the best cost, scoring every trial alone as a one-row batch, with an
-    elementwise projection written out here. `accepted` lists the
-    accepted halving counts.
+    Projected gradient descent: the gradient by central differences with
+    a 1e-4 step, then each iteration halves the step from 1/max|grad|, at
+    most 25 times, until a trial beats the best cost, scoring every trial
+    alone with the full prediction, the field one obstacle at a time and
+    an elementwise projection written out here.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg)
     coasted = _coasted(obstacles, cfg)
+    h = 1e-4
 
     def cost_of(du):
         # The full prediction, and the field one obstacle at a time.
@@ -232,31 +251,27 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
     eye = np.eye(n_c)
     du = np.zeros(n_c)
     best = float(cost_of(du))
-    iterations = 0
-    accepted = []
     for _ in range(cfg.max_iter):
-        iterations += 1
-        vals = cost_of(np.concatenate([du + FD_STEP * eye, du - FD_STEP * eye]))
-        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * FD_STEP)
+        vals = cost_of(np.concatenate([du + h * eye, du - h * eye]))
+        grad = (vals[:n_c] - vals[n_c:]) / (2.0 * h)
         gnorm = float(np.max(np.abs(grad)))
         if gnorm == 0.0:
             break
         alpha = 1.0 / gnorm
         converged = False
-        for k in range(25):
+        for _ in range(25):
             cand = project(du - alpha * grad)
             val = float(cost_of(cand[None])[0])
             if val < best:
                 converged = best - val <= cfg.tol * max(1.0, val)
                 du, best = cand, val
-                accepted.append(k)
                 break
             alpha *= 0.5
         else:
             break
         if converged:
             break
-    return du, iterations, float(cost_of(du)), accepted
+    return best
 
 
 def _random_scene(rng, road):
@@ -290,8 +305,8 @@ def _settled_scene(rng):
 
     The state is the bundled merge (scenario_a, normal) at t = 10.2 s,
     scaled per entry by 1 + 0.003 * U(-1, 1), with the car it merged
-    behind 70 m back. Near such a rest point the first improving trial
-    can lie past FIRST_TRIALS halvings.
+    behind 70 m back. Near such a rest point the gradient search's first
+    improving trial can lie 13 or more halvings down.
     """
     x0 = np.array([22.1316, -0.0131, 0.01536, -0.00148, 220.479, 3.8063,
                    0.00204, -0.00814]) * (1.0 + 0.003 * rng.uniform(-1.0, 1.0, NX))
@@ -301,15 +316,16 @@ def _settled_scene(rng):
     return x0, u_prev, 0.0, obstacles, 1, cfg
 
 
-# Seeds 0-23 are random scenes; 21 of them end on a line search where no
-# trial improves, so both batches are scored and rejected. The other
-# seeds are settled scenes whose accepted trial index reaches FIRST_TRIALS,
-# so the second batch is scored and one of its trials taken.
+# Seeds 0-23 are random scenes on both roads, some with a command box
+# tight enough for the projection to bite; the other seeds are settled
+# merge states.
 SETTLED_SEEDS = (26, 50, 116, 120, 138)
 
 
 @pytest.mark.parametrize("seed", [*range(24), *SETTLED_SEEDS])
 def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lane_arc):
+    # The plan's cost matches the gradient search's to 1e-3 relative or
+    # beats it, never loses to zero increments, and keeps the boxes.
     rng = np.random.default_rng(seed)
     if seed in SETTLED_SEEDS:
         road = two_lane_road
@@ -319,14 +335,13 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
         x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
     plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
                       cfg, VP, DP)
-    du, iterations, cost, accepted = _halving_search(x0, u_prev, a_x, obstacles,
-                                                     road, target, cfg)
-    assert np.array_equal(plan.du_sequence, du)
-    assert plan.iterations == iterations
-    assert plan.cost == cost
+    reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg)
+    assert plan.cost <= reference * (1.0 + 1e-3)
     assert plan.cost <= plan.cost_zero
-    if seed in SETTLED_SEEDS:
-        assert max(accepted) >= FIRST_TRIALS
+    du = plan.du_sequence
+    assert np.all(du >= cfg.du_min) and np.all(du <= cfg.du_max)
+    u = u_prev + np.cumsum(du)
+    assert np.all(u >= cfg.u_min - 1e-9) and np.all(u <= cfg.u_max + 1e-9)
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan

@@ -127,15 +127,23 @@ def test_layer_failure_aborts_with_reason(merge_cfg):
 
 
 def test_maxiter_steps_counts_plans_at_the_cap(merge_cfg):
-    # With a cap of 10 some solves stop there and some converge first.
+    # With a cap of 5 some solves stop there and some converge first.
     # The cap rides on the trace, so the trace columns stay as they are.
-    cfg = replace(merge_cfg, duration=1.0, mpc=replace(merge_cfg.mpc, max_iter=10))
+    cfg = replace(merge_cfg, duration=1.0, mpc=replace(merge_cfg.mpc, max_iter=5))
     tr = run_simulation(cfg, style="aggressive")
-    assert tr.max_iter == 10 and tr.columns[:len(BASE_COLUMNS)] == BASE_COLUMNS
+    assert tr.max_iter == 5 and tr.columns[:len(BASE_COLUMNS)] == BASE_COLUMNS
     m = summarize(tr)
     assert 0 < m.maxiter_steps < m.steps
-    assert m.maxiter_steps == int(np.sum(tr.column("mpc_iters") == 10))
+    assert m.maxiter_steps == int(np.sum(tr.column("mpc_iters") == 5))
     assert f"maxiter_steps={m.maxiter_steps}" in metrics_lines(m)
+
+
+def test_mpc_iterations_sums_the_trace_column(short_trace):
+    m = summarize(short_trace)
+    iters = short_trace.column("mpc_iters")
+    assert m.mpc_iterations == int(iters.sum()) > len(iters)
+    assert f"mpc_iterations={m.mpc_iterations}" in metrics_lines(m)
+    assert summarize(replace(short_trace, rows=[])).mpc_iterations == 0
 
 
 def test_metrics_text_outputs(short_trace, tmp_path):

@@ -6,7 +6,11 @@ driving; they carry the equilibrium logic and the documented index
 tie-breaks. The scene wrappers enumerate feasible candidates (one
 projection of the whole grid per player), score every game, the solo
 one included, through the cost module's payoff matrices, and map the
-winning cell back to actions and cost breakdowns.
+winning cell back to actions and cost breakdowns. One driver plays a
+game per adjacent car on the ego's candidates, enumerated once per
+decision: each side game keeps the rows whose sigma does not move the
+ego onto another side's lane, so with a car on each side the left game
+keeps sigma in {-1, 0} and the right one {0, +1}.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -199,34 +203,43 @@ def _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels,
     return j_e, j_a
 
 
-def _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c, mult,
-            security, ego_style, ac_style, gains, horizon):
-    action = cands[r]
-    a_ac = float(ac_accels[c])
-    eb = ego_cost(ego, ego_lane, action, {ac_lane: a_ac}, nb, ego_style,
-                  gains, horizon)
-    ab = ac_cost(ac, ac_lane, ego, ego_lane, action, a_ac, nb, ac_style,
-                 gains, horizon)
-    return GameSolution(ego_action=action, ac_actions={ac_lane: a_ac},
-                        ego_cost=eb, ac_costs={ac_lane: ab},
-                        multiplicity=mult, security_fallback=security)
-
-
-def _solve_2p(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
-              ego_style, ac_style, gains, horizon) -> GameSolution:
+def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
+           gains, horizon) -> GameSolution:
+    """One game per side (lane, car, style) on the rows of the module
+    docstring's rule; a side whose lane is absent or that keeps no row is
+    skipped, and the lowest ego total decides."""
     cands = ego_candidates(ego, ego_lane, ego_grid, nb, horizon)
-    if not cands:
+    lanes = {lane for lane, _, _ in sides}
+    ac_actions, ac_costs, played = {}, {}, []
+    for ac_lane, ac, ac_style in sides:
+        others = lanes - {ac_lane}
+        rows = [c for c in cands if ego_lane + c.sigma not in others]
+        if ac_lane not in nb.lanes or not rows:
+            continue
+        ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
+        j_e, j_a = _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, rows,
+                                      ac_accels, ego_style, ac_style, gains,
+                                      horizon)
+        if kind == "nash":
+            r, c, mult, sec = nash_2p_matrices(j_e, j_a)
+        else:
+            r, c, mult = stackelberg_2p_matrices(j_e, j_a)
+            sec = False
+        action, a_ac = rows[r], float(ac_accels[c])
+        eb = ego_cost(ego, ego_lane, action, {ac_lane: a_ac}, nb, ego_style,
+                      gains, horizon)
+        ac_actions[ac_lane] = a_ac
+        ac_costs[ac_lane] = ac_cost(ac, ac_lane, ego, ego_lane, action, a_ac,
+                                    nb, ac_style, gains, horizon)
+        played.append((eb, action, mult, sec, ac_lane - ego_lane))
+    if not played:
         raise InfeasibleDecisionError("no feasible ego action")
-    ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
-    j_e, j_a = _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands,
-                                  ac_accels, ego_style, ac_style, gains, horizon)
-    if kind == "nash":
-        r, c, mult, sec = nash_2p_matrices(j_e, j_a)
-    else:
-        r, c, mult = stackelberg_2p_matrices(j_e, j_a)
-        sec = False
-    return _finish(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels, r, c,
-                   mult, sec, ego_style, ac_style, gains, horizon)
+    # min keeps the first of equal totals: an exact tie goes to the left.
+    eb, action, mult, sec, side = min(played, key=lambda p: p[0].total)
+    return GameSolution(ego_action=action, ac_actions=ac_actions, ego_cost=eb,
+                        ac_costs=ac_costs, multiplicity=mult,
+                        security_fallback=sec,
+                        side=side if len(sides) == 2 else None)
 
 
 def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
@@ -235,8 +248,8 @@ def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
                   ac_style: StyleProfile, gains: CostGains,
                   horizon: float = T_DM) -> GameSolution:
     """Mutual best response between the ego and one adjacent car."""
-    return _solve_2p("nash", ego, ego_lane, ac, ac_lane, nb, ego_grid,
-                     ac_grid, ego_style, ac_style, gains, horizon)
+    return _solve("nash", ego, ego_lane, [(ac_lane, ac, ac_style)], nb,
+                  ego_grid, ac_grid, ego_style, gains, horizon)
 
 
 def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
@@ -245,8 +258,8 @@ def solve_stackelberg_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
                          ac_style: StyleProfile, gains: CostGains,
                          horizon: float = T_DM) -> GameSolution:
     """Ego leads, the adjacent car follows; worst case over follower ties."""
-    return _solve_2p("stackelberg", ego, ego_lane, ac, ac_lane, nb, ego_grid,
-                     ac_grid, ego_style, ac_style, gains, horizon)
+    return _solve("stackelberg", ego, ego_lane, [(ac_lane, ac, ac_style)], nb,
+                  ego_grid, ac_grid, ego_style, gains, horizon)
 
 
 def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
@@ -269,61 +282,21 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                         ac_costs={}, multiplicity=1)
 
 
-def _side_solve(kind, ego, ego_lane, ac, ac_lane, nb, ego_grid, ac_grid,
-                ego_style, ac_style, gains, horizon, sigmas):
-    if ac_lane not in nb.lanes:
-        return None
-    try:
-        grid = ego_grid.restrict_sigmas(sigmas)
-    except ValueError:
-        return None
-    # Looked up at call time, so a wrapped module attribute is honoured.
-    solver = solve_nash_2p if kind == "nash" else solve_stackelberg_2p
-    try:
-        return solver(ego, ego_lane, ac, ac_lane, nb, grid, ac_grid,
-                      ego_style, ac_style, gains, horizon)
-    except InfeasibleDecisionError:
-        return None
-
-
-def _merge_two_ac(sub_left, sub_right) -> GameSolution:
-    sides = [(sub, side) for sub, side in ((sub_left, -1), (sub_right, +1))
-             if sub is not None]
-    if not sides:
-        raise InfeasibleDecisionError("both side games infeasible")
-    # min keeps the first of equal totals: an exact tie goes to the left.
-    winner, side = min(sides, key=lambda p: p[0].ego_cost.total)
-    ac_actions, ac_costs = {}, {}
-    for sub, _ in sides:
-        ac_actions.update(sub.ac_actions)
-        ac_costs.update(sub.ac_costs)
-    return replace(winner, ac_actions=ac_actions, ac_costs=ac_costs, side=side)
-
-
-def _solve_two_ac(kind, ego, ego_lane, ac_left, ac_right, nb, ego_grid,
-                  ac_grid, ego_style, left_style, right_style, gains,
-                  horizon) -> GameSolution:
-    sub_l = _side_solve(kind, ego, ego_lane, ac_left, ego_lane - 1, nb,
-                        ego_grid, ac_grid, ego_style, left_style, gains,
-                        horizon, (-1, 0))
-    sub_r = _side_solve(kind, ego, ego_lane, ac_right, ego_lane + 1, nb,
-                        ego_grid, ac_grid, ego_style, right_style, gains,
-                        horizon, (0, 1))
-    return _merge_two_ac(sub_l, sub_r)
-
-
 def solve_nash_two_ac(ego: KinematicState, ego_lane: int,
                       ac_left: KinematicState, ac_right: KinematicState,
                       nb: NeighborView, ego_grid: ActionGrid,
                       ac_grid: ActionGrid, ego_style: StyleProfile,
                       left_style: StyleProfile, right_style: StyleProfile,
                       gains: CostGains, horizon: float = T_DM) -> GameSolution:
-    """Two side subgames (left allows sigma in {-1,0}, right in {0,+1});
-    the branch with the lower ego equilibrium cost decides the ego action.
-    Each adjacent car keeps the acceleration from its own branch."""
-    return _solve_two_ac("nash", ego, ego_lane, ac_left, ac_right, nb,
-                         ego_grid, ac_grid, ego_style, left_style,
-                         right_style, gains, horizon)
+    """Two side games on one enumeration of the ego's candidates: the
+    left keeps the rows with sigma in {-1, 0}, the right those in
+    {0, +1}. The side with the lower ego equilibrium cost decides the
+    ego action, an exact tie going left; each adjacent car keeps the
+    acceleration from its own side."""
+    sides = [(ego_lane - 1, ac_left, left_style),
+             (ego_lane + 1, ac_right, right_style)]
+    return _solve("nash", ego, ego_lane, sides, nb, ego_grid, ac_grid,
+                  ego_style, gains, horizon)
 
 
 def solve_stackelberg_two_ac(ego: KinematicState, ego_lane: int,
@@ -335,6 +308,7 @@ def solve_stackelberg_two_ac(ego: KinematicState, ego_lane: int,
                              horizon: float = T_DM) -> GameSolution:
     """The two-sided decomposition of solve_nash_two_ac with each side
     game solved leader-follower."""
-    return _solve_two_ac("stackelberg", ego, ego_lane, ac_left, ac_right, nb,
-                         ego_grid, ac_grid, ego_style, left_style,
-                         right_style, gains, horizon)
+    sides = [(ego_lane - 1, ac_left, left_style),
+             (ego_lane + 1, ac_right, right_style)]
+    return _solve("stackelberg", ego, ego_lane, sides, nb, ego_grid, ac_grid,
+                  ego_style, gains, horizon)

@@ -277,6 +277,13 @@ def validate(cfg: ScenarioConfig) -> list[str]:
                 problems.append(f"vehicles[{i}].s: the first {t_plan:g} s planner "
                                 f"horizon reaches s={reach:.1f}, past the road end "
                                 f"at {road.length:g}")
+        elif road.has_lane(v.lane):
+            # The closed loop clips the other cars' speeds to their lane's
+            # band in one step; the ego's is not clipped.
+            band = road.lanes[v.lane]
+            if not band.v_min <= v.v <= band.v_max:
+                problems.append(f"vehicles[{i}].v: {v.v:g} m/s is outside lane "
+                                f"{v.lane}'s speed band [{band.v_min:g}, {band.v_max:g}]")
         if v.strategic:
             if v.lane in strategic_lanes:
                 problems.append(f"vehicles[{i}].lane: lane {v.lane} already "

@@ -71,12 +71,15 @@ BAD_VALUES = [
      "vehicles[1].lane: expected a whole number, got 1.5"),
     # The speed band belongs to the lanes, not to the action grid.
     (lambda c: c["grid"].update(v_max=25.0), "grid: unknown key 'v_max'"),
+    # Another car starting above its lane's band would be clipped in one step.
+    (lambda c: c["vehicles"][1].update(v=28.0),
+     "vehicles[1].v: 28 m/s is outside lane 1's speed band [0, 25]"),
 ]
 
 
 @pytest.mark.parametrize("mutate,needle", BAD_VALUES,
                          ids=["band_reversed", "band_negative", "lane_fraction",
-                              "grid_v_max"])
+                              "grid_v_max", "car_above_band"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scenario_value_exits_3(tmp_path, capsys, command, mutate, needle):
     cfg = json.loads(_bundled_text("scenario_a"))

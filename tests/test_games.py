@@ -7,6 +7,7 @@ import pytest
 
 from lanegame.costs import (T_DM, CostGains, DecisionAction, KinematicState,
                             LaneView, ac_cost, ego_cost, propagate)
+from lanegame import games
 from lanegame.errors import InfeasibleDecisionError
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
@@ -287,10 +288,11 @@ def test_scene_wrappers_match_enumeration(kind, gains):
 
 
 def _two_ac_scene():
+    # A slow lead; the left car blocks a merge, the right one leaves room.
     nb = make_neighbors(lanes={
         1: LaneView(adjacent=KinematicState(s=4.0, v=17.0), adjacent_v_ref=17.0),
-        2: LaneView(lead=KinematicState(s=30.0, v=12.0)),
-        3: LaneView(adjacent=KinematicState(s=-6.0, v=14.0), adjacent_v_ref=14.0),
+        2: LaneView(lead=KinematicState(s=25.0, v=8.0)),
+        3: LaneView(adjacent=KinematicState(s=-25.0, v=14.0), adjacent_v_ref=14.0),
     })
     return KinematicState(s=0.0, v=20.0), nb
 
@@ -309,8 +311,9 @@ def test_two_ac_picks_cheaper_side(kind, gains):
                        GRID, st, st, gains)
     right = side_solver(ego, 2, ac_r, 3, nb, GRID.restrict_sigmas((0, 1)),
                         GRID, st, st, gains)
-    want = left if left.ego_cost.total <= right.ego_cost.total else right
-    want_side = -1 if want is left else 1
+    # The right side is strictly cheaper, so keeping the left loses here.
+    assert right.ego_cost.total < left.ego_cost.total
+    want, want_side = right, 1
     assert sol.ego_action == want.ego_action
     assert sol.side == want_side
     assert sol.ego_cost.total == pytest.approx(want.ego_cost.total)
@@ -333,6 +336,62 @@ def test_two_ac_survives_one_dead_side(gains):
                             st, st, st, gains)
     assert sol.side == -1
     assert set(sol.ac_actions) == {1}
+
+
+@pytest.mark.parametrize("solver", [solve_nash_two_ac, solve_stackelberg_two_ac])
+def test_two_ac_enumerates_ego_candidates_once(solver, gains, monkeypatch):
+    # Both side games take their rows from one enumeration of the full grid.
+    calls = []
+    real = games.ego_candidates
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(games, "ego_candidates", counted)
+    ego, nb = _two_ac_scene()
+    st = style_profile("normal")
+    sol = solver(ego, 2, nb.lanes[1].adjacent, nb.lanes[3].adjacent, nb, GRID,
+                 GRID, st, st, st, gains)
+    assert len(calls) == 1
+    assert set(sol.ac_actions) == {1, 3}
+
+
+@pytest.mark.parametrize("kind", ["nash", "stackelberg"])
+def test_two_ac_exact_tie_goes_left(kind, gains):
+    # Mirror image about the ego's lane: a slow lead ahead, and one car
+    # behind on each side at the same station and speed.
+    def car():
+        return KinematicState(s=-20.0, v=16.0)
+
+    nb = make_neighbors(lanes={
+        1: LaneView(adjacent=car(), adjacent_v_ref=16.0),
+        2: LaneView(lead=KinematicState(s=25.0, v=8.0)),
+        3: LaneView(adjacent=car(), adjacent_v_ref=16.0),
+    })
+    ego, st = KinematicState(s=0.0, v=20.0), style_profile("normal")
+    side_solver = solve_nash_2p if kind == "nash" else solve_stackelberg_2p
+    left = side_solver(ego, 2, car(), 1, nb, GRID.restrict_sigmas((-1, 0)),
+                       GRID, st, st, gains)
+    right = side_solver(ego, 2, car(), 3, nb, GRID.restrict_sigmas((0, 1)),
+                        GRID, st, st, gains)
+    # The sides move the ego opposite ways at bit-equal cost, so only the
+    # tie rule decides which one wins.
+    assert (left.ego_action.sigma, right.ego_action.sigma) == (-1, 1)
+    assert left.ego_cost.total == right.ego_cost.total
+    solver = solve_nash_two_ac if kind == "nash" else solve_stackelberg_two_ac
+    sol = solver(ego, 2, car(), car(), nb, GRID, GRID, st, st, st, gains)
+    assert sol.side == -1
+    assert sol.ego_action == left.ego_action
+
+
+def test_one_ac_on_a_missing_lane_is_infeasible(gains):
+    nb = make_neighbors()   # lanes 1 and 2 only
+    st = style_profile("normal")
+    with pytest.raises(InfeasibleDecisionError, match="no feasible ego action"):
+        solve_nash_2p(KinematicState(s=0.0, v=20.0), 2,
+                      KinematicState(s=0.0, v=15.0), 3, nb, GRID, GRID, st, st,
+                      gains)
 
 
 def test_grid_validation():

@@ -104,6 +104,10 @@ def test_missing_blocks_rejected():
     (lambda d: d["vehicles"][0].__setitem__("s", -1.0), "the ego must start at s >= 0"),
     (lambda d: d["vehicles"][0].__setitem__("d", 2.1), "d: outside lane 2"),
     (lambda d: d["vehicles"][1].__setitem__("d", 1.9), "d: outside lane 1"),
+    # The closed loop would clip another car's speed to its lane's band in
+    # one step.
+    (lambda d: d["vehicles"][1].__setitem__("v", 28.0),
+     r"vehicles\[1\]\.v: 28 m/s is outside lane 1's speed band \[0, 25\]"),
     (lambda d: d.__setitem__("duration", float("nan")),
      "scenario.duration: nan .* finite"),
     (lambda d: d.__setitem__("dt", float("inf")), "scenario.dt: inf .* finite"),
@@ -246,6 +250,15 @@ def test_placement_allows_cars_behind_start_and_off_center():
     # The first 1.5 s horizon from s=466 ends at 499.375, on the road.
     doc["vehicles"][0].update(s=466.0, lane=1, d=None)
     doc["mpc"] = {"n_p": 30}
+    assert validate(config_from_dict(doc)) == []
+
+
+def test_speed_band_exempts_the_ego():
+    # The ego's speed is never clipped to its lane's band; the game bounds
+    # its candidates instead. Another car may start on its band's edge.
+    doc = minimal_doc()
+    doc["road"]["lanes"][1]["v_max"] = 18.0   # the ego's lane; it starts at 20
+    doc["vehicles"][1]["v"] = 25.0            # lane 1's upper edge
     assert validate(config_from_dict(doc)) == []
 
 

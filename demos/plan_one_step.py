@@ -28,10 +28,11 @@ def main():
     x[IX], x[IY] = 30.0, 0.0
     ahead = ObstaclePose(x=65.0, y=0.0, heading=0.0, v=10.0)
 
+    # One 0.05 s step; the preview command stays within the road edges.
     plan = solve_plan(x, u_prev=0.0, a_x=0.0, obstacles=[ahead], road=road,
                       target_lane=1, ofp=ObstacleFieldParams(),
                       rfp=RoadFieldParams(), cfg=cfg, vp=DEFAULT_VEHICLE,
-                      dp=dp)
+                      dp=dp, dt=0.05, u_box=(-2.0, 6.0))
 
     print("preview increments:",
           " ".join(f"{d:+.3f}" for d in plan.du_sequence))

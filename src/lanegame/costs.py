@@ -151,14 +151,14 @@ class NeighborView:
         return rem < v * v / (2.0 * self.a_brake) + self.end_margin
 
 
-def lane_change_lat_accel(w_lane: float, t_lc: float = T_LC) -> float:
+def lane_change_lat_accel(w_lane: float) -> float:
     """Peak lateral acceleration of a one-lane change of width w_lane.
 
-    The lateral path y = w (t/T - sin(2 pi t/T) / (2 pi)) over T = t_lc
+    The lateral path y = w (t/T - sin(2 pi t/T) / (2 pi)) over T = T_LC
     has the sine acceleration profile 2 pi w / T^2 sin(2 pi t/T), whose
     peak is 2 pi w / T^2.
     """
-    return 2.0 * math.pi * w_lane / (t_lc * t_lc)
+    return 2.0 * math.pi * w_lane / (T_LC * T_LC)
 
 
 def propagate(s, v, a, t):

@@ -1,11 +1,12 @@
 """Receding-horizon preview-point planner.
 
 Each planning step linearizes the driver-vehicle model once at the
-current state, discretizes it, and predicts the horizon with those frozen
-matrices plus the affine remainder of the linearization (which is what
-carries the commanded longitudinal acceleration into the prediction).
-The optimizer works on the control increments du over the control
-horizon, with the preview command held after that. It is a projected
+current state, discretizes it with the step dt it is given, and predicts
+the horizon with those frozen matrices plus the affine remainder of the
+linearization (which is what carries the commanded longitudinal
+acceleration into the prediction). The optimizer works on the control
+increments du over the control horizon, with the preview command held
+after that and kept inside the given box u_box. It is a projected
 Newton method on a Gauss-Newton model of the cost (Bertsekas 1982): each
 iteration takes the output Jacobian by forward differences in one batch,
 solves for a Newton step with the increments held on their bounds
@@ -59,15 +60,12 @@ def _default_q() -> np.ndarray:
 
 @dataclass
 class MpcConfig:
-    """Planner settings; a closed-loop run sets dt and the u box each step."""
+    """Planner settings; the step and the u box are solve_plan arguments."""
 
     n_p: int = 20
     n_c: int = 5
-    dt: float = 0.05
     q: np.ndarray = field(default_factory=_default_q)
     r: float = 1.0
-    u_min: float = -10.0
-    u_max: float = 10.0
     du_min: float = -0.3
     du_max: float = 0.3
     max_iter: int = 100
@@ -77,14 +75,12 @@ class MpcConfig:
         self.q = np.asarray(self.q, dtype=float)
         if self.n_c < 1 or self.n_p < self.n_c:
             raise ValueError("need n_p >= n_c >= 1")
-        if self.dt <= 0 or self.r <= 0:
-            raise ValueError("dt and r must be positive")
+        if self.r <= 0:
+            raise ValueError("r must be positive")
         if self.q.shape != (3, 3) or not np.allclose(self.q, self.q.T, atol=1e-12):
             raise ValueError("q must be a symmetric 3x3 matrix")
         if np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
             raise ValueError("q must be positive semidefinite")
-        if self.u_min > self.u_max:
-            raise ValueError("bounds out of order")
         # The solver's zero-increment baseline must be a feasible plan.
         if not self.du_min <= 0.0 <= self.du_max:
             raise ValueError("the increment box [du_min, du_max] must contain 0")
@@ -112,19 +108,18 @@ class HorizonModel:
     """
 
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
-                 vp: VehicleParams, dp: DriverParams, cfg: MpcConfig):
+                 vp: VehicleParams, dp: DriverParams, cfg: MpcConfig, dt: float):
         if x0[0] <= V_FLOOR:
             raise DomainError("linearization needs forward speed above the floor")
         self.x0 = np.asarray(x0, dtype=float)
         self.u_prev = float(u_prev)
-        self.cfg = cfg
         u0 = ControlInput(y_p=u_prev, a_x=a_x)
         a_c, b_c = linearize(self.x0, u0, vp, dp)
         # Affine remainder: the model is not linear through the origin, and
         # a_x enters the prediction only through this term.
         w_c = derivatives(self.x0, u0, vp, dp) - a_c @ self.x0 - b_c[:, 0] * u_prev
         b_aug = np.column_stack([b_c, w_c])
-        self.a_d, b_d = discretize(a_c, b_aug, cfg.dt)
+        self.a_d, b_d = discretize(a_c, b_aug, dt)
         self.b_u = b_d[:, 0]
         self.w_d = b_d[:, 1]
 
@@ -160,14 +155,14 @@ class HorizonModel:
         return self.base_xyphi + np.einsum("...j,ixj->...ix", du, self.sens_xyphi)
 
 
-def _coasted(obstacles: list[ObstaclePose], cfg: MpcConfig) -> list[ObstaclePose]:
+def _coasted(obstacles: list[ObstaclePose], n_p: int, dt: float) -> list[ObstaclePose]:
     """Obstacle poses swept along the horizon, one array-valued pose each.
 
     Positions become (n_p,) arrays indexed by prediction step, so a field
     query over the whole horizon is a single broadcast instead of a
     per-step loop. Heading and speed stay scalar (constant coasting).
     """
-    t = (np.arange(cfg.n_p) + 1) * cfg.dt
+    t = (np.arange(n_p) + 1) * dt
     return [ObstaclePose(x=o.x + o.v * t * np.cos(o.heading),
                          y=o.y + o.v * t * np.sin(o.heading),
                          heading=o.heading, v=o.v)
@@ -200,35 +195,39 @@ def mpc_cost(outputs: np.ndarray, du: np.ndarray, q: np.ndarray, r: float):
     return quad + r * np.sum(du * du, axis=-1)
 
 
-def _project(du: np.ndarray, u_prev: float, cfg: MpcConfig) -> np.ndarray:
+def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
+             cfg: MpcConfig) -> np.ndarray:
     """Clip du sequences into the du boxes and the cumulative u box.
 
     Works on one sequence or a batch over leading axes. Sequential along
     the last axis: each increment is clipped to the intersection of its
-    own box with what keeps the running command inside [u_min, u_max].
+    own box with what keeps the running command inside u_box.
     The intersection is never empty while the running command stays in
     the box, which it does by induction.
     """
     out = np.empty_like(du)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
-        lo, hi = _bounds(u, cfg)
+        lo, hi = _bounds(u, u_box, cfg)
         out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
         u = u + out[..., j]
     return out
 
 
-def _bounds(u, cfg: MpcConfig):
-    """(lo, hi) at running command u: the du box within what keeps u in the u box."""
-    return np.maximum(cfg.du_min, cfg.u_min - u), np.minimum(cfg.du_max, cfg.u_max - u)
+def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
+    """(lo, hi) at running command u: the du box within what keeps u in u_box."""
+    return np.maximum(cfg.du_min, u_box[0] - u), np.minimum(cfg.du_max, u_box[1] - u)
 
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
                obstacles: list[ObstaclePose], road: RoadGeometry,
                target_lane: int, ofp: ObstacleFieldParams,
                rfp: RoadFieldParams, cfg: MpcConfig, vp: VehicleParams,
-               dp: DriverParams) -> PlanResult:
+               dp: DriverParams, dt: float, u_box: tuple[float, float]) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
+
+    dt is the model step and u_box = (lo, hi) bounds the preview command
+    over the horizon; ValueError unless dt > 0 and lo <= hi.
 
     Projected Newton on a Gauss-Newton model. Each iteration keeps the
     outputs y of the accepted du, scores the n_c rows du + FD_STEP * e_j
@@ -248,9 +247,11 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     are the ones the accepted cost read, and the full 8-state prediction
     is made for the returned plan.
     """
-    model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg)
+    if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
+        raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
+    model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg, dt)
     n_c, q, r = cfg.n_c, cfg.q, cfg.r
-    prepared = prepare_field(_coasted(obstacles, cfg), road, ofp, rfp)
+    prepared = prepare_field(_coasted(obstacles, cfg.n_p, dt), road, ofp, rfp)
 
     def outputs_of(du_batch: np.ndarray) -> np.ndarray:
         return _outputs(model.poses(du_batch), prepared, target_lane)
@@ -269,14 +270,14 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         if gnorm == 0.0:
             break
         # Summed in _project's order, so a clipped increment equals its bound.
-        lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), cfg)
+        lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), u_box, cfg)
         free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
         hess = jq @ jac.reshape(n_c, -1).T + r * eye
         hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
         d = np.linalg.solve(hess, -g)
         trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
                                           du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
-                          u_prev, cfg)
+                          u_prev, u_box, cfg)
         ys = outputs_of(trials)
         vals = mpc_cost(ys, trials, q, r)
         k = int(np.argmin(vals))

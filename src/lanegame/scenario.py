@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .costs import CostGains
+from .costs import T_DM, CostGains
 from .errors import ConfigError
 from .field import ObstacleFieldParams, RoadFieldParams
 from .games import ACCEL_RANGE, ActionGrid, accel_range
@@ -50,7 +50,7 @@ class VehicleSpec:
 
 @dataclass
 class DecisionParams:
-    horizon: float = 3.0        # projection window for candidate costs, s
+    horizon: float = T_DM       # projection window for candidate costs, s
     commit_lat_tol: float = 0.2   # |lateral error| ending a lane change, m
     commit_yaw_tol: float = 0.02  # |yaw error| ending a lane change, rad
     a_end: float = 3.0          # decel shaping the ending-lane speed cap
@@ -131,8 +131,6 @@ _CASTS = {
         np.asarray(v, dtype=object)),
 }
 
-_LOOP_SET = ("dt", "u_min", "u_max")  # MpcConfig fields the closed loop sets
-
 # Top-level keys parsed as blocks of their own; "description" is free text.
 _BLOCKS = ("road", "vehicles", "grid", "gains", "field", "mpc", "decision",
            "description")
@@ -153,19 +151,19 @@ def _expect(block, kind: type, label: str):
     return block
 
 
-def _build(cls, block, label: str, skip=(), **given):
+def _build(cls, block, label: str, **given):
     """An instance of dataclass `cls` from one JSON object.
 
     The class's fields are the block's keys: each value is cast by the
     field's declared type and an absent key keeps the class default.
     Nested blocks are parsed by the caller and passed in `given`; those
-    keys and the ones in `skip` are not read from the block.
+    keys are not read from the block.
     """
     kw = dict(given)
     types = {f.name: f.type for f in fields(cls)}
     for key, value in _expect(block, dict, label).items():
         cast = _CASTS.get(types.get(key))
-        if cast is None or key in given or key in skip:
+        if cast is None or key in given:
             raise ConfigError(f"{label}: unknown key {key!r}")
         kw[key] = _cast(cast, value, f"{label}.{key}")
     for f in fields(cls):
@@ -206,7 +204,7 @@ def _mpc_from(block) -> MpcConfig:
         if len(diag) != 3:
             raise ConfigError("mpc.q_diag must have 3 entries")
         given["q"] = np.diag(diag)
-    return _build(MpcConfig, rest, "mpc", skip=_LOOP_SET, **given)
+    return _build(MpcConfig, rest, "mpc", **given)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:

@@ -86,9 +86,6 @@ class TraceLog:
         idx = self.columns.index(name)
         return np.array([row[idx] for row in self.rows])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
-
 
 @dataclass
 class RunMetrics:
@@ -286,9 +283,8 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         state[IR] = ego_spec.v / road.radius
     u_prev = float(y0) + dp.t_p * ego_spec.v * phi0
 
+    # A lane change toward ego_lane + sigma_now is under way while sigma_now != 0.
     ego_lane = ego_spec.lane
-    target_lane = ego_lane
-    latched = False
     sigma_now = 0
     a_cmd = 0.0
     flow_ref = ego_spec.v
@@ -305,12 +301,11 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         v_e = float(x[IVX])
         ego_kin = KinematicState(s=s_e, v=v_e)
 
-        if latched:
-            y2 = d_e - road.lane_offset(target_lane)
+        if sigma_now != 0:
+            y2 = d_e - road.lane_offset(ego_lane + sigma_now)
             y3 = float(x[IPHI]) - float(road.tangent_heading(s_e))
             if abs(y2) < dec.commit_lat_tol and abs(y3) < dec.commit_yaw_tol:
-                ego_lane = target_lane
-                latched = False
+                ego_lane += sigma_now
                 sigma_now = 0
 
         nb, opponents = _scene_view(road, cfg, cars, ego_lane, s_e, flow_ref)
@@ -318,15 +313,12 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
         decided = 0.0
         try:
-            if not latched:
+            if sigma_now == 0:
                 sol, mode = _decide(cfg, strategy, nb, ego_kin, ego_lane,
                                     ego_style, opponents)
                 decided = 1.0
                 sigma_now = sol.ego_action.sigma
                 a_cmd = sol.ego_action.a_x
-                if sigma_now != 0:
-                    latched = True
-                    target_lane = ego_lane + sigma_now
                 for c in cars:
                     if c.strategic:
                         c.a = sol.ac_actions.get(c.lane, 0.0)
@@ -335,11 +327,11 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                         float(sol.security_fallback),
                         0.0 if sol.side is None else float(sol.side))
                 dec_cost = (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)
-            plan = solve_plan(x, u_prev, a_cmd, obstacles, road,
-                              target_lane if latched else ego_lane,
-                              cfg.obstacle_field, cfg.road_field,
-                              replace(cfg.mpc, dt=cfg.dt, u_min=u_lo, u_max=u_hi),
-                              vp, dp)
+            # After the decision, so a change committed now tracks its new lane.
+            plan_lane = ego_lane + sigma_now
+            plan = solve_plan(x, u_prev, a_cmd, obstacles, road, plan_lane,
+                              cfg.obstacle_field, cfg.road_field, cfg.mpc,
+                              vp, dp, cfg.dt, (u_lo, u_hi))
             here = prepare_field(obstacles, road, cfg.obstacle_field, cfg.road_field)
             field_here = float(total_field(x[IX], x[IY], here))
         except (InfeasibleDecisionError, DomainError) as exc:
@@ -355,7 +347,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         # Running cost components (see the module docstring); safety
         # follows the active interaction partner.
         if sigma_now != 0:
-            j_ds_m = lateral_safety_cost(ego_kin, nb.adjacent(target_lane), cfg.gains)
+            j_ds_m = lateral_safety_cost(ego_kin, nb.adjacent(plan_lane), cfg.gains)
         else:
             j_ds_m = longitudinal_safety_cost(ego_kin, nb.lead(ego_lane), cfg.gains)
         j_rc_m = comfort_cost(a_cmd, a_y_change, sigma_now, cfg.gains)
@@ -368,8 +360,8 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                               cfg.dt)
         row = [t, s_e, d_e, v_e, float(x[IVY]), float(x[IPHI]),
                float(x[IX]), float(x[IY]), float(x[IDELTA]),
-               float(ego_lane), float(target_lane), float(sigma_now), a_cmd,
-               float(latched), decided, *game, u_cmd, plan.cost,
+               float(ego_lane), float(plan_lane), float(sigma_now), a_cmd,
+               float(sigma_now != 0), decided, *game, u_cmd, plan.cost,
                plan.cost_zero, float(plan.iterations), float(plan.degraded),
                box_violation, *dec_cost, j_ds_m, j_rc_m, j_pe_m, j_total_m,
                field_here, clearance, float(clamped)]

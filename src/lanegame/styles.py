@@ -29,10 +29,6 @@ class StyleProfile:
     w_pe: float      # weight on the travel-efficiency term
     v_factor: float  # fraction of speed headroom claimed as desired speed
 
-    @property
-    def weights(self) -> tuple[float, float, float]:
-        return (self.w_ds, self.w_rc, self.w_pe)
-
 
 AGGRESSIVE = StyleProfile(
     name="aggressive",

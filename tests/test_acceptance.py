@@ -387,6 +387,10 @@ def test_planner_invariants(merge_runs, overtake_runs):
     ofp, rfp = ObstacleFieldParams(), RoadFieldParams()
     vp = DEFAULT_VEHICLE
     dp = style_profile("normal").driver
+    # The increment box alone lets a plan reach n_c * du_max = 1.5 from
+    # u_prev = 0, so this command box binds wherever a plan heads upward.
+    lo, hi = -2.0, 1.0
+    on_edge = 0
     for _ in range(10):
         x0 = np.zeros(NX)
         x0[IVX] = rng.uniform(8.0, 24.0)
@@ -394,12 +398,33 @@ def test_planner_invariants(merge_runs, overtake_runs):
         obstacles = [ObstaclePose(x=float(rng.uniform(10.0, 50.0)), y=0.0,
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
         plan = solve_plan(x0, 0.0, 0.0, obstacles, road, 1, ofp, rfp,
-                          cfg, vp, dp)
+                          cfg, vp, dp, 0.05, (lo, hi))
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)
         u = np.cumsum(plan.du_sequence)
-        assert np.all((u >= cfg.u_min - 1e-9) & (u <= cfg.u_max + 1e-9))
+        assert np.all((u >= lo - 1e-9) & (u <= hi + 1e-9))
+        on_edge += min(abs(u[-1] - lo), abs(u[-1] - hi)) <= 1e-9
+    assert on_edge >= 1
+
+
+@criterion("lane-change columns: latched and target lane follow sigma on every row")
+def test_lane_change_columns(merge_runs, overtake_runs):
+    commits = 0
+    for runs in (merge_runs[2], overtake_runs[2]):
+        for trace, m in runs:
+            key = (m.scenario, m.strategy, m.style)
+            sigma = trace.column("sigma")
+            lane = trace.column("lane_ec")
+            target = trace.column("target_lane")
+            assert np.array_equal(trace.column("latched"), (sigma != 0) * 1.0), key
+            assert np.array_equal(target, lane + sigma), key
+            # A commitment's own row already targets the new lane.
+            before = np.concatenate(([0.0], sigma[:-1]))
+            first = np.flatnonzero((sigma != 0) & (before == 0))
+            assert np.all(target[first] != lane[first]), key
+            commits += first.size
+    assert commits > 0
 
 
 # --- field shape ----------------------------------------------------------

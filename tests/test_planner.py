@@ -15,6 +15,9 @@ VP = VehicleParams()
 DP = style_profile("normal").driver
 OFP = ObstacleFieldParams()
 RFP = RoadFieldParams()
+# Step and preview-command box of the solves below, unless a test sets its own.
+DT = 0.05
+BOX = (-10.0, 10.0)
 
 
 def _x0(v=20.0, y=0.0):
@@ -31,13 +34,11 @@ def small_cfg(**kw):
     return MpcConfig(**kw)
 
 
-def test_config_validation():
+def test_config_validation(two_lane_road):
     with pytest.raises(ValueError):
         MpcConfig(n_p=3, n_c=5)
     with pytest.raises(ValueError):
         MpcConfig(n_c=0)
-    with pytest.raises(ValueError):
-        MpcConfig(dt=0.0)
     with pytest.raises(ValueError):
         MpcConfig(r=-1.0)
     with pytest.raises(ValueError):
@@ -48,8 +49,6 @@ def test_config_validation():
     q[0, 1] = 5.0
     with pytest.raises(ValueError):
         MpcConfig(q=q)
-    with pytest.raises(ValueError):
-        MpcConfig(u_min=1.0, u_max=-1.0)
     with pytest.raises(ValueError):
         MpcConfig(du_min=0.5, du_max=-0.5)
     # The zero-increment baseline must be feasible, every solve must
@@ -63,28 +62,34 @@ def test_config_validation():
     with pytest.raises(ValueError, match="tol >= 0"):
         MpcConfig(tol=-1.0)
     MpcConfig(du_min=0.0, du_max=0.0, max_iter=1, tol=0.0)
+    # The step and the command box are checked where they are passed.
+    for dt, box in ((0.0, BOX), (float("nan"), BOX), (DT, (1.0, -1.0)),
+                    (DT, (float("nan"), 1.0))):
+        with pytest.raises(ValueError, match="dt > 0 .* lo <= hi"):
+            solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, OFP, RFP,
+                       small_cfg(), VP, DP, dt, box)
 
 
 def test_horizon_model_needs_forward_speed():
     # A named domain error, so a closed-loop run can abort on it cleanly.
     with pytest.raises(DomainError):
-        HorizonModel(_x0(v=0.2), 0.0, 0.0, VP, DP, small_cfg())
+        HorizonModel(_x0(v=0.2), 0.0, 0.0, VP, DP, small_cfg(), DT)
 
 
 def test_accel_enters_through_affine_term():
     # v_y = r = 0 at the linearization point, so the speed row of A is
     # zero and the discrete speed update is exactly v + a_x * dt.
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 2.0, VP, DP, cfg)
+    m = HorizonModel(_x0(), 0.0, 2.0, VP, DP, cfg, DT)
     steps = np.arange(1, cfg.n_p + 1)
-    assert np.allclose(m.base[:, IVX], 20.0 + 2.0 * cfg.dt * steps, atol=1e-12)
-    m0 = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
+    assert np.allclose(m.base[:, IVX], 20.0 + 2.0 * DT * steps, atol=1e-12)
+    m0 = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     assert np.allclose(m0.base[:, IVX], 20.0, atol=1e-12)
 
 
 def test_base_is_held_command_rollout():
     cfg = small_cfg()
-    m = HorizonModel(_x0(y=1.0), 0.5, 0.0, VP, DP, cfg)
+    m = HorizonModel(_x0(y=1.0), 0.5, 0.0, VP, DP, cfg, DT)
     x = m.x0.copy()
     for i in range(cfg.n_p):
         x = m.a_d @ x + m.b_u * 0.5 + m.w_d
@@ -94,7 +99,7 @@ def test_base_is_held_command_rollout():
 
 def test_sens_is_the_lagged_cumulative_input_gain():
     cfg = small_cfg(n_p=9, n_c=4)
-    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg)
+    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
     # cum[k] = sum_{i<k} A^i B, written out as a loop.
     cum, power = [np.zeros(NX)], m.b_u.copy()
     for _ in range(cfg.n_p):
@@ -109,7 +114,7 @@ def test_sens_is_the_lagged_cumulative_input_gain():
 
 def test_states_batched_matches_rows(rng):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
+    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     batch = rng.uniform(-0.3, 0.3, (7, cfg.n_c))
     got = m.states(batch)
     assert got.shape == (7, cfg.n_p, NX)
@@ -124,7 +129,7 @@ def test_states_batched_matches_rows(rng):
                            (30, 8, 8), (30, 8, 25), (5, 1, 3)):
         cfg = small_cfg(n_p=n_p, n_c=n_c)
         m = HorizonModel(_x0(v=rng.uniform(8.0, 30.0), y=rng.uniform(-2.0, 2.0)),
-                         rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg)
+                         rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg, DT)
         batch = rng.uniform(-0.3, 0.3, (rows, n_c))
         poses = m.poses(batch)
         assert np.array_equal(poses, m.states(batch)[..., [IX, IY, IPHI]])
@@ -135,7 +140,7 @@ def test_states_batched_matches_rows(rng):
 
 def test_states_linear_in_du(rng):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
+    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     du = rng.uniform(-0.3, 0.3, cfg.n_c)
     lhs = m.states(2.0 * du) - m.base
     rhs = 2.0 * (m.states(du) - m.base)
@@ -150,9 +155,9 @@ def test_states_linear_in_du(rng):
 def test_coasted_sweeps_constant_velocity():
     cfg = small_cfg()
     obs = [ObstaclePose(x=10.0, y=-4.0, heading=0.1, v=15.0)]
-    swept = _coasted(obs, cfg)
+    swept = _coasted(obs, cfg.n_p, DT)
     assert len(swept) == 1
-    t = (np.arange(cfg.n_p) + 1) * cfg.dt
+    t = (np.arange(cfg.n_p) + 1) * DT
     assert np.allclose(swept[0].x, 10.0 + 15.0 * t * np.cos(0.1))
     assert np.allclose(swept[0].y, -4.0 + 15.0 * t * np.sin(0.1))
     assert swept[0].heading == 0.1 and swept[0].v == 15.0
@@ -160,14 +165,14 @@ def test_coasted_sweeps_constant_velocity():
 
 def test_outputs_channels(two_lane_road):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg)
+    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     states = m.states(np.zeros(cfg.n_c))
-    field = prepare_field(_coasted(obs, cfg), two_lane_road, OFP, RFP)
+    field = prepare_field(_coasted(obs, cfg.n_p, DT), two_lane_road, OFP, RFP)
     y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
-    t = (np.arange(cfg.n_p) + 1) * cfg.dt
+    t = (np.arange(cfg.n_p) + 1) * DT
     for i in range(cfg.n_p):
         stepped = [ObstaclePose(x=30.0 + 10.0 * t[i], y=0.0, heading=0.0, v=10.0)]
         ref = total_field(states[i, IX], states[i, IY],
@@ -192,27 +197,28 @@ def test_mpc_cost_closed_form():
 
 
 def test_project_respects_running_command_box():
-    cfg = small_cfg(u_min=-10.0, u_max=10.0, du_min=-0.3, du_max=0.3)
-    out = _project(np.array([0.3, 0.3, 0.3, 0.3]), 9.9, cfg)
+    cfg = small_cfg(du_min=-0.3, du_max=0.3)
+    out = _project(np.array([0.3, 0.3, 0.3, 0.3]), 9.9, BOX, cfg)
     assert np.allclose(out, [0.1, 0.0, 0.0, 0.0])
-    out = _project(np.array([-1.0, -1.0, -1.0, -1.0]), -9.5, cfg)
+    out = _project(np.array([-1.0, -1.0, -1.0, -1.0]), -9.5, BOX, cfg)
     assert np.allclose(out, [-0.3, -0.2, 0.0, 0.0])
     # Inside every box the projection is the identity.
     du = np.array([0.1, -0.2, 0.05, 0.0])
-    assert np.allclose(_project(du, 0.0, cfg), du)
+    assert np.allclose(_project(du, 0.0, BOX, cfg), du)
 
 
 def test_project_batch_matches_rows(rng):
-    cfg = small_cfg(u_min=-1.0, u_max=1.0, du_min=-0.3, du_max=0.3)
+    cfg = small_cfg(du_min=-0.3, du_max=0.3)
+    box = (-1.0, 1.0)
     for u_prev in (0.0, 0.85, -0.95):
         batch = rng.uniform(-0.6, 0.6, (9, cfg.n_c))
-        got = _project(batch, u_prev, cfg)
+        got = _project(batch, u_prev, box, cfg)
         assert got.shape == batch.shape
         for b in range(9):
-            assert np.array_equal(got[b], _project(batch[b], u_prev, cfg))
+            assert np.array_equal(got[b], _project(batch[b], u_prev, box, cfg))
 
 
-def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
+def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     """Cost of the plan a one-trial-at-a-time gradient search finds.
 
     Projected gradient descent: the gradient by central differences with
@@ -221,8 +227,8 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
     alone with the full prediction, the field one obstacle at a time and
     an elementwise projection written out here.
     """
-    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg)
-    coasted = _coasted(obstacles, cfg)
+    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    coasted = _coasted(obstacles, cfg.n_p, DT)
     h = 1e-4
 
     def cost_of(du):
@@ -241,8 +247,8 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg):
     def project(du):
         out, u = np.empty_like(du), u_prev
         for j in range(len(du)):
-            lo = max(cfg.du_min, cfg.u_min - u)
-            hi = min(cfg.du_max, cfg.u_max - u)
+            lo = max(cfg.du_min, box[0] - u)
+            hi = min(cfg.du_max, box[1] - u)
             out[j] = min(max(du[j], lo), hi)
             u += out[j]
         return out
@@ -295,9 +301,10 @@ def _random_scene(rng, road):
                                       v=rng.uniform(5.0, 25.0)))
     # A tight command box around u_prev makes the projection bite.
     reach = rng.choice([0.2, 1.0, 10.0])
-    cfg = MpcConfig(max_iter=40, u_min=u_prev - reach, u_max=u_prev + reach)
+    box = (u_prev - reach, u_prev + reach)
     target = int(np.clip(lane + rng.integers(-1, 2), 1, road.lane_count))
-    return x0, u_prev, rng.uniform(-3.0, 2.0), obstacles, target, cfg
+    return (x0, u_prev, rng.uniform(-3.0, 2.0), obstacles, target,
+            MpcConfig(max_iter=40), box)
 
 
 def _settled_scene(rng):
@@ -312,8 +319,8 @@ def _settled_scene(rng):
                    0.00204, -0.00814]) * (1.0 + 0.003 * rng.uniform(-1.0, 1.0, NX))
     u_prev = 3.79692 + 0.003 * rng.uniform(-1.0, 1.0)
     obstacles = [ObstaclePose(x=153.0, y=4.0, heading=0.0, v=15.0)]
-    cfg = MpcConfig(n_p=30, q=np.diag([1.0, 60.0, 50.0]), r=5.0, u_min=-2.0, u_max=6.0)
-    return x0, u_prev, 0.0, obstacles, 1, cfg
+    cfg = MpcConfig(n_p=30, q=np.diag([1.0, 60.0, 50.0]), r=5.0)
+    return x0, u_prev, 0.0, obstacles, 1, cfg, (-2.0, 6.0)
 
 
 # Seeds 0-23 are random scenes on both roads, some with a command box
@@ -329,19 +336,19 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     rng = np.random.default_rng(seed)
     if seed in SETTLED_SEEDS:
         road = two_lane_road
-        x0, u_prev, a_x, obstacles, target, cfg = _settled_scene(rng)
+        x0, u_prev, a_x, obstacles, target, cfg, box = _settled_scene(rng)
     else:
         road = two_lane_road if seed % 2 else three_lane_arc
-        x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
+        x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
     plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
-                      cfg, VP, DP)
-    reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg)
+                      cfg, VP, DP, DT, box)
+    reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
     assert plan.cost <= reference * (1.0 + 1e-3)
     assert plan.cost <= plan.cost_zero
     du = plan.du_sequence
     assert np.all(du >= cfg.du_min) and np.all(du <= cfg.du_max)
     u = u_prev + np.cumsum(du)
-    assert np.all(u >= cfg.u_min - 1e-9) and np.all(u <= cfg.u_max + 1e-9)
+    assert np.all(u >= box[0] - 1e-9) and np.all(u <= box[1] + 1e-9)
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan
@@ -351,11 +358,11 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
 def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     rng = np.random.default_rng(seed)
     road = two_lane_road if seed % 2 else three_lane_arc
-    x0, u_prev, a_x, obstacles, target, cfg = _random_scene(rng, road)
+    x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
     plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
-                      cfg, VP, DP)
-    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg)
-    prepared = prepare_field(_coasted(obstacles, cfg), road, OFP, RFP)
+                      cfg, VP, DP, DT, box)
+    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, OFP, RFP)
     du = plan.du_sequence[None]
     y = _outputs(model.poses(du), prepared, target)
     assert plan.cost == float(mpc_cost(y, du, cfg.q, cfg.r)[0])
@@ -371,12 +378,12 @@ def test_plan_never_beats_zero_baseline(two_lane_road, rng):
         obs = [ObstaclePose(x=rng.uniform(10.0, 40.0), y=0.0, heading=0.0,
                             v=rng.uniform(5.0, 15.0))]
         plan = solve_plan(x0, 0.0, 0.0, obs, two_lane_road, 1, OFP, RFP,
-                          cfg, VP, DP)
+                          cfg, VP, DP, DT, BOX)
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)
         u = np.cumsum(plan.du_sequence)
-        assert np.all(u >= cfg.u_min - 1e-9) and np.all(u <= cfg.u_max + 1e-9)
+        assert np.all(u >= BOX[0] - 1e-9) and np.all(u <= BOX[1] + 1e-9)
         assert plan.u_applied == pytest.approx(plan.du_sequence[0])
 
 
@@ -386,7 +393,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     # improve on doing nothing.
     cfg = small_cfg()
     plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, OFP, RFP,
-                      cfg, VP, DP)
+                      cfg, VP, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
     assert not plan.degraded
@@ -401,7 +408,7 @@ def test_plan_at_rest_point_stays_put(two_lane_road):
     cfg = small_cfg()
     quiet = RoadFieldParams(edge_weight=0.0, interior_weight=0.0)
     plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, OFP, quiet,
-                      cfg, VP, DP)
+                      cfg, VP, DP, DT, BOX)
     assert plan.cost_zero == pytest.approx(0.0, abs=1e-18)
     assert plan.cost == pytest.approx(plan.cost_zero, abs=1e-18)
     assert not np.any(plan.du_sequence)
@@ -413,7 +420,7 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     # tracking term must keep that drift to centimeters over the horizon.
     cfg = small_cfg()
     plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, OFP, RFP,
-                      cfg, VP, DP)
+                      cfg, VP, DP, DT, BOX)
     assert plan.cost <= plan.cost_zero
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
 
@@ -423,6 +430,6 @@ def test_applied_command_is_first_increment(two_lane_road):
     cfg = small_cfg()
     obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
     plan = solve_plan(_x0(), 0.4, 0.0, obs, two_lane_road, 1, OFP, RFP,
-                      cfg, VP, DP)
+                      cfg, VP, DP, DT, BOX)
     assert np.any(plan.du_sequence != 0.0)
     assert plan.u_applied == 0.4 + plan.du_sequence[0]

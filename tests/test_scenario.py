@@ -272,8 +272,9 @@ UNKNOWN_KEYS = [
     ("field", ("field",), "a_OC"),
     ("mpc", ("mpc",), "n_pp"),
     ("decision", ("decision",), "horizn"),
-    # The closed loop sets the planner step from dt and the u box from
-    # the road; the finite-difference step is a planner constant.
+    # The planner step and the preview box are solve_plan arguments, not
+    # MpcConfig fields: a run takes the step from the scenario's dt and the
+    # box from the road. The finite-difference step is a planner constant.
     ("mpc", ("mpc",), "dt"),
     ("mpc", ("mpc",), "u_min"),
     ("mpc", ("mpc",), "u_max"),

@@ -35,7 +35,7 @@ def test_trace_schema(short_trace, merge_cfg):
     assert short_trace.columns[-4:] == ["s_ac1", "d_ac1", "v_ac1", "a_ac1"]
     assert len(short_trace.rows) == int(round(1.5 / merge_cfg.dt))
     assert not short_trace.aborted
-    arr = short_trace.as_array()
+    arr = np.array(short_trace.rows)
     assert arr.shape == (len(short_trace.rows), len(short_trace.columns))
     # min_clearance is inf while no pair shares a lane; everything else
     # must stay finite.
@@ -75,7 +75,7 @@ def test_write_trace_round_trips(short_trace, tmp_path):
     assert lines[0] == ",".join(short_trace.columns)
     loaded = np.loadtxt(str(p), delimiter=",", skiprows=1)
     # 9 significant digits: relative agreement, not bit equality.
-    assert np.allclose(loaded, short_trace.as_array(), rtol=1e-8, atol=1e-12)
+    assert np.allclose(loaded, np.array(short_trace.rows), rtol=1e-8, atol=1e-12)
 
 
 def test_summarize_recomputes_from_columns(short_trace):

@@ -23,14 +23,15 @@ def test_profile_values(name):
     assert p.driver.a == ref["a"]
     # Stored gain carries the steering transmission fold.
     assert p.driver.g_s == pytest.approx(ref["g_s_wheel"] * STEER_TRANSMISSION)
-    assert p.weights == ref["weights"]
+    assert (p.w_ds, p.w_rc, p.w_pe) == ref["weights"]
     assert p.v_factor == ref["v_factor"]
 
 
 def test_weights_are_convex():
     for p in (AGGRESSIVE, NORMAL, CONSERVATIVE):
-        assert sum(p.weights) == pytest.approx(1.0)
-        assert all(w > 0 for w in p.weights)
+        weights = (p.w_ds, p.w_rc, p.w_pe)
+        assert sum(weights) == pytest.approx(1.0)
+        assert all(w > 0 for w in weights)
 
 
 def test_style_orderings():

@@ -5,9 +5,9 @@ move one lane right, together with a longitudinal acceleration held for
 the decision horizon. Costs are evaluated on constant-acceleration
 projections of every involved car, not on the instantaneous scene; the
 safety terms take their worst value along the projection so a candidate
-cannot score well by teleporting past a conflict. The ego's and the
-adjacent car's costs come from one evaluation: each payoff call projects
-every car once, and merge partners share the one lateral pair term.
+cannot score well by teleporting past a conflict. One payoff call
+scores a side game for both players, projecting every car once, and
+returns the ego's parts; merge partners share one lateral pair term.
 
 Sign conventions for the velocity gates:
   longitudinal: dv = v_lead - v_ego, penalized only while closing (dv < 0)
@@ -243,63 +243,69 @@ def _sample_times(horizon: float) -> np.ndarray:
     return np.linspace(0.0, horizon, K_SAMPLES)
 
 
-def _pair_parts(ego: KinematicState, ego_lane: int, sigma: int, a_e,
+def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
                 ego_style: StyleProfile | None, ac: KinematicState | None,
                 ac_lane: int | None, a_a, ac_style: StyleProfile | None,
                 nb: NeighborView, g: CostGains, horizon: float):
     """Safety/comfort/efficiency arrays of the ego and the adjacent car.
 
-    Every car is projected once: the ego over a_e, the adjacent car over
-    a_a (the two broadcast against each other) and, on keep-lane, each
-    follower's lead at its constant speed. When sigma moves the ego onto
-    the adjacent car's lane the two are merge partners and both pay the
-    one lateral pair term; otherwise each follows its own lead. The
-    adjacent car's comfort covers only its longitudinal acceleration: it
-    is not the one swerving. Returns (ego parts, adjacent parts), each a
-    (j_ds, j_rc, j_pe) triple broadcasting to the shape of a_e and a_a,
-    or None for a player whose style is not given.
+    Rows are the ego accelerations a_e, each with its lane move in sigma
+    (one for all rows, or one per row), columns the adjacent car's
+    accelerations a_a. Every car is projected once: the ego over a_e,
+    the adjacent car over a_a and each follower's lead at its constant
+    speed. Where sigma moves the ego onto the adjacent car's lane the two
+    are merge partners and both pay the one lateral pair term. Elsewhere
+    the adjacent car follows its own lead, and the ego follows its lead
+    on keep-lane and pays nothing on a move to a free lane. The adjacent
+    car's comfort covers only its longitudinal acceleration: it is not
+    the one swerving. Returns (ego parts, adjacent parts), each a (j_ds,
+    j_rc, j_pe) triple broadcasting to the (rows, columns) shape, or None
+    for a player whose style is not given.
     """
     ts = _sample_times(horizon)
-    a_e = np.asarray(a_e, dtype=float)
-    a_a = np.asarray(a_a, dtype=float)
+    a_e = np.reshape(np.asarray(a_e, dtype=float), (-1, 1))
+    a_a = np.reshape(np.asarray(a_a, dtype=float), (1, -1))
+    sigma = np.broadcast_to(np.reshape(sigma, (-1, 1)), a_e.shape)
     se, ve = propagate(ego.s, ego.v, a_e[..., None], ts)
+    merge = np.zeros(sigma.shape, dtype=bool)
     if ac is not None:
         sa, va = propagate(ac.s, ac.v, a_a[..., None], ts)
-    pair = None
-    if sigma != 0 and ac is not None and ego_lane + sigma == ac_lane:
-        pair = np.max(_gap_term(ve - va, sa - se, g, lateral=True), axis=-1)
+        merge = (sigma != 0) & (ego_lane + sigma == ac_lane)
+    merged, pair = merge[:, 0], 0.0
+    if merged.any():
+        pair = np.zeros((len(merged), a_a.shape[1]))
+        pair[merged] = np.max(_gap_term(ve[merged] - va, sa - se[merged], g, lateral=True),
+                              axis=-1)
 
-    def safety(lead, s, v):
-        # Merge partners share the pair term; a car keeping its lane
-        # follows its lead, and a car moving to a free lane pays nothing.
-        if pair is not None:
-            return pair
-        if sigma != 0 or lead is None:
+    def follow(lead, s, v, rows):
+        # Worst following term behind the lead on `rows`, 0 elsewhere.
+        if lead is None or not rows.any():
             return 0.0
         sl, vl = propagate(lead.s, lead.v, 0.0, ts)
-        return np.max(_gap_term(vl - v, sl - s, g, lateral=False), axis=-1)
+        return np.where(rows, np.max(_gap_term(vl - v, sl - s, g, lateral=False),
+                                     axis=-1), 0.0)
 
     ego_parts = ac_parts = None
     if ego_style is not None:
-        target = ego_lane + sigma
-        lead_t = nb.lead(target)
-        v_bar = desired_speed(nb.lanes[target].v_max,
-                              lead_t.v if lead_t is not None else INF,
+        # Each row aims at the desired speed of its own target lane.
+        moves = sorted(set(sigma[:, 0].tolist()))
+        targets = [nb.lanes[ego_lane + m] for m in moves]
+        v_bar = desired_speed([t.v_max for t in targets],
+                              [INF if t.lead is None else t.lead.v for t in targets],
                               ego_style.v_factor, nb.flow_ref)
-        ego_parts = (safety(nb.lead(ego_lane), se, ve),
+        ego_parts = (np.where(merge, pair, follow(nb.lead(ego_lane), se, ve, sigma == 0)),
                      comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g),
-                     np.square(ve[..., -1] - v_bar))
+                     np.square(ve[..., -1] - v_bar[np.searchsorted(moves, sigma)]))
     if ac_style is not None and ac is not None:
         lane = nb.lanes[ac_lane]
         v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
         lead_v = lane.ac_lead.v if lane.ac_lead is not None else INF
-        if pair is not None:
-            # A merged ego that ends up ahead becomes this car's lead.
-            lead_v = np.where(se[..., -1] > sa[..., -1], ve[..., -1], lead_v)
+        # A merged ego that ends up ahead becomes this car's lead.
+        lead_v = np.where(merge & (se[..., -1] > sa[..., -1]), ve[..., -1], lead_v)
         # The adjacent car defends its own cruise speed, not the lane limit.
         v_bar = desired_speed(min(lane.v_max, v_ref), lead_v, ac_style.v_factor, v_ref)
-        ac_parts = (safety(lane.ac_lead, sa, va), comfort_cost(a_a, 0.0, 0, g),
-                    np.square(va[..., -1] - v_bar))
+        ac_parts = (np.where(merge, pair, follow(lane.ac_lead, sa, va, ~merge)),
+                    comfort_cost(a_a, 0.0, 0, g), np.square(va[..., -1] - v_bar))
     return ego_parts, ac_parts
 
 
@@ -322,7 +328,7 @@ def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
     parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
                            partner, target, opponent_accels.get(target, 0.0),
                            None, neighbors, gains, horizon)
-    return CostBreakdown(*map(float, parts), float(combine(style, *parts)))
+    return CostBreakdown(*(p.item() for p in parts), combine(style, *parts).item())
 
 
 def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
@@ -333,27 +339,30 @@ def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
     _, parts = _pair_parts(ego, ego_lane, ego_action.sigma, ego_action.a_x,
                            None, ac, ac_lane, ac_accel, ac_style, neighbors,
                            gains, horizon)
-    return CostBreakdown(*map(float, parts), float(combine(ac_style, *parts)))
+    return CostBreakdown(*(p.item() for p in parts), combine(ac_style, *parts).item())
 
 
-def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma: int,
-                         ego_accels: np.ndarray, ac: KinematicState | None,
-                         ac_lane: int | None, ac_accels: np.ndarray,
+def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
+                         ego_accels, ac: KinematicState | None,
+                         ac_lane: int | None, ac_accels,
                          neighbors: NeighborView, ego_style: StyleProfile,
                          ac_style: StyleProfile, gains: CostGains,
-                         horizon: float = T_DM) -> tuple[np.ndarray, np.ndarray]:
-    """Cost matrices (ego, adjacent) for one sigma block of the game.
+                         horizon: float = T_DM):
+    """Cost matrices (ego, adjacent) of one side game, and the ego's parts.
 
-    Rows index ego accelerations, columns the adjacent car's. Both
-    matrices come from one parts evaluation, so every car is projected
-    once per call and a merge's pair term is computed once. Without an
-    adjacent car the ego column is constant and the opponent matrix zero.
+    Rows index ego accelerations, each with its own lane move when sigma
+    is an array (a scalar sigma applies to every row); columns index the
+    adjacent car's accelerations. Both matrices come from one parts
+    evaluation, so every car is projected once per call and a merge's
+    pair term is computed once. The ego's (j_ds, j_rc, j_pe) come back
+    as read-only views of the matrix shape. Without an adjacent car the
+    ego column is constant and the opponent matrix zero.
     """
     shape = (len(ego_accels), len(ac_accels))
-    ego_parts, ac_parts = _pair_parts(
-        ego, ego_lane, sigma, np.asarray(ego_accels, dtype=float)[:, None],
-        ego_style, ac, ac_lane, np.asarray(ac_accels, dtype=float)[None, :],
-        ac_style, neighbors, gains, horizon)
+    ego_parts, ac_parts = _pair_parts(ego, ego_lane, sigma, ego_accels, ego_style, ac,
+                                      ac_lane, ac_accels, ac_style, neighbors, gains,
+                                      horizon)
     j_ego = combine(ego_style, *ego_parts)
     j_ac = 0.0 if ac_parts is None else combine(ac_style, *ac_parts)
-    return np.array(np.broadcast_to(j_ego, shape)), np.array(np.broadcast_to(j_ac, shape))
+    return (np.array(np.broadcast_to(j_ego, shape)), np.array(np.broadcast_to(j_ac, shape)),
+            tuple(np.broadcast_to(p, shape) for p in ego_parts))

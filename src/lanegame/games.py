@@ -4,13 +4,14 @@ Two layers. The matrix cores work on plain cost matrices (rows = ego
 candidates, columns = opponent accelerations) and know nothing about
 driving; they carry the equilibrium logic and the documented index
 tie-breaks. The scene wrappers enumerate feasible candidates (one
-projection of the whole grid per player), score every game, the solo
-one included, through the cost module's payoff matrices, and map the
-winning cell back to actions and cost breakdowns. One driver plays a
-game per adjacent car on the ego's candidates, enumerated once per
-decision: each side game keeps the rows whose sigma does not move the
-ego onto another side's lane, so with a car on each side the left game
-keeps sigma in {-1, 0} and the right one {0, +1}.
+projection of the whole grid per player) and score every game, the solo
+one included, in one payoff call over all its rows, each row with its
+own lane move. They map the winning cell back to actions and read the
+ego's cost breakdown there from the parts that call returned. One
+driver plays a game per adjacent car on the ego's candidates,
+enumerated once per decision: each side game keeps the rows whose sigma
+does not move the ego onto another side's lane, so with a car on each
+side the left game keeps sigma in {-1, 0} and the right one {0, +1}.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -25,8 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    NeighborView, T_DM, ac_cost, ego_cost,
-                    pair_payoff_matrices, propagate)
+                    NeighborView, T_DM, pair_payoff_matrices, propagate)
+# Not called here; bench/layers.py patches them on this module until ROADMAP item 2.
+from .costs import ac_cost, ego_cost  # noqa: F401
 from .errors import InfeasibleDecisionError
 from .styles import StyleProfile
 
@@ -85,7 +87,6 @@ class GameSolution:
     ego_action: DecisionAction
     ac_actions: dict[int, float]
     ego_cost: CostBreakdown
-    ac_costs: dict[int, CostBreakdown]
     multiplicity: int
     security_fallback: bool = False
     side: int | None = None  # winning branch of a two-opponent solve
@@ -190,17 +191,15 @@ def stackelberg_2p_matrices(j_row: np.ndarray,
     return r, c, mult
 
 
-def _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, cands, ac_accels,
-                       ego_style, ac_style, gains, horizon):
-    j_e, j_a = np.empty((2, len(cands), len(ac_accels)))
-    accel_arr = np.asarray(ac_accels, dtype=float)
-    for sigma in sorted({c.sigma for c in cands}):
-        rows = [i for i, c in enumerate(cands) if c.sigma == sigma]
-        accs = np.asarray([cands[i].a_x for i in rows])
-        j_e[rows], j_a[rows] = pair_payoff_matrices(
-            ego, ego_lane, sigma, accs, ac, ac_lane, accel_arr, nb, ego_style,
-            ac_style, gains, horizon)
-    return j_e, j_a
+def _score(ego, ego_lane, rows, ac, ac_lane, ac_accels, nb, ego_style,
+           ac_style, gains, horizon):
+    """One payoff call over all rows: (ego matrix, opponent matrix, and a
+    map from a cell (r, c) to the ego's breakdown there)."""
+    j_e, j_a, parts = pair_payoff_matrices(
+        ego, ego_lane, [c.sigma for c in rows], [c.a_x for c in rows], ac,
+        ac_lane, ac_accels, nb, ego_style, ac_style, gains, horizon)
+    return j_e, j_a, lambda r, c: CostBreakdown(*(float(p[r, c]) for p in parts),
+                                                float(j_e[r, c]))
 
 
 def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
@@ -210,35 +209,28 @@ def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
     skipped, and the lowest ego total decides."""
     cands = ego_candidates(ego, ego_lane, ego_grid, nb, horizon)
     lanes = {lane for lane, _, _ in sides}
-    ac_actions, ac_costs, played = {}, {}, []
+    ac_actions, played = {}, []
     for ac_lane, ac, ac_style in sides:
         others = lanes - {ac_lane}
         rows = [c for c in cands if ego_lane + c.sigma not in others]
         if ac_lane not in nb.lanes or not rows:
             continue
         ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
-        j_e, j_a = _assemble_matrices(ego, ego_lane, ac, ac_lane, nb, rows,
-                                      ac_accels, ego_style, ac_style, gains,
-                                      horizon)
+        j_e, j_a, breakdown = _score(ego, ego_lane, rows, ac, ac_lane, ac_accels,
+                                     nb, ego_style, ac_style, gains, horizon)
         if kind == "nash":
             r, c, mult, sec = nash_2p_matrices(j_e, j_a)
         else:
             r, c, mult = stackelberg_2p_matrices(j_e, j_a)
             sec = False
-        action, a_ac = rows[r], float(ac_accels[c])
-        eb = ego_cost(ego, ego_lane, action, {ac_lane: a_ac}, nb, ego_style,
-                      gains, horizon)
-        ac_actions[ac_lane] = a_ac
-        ac_costs[ac_lane] = ac_cost(ac, ac_lane, ego, ego_lane, action, a_ac,
-                                    nb, ac_style, gains, horizon)
-        played.append((eb, action, mult, sec, ac_lane - ego_lane))
+        ac_actions[ac_lane] = float(ac_accels[c])
+        played.append((breakdown(r, c), rows[r], mult, sec, ac_lane - ego_lane))
     if not played:
         raise InfeasibleDecisionError("no feasible ego action")
     # min keeps the first of equal totals: an exact tie goes to the left.
     eb, action, mult, sec, side = min(played, key=lambda p: p[0].total)
     return GameSolution(ego_action=action, ac_actions=ac_actions, ego_cost=eb,
-                        ac_costs=ac_costs, multiplicity=mult,
-                        security_fallback=sec,
+                        multiplicity=mult, security_fallback=sec,
                         side=side if len(sides) == 2 else None)
 
 
@@ -274,12 +266,11 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     cands = ego_candidates(ego, ego_lane, grid, nb, horizon)
     if not cands:
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _ = _assemble_matrices(ego, ego_lane, None, None, nb, cands, (0.0,),
-                                style, style, gains, horizon)
-    best = cands[int(np.argmin(j_e[:, 0]))]
-    cb = ego_cost(ego, ego_lane, best, {}, nb, style, gains, horizon)
-    return GameSolution(ego_action=best, ac_actions={}, ego_cost=cb,
-                        ac_costs={}, multiplicity=1)
+    j_e, _, breakdown = _score(ego, ego_lane, cands, None, None, (0.0,), nb,
+                               style, style, gains, horizon)
+    r = int(np.argmin(j_e[:, 0]))
+    return GameSolution(ego_action=cands[r], ac_actions={},
+                        ego_cost=breakdown(r, 0), multiplicity=1)
 
 
 def solve_nash_two_ac(ego: KinematicState, ego_lane: int,

@@ -243,8 +243,8 @@ def test_matrices_match_scalar_entries(gains):
                          (_three_lane_right_opponent, 0),
                          (_three_lane_right_opponent, 1)):
         nb, ego, ac, ac_lane = scene()
-        j_e, j_a = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane, a_acc,
-                                        nb, st_e, st_a, gains)
+        j_e, j_a, _ = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane, a_acc,
+                                           nb, st_e, st_a, gains)
         for i, ae in enumerate(e_acc):
             for j, aa in enumerate(a_acc):
                 eb = ego_cost(ego, 2, DecisionAction(sigma, float(ae)),
@@ -254,7 +254,10 @@ def test_matrices_match_scalar_entries(gains):
                 assert j_e[i, j] == pytest.approx(eb.total, rel=1e-12)
                 assert j_a[i, j] == pytest.approx(ab.total, rel=1e-12)
                 if sigma == -1 and ac_lane == 3:
-                    assert ab.j_ds == 0.0   # moving away: no pair term
+                    # Moving away: the AC still follows its own lead.
+                    assert ab.j_ds == ac_cost(ac, ac_lane, ego, 2,
+                                              DecisionAction(0, float(ae)), float(aa),
+                                              nb, st_a, gains).j_ds
 
 
 def _random_three_lane_scene(rng):
@@ -286,20 +289,60 @@ def test_breakdown_totals_equal_matrix_cells_exactly(gains, rng):
         st_e, st_a = (_style(str(rng.choice(names))) for _ in range(2))
         e_acc, a_acc = rng.uniform(-4.0, 3.0, (2, 6))
         for sigma in (-1, 0, 1):
-            j_e, j_a = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane, a_acc,
-                                            nb, st_e, st_a, gains)
+            j_e, j_a, parts = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane,
+                                                   a_acc, nb, st_e, st_a, gains)
             # One cell per row and column: each breakdown has its own speeds.
             for i, (ae, aa) in enumerate(zip(e_acc, a_acc)):
                 action = DecisionAction(sigma, float(ae))
                 eb = ego_cost(ego, 2, action, {ac_lane: float(aa)}, nb, st_e, gains)
                 ab = ac_cost(ac, ac_lane, ego, 2, action, float(aa), nb, st_a, gains)
                 assert (eb.total, ab.total) == (j_e[i, i], j_a[i, i]), (sigma, i)
+                assert (eb.j_ds, eb.j_rc, eb.j_pe) == tuple(p[i, i] for p in parts)
+
+
+def test_per_row_sigmas_equal_one_call_per_sigma(gains, rng):
+    """One call with a lane move per row gives, row for row and to the
+    last bit, what one call per sigma gives: both matrices and the parts."""
+    names = sorted(BUILTIN_STYLES)
+    for _ in range(100):
+        nb, ego, ac, ac_lane = _random_three_lane_scene(rng)
+        st_e, st_a = (_style(str(rng.choice(names))) for _ in range(2))
+        sigmas = rng.choice([-1, 0, 1], 9)
+        e_acc, a_acc = rng.uniform(-4.0, 3.0, 9), rng.uniform(-4.0, 3.0, 5)
+        j_e, j_a, parts = pair_payoff_matrices(ego, 2, sigmas, e_acc, ac, ac_lane,
+                                               a_acc, nb, st_e, st_a, gains)
+        for sigma in np.unique(sigmas):
+            rows = sigmas == sigma
+            want = pair_payoff_matrices(ego, 2, int(sigma), e_acc[rows], ac, ac_lane,
+                                        a_acc, nb, st_e, st_a, gains)
+            assert np.array_equal(j_e[rows], want[0])
+            assert np.array_equal(j_a[rows], want[1])
+            for got, part in zip(parts, want[2]):
+                assert np.array_equal(got[rows], part)
+
+
+def test_ac_follows_its_lead_unless_merged(gains):
+    """Only a merge involves the AC with the ego: against a keep-lane row
+    or a move to the far lane it pays the same following term behind its
+    own lead, so every non-merge row of its matrix is the same row."""
+    ac = KinematicState(s=10.0, v=20.0)
+    nb = make_neighbors(lanes={
+        1: LaneView(adjacent=ac, adjacent_v_ref=20.0,
+                    ac_lead=KinematicState(s=22.0, v=14.0)),
+        2: LaneView(), 3: LaneView()})
+    e_acc, a_acc = np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    rows = [pair_payoff_matrices(KinematicState(0.0, 20.0), 2, sigma, e_acc, ac, 1,
+                                 a_acc, nb, _style(), _style(), gains)[1]
+            for sigma in (0, 1)]
+    j_a = np.concatenate(rows)
+    assert np.all(j_a == j_a[0])
+    assert j_a[0, 1] > 1000.0   # 12 m behind a car 6 m/s slower
 
 
 def test_one_projection_per_car(gains, monkeypatch):
     """One payoff call projects every car it involves exactly once: the
     ego and its merge partner on a merge; the ego, the AC and the lead of
-    each on keep-lane."""
+    each on keep-lane, and when keep-lane and merge rows share the call."""
     seen = []
     real = costs.propagate
 
@@ -312,7 +355,8 @@ def test_one_projection_per_car(gains, monkeypatch):
     cars = {"ego": (0.0, 20.0), "ac": (4.0, 16.0), "ego lead": (45.0, 15.0),
             "ac lead": (60.0, 14.0)}
     for sigma, involved in ((-1, ("ego", "ac")),
-                            (0, ("ego", "ac", "ego lead", "ac lead"))):
+                            (0, ("ego", "ac", "ego lead", "ac lead")),
+                            ([0, -1, 0], ("ego", "ac", "ego lead", "ac lead"))):
         seen.clear()
         pair_payoff_matrices(ego, 2, sigma, np.array([-2.0, 0.0, 1.5]), ac, ac_lane,
                              np.array([-1.0, 0.0, 2.0]), nb, _style("aggressive"),
@@ -322,10 +366,10 @@ def test_one_projection_per_car(gains, monkeypatch):
 
 def test_matrices_without_opponent(gains):
     nb = make_neighbors()
-    j_e, j_a = pair_payoff_matrices(KinematicState(0.0, 20.0), 2, 0,
-                                    np.array([0.0, 1.0]), None, None,
-                                    np.array([0.0]), nb, _style(), _style(),
-                                    gains)
+    j_e, j_a, _ = pair_payoff_matrices(KinematicState(0.0, 20.0), 2, 0,
+                                       np.array([0.0, 1.0]), None, None,
+                                       np.array([0.0]), nb, _style(), _style(),
+                                       gains)
     assert j_e.shape == (2, 1) and np.all(j_a == 0.0)
 
 

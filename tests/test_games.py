@@ -7,13 +7,13 @@ import pytest
 
 from lanegame.costs import (T_DM, CostGains, DecisionAction, KinematicState,
                             LaneView, ac_cost, ego_cost, propagate)
-from lanegame import games
+from lanegame import costs, games
 from lanegame.errors import InfeasibleDecisionError
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
                             solve_solo, solve_stackelberg_2p,
                             solve_stackelberg_two_ac, stackelberg_2p_matrices)
-from lanegame.styles import style_profile
+from lanegame.styles import BUILTIN_STYLES, style_profile
 
 from conftest import make_neighbors
 
@@ -282,7 +282,7 @@ def test_scene_wrappers_match_enumeration(kind, gains):
     want_action, want_acc = brute_solve_pair(kind, ego, ac, nb, gains, st_e, st_a)
     assert sol.ego_action == want_action
     assert sol.ac_actions[1] == pytest.approx(want_acc)
-    # Reported breakdowns are the equilibrium cell re-evaluated.
+    # The reported breakdown is the scalar cost of the equilibrium cell.
     cb = ego_cost(ego, 2, sol.ego_action, {1: sol.ac_actions[1]}, nb, st_e, gains)
     assert sol.ego_cost.total == pytest.approx(cb.total)
 
@@ -383,6 +383,92 @@ def test_two_ac_exact_tie_goes_left(kind, gains):
     sol = solver(ego, 2, car(), car(), nb, GRID, GRID, st, st, st, gains)
     assert sol.side == -1
     assert sol.ego_action == left.ego_action
+
+
+def _random_game_scene(rng, opponent_lanes):
+    """Three lanes, the ego on lane 2 at s = 0, an opponent on each of
+    `opponent_lanes`; leads, lane limits and a lane-2 end drawn at random."""
+    def maybe_car(s_lo, s_hi):
+        if rng.random() < 0.3:
+            return None
+        return KinematicState(s=float(rng.uniform(s_lo, s_hi)),
+                              v=float(rng.uniform(10.0, 24.0)))
+
+    lanes = {i: LaneView(lead=maybe_car(5.0, 80.0), v_max=float(rng.uniform(18.0, 28.0)))
+             for i in (1, 2, 3)}
+    for lane in opponent_lanes:
+        ac = KinematicState(s=float(rng.uniform(-20.0, 20.0)),
+                            v=float(rng.uniform(12.0, 24.0)))
+        lanes[lane] = replace(lanes[lane], adjacent=ac,
+                              adjacent_v_ref=float(rng.uniform(12.0, 24.0)),
+                              ac_lead=maybe_car(ac.s + 5.0, ac.s + 80.0))
+    ends = {2: float(rng.uniform(60.0, 250.0))} if rng.random() < 0.3 else {}
+    nb = make_neighbors(lanes=lanes, end_remaining=ends,
+                        flow_ref=float(rng.uniform(15.0, 25.0)))
+    return KinematicState(s=0.0, v=float(rng.uniform(12.0, 24.0))), nb
+
+
+def test_reported_breakdown_is_the_scalar_cost_of_its_cell(gains, rng):
+    """Every solver reports the ego's breakdown of its cell as the scalar
+    `ego_cost` gives it, each part to the last bit."""
+    grid, names, seen = ActionGrid(), sorted(BUILTIN_STYLES), set()
+    for _ in range(200):
+        st_e, st_l, st_r = (style_profile(str(rng.choice(names))) for _ in range(3))
+        solves = []
+        ego, nb = _random_game_scene(rng, ())
+        solves.append((ego, nb, solve_solo, (nb, grid, st_e, gains)))
+        for lane, st in ((1, st_l), (3, st_r)):
+            ego, nb = _random_game_scene(rng, (lane,))
+            solves += [(ego, nb, solver, (nb.adjacent(lane), lane, nb, grid, grid,
+                                          st_e, st, gains))
+                       for solver in (solve_nash_2p, solve_stackelberg_2p)]
+        ego, nb = _random_game_scene(rng, (1, 3))
+        solves += [(ego, nb, solver, (nb.adjacent(1), nb.adjacent(3), nb, grid, grid,
+                                      st_e, st_l, st_r, gains))
+                   for solver in (solve_nash_two_ac, solve_stackelberg_two_ac)]
+        for ego, nb, solver, args in solves:
+            sol = solver(ego, 2, *args)
+            cb = ego_cost(ego, 2, sol.ego_action, sol.ac_actions, nb, st_e, gains)
+            got = sol.ego_cost
+            assert (got.j_ds, got.j_rc, got.j_pe, got.total) == \
+                (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)
+            target = 2 + sol.ego_action.sigma
+            seen.add("keep" if target == 2 else
+                     "merge" if nb.adjacent(target) is not None else "free lane")
+    assert seen == {"keep", "merge", "free lane"}
+
+
+@pytest.mark.parametrize("solver", [solve_nash_two_ac, solve_stackelberg_two_ac])
+def test_two_ac_decision_projects_each_car_once_per_side(solver, gains, monkeypatch):
+    """With a lead on every lane, a decision projects the ego's grid once
+    to enumerate it, and per side the opponent's grid once to enumerate
+    it and each of the four cars once to score the game; it calls no
+    scalar cost."""
+    calls = dict.fromkeys(("propagate", "ego_cost", "ac_cost"), 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        real = getattr(costs, name)
+        for module in (costs, games):
+            monkeypatch.setattr(module, name, counted(name, real))
+    lead = KinematicState(s=40.0, v=15.0)
+    nb = make_neighbors(lanes={
+        1: LaneView(lead=lead, adjacent=KinematicState(s=4.0, v=17.0),
+                    adjacent_v_ref=17.0, ac_lead=lead),
+        2: LaneView(lead=KinematicState(s=25.0, v=8.0)),
+        3: LaneView(lead=lead, adjacent=KinematicState(s=-25.0, v=14.0),
+                    adjacent_v_ref=14.0, ac_lead=lead),
+    })
+    st = style_profile("normal")
+    sol = solver(KinematicState(s=0.0, v=20.0), 2, nb.adjacent(1), nb.adjacent(3),
+                 nb, ActionGrid(), ActionGrid(), st, st, st, gains)
+    assert set(sol.ac_actions) == {1, 3}
+    assert calls == {"propagate": 11, "ego_cost": 0, "ac_cost": 0}
 
 
 def test_one_ac_on_a_missing_lane_is_infeasible(gains):

@@ -52,6 +52,11 @@ GRADIENT_STEPS = 0.5 ** np.arange(25)
 # State channels the cost reads: position for the field and the lateral
 # offset, yaw for the heading error.
 CHANNELS = [IX, IY, IPHI]
+# Longest prediction horizon MpcConfig accepts, in steps. A solve's
+# largest arrays grow with n_p * n_c: the sensitivity gather is
+# n_p * n_c * 8 doubles (64 MB at n_p = n_c = 1000), and the field holds
+# n_p * n_c doubles per obstacle for the Jacobian batch.
+MAX_HORIZON_STEPS = 1000
 
 
 def _default_q() -> np.ndarray:
@@ -75,6 +80,9 @@ class MpcConfig:
         self.q = np.asarray(self.q, dtype=float)
         if self.n_c < 1 or self.n_p < self.n_c:
             raise ValueError("need n_p >= n_c >= 1")
+        if self.n_p > MAX_HORIZON_STEPS:
+            raise ValueError(f"n_p = {self.n_p} exceeds the largest horizon, "
+                             f"{MAX_HORIZON_STEPS} steps")
         if self.r <= 0:
             raise ValueError("r must be positive")
         if self.q.shape != (3, 3) or not np.allclose(self.q, self.q.T, atol=1e-12):

@@ -307,6 +307,9 @@ def load_scenario(source: str) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{source}: parse error at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+        except (UnicodeDecodeError, RecursionError, IsADirectoryError) as exc:
+            # Not UTF-8, nested deeper than the reader recurses, or a directory.
+            raise ConfigError(f"{source}: not a readable JSON file: {exc}") from exc
         return config_from_dict(doc)
     name = source.removesuffix(".json")
     if name in BUNDLED:

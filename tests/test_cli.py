@@ -45,6 +45,21 @@ def test_missing_scenario_is_config_error(capsys):
     assert "no such scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "too_deep", "directory"])
+def test_undecodable_scenario_file_exits_3(kind, tmp_path, capsys):
+    p = tmp_path / "scene.json"
+    if kind == "not_utf8":
+        p.write_bytes(b"\xff\xfe{}")
+    elif kind == "too_deep":
+        p.write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        p.mkdir()
+    assert main(["validate", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {p}: not a readable JSON file")
+    assert "Traceback" not in err
+
+
 def test_non_finite_scenario_value_exits_3(tmp_path, capsys):
     # json writes and reads Infinity; the parser refuses it before a run
     # overflows on it.

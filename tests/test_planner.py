@@ -6,8 +6,9 @@ import pytest
 from lanegame.errors import DomainError
 from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
                             obstacle_field, prepare_field, road_field, total_field)
-from lanegame.planner import (CHANNELS, HorizonModel, MpcConfig, _coasted,
-                              _outputs, _project, mpc_cost, solve_plan)
+from lanegame.planner import (CHANNELS, MAX_HORIZON_STEPS, HorizonModel,
+                              MpcConfig, _coasted, _outputs, _project, mpc_cost,
+                              solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
@@ -62,6 +63,11 @@ def test_config_validation(two_lane_road):
     with pytest.raises(ValueError, match="tol >= 0"):
         MpcConfig(tol=-1.0)
     MpcConfig(du_min=0.0, du_max=0.0, max_iter=1, tol=0.0)
+    # The horizon is capped so that no config asks for a gigabyte-sized
+    # sensitivity array; only the configs are built here, never solved.
+    MpcConfig(n_p=MAX_HORIZON_STEPS, n_c=MAX_HORIZON_STEPS)
+    with pytest.raises(ValueError, match="n_p = 1001 exceeds the largest horizon"):
+        MpcConfig(n_p=MAX_HORIZON_STEPS + 1)
     # The step and the command box are checked where they are passed.
     for dt, box in ((0.0, BOX), (float("nan"), BOX), (DT, (1.0, -1.0)),
                     (DT, (float("nan"), 1.0))):

@@ -119,6 +119,11 @@ def test_missing_blocks_rejected():
      r"past the road end at 500"),
     (lambda d: (d["vehicles"][0].update(s=470.0, lane=1), d.__setitem__("mpc", {"n_p": 30})),
      r"the first 1\.5 s planner horizon reaches s=503\.4"),
+    # 200000 x 200000 increments: the planner's first sensitivity gather
+    # alone would be 320 GB of indices.
+    (lambda d: (d.__setitem__("mpc", {"n_p": 200000, "n_c": 200000}),
+                d.__setitem__("dt", 5e-5)),
+     "mpc: n_p = 200000 exceeds the largest horizon, 1000 steps"),
     # A repeated lane index would silently drop the earlier lane.
     (lambda d: d["road"]["lanes"].append({"index": 2, "v_max": 10.0}),
      r"road\.lanes\[2\]: repeats lane index 2"),

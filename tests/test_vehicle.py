@@ -1,12 +1,19 @@
 """Driver-vehicle model: closed forms, integration, linearization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
+from lanegame.scenario import load_scenario
 from lanegame.styles import style_profile
 from lanegame.vehicle import (DEFAULT_VEHICLE, IDDELTA, IDELTA, IPHI, IR, IVX,
                               IVY, IX, IY, NX, V_FLOOR, ControlInput,
-                              DriverParams, derivatives, discretize,
+                              DriverParams, _expm, derivatives, discretize,
                               lateral_forces, linearize, step)
 
 NORMAL_DRIVER = DriverParams(t_d=0.18, t_p=0.94, g_s=0.75, a=0.23)
@@ -148,6 +155,74 @@ def test_discretize_zero_dt_is_identity():
     a_d, b_d = discretize(A, B, 0.0)
     assert np.allclose(a_d, np.eye(NX), atol=1e-14)
     assert np.allclose(b_d, 0.0, atol=1e-14)
+
+
+def _rel_diff(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_expm_matches_scipy_across_scalings():
+    # 1-norms from 1e-6 to 100 run 0 to 5 squarings (theta_13 = 5.37).
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    for norm in np.logspace(-6, 2, 17):
+        for _ in range(4):
+            a = rng.standard_normal((10, 10))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            worst = max(worst, _rel_diff(_expm(a), scipy_expm(a)))
+    assert worst <= 1e-13
+
+
+def test_discretize_matches_scipy_on_a_bundled_step():
+    # The augmented matrix the planner builds at scenario_a's first step:
+    # the linearization at the ego's start plus its affine remainder.
+    cfg = load_scenario("scenario_a")
+    ego = cfg.ego()
+    dp = style_profile(ego.style).driver
+    x0 = np.zeros(NX)
+    x0[IVX] = ego.v
+    x0[IX], x0[IY] = cfg.road.to_global(ego.s, cfg.road.lane_offset(ego.lane))
+    u = ControlInput(y_p=float(x0[IY]), a_x=1.0)
+    a_c, b_c = linearize(x0, u, DEFAULT_VEHICLE, dp)
+    w_c = derivatives(x0, u, DEFAULT_VEHICLE, dp) - a_c @ x0 - b_c[:, 0] * u.y_p
+    b_aug = np.column_stack([b_c, w_c])
+    aug = np.zeros((NX + 2, NX + 2))
+    aug[:NX, :NX] = a_c
+    aug[:NX, NX:] = b_aug
+    ref = scipy_expm(aug * cfg.dt)
+    a_d, b_d = discretize(a_c, b_aug, cfg.dt)
+    assert _rel_diff(np.hstack([a_d, b_d]), ref[:NX]) <= 1e-13
+    assert _rel_diff(_expm(aug * cfg.dt), ref) <= 1e-13
+
+
+def test_expm_exact_cases():
+    assert np.array_equal(_expm(np.zeros((10, 10))), np.eye(10))
+    # N @ N = 0, so exp(N) = I + N; 64 and 1000 are scaled and squared.
+    for v in (2.0**-20, 1.0, 3.7, -7.1, 64.0, 1000.0):
+        n = np.array([[0.0, v], [0.0, 0.0]])
+        assert np.array_equal(_expm(n), np.eye(2) + n), v
+    n = np.zeros((10, 10))
+    n[0, 9], n[3, 9], n[0, 5] = 8.0, -0.3, 11.3
+    assert not (n @ n).any()
+    assert np.array_equal(_expm(n), np.eye(10) + n)
+
+
+def test_import_and_load_do_not_import_scipy():
+    # SciPy is a test dependency only; importing it costs every command
+    # about 0.3 s and 28 MB.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, lanegame, lanegame.cli\n"
+            "from lanegame.scenario import load_scenario\n"
+            "load_scenario('scenario_a')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # Feedback submatrix for the lateral loop: v_x is held by the exogenous

@@ -5,9 +5,8 @@ Run: python3 demos/field_map.py
 
 import numpy as np
 
-from lanegame.field import (ObstacleFieldParams, ObstaclePose,
-                            RoadFieldParams, gamma_crit, prepare_field,
-                            total_field)
+from lanegame.field import (FieldParams, ObstaclePose, gamma_crit,
+                            prepare_field, total_field)
 from lanegame.road import LaneSpec, RoadGeometry
 
 SHADES = " .,:;o*#@"
@@ -16,18 +15,17 @@ SHADES = " .,:;o*#@"
 def main():
     road = RoadGeometry(kind="straight", length=200.0,
                         lanes={1: LaneSpec(index=1), 2: LaneSpec(index=2)})
-    ofp = ObstacleFieldParams()
-    rfp = RoadFieldParams()
+    params = FieldParams()
     # A slow car ahead in lane 2 and a faster one alongside in lane 1.
     cars = [
         ObstaclePose(x=60.0, y=0.0, heading=0.0, v=10.0),
         ObstaclePose(x=40.0, y=4.0, heading=0.0, v=18.0),
     ]
 
-    field = prepare_field(cars, road, ofp, rfp)
+    field = prepare_field(cars, road, params)
     xs = np.arange(10.0, 110.0, 2.0)
     ds = np.arange(6.5, -2.75, -0.5)
-    crit = gamma_crit(ofp)
+    crit = gamma_crit(params)
     print(f"risk field, inner-core threshold {crit:.2f} marked with X")
     print(f"cars at x=60 (lane 2, 10 m/s) and x=40 (lane 1, 18 m/s)")
     print()

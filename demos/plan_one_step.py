@@ -8,7 +8,7 @@ Run: python3 demos/plan_one_step.py
 
 import numpy as np
 
-from lanegame.field import ObstacleFieldParams, ObstaclePose, RoadFieldParams
+from lanegame.field import FieldParams, ObstaclePose
 from lanegame.planner import MpcConfig, solve_plan
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
@@ -18,7 +18,7 @@ from lanegame.vehicle import DEFAULT_VEHICLE, IVX, IX, IY, NX
 def main():
     road = RoadGeometry(kind="straight", length=300.0,
                         lanes={1: LaneSpec(index=1), 2: LaneSpec(index=2)})
-    cfg = MpcConfig(n_p=30, n_c=5, q=np.diag([1.0, 60.0, 50.0]), r=5.0)
+    cfg = MpcConfig(n_p=30, n_c=5, q_diag=(1.0, 60.0, 50.0), r=5.0)
     dp = style_profile("normal").driver
 
     # Mid lane change: the ego sits on the lane 2 centerline, the target
@@ -30,9 +30,8 @@ def main():
 
     # One 0.05 s step; the preview command stays within the road edges.
     plan = solve_plan(x, u_prev=0.0, a_x=0.0, obstacles=[ahead], road=road,
-                      target_lane=1, ofp=ObstacleFieldParams(),
-                      rfp=RoadFieldParams(), cfg=cfg, vp=DEFAULT_VEHICLE,
-                      dp=dp, dt=0.05, u_box=(-2.0, 6.0))
+                      target_lane=1, params=FieldParams(), cfg=cfg,
+                      vp=DEFAULT_VEHICLE, dp=dp, dt=0.05, u_box=(-2.0, 6.0))
 
     print("preview increments:",
           " ".join(f"{d:+.3f}" for d in plan.du_sequence))

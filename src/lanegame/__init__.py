@@ -16,9 +16,8 @@ from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
                     pair_payoff_matrices)
 from .errors import (ConfigError, DomainError, InfeasibleDecisionError,
                      LanegameError)
-from .field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                    gamma_crit, obstacle_field, prepare_field, road_field,
-                    total_field)
+from .field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
+                    prepare_field, road_field, total_field)
 from .games import (ActionGrid, GameSolution, nash_2p_matrices, solve_nash_2p,
                     solve_nash_two_ac, solve_solo, solve_stackelberg_2p,
                     solve_stackelberg_two_ac, stackelberg_2p_matrices)

@@ -137,8 +137,7 @@ def _cmd_field_dump(args) -> int:
     if points > FIELD_DUMP_MAX_POINTS:
         raise ConfigError(f"field-dump: grid of {points:.3g} points exceeds "
                           f"{FIELD_DUMP_MAX_POINTS:,}")
-    field = prepare_field(obstacle_poses(road, initial_cars(cfg)), road,
-                          cfg.obstacle_field, cfg.road_field)
+    field = prepare_field(obstacle_poses(road, initial_cars(cfg)), road, cfg.field)
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)
     dd = np.arange(d_min, d_max + 1e-9, args.dd)
     lines = ["s,d,x,y,gamma"]

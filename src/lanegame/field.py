@@ -3,10 +3,11 @@
 Two ingredients: a velocity-skewed exponential bump around each obstacle
 car, and an exponential barrier along the road edge lines. Both are summed
 into a single scalar surface that the planner reads as its first output
-channel. `prepare_field` lays a scene out once (obstacles stacked along a
-leading axis, zero-weight lane lines dropped) and `total_field` queries
-it; all query arguments broadcast, so a whole prediction horizon (or a
-batch of candidate horizons) evaluates in one call. `_bumps` is the one
+channel; one `FieldParams` holds the constants of both. `prepare_field`
+lays a scene out once (obstacles stacked along a leading axis,
+zero-weight lane lines dropped) and `total_field` queries it; all query
+arguments broadcast, so a whole prediction horizon (or a batch of
+candidate horizons) evaluates in one call. `_bumps` is the one
 obstacle-field formula, shared by the stacked and the single-pose paths.
 
 Obstacles and lines are summed with `.sum(axis=0)`, which numpy takes
@@ -26,12 +27,21 @@ from .road import RoadGeometry
 
 
 @dataclass(frozen=True)
-class ObstacleFieldParams:
+class FieldParams:
+    """The obstacle bump and the lane-line barrier: a scenario's `field` block."""
+
     a_oc: float = 50.0   # peak value at the obstacle CoG
     rho_x: float = 8.0   # longitudinal convergence length, m
     rho_y: float = 1.2   # lateral convergence length, m
     b: float = 1.0       # shape exponent
     c: float = 0.05      # velocity-skew gain, s/m
+    a_r: float = 10.0    # peak value on a lane line
+    d_safe: float = 0.2  # safety threshold distance, m
+    w: float = 1.8       # vehicle width, m
+    # Weight per lane-line kind. Interior (dashed) lines default to zero:
+    # crossing them is the whole point of a lane change.
+    edge_weight: float = 1.0
+    interior_weight: float = 0.0
 
     def __post_init__(self) -> None:
         if self.a_oc <= 0 or self.rho_x <= 0 or self.rho_y <= 0:
@@ -40,19 +50,6 @@ class ObstacleFieldParams:
             raise ValueError("shape exponent b must be >= 1")
         if self.c < 0:
             raise ValueError("skew gain c must be >= 0")
-
-
-@dataclass(frozen=True)
-class RoadFieldParams:
-    a_r: float = 10.0      # peak value on a lane line
-    d_safe: float = 0.2    # safety threshold distance, m
-    w: float = 1.8         # vehicle width, m
-    # Weight per lane-line kind. Interior (dashed) lines default to zero:
-    # crossing them is the whole point of a lane change.
-    edge_weight: float = 1.0
-    interior_weight: float = 0.0
-
-    def __post_init__(self) -> None:
         if self.a_r <= 0 or self.w <= 0 or self.d_safe < 0:
             raise ValueError("a_r and w must be positive, d_safe nonnegative")
 
@@ -67,12 +64,12 @@ class ObstaclePose:
     v: float = 0.0
 
 
-def gamma_crit(p: ObstacleFieldParams) -> float:
+def gamma_crit(p: FieldParams) -> float:
     """Inner-core threshold: the field value one shape unit from the CoG."""
     return p.a_oc * math.exp(-1.0)
 
 
-def _bumps(dx, dy, cos_h, sin_h, cv, p: ObstacleFieldParams) -> np.ndarray:
+def _bumps(dx, dy, cos_h, sin_h, cv, p: FieldParams) -> np.ndarray:
     """The obstacle bump at offsets (dx, dy) from the obstacle CoG.
 
     The one obstacle-field formula: every path to an obstacle's field
@@ -94,7 +91,7 @@ def _bumps(dx, dy, cos_h, sin_h, cv, p: ObstacleFieldParams) -> np.ndarray:
     return p.a_oc * np.exp(theta)
 
 
-def obstacle_field(qx, qy, obs: ObstaclePose, p: ObstacleFieldParams) -> np.ndarray:
+def obstacle_field(qx, qy, obs: ObstaclePose, p: FieldParams) -> np.ndarray:
     """Field of one obstacle car at query position(s) (qx, qy)."""
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
@@ -102,7 +99,7 @@ def obstacle_field(qx, qy, obs: ObstaclePose, p: ObstacleFieldParams) -> np.ndar
                   math.sin(obs.heading), p.c * obs.v, p)
 
 
-def _weighted_lines(road: RoadGeometry, p: RoadFieldParams):
+def _weighted_lines(road: RoadGeometry, p: FieldParams):
     """(lateral offsets, weight * a_r) of the lane lines with non-zero weight."""
     d_left, _ = road.lateral_extent()
     n_lines = road.lane_count + 1
@@ -126,7 +123,7 @@ def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
-             p: RoadFieldParams) -> np.ndarray:
+             p: FieldParams) -> np.ndarray:
     """Lane-line barrier at road coordinates (s, d), summed over the lines."""
     if np.any(s < -1e-9) or np.any(s > road.length + 1e-9):
         raise DomainError("query station outside the road's station range")
@@ -136,7 +133,7 @@ def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
     return terms.sum(axis=0)
 
 
-def road_field(qx, qy, road: RoadGeometry, p: RoadFieldParams) -> np.ndarray:
+def road_field(qx, qy, road: RoadGeometry, p: FieldParams) -> np.ndarray:
     """Summed lane-line barrier at query position(s) (qx, qy).
 
     Each weighted line contributes a_r * exp(-d + d_safe + 0.5*w) where d
@@ -169,22 +166,20 @@ class PreparedField:
     road: RoadGeometry
     offsets: np.ndarray
     gains: np.ndarray
-    ofp: ObstacleFieldParams
-    rfp: RoadFieldParams
+    params: FieldParams
 
 
-def prepare_field(obstacles, road: RoadGeometry,
-                  ofp: ObstacleFieldParams, rfp: RoadFieldParams) -> PreparedField:
+def prepare_field(obstacles, road: RoadGeometry, params: FieldParams) -> PreparedField:
     """Stack obstacle poses (all of one position shape) and keep the weighted lines."""
     obstacles = list(obstacles)
-    offsets, gains = _weighted_lines(road, rfp)
+    offsets, gains = _weighted_lines(road, params)
     return PreparedField(
         x=np.array([o.x for o in obstacles], dtype=float),
         y=np.array([o.y for o in obstacles], dtype=float),
         cos=np.array([math.cos(o.heading) for o in obstacles]),
         sin=np.array([math.sin(o.heading) for o in obstacles]),
-        cv=np.array([ofp.c * o.v for o in obstacles]),
-        road=road, offsets=offsets, gains=gains, ofp=ofp, rfp=rfp)
+        cv=np.array([params.c * o.v for o in obstacles]),
+        road=road, offsets=offsets, gains=gains, params=params)
 
 
 def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
@@ -201,7 +196,7 @@ def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
     ndim = 1 + max(len(shape), field.x.ndim - 1)
     bumps = _bumps(qx - _leading(field.x, ndim), qy - _leading(field.y, ndim),
                    _leading(field.cos, ndim), _leading(field.sin, ndim),
-                   _leading(field.cv, ndim), field.ofp)
+                   _leading(field.cv, ndim), field.params)
     s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
     return bumps.sum(axis=0) + _barrier(s, d, field.road, field.offsets,
-                                        field.gains, field.rfp)
+                                        field.gains, field.params)

@@ -24,18 +24,20 @@ evaluation gives, bit for bit, and the plan's cost is the accepted one.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
-target lane centerline, y3 yaw error against the road tangent.
+target lane centerline, y3 yaw error against the road tangent. The cost
+weights their squares by MpcConfig.q_diag and adds r times the squared
+increments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .field import (ObstacleFieldParams, ObstaclePose, PreparedField,
-                    RoadFieldParams, prepare_field, total_field)
+from .field import (FieldParams, ObstaclePose, PreparedField, prepare_field,
+                    total_field)
 from .road import RoadGeometry
 from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
                       VehicleParams, derivatives, discretize, linearize)
@@ -52,15 +54,16 @@ GRADIENT_STEPS = 0.5 ** np.arange(25)
 # State channels the cost reads: position for the field and the lateral
 # offset, yaw for the heading error.
 CHANNELS = [IX, IY, IPHI]
-# Longest prediction horizon MpcConfig accepts, in steps. A solve's
-# largest arrays grow with n_p * n_c: the sensitivity gather is
-# n_p * n_c * 8 doubles (64 MB at n_p = n_c = 1000), and the field holds
-# n_p * n_c doubles per obstacle for the Jacobian batch.
+# Longest prediction horizon MpcConfig accepts, in steps.
 MAX_HORIZON_STEPS = 1000
-
-
-def _default_q() -> np.ndarray:
-    return np.diag([1.0, 10.0, 50.0])
+# Largest n_p * n_c MpcConfig accepts. A solve peaks at about
+# (270 + 85 * obstacles) bytes per n_p * max(n_c, 31), as the Jacobian
+# batch scores n_c rows and the line search 31 (tracemalloc of the first
+# scenario_b solve at n_p = n_c from 40 to 150 with 0 to 15 obstacles).
+# With n_p <= MAX_HORIZON_STEPS the cap bounds both, so with the largest
+# roster (scenario.MAX_VEHICLES = 16 cars, 15 obstacles) a solve peaks
+# near 62 MB.
+MAX_PLAN_CELLS = 40_000
 
 
 @dataclass
@@ -69,7 +72,7 @@ class MpcConfig:
 
     n_p: int = 20
     n_c: int = 5
-    q: np.ndarray = field(default_factory=_default_q)
+    q_diag: tuple[float, ...] = (1.0, 10.0, 50.0)  # weights of (y1, y2, y3)
     r: float = 1.0
     du_min: float = -0.3
     du_max: float = 0.3
@@ -77,18 +80,18 @@ class MpcConfig:
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float)
         if self.n_c < 1 or self.n_p < self.n_c:
             raise ValueError("need n_p >= n_c >= 1")
         if self.n_p > MAX_HORIZON_STEPS:
             raise ValueError(f"n_p = {self.n_p} exceeds the largest horizon, "
                              f"{MAX_HORIZON_STEPS} steps")
+        if self.n_p * self.n_c > MAX_PLAN_CELLS:
+            raise ValueError(f"n_p * n_c = {self.n_p * self.n_c:,} exceeds "
+                             f"{MAX_PLAN_CELLS:,}")
         if self.r <= 0:
             raise ValueError("r must be positive")
-        if self.q.shape != (3, 3) or not np.allclose(self.q, self.q.T, atol=1e-12):
-            raise ValueError("q must be a symmetric 3x3 matrix")
-        if np.min(np.linalg.eigvalsh(self.q)) < -1e-12:
-            raise ValueError("q must be positive semidefinite")
+        if len(self.q_diag) != 3 or not all(w >= 0 for w in self.q_diag):
+            raise ValueError("q_diag must hold 3 nonnegative weights")
         # The solver's zero-increment baseline must be a feasible plan.
         if not self.du_min <= 0.0 <= self.du_max:
             raise ValueError("the increment box [du_min, du_max] must contain 0")
@@ -195,11 +198,16 @@ def _outputs(poses: np.ndarray, prepared: PreparedField, target_lane) -> np.ndar
     return np.stack([y1, y2, y3], axis=-1)
 
 
-def mpc_cost(outputs: np.ndarray, du: np.ndarray, q: np.ndarray, r: float):
-    """Sum of output quadratic forms plus weighted increment energy."""
+def mpc_cost(outputs: np.ndarray, du: np.ndarray, w: np.ndarray, r: float):
+    """Squared outputs weighted by w, plus weighted increment energy.
+
+    The weighted squares are summed one after the other in (step,
+    channel) order, which is how the quadratic form with the matrix
+    diag(w) sums them.
+    """
     outputs = np.asarray(outputs, dtype=float)
     du = np.asarray(du, dtype=float)
-    quad = np.einsum("...ni,ij,...nj->...", outputs, q, outputs)
+    quad = np.einsum("...ni,i,...ni->...", outputs, w, outputs)
     return quad + r * np.sum(du * du, axis=-1)
 
 
@@ -229,9 +237,9 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
                obstacles: list[ObstaclePose], road: RoadGeometry,
-               target_lane: int, ofp: ObstacleFieldParams,
-               rfp: RoadFieldParams, cfg: MpcConfig, vp: VehicleParams,
-               dp: DriverParams, dt: float, u_box: tuple[float, float]) -> PlanResult:
+               target_lane: int, params: FieldParams, cfg: MpcConfig,
+               vp: VehicleParams, dp: DriverParams, dt: float,
+               u_box: tuple[float, float]) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
 
     dt is the model step and u_box = (lo, hi) bounds the preview command
@@ -240,8 +248,9 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     Projected Newton on a Gauss-Newton model. Each iteration keeps the
     outputs y of the accepted du, scores the n_c rows du + FD_STEP * e_j
     in one batch and takes the output Jacobian J from forward differences
-    against y. With Q applying q at every horizon step, g = J'Qy + r du is
-    half the cost gradient and H = J'QJ + r I its Gauss-Newton Hessian.
+    against y. With W weighting the outputs by q_diag at every horizon
+    step, g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
+    Gauss-Newton Hessian.
     An increment on its bound (the du box intersected with the running u
     box, as _project clips) whose gradient points outward is active; its
     row and column of H are cut to the diagonal before solving H d = -g.
@@ -258,36 +267,37 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
         raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg, dt)
-    n_c, q, r = cfg.n_c, cfg.q, cfg.r
-    prepared = prepare_field(_coasted(obstacles, cfg.n_p, dt), road, ofp, rfp)
+    n_c, r = cfg.n_c, cfg.r
+    w = np.array(cfg.q_diag, dtype=float)
+    prepared = prepare_field(_coasted(obstacles, cfg.n_p, dt), road, params)
 
     def outputs_of(du_batch: np.ndarray) -> np.ndarray:
         return _outputs(model.poses(du_batch), prepared, target_lane)
 
     du = np.zeros(n_c)
     y = outputs_of(du)
-    best = float(mpc_cost(y, du, q, r))
+    best = float(mpc_cost(y, du, w, r))
     cost_zero = best
     eye = np.eye(n_c)
 
     for iterations in range(1, cfg.max_iter + 1):
         jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP    # (n_c, n_p, 3)
-        jq = (jac @ q).reshape(n_c, -1)
-        g = jq @ y.ravel() + r * du
+        jw = (jac * w).reshape(n_c, -1)
+        g = jw @ y.ravel() + r * du
         gnorm = float(np.max(np.abs(g)))
         if gnorm == 0.0:
             break
         # Summed in _project's order, so a clipped increment equals its bound.
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), u_box, cfg)
         free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
-        hess = jq @ jac.reshape(n_c, -1).T + r * eye
+        hess = jw @ jac.reshape(n_c, -1).T + r * eye
         hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
         d = np.linalg.solve(hess, -g)
         trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
                                           du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
                           u_prev, u_box, cfg)
         ys = outputs_of(trials)
-        vals = mpc_cost(ys, trials, q, r)
+        vals = mpc_cost(ys, trials, w, r)
         k = int(np.argmin(vals))
         if not vals[k] < best:
             break

@@ -2,9 +2,15 @@
 
 A scenario is a JSON document with a road block, a vehicle roster, and
 optional parameter blocks (grid, gains, field, mpc, decision); absent
-blocks fall back to the library defaults. Two reference scenarios ship
-inside the package: a two-lane merge forced by an ending lane, and a
-three-lane overtake behind a slow car on a gentle arc.
+blocks fall back to the library defaults. Each block parses into one
+dataclass whose fields are its keys: road into RoadGeometry (its lanes
+into LaneSpec), each vehicle into VehicleSpec, grid into ActionGrid,
+gains into CostGains, field into FieldParams, mpc into MpcConfig and
+decision into DecisionParams. The one alternate spelling is grid's
+a_min/a_max/step range, which stands in for its accelerations list. Two
+reference scenarios ship inside the package: a two-lane merge forced by
+an ending lane, and a three-lane overtake behind a slow car on a gentle
+arc.
 """
 
 from __future__ import annotations
@@ -16,11 +22,9 @@ import re
 from dataclasses import MISSING, dataclass, field as dfield, fields
 from importlib import resources
 
-import numpy as np
-
 from .costs import T_DM, CostGains
 from .errors import ConfigError
-from .field import ObstacleFieldParams, RoadFieldParams
+from .field import FieldParams
 from .games import ACCEL_RANGE, ActionGrid, accel_range
 from .planner import MpcConfig
 from .road import LaneSpec, RoadGeometry
@@ -29,6 +33,9 @@ from .vehicle import V_FLOOR
 
 STRATEGIES = ("nash", "stackelberg")
 EGO_ROLE = "EC"
+# Largest roster validate accepts. Every car but the ego is an obstacle of
+# the planner's field; planner.MAX_PLAN_CELLS gives the peak this allows.
+MAX_VEHICLES = 16
 
 BUNDLED = ("scenario_a", "scenario_b")
 
@@ -79,8 +86,7 @@ class ScenarioConfig:
     dt: float = 0.05
     grid: ActionGrid = dfield(default_factory=ActionGrid)
     gains: CostGains = dfield(default_factory=CostGains)
-    obstacle_field: ObstacleFieldParams = dfield(default_factory=ObstacleFieldParams)
-    road_field: RoadFieldParams = dfield(default_factory=RoadFieldParams)
+    field: FieldParams = dfield(default_factory=FieldParams)
     mpc: MpcConfig = dfield(default_factory=MpcConfig)
     decision: DecisionParams = dfield(default_factory=DecisionParams)
 
@@ -127,8 +133,6 @@ _CASTS = {
     "float | None": lambda v: None if v is None else _number(v),
     "tuple[float, ...]": _list_of(_number),
     "tuple[int, ...]": _list_of(_whole),
-    "np.ndarray": lambda v: np.vectorize(_number, otypes=[float])(
-        np.asarray(v, dtype=object)),
 }
 
 # Top-level keys parsed as blocks of their own; "description" is free text.
@@ -196,26 +200,10 @@ def _grid_from(block) -> ActionGrid:
     return _build(ActionGrid, rest, "grid", **given)
 
 
-def _mpc_from(block) -> MpcConfig:
-    rest = dict(_expect(block, dict, "mpc"))
-    given = {}
-    if "q_diag" in rest:
-        diag = _cast(_CASTS["tuple[float, ...]"], rest.pop("q_diag"), "mpc.q_diag")
-        if len(diag) != 3:
-            raise ConfigError("mpc.q_diag must have 3 entries")
-        given["q"] = np.diag(diag)
-    return _build(MpcConfig, rest, "mpc", **given)
-
-
 def config_from_dict(doc: dict) -> ScenarioConfig:
     doc = _expect(doc, dict, "scenario")
     if "road" not in doc or "vehicles" not in doc:
         raise ConfigError("scenario needs 'road' and 'vehicles' blocks")
-    # One field block feeds both field dataclasses; keys in neither are unknown.
-    obstacle_keys = {f.name for f in fields(ObstacleFieldParams)}
-    fb = _expect(doc.get("field", {}), dict, "field")
-    ofb = {k: v for k, v in fb.items() if k in obstacle_keys}
-    rfb = {k: v for k, v in fb.items() if k not in obstacle_keys}
     cfg = _build(
         ScenarioConfig, {k: v for k, v in doc.items() if k not in _BLOCKS}, "scenario",
         road=_road_from(doc["road"]),
@@ -223,9 +211,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
                   for i, v in enumerate(_expect(doc["vehicles"], list, "vehicles"))],
         grid=_grid_from(doc.get("grid", {})),
         gains=_build(CostGains, doc.get("gains", {}), "gains"),
-        obstacle_field=_build(ObstacleFieldParams, ofb, "field"),
-        road_field=_build(RoadFieldParams, rfb, "field"),
-        mpc=_mpc_from(doc.get("mpc", {})),
+        field=_build(FieldParams, doc.get("field", {}), "field"),
+        mpc=_build(MpcConfig, doc.get("mpc", {}), "mpc"),
         decision=_build(DecisionParams, doc.get("decision", {}), "decision"),
     )
     problems = validate(cfg)
@@ -237,6 +224,14 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 def validate(cfg: ScenarioConfig) -> list[str]:
     """All invariant violations, each naming the offending field."""
     problems = []
+    # The name is the stem of batch trace files and a value of the
+    # comparison CSV and the metrics lines: a plain file name.
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", cfg.name):
+        problems.append(f"name: {cfg.name!r} must be letters, digits, _, . "
+                        f"and - only, and not empty")
+    if len(cfg.vehicles) > MAX_VEHICLES:
+        problems.append(f"vehicles: {len(cfg.vehicles)} cars exceed the "
+                        f"largest roster, {MAX_VEHICLES}")
     egos = [v for v in cfg.vehicles if v.role == EGO_ROLE]
     if len(egos) != 1:
         problems.append(f"vehicles: exactly one {EGO_ROLE} required, found {len(egos)}")

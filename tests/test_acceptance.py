@@ -17,8 +17,8 @@ from scipy.integrate import solve_ivp
 
 from lanegame.costs import (CostGains, KinematicState, LaneView, ac_cost,
                             ego_cost)
-from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                            gamma_crit, obstacle_field, road_field)
+from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
+                            road_field)
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
                             solve_stackelberg_2p, solve_stackelberg_two_ac,
@@ -367,7 +367,7 @@ def test_style_signature(merge_runs, overtake_runs):
 def test_planner_safety(merge_runs, overtake_runs):
     for cfg, ms in ((merge_runs[0], merge_runs[1]),
                     (overtake_runs[0], overtake_runs[1])):
-        limit = gamma_crit(cfg.obstacle_field)
+        limit = gamma_crit(cfg.field)
         for key, m in ms.items():
             assert m.min_clearance > 5.0, (key, m.min_clearance)
             assert m.max_field <= limit, (key, m.max_field, limit)
@@ -384,7 +384,7 @@ def test_planner_invariants(merge_runs, overtake_runs):
     rng = np.random.default_rng(31)
     road = RoadGeometry(kind="straight", length=400.0)
     cfg = replace(load_scenario("scenario_a").mpc)
-    ofp, rfp = ObstacleFieldParams(), RoadFieldParams()
+    params = FieldParams()
     vp = DEFAULT_VEHICLE
     dp = style_profile("normal").driver
     # The increment box alone lets a plan reach n_c * du_max = 1.5 from
@@ -397,8 +397,8 @@ def test_planner_invariants(merge_runs, overtake_runs):
         x0[5] = rng.uniform(-1.0, 5.0)
         obstacles = [ObstaclePose(x=float(rng.uniform(10.0, 50.0)), y=0.0,
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
-        plan = solve_plan(x0, 0.0, 0.0, obstacles, road, 1, ofp, rfp,
-                          cfg, vp, dp, 0.05, (lo, hi))
+        plan = solve_plan(x0, 0.0, 0.0, obstacles, road, 1, params, cfg, vp,
+                          dp, 0.05, (lo, hi))
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)
@@ -431,7 +431,7 @@ def test_lane_change_columns(merge_runs, overtake_runs):
 
 @criterion("field shape: peak, symmetry, forward skew, rotation, road decay")
 def test_field_shape():
-    p = ObstacleFieldParams()
+    p = FieldParams()
     for v in (0.0, 10.0, 30.0):
         obs = ObstaclePose(x=3.0, y=-2.0, heading=0.4, v=v)
         assert float(obstacle_field(3.0, -2.0, obs, p)) == pytest.approx(p.a_oc)
@@ -463,10 +463,9 @@ def test_field_shape():
         assert abs(val0 - val1) < 1e-12
 
     road = RoadGeometry(kind="straight", length=200.0)
-    rp = RoadFieldParams()
     d = np.linspace(-2.0, 6.0, 161)
     x = np.full_like(d, 50.0)
-    vals = np.asarray(road_field(x, d, road, rp))
+    vals = np.asarray(road_field(x, d, road, p))
     mid = np.argmin(np.abs(d - 2.0))
     assert np.all(np.diff(vals[:mid + 1]) < 0)   # falls off the right edge
     assert np.all(np.diff(vals[mid:]) > 0)       # climbs to the left edge

@@ -108,6 +108,27 @@ def test_bad_scenario_value_exits_3(tmp_path, capsys, command, mutate, needle):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a,b", ""], ids=["slash", "comma", "empty"])
+@pytest.mark.parametrize("command", ["validate", "batch"])
+def test_name_unsafe_for_a_file_name_exits_3(tmp_path, capsys, command, name):
+    # The name is the stem of the batch trace files: "../escaped" would
+    # write next to --trace-dir instead of inside it, and "a,b" would shift
+    # the comparison CSV's columns.
+    cfg = json.loads(_bundled_text("scenario_a"))
+    cfg["name"] = name
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps(cfg))
+    argv = [command, str(p)]
+    if command == "batch":
+        argv += ["--styles", "normal", "--strategies", "nash",
+                 "--trace-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"name: {name!r} must be letters" in err
+    assert "Traceback" not in err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["named.json"]
+
+
 @pytest.mark.parametrize("radius", [60.0, 3.0])
 def test_validate_arc_outside_the_frenet_mapping_exits_3(tmp_path, capsys, radius):
     # scenario_b is 600 m long: radius 60 wraps past half a turn, radius 3

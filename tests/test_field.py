@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from lanegame.errors import DomainError
-from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                            gamma_crit, obstacle_field, prepare_field, road_field,
-                            total_field)
+from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
+                            prepare_field, road_field, total_field)
 
-P = ObstacleFieldParams(a_oc=50.0, rho_x=8.0, rho_y=1.2, b=1.0, c=0.05)
+P = FieldParams(a_oc=50.0, rho_x=8.0, rho_y=1.2, b=1.0, c=0.05)
 
 
 def test_peak_at_center_regardless_of_speed():
@@ -75,7 +74,7 @@ def test_array_valued_pose_matches_scalar_loop():
 
 
 def test_road_field_decays_from_edges(two_lane_road):
-    rp = RoadFieldParams(a_r=10.0, d_safe=0.2, w=1.8)
+    rp = FieldParams(a_r=10.0, d_safe=0.2, w=1.8)
     # Left edge sits at d = +6, right edge at d = -2, interior midpoint at 2.
     d_from_left = np.linspace(6.0, 2.0, 30)
     vals_left = road_field(np.zeros(30), d_from_left, two_lane_road, rp)
@@ -86,7 +85,7 @@ def test_road_field_decays_from_edges(two_lane_road):
 
 
 def test_road_field_line_value(two_lane_road):
-    rp = RoadFieldParams(a_r=10.0, d_safe=0.2, w=1.8)
+    rp = FieldParams(a_r=10.0, d_safe=0.2, w=1.8)
     # On the left edge line the own-line term is a_r e^(d_safe + w/2);
     # the far edge adds its tail from 8 m away.
     val = road_field(0.0, 6.0, two_lane_road, rp)
@@ -96,8 +95,8 @@ def test_road_field_line_value(two_lane_road):
 
 
 def test_interior_lines_can_be_weighted(two_lane_road):
-    rp = RoadFieldParams(a_r=10.0, d_safe=0.2, w=1.8, interior_weight=1.0)
-    base = RoadFieldParams(a_r=10.0, d_safe=0.2, w=1.8)
+    rp = FieldParams(a_r=10.0, d_safe=0.2, w=1.8, interior_weight=1.0)
+    base = FieldParams(a_r=10.0, d_safe=0.2, w=1.8)
     # Lane divider of the two-lane road sits at d = +2.
     with_div = road_field(0.0, 2.0, two_lane_road, rp)
     without = road_field(0.0, 2.0, two_lane_road, base)
@@ -105,40 +104,38 @@ def test_interior_lines_can_be_weighted(two_lane_road):
 
 
 def test_station_domain_enforced(three_lane_arc):
-    rp = RoadFieldParams()
     x, y = three_lane_arc.to_global(-5.0, 0.0)
     with pytest.raises(DomainError):
-        road_field(x, y, three_lane_arc, rp)
+        road_field(x, y, three_lane_arc, P)
     x, y = three_lane_arc.to_global(three_lane_arc.length + 5.0, 0.0)
     with pytest.raises(DomainError):
-        road_field(x, y, three_lane_arc, rp)
+        road_field(x, y, three_lane_arc, P)
 
 
 def test_total_is_sum_of_parts(two_lane_road):
-    rp = RoadFieldParams()
     obs = [ObstaclePose(x=30.0, y=0.0, v=10.0), ObstaclePose(x=60.0, y=4.0, v=5.0)]
     qx = np.linspace(10.0, 80.0, 15)
     qy = np.linspace(-1.0, 5.0, 15)
-    total = total_field(qx, qy, prepare_field(obs, two_lane_road, P, rp))
+    total = total_field(qx, qy, prepare_field(obs, two_lane_road, P))
     parts = (obstacle_field(qx, qy, obs[0], P) + obstacle_field(qx, qy, obs[1], P)
-             + road_field(qx, qy, two_lane_road, rp))
+             + road_field(qx, qy, two_lane_road, P))
     assert np.allclose(total, parts, rtol=1e-14)
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        ObstacleFieldParams(a_oc=0.0)
+        FieldParams(a_oc=0.0)
     with pytest.raises(ValueError):
-        ObstacleFieldParams(b=0.5)
+        FieldParams(b=0.5)
     with pytest.raises(ValueError):
-        ObstacleFieldParams(c=-0.1)
+        FieldParams(c=-0.1)
     with pytest.raises(ValueError):
-        RoadFieldParams(a_r=0.0)
+        FieldParams(a_r=0.0)
     with pytest.raises(ValueError):
-        RoadFieldParams(d_safe=-1.0)
+        FieldParams(d_safe=-1.0)
 
 
-def _reference_field(qx, qy, poses, road, p, rp):
+def _reference_field(qx, qy, poses, road, p):
     """The field one obstacle and one lane line at a time, written out."""
     total = np.zeros(np.broadcast(qx, qy).shape)
     for o in poses:
@@ -156,10 +153,10 @@ def _reference_field(qx, qy, poses, road, p, rp):
     barrier = np.zeros(np.shape(d))
     d_left, _ = road.lateral_extent()
     for i in range(road.lane_count + 1):
-        weight = rp.edge_weight if i in (0, road.lane_count) else rp.interior_weight
+        weight = p.edge_weight if i in (0, road.lane_count) else p.interior_weight
         if weight != 0.0:
             dist = np.abs(d - (d_left - i * road.lane_width))
-            barrier = barrier + weight * rp.a_r * np.exp(-dist + rp.d_safe + 0.5 * rp.w)
+            barrier = barrier + weight * p.a_r * np.exp(-dist + p.d_safe + 0.5 * p.w)
     return total + barrier
 
 
@@ -168,7 +165,7 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
     # Seeds cycle through 0-3 obstacles on a straight and on an arc road.
     rng = np.random.default_rng(seed)
     road = two_lane_road if (seed // 4) % 2 else three_lane_arc
-    rp = RoadFieldParams(interior_weight=0.5 if seed >= 8 else 0.0)
+    p = FieldParams(interior_weight=0.5 if seed >= 8 else 0.0)
     t = np.arange(1, 21) * 0.05
     fixed, swept = [], []
     for _ in range(seed % 4):
@@ -185,8 +182,8 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
     qx, qy = road.to_global(rng.uniform(100.0, 160.0, (rows, t.size)),
                             rng.uniform(-5.0, 5.0, (rows, t.size)))
     for poses in (fixed, swept):
-        field = prepare_field(poses, road, P, rp)
-        want = _reference_field(qx, qy, poses, road, P, rp)
+        field = prepare_field(poses, road, p)
+        want = _reference_field(qx, qy, poses, road, p)
         assert np.array_equal(total_field(qx, qy, field), want)
         # Road coordinates handed in give the same values.
         assert np.array_equal(total_field(qx, qy, field, frenet=road.to_frenet(qx, qy)),
@@ -196,7 +193,7 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
         with pytest.raises(DomainError):
             total_field(off_x, off_y, field)
     # One point at a time, as simulate queries the field at the ego.
-    field = prepare_field(fixed, road, P, rp)
+    field = prepare_field(fixed, road, p)
     for i in range(rows):
         assert np.array_equal(total_field(qx[i, 0], qy[i, 0], field),
-                              _reference_field(qx[i, 0], qy[i, 0], fixed, road, P, rp))
+                              _reference_field(qx[i, 0], qy[i, 0], fixed, road, p))

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from lanegame.errors import DomainError
-from lanegame.field import (ObstacleFieldParams, ObstaclePose, RoadFieldParams,
-                            obstacle_field, prepare_field, road_field, total_field)
-from lanegame.planner import (CHANNELS, MAX_HORIZON_STEPS, HorizonModel,
-                              MpcConfig, _coasted, _outputs, _project, mpc_cost,
-                              solve_plan)
+from lanegame.field import (FieldParams, ObstaclePose, obstacle_field,
+                            prepare_field, road_field, total_field)
+from lanegame.planner import (CHANNELS, MAX_HORIZON_STEPS, MAX_PLAN_CELLS,
+                              HorizonModel, MpcConfig, _coasted, _outputs,
+                              _project, mpc_cost, solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
 VP = VehicleParams()
 DP = style_profile("normal").driver
-OFP = ObstacleFieldParams()
-RFP = RoadFieldParams()
+FP = FieldParams()
 # Step and preview-command box of the solves below, unless a test sets its own.
 DT = 0.05
 BOX = (-10.0, 10.0)
@@ -42,14 +41,11 @@ def test_config_validation(two_lane_road):
         MpcConfig(n_c=0)
     with pytest.raises(ValueError):
         MpcConfig(r=-1.0)
-    with pytest.raises(ValueError):
-        MpcConfig(q=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        MpcConfig(q=np.diag([1.0, -2.0, 1.0]))
-    q = np.diag([1.0, 2.0, 3.0])
-    q[0, 1] = 5.0
-    with pytest.raises(ValueError):
-        MpcConfig(q=q)
+    with pytest.raises(ValueError, match="3 nonnegative weights"):
+        MpcConfig(q_diag=(1.0, 2.0))
+    with pytest.raises(ValueError, match="3 nonnegative weights"):
+        MpcConfig(q_diag=(1.0, -2.0, 1.0))
+    MpcConfig(q_diag=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         MpcConfig(du_min=0.5, du_max=-0.5)
     # The zero-increment baseline must be feasible, every solve must
@@ -63,16 +59,22 @@ def test_config_validation(two_lane_road):
     with pytest.raises(ValueError, match="tol >= 0"):
         MpcConfig(tol=-1.0)
     MpcConfig(du_min=0.0, du_max=0.0, max_iter=1, tol=0.0)
-    # The horizon is capped so that no config asks for a gigabyte-sized
-    # sensitivity array; only the configs are built here, never solved.
-    MpcConfig(n_p=MAX_HORIZON_STEPS, n_c=MAX_HORIZON_STEPS)
+    # The horizon and n_p * n_c are capped so that no config asks for a
+    # solve's memory to grow without bound; only the configs are built
+    # here, never solved.
+    widest = MAX_PLAN_CELLS // MAX_HORIZON_STEPS
+    MpcConfig(n_p=MAX_HORIZON_STEPS, n_c=widest)
     with pytest.raises(ValueError, match="n_p = 1001 exceeds the largest horizon"):
         MpcConfig(n_p=MAX_HORIZON_STEPS + 1)
+    with pytest.raises(ValueError, match="n_p \\* n_c = 41,000 exceeds 40,000"):
+        MpcConfig(n_p=MAX_HORIZON_STEPS, n_c=widest + 1)
+    with pytest.raises(ValueError, match="n_p \\* n_c = 40,401 exceeds"):
+        MpcConfig(n_p=201, n_c=201)
     # The step and the command box are checked where they are passed.
     for dt, box in ((0.0, BOX), (float("nan"), BOX), (DT, (1.0, -1.0)),
                     (DT, (float("nan"), 1.0))):
         with pytest.raises(ValueError, match="dt > 0 .* lo <= hi"):
-            solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, OFP, RFP,
+            solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, FP,
                        small_cfg(), VP, DP, dt, box)
 
 
@@ -130,7 +132,7 @@ def test_states_batched_matches_rows(rng):
     # one sequence and for batches of the sizes the planner scores (n_c
     # Jacobian rows, 31 trials), and one sequence gives its row in a
     # batch, prediction and cost alike.
-    q = np.diag([1.0, 10.0, 50.0])
+    w = np.array([1.0, 10.0, 50.0])
     for n_p, n_c, rows in ((12, 4, 7), (20, 5, 5), (20, 5, 31), (30, 5, 31),
                            (30, 8, 8), (30, 8, 25), (5, 1, 3)):
         cfg = small_cfg(n_p=n_p, n_c=n_c)
@@ -141,7 +143,7 @@ def test_states_batched_matches_rows(rng):
         assert np.array_equal(poses, m.states(batch)[..., [IX, IY, IPHI]])
         assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
         assert np.array_equal(m.poses(batch[-1]), poses[-1])
-        assert mpc_cost(poses, batch, q, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], q, 1.0)
+        assert mpc_cost(poses, batch, w, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], w, 1.0)
 
 
 def test_states_linear_in_du(rng):
@@ -174,7 +176,7 @@ def test_outputs_channels(two_lane_road):
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     states = m.states(np.zeros(cfg.n_c))
-    field = prepare_field(_coasted(obs, cfg.n_p, DT), two_lane_road, OFP, RFP)
+    field = prepare_field(_coasted(obs, cfg.n_p, DT), two_lane_road, FP)
     y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
@@ -182,7 +184,7 @@ def test_outputs_channels(two_lane_road):
     for i in range(cfg.n_p):
         stepped = [ObstaclePose(x=30.0 + 10.0 * t[i], y=0.0, heading=0.0, v=10.0)]
         ref = total_field(states[i, IX], states[i, IY],
-                          prepare_field(stepped, two_lane_road, OFP, RFP))
+                          prepare_field(stepped, two_lane_road, FP))
         assert y[i, 0] == pytest.approx(float(ref), rel=1e-12)
     # Lane 1 centerline sits at +4 on this road; the ego starts at 0.
     s, d = two_lane_road.to_frenet(states[:, IX], states[:, IY])
@@ -192,14 +194,41 @@ def test_outputs_channels(two_lane_road):
 
 
 def test_mpc_cost_closed_form():
-    q = np.diag([2.0, 1.0, 1.0])
+    w = np.array([2.0, 1.0, 1.0])
     outputs = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
     du = np.array([0.5, -0.5])
     # 2*1 + 4 + 0 + 0 + 1 + 9 = 16, du energy = 0.5
-    assert mpc_cost(outputs, du, q, 1.0) == pytest.approx(16.5)
+    assert mpc_cost(outputs, du, w, 1.0) == pytest.approx(16.5)
     batch = np.stack([outputs, np.zeros_like(outputs)])
-    got = mpc_cost(batch, np.stack([du, du]), q, 2.0)
+    got = mpc_cost(batch, np.stack([du, du]), w, 2.0)
     assert np.allclose(got, [17.0, 1.0])
+
+
+def _quadratic_form_cost(outputs, du, w, r):
+    """The cost with the full weight matrix diag(w), as one einsum."""
+    quad = np.einsum("...ni,ij,...nj->...", outputs, np.diag(w), outputs)
+    return quad + r * np.sum(du * du, axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["one", "jacobian", "trials"])
+def test_weights_match_the_quadratic_form_bit_for_bit(kind, rng):
+    # The cost and the weighted Jacobian equal the forms with the matrix
+    # diag(w), bit for bit, for one sequence, the n_c Jacobian rows and
+    # the 31 trials the planner scores; y spans the scales of the field,
+    # the lateral offset and the yaw error.
+    for _ in range(300):
+        n_c = int(rng.integers(1, 9))
+        n_p = int(rng.integers(n_c, 41))
+        lead = {"one": (), "jacobian": (n_c,), "trials": (31,)}[kind]
+        scale = np.array([50.0, 4.0, 0.1]) * 10.0 ** rng.uniform(-3.0, 1.0, 3)
+        y = rng.normal(size=lead + (n_p, 3)) * scale
+        du = rng.uniform(-0.3, 0.3, lead + (n_c,))
+        w = rng.uniform(0.0, 60.0, 3) * (rng.uniform(size=3) > 0.1)
+        r = rng.uniform(0.1, 10.0)
+        got = mpc_cost(y, du, w, r)
+        assert np.shape(got) == lead
+        assert np.array_equal(got, _quadratic_form_cost(y, du, w, r))
+        assert np.array_equal(y * w, y @ np.diag(w))
 
 
 def test_project_respects_running_command_box():
@@ -243,12 +272,12 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
         xs, ys = states[..., IX], states[..., IY]
         y1 = np.zeros(xs.shape)
         for o in coasted:
-            y1 = y1 + obstacle_field(xs, ys, o, OFP)
-        y1 = y1 + road_field(xs, ys, road, RFP)
+            y1 = y1 + obstacle_field(xs, ys, o, FP)
+        y1 = y1 + road_field(xs, ys, road, FP)
         s, d = road.to_frenet(xs, ys)
         y = np.stack([y1, d - road.lane_offset(lane),
                       states[..., IPHI] - road.tangent_heading(s)], axis=-1)
-        return mpc_cost(y, du, cfg.q, cfg.r)
+        return mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)
 
     def project(du):
         out, u = np.empty_like(du), u_prev
@@ -325,7 +354,7 @@ def _settled_scene(rng):
                    0.00204, -0.00814]) * (1.0 + 0.003 * rng.uniform(-1.0, 1.0, NX))
     u_prev = 3.79692 + 0.003 * rng.uniform(-1.0, 1.0)
     obstacles = [ObstaclePose(x=153.0, y=4.0, heading=0.0, v=15.0)]
-    cfg = MpcConfig(n_p=30, q=np.diag([1.0, 60.0, 50.0]), r=5.0)
+    cfg = MpcConfig(n_p=30, q_diag=(1.0, 60.0, 50.0), r=5.0)
     return x0, u_prev, 0.0, obstacles, 1, cfg, (-2.0, 6.0)
 
 
@@ -346,7 +375,7 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     else:
         road = two_lane_road if seed % 2 else three_lane_arc
         x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
-    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
+    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
                       cfg, VP, DP, DT, box)
     reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
     assert plan.cost <= reference * (1.0 + 1e-3)
@@ -365,13 +394,13 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     rng = np.random.default_rng(seed)
     road = two_lane_road if seed % 2 else three_lane_arc
     x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
-    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, OFP, RFP,
+    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
                       cfg, VP, DP, DT, box)
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
-    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, OFP, RFP)
+    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, FP)
     du = plan.du_sequence[None]
     y = _outputs(model.poses(du), prepared, target)
-    assert plan.cost == float(mpc_cost(y, du, cfg.q, cfg.r)[0])
+    assert plan.cost == float(mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)[0])
     assert plan.cost <= plan.cost_zero
     assert np.array_equal(plan.predicted_outputs, y[0])
     assert np.array_equal(plan.predicted_states[:, CHANNELS], model.poses(du)[0])
@@ -383,7 +412,7 @@ def test_plan_never_beats_zero_baseline(two_lane_road, rng):
         x0 = _x0(v=rng.uniform(10.0, 25.0), y=rng.uniform(-1.0, 5.0))
         obs = [ObstaclePose(x=rng.uniform(10.0, 40.0), y=0.0, heading=0.0,
                             v=rng.uniform(5.0, 15.0))]
-        plan = solve_plan(x0, 0.0, 0.0, obs, two_lane_road, 1, OFP, RFP,
+        plan = solve_plan(x0, 0.0, 0.0, obs, two_lane_road, 1, FP,
                           cfg, VP, DP, DT, BOX)
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
@@ -398,7 +427,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     # the target to lane 1 must pull the command upward and strictly
     # improve on doing nothing.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, OFP, RFP,
+    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, FP,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
@@ -412,8 +441,8 @@ def test_plan_at_rest_point_stays_put(two_lane_road):
     # is an exact rest point: every output is zero, the gradient vanishes,
     # and the optimizer must keep the zero sequence rather than wander.
     cfg = small_cfg()
-    quiet = RoadFieldParams(edge_weight=0.0, interior_weight=0.0)
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, OFP, quiet,
+    quiet = FieldParams(edge_weight=0.0, interior_weight=0.0)
+    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, quiet,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost_zero == pytest.approx(0.0, abs=1e-18)
     assert plan.cost == pytest.approx(plan.cost_zero, abs=1e-18)
@@ -425,7 +454,7 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     # The live road field pulls slightly toward the road center; the lane
     # tracking term must keep that drift to centimeters over the horizon.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, OFP, RFP,
+    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, FP,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost <= plan.cost_zero
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
@@ -435,7 +464,7 @@ def test_applied_command_is_first_increment(two_lane_road):
     # Receding horizon: only the first increment of the plan is applied.
     cfg = small_cfg()
     obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
-    plan = solve_plan(_x0(), 0.4, 0.0, obs, two_lane_road, 1, OFP, RFP,
+    plan = solve_plan(_x0(), 0.4, 0.0, obs, two_lane_road, 1, FP,
                       cfg, VP, DP, DT, BOX)
     assert np.any(plan.du_sequence != 0.0)
     assert plan.u_applied == 0.4 + plan.du_sequence[0]

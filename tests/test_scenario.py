@@ -4,13 +4,13 @@ import json
 import re
 from importlib import resources
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanegame.errors import ConfigError
-from lanegame.scenario import (BUNDLED, DecisionParams, config_from_dict,
-                               load_scenario, validate)
+from lanegame.field import FieldParams
+from lanegame.scenario import (BUNDLED, MAX_VEHICLES, DecisionParams,
+                               config_from_dict, load_scenario, validate)
 from lanegame.simulate import run_simulation
 
 
@@ -156,6 +156,17 @@ def test_missing_blocks_rejected():
     # A sigma listed twice would enumerate its candidates twice.
     (lambda d: d.__setitem__("grid", {"sigmas": [0, 0]}),
      "grid: sigmas must be .* each listed once"),
+    # The name is the stem of batch trace files and a value of the
+    # comparison CSV: a "/" would write outside --trace-dir, a "," would
+    # shift the CSV's columns.
+    (lambda d: d.__setitem__("name", "../escaped"), r"name: '\.\./escaped' must be letters"),
+    (lambda d: d.__setitem__("name", "a,b"), r"name: 'a,b' must be letters"),
+    (lambda d: d.__setitem__("name", ""), r"name: '' must be letters"),
+    (lambda d: d.__setitem__("name", "two\nlines"), r"name: 'two\\nlines' must be letters"),
+    # A solve's memory grows with the roster (planner.MAX_PLAN_CELLS).
+    (lambda d: d["vehicles"].extend({"role": f"LC{i}", "lane": 1, "s": 100.0 + 10.0 * i,
+                                     "v": 20.0} for i in range(MAX_VEHICLES - 1)),
+     "vehicles: 17 cars exceed the largest roster, 16"),
 ])
 def test_validation_catches_bad_fields(mutate, needle):
     doc = minimal_doc()
@@ -176,7 +187,6 @@ NON_FINITE = [
     ("grid", "a_min", -INF),
     ("mpc", "r", NAN),
     ("mpc", "q_diag", [1.0, INF, 1.0]),
-    ("mpc", "q", [[1.0, 0.0, 0.0], [0.0, NAN, 0.0], [0.0, 0.0, 1.0]]),
     ("field", "rho_x", NAN),
     ("field", "a_r", INF),
     ("road", "length", INF),
@@ -216,7 +226,6 @@ MISTYPED = [
     ("mpc", "n_c", True, "a number"),
     ("mpc", "r", "5", "a number"),
     ("mpc", "q_diag", [1.0, True, 1.0], "a number"),
-    ("mpc", "q", [[1.0, 0.0, 0.0], [0.0, "1", 0.0], [0.0, 0.0, 1.0]], "a number"),
     ("road", "length", "500", "a number"),
     ("road.lanes[1]", "index", 2.9, "a whole number"),
     ("road.lanes[1]", "end_station", "200", "a number"),
@@ -284,6 +293,8 @@ UNKNOWN_KEYS = [
     ("mpc", ("mpc",), "u_min"),
     ("mpc", ("mpc",), "u_max"),
     ("mpc", ("mpc",), "fd_step"),
+    # The planner weights its outputs by q_diag; there is no matrix form.
+    ("mpc", ("mpc",), "q"),
 ]
 
 
@@ -297,7 +308,7 @@ def test_unknown_key_names_block_and_key(label, path, key):
     block[key] = 1.0
     with pytest.raises(ConfigError) as exc:
         config_from_dict(doc)
-    assert label in str(exc.value) and key in str(exc.value)
+    assert f"{label}: unknown key {key!r}" in str(exc.value)
 
 
 def test_vehicle_missing_key_names_index():
@@ -324,22 +335,29 @@ def test_mpc_block_q_diag():
     cfg = config_from_dict(minimal_doc(mpc={"n_p": 8, "n_c": 2,
                                             "q_diag": [1, 2, 3], "r": 4}))
     assert cfg.mpc.n_p == 8 and cfg.mpc.r == 4.0
-    assert np.allclose(cfg.mpc.q, np.diag([1.0, 2.0, 3.0]))
-    with pytest.raises(ConfigError, match="q_diag"):
+    assert cfg.mpc.q_diag == (1.0, 2.0, 3.0)
+    with pytest.raises(ConfigError, match="mpc: q_diag must hold 3 nonnegative"):
         config_from_dict(minimal_doc(mpc={"q_diag": [1, 2]}))
+    with pytest.raises(ConfigError, match="mpc: q_diag must hold 3 nonnegative"):
+        config_from_dict(minimal_doc(mpc={"q_diag": [1, -2, 3]}))
     with pytest.raises(ConfigError, match="mpc"):
         config_from_dict(minimal_doc(mpc={"n_p": 2, "n_c": 5}))
 
 
-def test_field_block_splits_across_both_param_sets():
+def test_field_block_is_one_param_set():
+    # Obstacle and lane-line keys share one FieldParams; untouched keys
+    # keep their defaults.
     cfg = config_from_dict(minimal_doc(field={"a_oc": 60, "a_r": 12,
                                               "rho_y": 1.5}))
-    assert cfg.obstacle_field.a_oc == 60.0
-    assert cfg.obstacle_field.rho_y == 1.5
-    assert cfg.road_field.a_r == 12.0
-    # Untouched halves keep their defaults.
-    assert cfg.obstacle_field.rho_x == 8.0
-    assert cfg.road_field.w == 1.8
+    assert cfg.field == FieldParams(a_oc=60.0, a_r=12.0, rho_y=1.5)
+    assert cfg.field.rho_x == 8.0 and cfg.field.w == 1.8
+
+
+def test_largest_roster_validates():
+    doc = minimal_doc()
+    doc["vehicles"].extend({"role": f"LC{i}", "lane": 1, "s": 100.0 + 10.0 * i, "v": 20.0}
+                           for i in range(MAX_VEHICLES - 2))
+    assert len(config_from_dict(doc).vehicles) == MAX_VEHICLES
 
 
 def test_gains_and_decision_blocks():

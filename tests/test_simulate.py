@@ -101,6 +101,22 @@ def test_summarize_recomputes_from_columns(short_trace):
     assert m.box_violations == 0
 
 
+def test_regression_is_not_a_box_violation(merge_cfg, monkeypatch):
+    # A plan that scores worse than zero increments while its command stays
+    # in the box counts as a planner regression only, so the two checks
+    # tell the outcomes apart.
+    real = simulate.solve_plan
+
+    def regressing(*args):
+        plan = real(*args)
+        return replace(plan, cost=plan.cost_zero + 1.0)
+
+    monkeypatch.setattr(simulate, "solve_plan", regressing)
+    m = summarize(run_simulation(replace(merge_cfg, duration=0.25)))
+    assert m.planner_regressions == m.steps > 0
+    assert m.box_violations == 0
+
+
 def test_summarize_empty_trace():
     tr = TraceLog(scenario="x", style="normal", strategy="nash",
                   columns=list(BASE_COLUMNS), aborted=True,

@@ -6,8 +6,11 @@ the decision horizon. Costs are evaluated on constant-acceleration
 projections of every involved car, not on the instantaneous scene; the
 safety terms take their worst value along the projection so a candidate
 cannot score well by teleporting past a conflict. One payoff call
-scores a side game for both players, projecting every car once, and
-returns the ego's parts; merge partners share one lateral pair term.
+scores all side games of a decision for both players, each opponent's
+accelerations a block of columns, and returns the ego's parts. Every
+car is projected once; merge partners share one lateral pair term,
+and off the merge cells each player's cost depends on its own action
+alone, so only the merge cells are evaluated per cell.
 
 Sign conventions for the velocity gates:
   longitudinal: dv = v_lead - v_ego, penalized only while closing (dv < 0)
@@ -16,6 +19,8 @@ Sign conventions for the velocity gates:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -130,12 +135,12 @@ class NeighborView:
         """Attainable speed on a lane at a point ds_ahead meters up the road.
 
         On a lane that ends the cap falls off as the square-root braking
-        profile at a_end (> 0) toward the end margin; on an endless lane
-        it is the lane limit v_max. Broadcasts over ds_ahead.
+        profile at a_end (> 0) toward the end margin, broadcasting over
+        ds_ahead; on an endless lane it is the lane limit v_max, a scalar.
         """
         v_max, rem = self.lanes[lane].v_max, self.remaining(lane)
         if math.isinf(rem):
-            return v_max if np.ndim(ds_ahead) == 0 else np.full(np.shape(ds_ahead), v_max)
+            return v_max
         run = np.maximum(rem - np.asarray(ds_ahead, dtype=float) - self.end_margin, 0.0)
         return np.minimum(v_max, np.sqrt(2.0 * self.a_end * run))
 
@@ -171,10 +176,11 @@ def propagate(s, v, a, t):
     a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
     neg = a < 0
-    t_stop = np.where(neg, v / np.where(neg, -a, 1.0), INF)
+    brake = np.where(neg, -a, 1.0)
+    t_stop = np.where(neg, v / brake, INF)
     stopped = t >= t_stop
     pos_free = s + v * t + 0.5 * a * t * t
-    pos_hold = s + np.where(neg, v * v / (2.0 * np.where(neg, -a, 1.0)), 0.0)
+    pos_hold = s + np.where(neg, v * v / (2.0 * brake), 0.0)
     pos = np.where(stopped, pos_hold, pos_free)
     vel = np.maximum(v + a * t, 0.0)
     return pos, vel
@@ -235,78 +241,149 @@ def desired_speed(v_limit, lead_v, v_factor: float, anchor_default):
     lead_v = np.asarray(lead_v, dtype=float)
     fallback = np.minimum(np.asarray(anchor_default, dtype=float), v_limit)
     follow = np.isfinite(lead_v) & (lead_v < v_limit)
-    anchor = np.where(follow, np.where(follow, lead_v, 0.0), fallback)
+    anchor = np.where(follow, lead_v, fallback)
     return anchor + v_factor * (v_limit - anchor)
 
 
-def _sample_times(horizon: float) -> np.ndarray:
-    return np.linspace(0.0, horizon, K_SAMPLES)
+@functools.lru_cache(maxsize=16)
+def sample_times(horizon: float) -> np.ndarray:
+    """The K_SAMPLES times a decision is projected at, read-only; the
+    last is `horizon` itself."""
+    ts = np.linspace(0.0, horizon, K_SAMPLES)
+    ts.flags.writeable = False
+    return ts
+
+
+# Merge cells whose pair term is evaluated at once: bounds the (cells, K)
+# temporaries of a large grid to a few MB.
+PAIR_CHUNK = 4096
 
 
 def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
-                ego_style: StyleProfile | None, ac: KinematicState | None,
-                ac_lane: int | None, a_a, ac_style: StyleProfile | None,
-                nb: NeighborView, g: CostGains, horizon: float):
-    """Safety/comfort/efficiency arrays of the ego and the adjacent car.
+                ego_style: StyleProfile | None, acs, ac_lanes, widths, a_a,
+                ac_styles, nb: NeighborView, g: CostGains, horizon: float,
+                tracks=None):
+    """Safety/comfort/efficiency parts of the ego and the opponents.
 
     Rows are the ego accelerations a_e, each with its lane move in sigma
-    (one for all rows, or one per row), columns the adjacent car's
-    accelerations a_a. Every car is projected once: the ego over a_e,
-    the adjacent car over a_a and each follower's lead at its constant
-    speed. Where sigma moves the ego onto the adjacent car's lane the two
-    are merge partners and both pay the one lateral pair term. Elsewhere
-    the adjacent car follows its own lead, and the ego follows its lead
-    on keep-lane and pays nothing on a move to a free lane. The adjacent
-    car's comfort covers only its longitudinal acceleration: it is not
-    the one swerving. Returns (ego parts, adjacent parts), each a (j_ds,
-    j_rc, j_pe) triple broadcasting to the (rows, columns) shape, or None
-    for a player whose style is not given.
-    """
-    ts = _sample_times(horizon)
-    a_e = np.reshape(np.asarray(a_e, dtype=float), (-1, 1))
-    a_a = np.reshape(np.asarray(a_a, dtype=float), (1, -1))
-    sigma = np.broadcast_to(np.reshape(sigma, (-1, 1)), a_e.shape)
-    se, ve = propagate(ego.s, ego.v, a_e[..., None], ts)
-    merge = np.zeros(sigma.shape, dtype=bool)
-    if ac is not None:
-        sa, va = propagate(ac.s, ac.v, a_a[..., None], ts)
-        merge = (sigma != 0) & (ego_lane + sigma == ac_lane)
-    merged, pair = merge[:, 0], 0.0
-    if merged.any():
-        pair = np.zeros((len(merged), a_a.shape[1]))
-        pair[merged] = np.max(_gap_term(ve[merged] - va, sa - se[merged], g, lateral=True),
-                              axis=-1)
+    (one for all rows, or one per row). Columns are the opponents'
+    accelerations a_a in blocks: acs[b] on lane ac_lanes[b] owns the next
+    widths[b] columns, with its state, lead, cruise speed and style; with
+    no opponent the columns belong to no car. Each car is projected once,
+    the leads at constant speed, unless `tracks` gives the rows' and the
+    columns' projections at sample_times(horizon), ((rows, K), (columns,
+    K)) pairs (s, v).
 
-    def follow(lead, s, v, rows):
-        # Worst following term behind the lead on `rows`, 0 elsewhere.
-        if lead is None or not rows.any():
-            return 0.0
+    Where sigma moves the ego onto a column's lane the two are merge
+    partners and both pay the one lateral pair term: a merge cell.
+    Elsewhere the opponent follows its own lead, and the ego follows its
+    lead on keep-lane and pays nothing on a move to a lane whose car is
+    not in that column. An opponent's comfort covers only its
+    longitudinal acceleration: it is not the one swerving. So off the
+    merge cells the ego's parts depend on the row alone and an
+    opponent's on the column alone.
+
+    Returns (cells, ego, ac): the merge cells as (rows, columns) index
+    arrays, and per player (j_ds, j_rc, j_pe, total), each an (off, on)
+    pair, or None for a player whose style is not given: `off`
+    broadcasts to the matrix shape, per row for the ego and per column
+    for an opponent, and `on` holds the merge cells' values (None where
+    they take `off`).
+    """
+    ts = sample_times(horizon)
+    a_e = np.reshape(np.asarray(a_e, dtype=float), -1)
+    a_a = np.reshape(np.asarray(a_a, dtype=float), -1)
+    sigma = np.zeros(a_e.shape, dtype=int) + sigma
+    target = ego_lane + sigma
+    moving = sigma != 0
+    bounds = list(itertools.accumulate(widths))
+    if tracks is not None:
+        (se, ve), (sa, va) = tracks
+    else:
+        se, ve = propagate(ego.s, ego.v, a_e[:, None], ts)
+        if acs:
+            sa, va = (np.concatenate(x) for x in zip(*(
+                propagate(ac.s, ac.v, a[:, None], ts)
+                for ac, a in zip(acs, np.split(a_a, bounds[:-1])))))
+    # A column without a car carries the ego's own lane: never a partner.
+    lane_c = np.repeat(ac_lanes, widths) if acs else np.full(len(a_a), ego_lane)
+    ri, ci = cells = np.nonzero(moving[:, None] & (target[:, None] == lane_c))
+    pair = np.empty(len(ri))
+    for lo in range(0, len(ri), PAIR_CHUNK):
+        r, c = ri[lo:lo + PAIR_CHUNK], ci[lo:lo + PAIR_CHUNK]
+        pair[lo:lo + PAIR_CHUNK] = _gap_term(ve.take(r, 0) - va.take(c, 0),
+                                             sa.take(c, 0) - se.take(r, 0), g,
+                                             lateral=True).max(axis=-1)
+
+    def follow(lead, s, v):
+        # Worst following term behind the lead along each row of (s, v).
         sl, vl = propagate(lead.s, lead.v, 0.0, ts)
-        return np.where(rows, np.max(_gap_term(vl - v, sl - s, g, lateral=False),
-                                     axis=-1), 0.0)
+        return _gap_term(vl - v, sl - s, g, lateral=False).max(axis=-1)
 
     ego_parts = ac_parts = None
     if ego_style is not None:
+        keep, lead = sigma == 0, nb.lead(ego_lane)
+        ds = np.zeros(len(a_e))
+        if lead is not None and keep.any():
+            ds = np.where(keep, follow(lead, se, ve), 0.0)
         # Each row aims at the desired speed of its own target lane.
-        moves = sorted(set(sigma[:, 0].tolist()))
+        moves = sorted(set(sigma.tolist()))
         targets = [nb.lanes[ego_lane + m] for m in moves]
         v_bar = desired_speed([t.v_max for t in targets],
                               [INF if t.lead is None else t.lead.v for t in targets],
                               ego_style.v_factor, nb.flow_ref)
-        ego_parts = (np.where(merge, pair, follow(nb.lead(ego_lane), se, ve, sigma == 0)),
-                     comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g),
-                     np.square(ve[..., -1] - v_bar[np.searchsorted(moves, sigma)]))
-    if ac_style is not None and ac is not None:
-        lane = nb.lanes[ac_lane]
-        v_ref = lane.adjacent_v_ref if lane.adjacent_v_ref is not None else ac.v
-        lead_v = lane.ac_lead.v if lane.ac_lead is not None else INF
-        # A merged ego that ends up ahead becomes this car's lead.
-        lead_v = np.where(merge & (se[..., -1] > sa[..., -1]), ve[..., -1], lead_v)
+        rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
+        pe = np.square(ve[:, -1] - v_bar[np.searchsorted(moves, sigma)])
+        ego_parts = ((ds[:, None], pair),
+                     (rc[:, None], None), (pe[:, None], None),
+                     (combine(ego_style, ds, rc, pe)[:, None],
+                      combine(ego_style, pair, rc[ri], pe[ri])))
+    if ac_styles is not None and acs:
+        block = np.repeat(np.arange(len(acs)), widths)
+        lanes = [nb.lanes[lane] for lane in ac_lanes]
+        # Per car: cruise speed, lane limit, its lead's speed, style.
+        car = np.array([(ac.v if lv.adjacent_v_ref is None else lv.adjacent_v_ref,
+                         lv.v_max, INF if lv.ac_lead is None else lv.ac_lead.v,
+                         st.v_factor, st.w_ds, st.w_rc, st.w_pe)
+                        for ac, lv, st in zip(acs, lanes, ac_styles)])
+        v_ref, v_max, lead_v, v_fac, *w = car[block].T
+        ds = np.zeros(len(a_a))
+        for lane, lv, hi, n in zip(ac_lanes, lanes, bounds, widths):
+            # Rows that merge with this car everywhere leave it no lead to follow.
+            if lv.ac_lead is not None and not np.all(moving & (target == lane)):
+                ds[hi - n:hi] = follow(lv.ac_lead, sa[hi - n:hi], va[hi - n:hi])
+        rc = comfort_cost(a_a, 0.0, 0, g)
         # The adjacent car defends its own cruise speed, not the lane limit.
-        v_bar = desired_speed(min(lane.v_max, v_ref), lead_v, ac_style.v_factor, v_ref)
-        ac_parts = (np.where(merge, pair, follow(lane.ac_lead, sa, va, ~merge)),
-                    comfort_cost(a_a, 0.0, 0, g), np.square(va[..., -1] - v_bar))
-    return ego_parts, ac_parts
+        va_end = va[:, -1]
+        pe = np.square(va_end - desired_speed(np.minimum(v_max, v_ref), lead_v, v_fac,
+                                              v_ref))
+        # A merged ego that ends up ahead becomes this car's lead.
+        m_ref, m_max, m_lead, m_fac, *wm = car[block.take(ci)].T
+        ahead = se[:, -1].take(ri) > sa[:, -1].take(ci)
+        m_lead = np.where(ahead, ve[:, -1].take(ri), m_lead)
+        pe_m = np.square(va_end.take(ci) - desired_speed(np.minimum(m_max, m_ref), m_lead,
+                                                         m_fac, m_ref))
+        ac_parts = ((ds, pair), (rc, None), (pe, pe_m),
+                    (w[0] * ds + w[1] * rc + w[2] * pe,
+                     wm[0] * pair + wm[1] * rc.take(ci) + wm[2] * pe_m))
+    return cells, ego_parts, ac_parts
+
+
+def _spread(part, cells, shape):
+    """One part as a (rows, columns) matrix: `off` broadcast, and `on` at
+    the merge cells (a read-only view when `on` is None)."""
+    off, on = part
+    if on is None:
+        return np.broadcast_to(off, shape)
+    out = np.empty(shape)
+    out[...] = off
+    out[cells] = on
+    return out
+
+
+def _breakdown(parts, cells) -> CostBreakdown:
+    """The breakdown at the one cell of a 1 x 1 parts evaluation."""
+    return CostBreakdown(*(float(_spread(p, cells, (1, 1))[0, 0]) for p in parts))
 
 
 def combine(style: StyleProfile, j_ds, j_rc, j_pe):
@@ -325,10 +402,12 @@ def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
     if action.sigma == 0 and neighbors.keep_lane_blocked(ego_lane, ego.v):
         return INFEASIBLE
     partner = neighbors.adjacent(target) if action.sigma != 0 else None
-    parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
-                           partner, target, opponent_accels.get(target, 0.0),
-                           None, neighbors, gains, horizon)
-    return CostBreakdown(*(p.item() for p in parts), combine(style, *parts).item())
+    acs = () if partner is None else (partner,)
+    cells, parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
+                                  acs, (target,) * len(acs), (1,) * len(acs),
+                                  opponent_accels.get(target, 0.0), None, neighbors,
+                                  gains, horizon)
+    return _breakdown(parts, cells)
 
 
 def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
@@ -336,33 +415,43 @@ def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
             neighbors: NeighborView, ac_style: StyleProfile, gains: CostGains,
             horizon: float = T_DM) -> CostBreakdown:
     """Cost breakdown of one adjacent-car response to one ego candidate."""
-    _, parts = _pair_parts(ego, ego_lane, ego_action.sigma, ego_action.a_x,
-                           None, ac, ac_lane, ac_accel, ac_style, neighbors,
-                           gains, horizon)
-    return CostBreakdown(*(p.item() for p in parts), combine(ac_style, *parts).item())
+    cells, _, parts = _pair_parts(ego, ego_lane, ego_action.sigma, ego_action.a_x,
+                                  None, (ac,), (ac_lane,), (1,), ac_accel,
+                                  (ac_style,), neighbors, gains, horizon)
+    return _breakdown(parts, cells)
 
 
 def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
-                         ego_accels, ac: KinematicState | None,
-                         ac_lane: int | None, ac_accels,
+                         ego_accels, ac, ac_lane, ac_accels,
                          neighbors: NeighborView, ego_style: StyleProfile,
-                         ac_style: StyleProfile, gains: CostGains,
-                         horizon: float = T_DM):
-    """Cost matrices (ego, adjacent) of one side game, and the ego's parts.
+                         ac_style, gains: CostGains, horizon: float = T_DM, *,
+                         widths=None, tracks=None):
+    """Cost matrices (ego, opponents) of one or more side games, and the
+    ego's parts.
 
     Rows index ego accelerations, each with its own lane move when sigma
-    is an array (a scalar sigma applies to every row); columns index the
-    adjacent car's accelerations. Both matrices come from one parts
-    evaluation, so every car is projected once per call and a merge's
-    pair term is computed once. The ego's (j_ds, j_rc, j_pe) come back
-    as read-only views of the matrix shape. Without an adjacent car the
-    ego column is constant and the opponent matrix zero.
+    is an array (a scalar sigma applies to every row). Columns index the
+    opponent's accelerations: ac on lane ac_lane with style ac_style.
+    Several side games share one call when widths is given: ac, ac_lane
+    and ac_style then list one opponent each, and ac_accels holds their
+    columns block after block, widths[b] of them for opponent b. A
+    caller restricts each game to its own rows and its block's columns.
+    Both matrices come from one parts evaluation, so every car is
+    projected at most once per call (the ego and the opponents not at
+    all when `tracks` gives their projections, see `_pair_parts`) and a
+    merge's pair term is computed once. The ego's (j_ds, j_rc, j_pe) come
+    back in the matrix shape, j_rc and j_pe as read-only views. Without
+    an adjacent car (ac None) the ego column is constant and the
+    opponent matrix zero.
     """
+    if widths is None:
+        acs = () if ac is None else (ac,)
+        ac, ac_lane, ac_style, widths = (acs, (ac_lane,) * len(acs), (ac_style,),
+                                         (len(ac_accels),) * len(acs))
     shape = (len(ego_accels), len(ac_accels))
-    ego_parts, ac_parts = _pair_parts(ego, ego_lane, sigma, ego_accels, ego_style, ac,
-                                      ac_lane, ac_accels, ac_style, neighbors, gains,
-                                      horizon)
-    j_ego = combine(ego_style, *ego_parts)
-    j_ac = 0.0 if ac_parts is None else combine(ac_style, *ac_parts)
-    return (np.array(np.broadcast_to(j_ego, shape)), np.array(np.broadcast_to(j_ac, shape)),
-            tuple(np.broadcast_to(p, shape) for p in ego_parts))
+    cells, ego_parts, ac_parts = _pair_parts(
+        ego, ego_lane, sigma, ego_accels, ego_style, ac, ac_lane, widths, ac_accels,
+        ac_style, neighbors, gains, horizon, tracks)
+    j_ac = np.zeros(shape) if ac_parts is None else _spread(ac_parts[3], cells, shape)
+    return (_spread(ego_parts[3], cells, shape), j_ac,
+            tuple(_spread(p, cells, shape) for p in ego_parts[:3]))

@@ -3,15 +3,19 @@
 Two layers. The matrix cores work on plain cost matrices (rows = ego
 candidates, columns = opponent accelerations) and know nothing about
 driving; they carry the equilibrium logic and the documented index
-tie-breaks. The scene wrappers enumerate feasible candidates (one
-projection of the whole grid per player) and score every game, the solo
-one included, in one payoff call over all its rows, each row with its
-own lane move. They map the winning cell back to actions and read the
-ego's cost breakdown there from the parts that call returned. One
-driver plays a game per adjacent car on the ego's candidates,
-enumerated once per decision: each side game keeps the rows whose sigma
-does not move the ego onto another side's lane, so with a car on each
-side the left game keeps sigma in {-1, 0} and the right one {0, +1}.
+tie-breaks. The scene wrappers enumerate feasible candidates as arrays:
+the ego's grid in one projection, all adjacent cars' grids in one
+stacked projection, each sampled over the horizon so that the same
+projection serves the scoring. One driver plays a game per adjacent
+car on the ego's candidates, enumerated once per decision: each side
+game keeps the rows whose sigma does not move the ego onto another
+side's lane, so with a car on each side the left game keeps sigma in
+{-1, 0} and the right one {0, +1}. Every side game of a decision, and
+the solo game, is scored in one payoff call: all candidates as rows,
+each car's accelerations as its own block of columns. Each core then
+runs on its game's rows and block; the winning cell maps back to
+actions, and the ego's breakdown there is read from the parts that
+call returned.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -26,22 +30,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    NeighborView, T_DM, pair_payoff_matrices, propagate)
+                    NeighborView, T_DM, pair_payoff_matrices, propagate,
+                    sample_times)
 # Not called here; bench/layers.py patches them on this module until ROADMAP item 2.
 from .costs import ac_cost, ego_cost  # noqa: F401
 from .errors import InfeasibleDecisionError
 from .styles import StyleProfile
 
-_SIGMA_ORDER = {0: 0, -1: 1, 1: 2}
+# Preference rank of sigma -1, 0, +1, indexed by sigma + 1: keep, left, right.
+_SIGMA_RANK = np.array([1, 0, 2])
 _VTOL = 1e-9
 # Relative tolerance of the Stackelberg follower's best-response set.
 _BRTOL = 1e-9
 
 
 ACCEL_RANGE = (-4.0, 3.0, 0.5)  # default grid: a_min, a_max, step, m/s^2
-# Largest range accel_range builds: every decision step enumerates the
-# grid once per player, so an unbounded step count is refused up front.
+# Largest grid, in either spelling: every decision step scores every ego
+# candidate against every opponent acceleration. By tracemalloc a
+# two-opponent decision peaks at about 75 bytes per (ego candidates x
+# accelerations), so near 165 MB at this cap (2,189 candidates).
 MAX_ACCELS = 1000
+
+
+def _check_count(n: int, what: str) -> None:
+    if n > MAX_ACCELS:
+        raise ValueError(f"{what} holds {n} accelerations, at most {MAX_ACCELS} allowed")
 
 
 def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
@@ -49,9 +62,7 @@ def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
     if step <= 0 or a_max < a_min:
         raise ValueError("need step > 0 and a_max >= a_min")
     n = int(round((a_max - a_min) / step))
-    if n + 1 > MAX_ACCELS:
-        raise ValueError(f"range holds {n + 1} accelerations, at most "
-                         f"{MAX_ACCELS} allowed")
+    _check_count(n + 1, "range")  # before building it
     return tuple(round(a_min + i * step, 9) for i in range(n + 1))
 
 
@@ -64,6 +75,7 @@ class ActionGrid:
     sigmas: tuple[int, ...] = (-1, 0, 1)
 
     def __post_init__(self) -> None:
+        _check_count(len(self.accelerations), "list")
         accs = tuple(float(a) for a in self.accelerations)
         object.__setattr__(self, "accelerations", accs)
         if not accs:
@@ -100,46 +112,71 @@ def _envelope(nb, lane, s, s_end, v_end):
     return (lo - _VTOL <= v_end) & (v_end <= hi + _VTOL), lo, hi
 
 
-def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
-                   nb: NeighborView, horizon: float = T_DM) -> list[DecisionAction]:
-    """Feasible (sigma, a_x) pairs in tie-break preference order.
+def _ego_rows(ego: KinematicState, ego_lane: int, grid: ActionGrid,
+              nb: NeighborView, horizon: float):
+    """The ego's feasible candidates in tie-break preference order, as
+    (sigma, a_x) arrays, and their projection (s, v) at
+    sample_times(horizon), each (candidates, K).
 
     A candidate survives when its target lane exists, keeping an ending
     lane is still allowed, and the projected end speed stays inside the
     speed band of its target lane. The grid is projected once, since the
-    projection does not depend on sigma, and tested per target lane.
+    projection does not depend on sigma, and its last sample, the
+    horizon's end, is tested per target lane.
     """
-    accs = grid.accelerations
-    s_end, v_end = propagate(ego.s, ego.v, accs, horizon)
-    out = []
-    for sigma in grid.sigmas:
-        target = ego_lane + sigma
-        if not nb.has_lane(target) or (
-                sigma == 0 and nb.keep_lane_blocked(ego_lane, ego.v)):
-            continue
-        ok = _envelope(nb, target, ego.s, s_end, v_end)[0]
-        out += [DecisionAction(sigma=sigma, a_x=accs[i]) for i in np.flatnonzero(ok)]
-    out.sort(key=lambda c: (abs(c.a_x), _SIGMA_ORDER[c.sigma], c.a_x))
-    return out
+    accs = np.asarray(grid.accelerations)
+    s, v = propagate(ego.s, ego.v, accs[:, None], sample_times(horizon))
+    sigmas = [sg for sg in grid.sigmas if nb.has_lane(ego_lane + sg) and not (
+        sg == 0 and nb.keep_lane_blocked(ego_lane, ego.v))]
+    ok = [_envelope(nb, ego_lane + sg, ego.s, s[:, -1], v[:, -1])[0] for sg in sigmas]
+    which, idx = np.nonzero(np.reshape(ok, (len(sigmas), len(accs))))
+    sigma, a_x = np.asarray(sigmas, dtype=int)[which], accs[idx]
+    order = np.lexsort((a_x, _SIGMA_RANK[sigma + 1], np.abs(a_x)))
+    idx = idx[order]
+    return sigma[order], a_x[order], (s.take(idx, 0), v.take(idx, 0))
+
+
+def _ac_columns(acs, ac_lanes, grid: ActionGrid, nb: NeighborView, horizon: float):
+    """Every adjacent car's feasible accelerations, preference-ordered,
+    laid one car's block after another: (block widths, accelerations,
+    their projection (s, v) at sample_times(horizon), each (columns, K)).
+    The cars are projected over the grid in one stacked call.
+
+    A car whose lane band excludes everything keeps the least-violating
+    single action (ties to the smaller |a|, then the smaller a), so each
+    game always has an opponent move.
+    """
+    accs = np.asarray(grid.accelerations)
+    s, v = propagate(np.array([ac.s for ac in acs])[:, None, None],
+                     np.array([ac.v for ac in acs])[:, None, None], accs[:, None],
+                     sample_times(horizon))
+    order = np.lexsort((accs, np.abs(accs)))
+    cols = []
+    for ac, lane, v_k, s_k in zip(acs, ac_lanes, v[..., -1], s[..., -1]):
+        ok, lo, hi = _envelope(nb, lane, ac.s, s_k, v_k)
+        if ok.any():
+            cols.append(order[ok[order]])
+        else:
+            violation = np.maximum(lo - v_k, v_k - hi)
+            cols.append(np.lexsort((accs, np.abs(accs), violation))[:1])
+    widths = [len(c) for c in cols]
+    block, col = np.repeat(np.arange(len(cols)), widths), np.concatenate(cols)
+    return widths, accs[col], (s[block, col], v[block, col])
+
+
+def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
+                   nb: NeighborView, horizon: float = T_DM) -> list[DecisionAction]:
+    """Feasible (sigma, a_x) pairs in tie-break preference order; see
+    `_ego_rows` for the rules."""
+    sigma, a_x, _ = _ego_rows(ego, ego_lane, grid, nb, horizon)
+    return [DecisionAction(sigma=sg, a_x=a) for sg, a in zip(sigma.tolist(), a_x.tolist())]
 
 
 def ac_candidates(ac: KinematicState, ac_lane: int, grid: ActionGrid,
                   nb: NeighborView, horizon: float = T_DM) -> list[float]:
-    """Feasible accelerations for an adjacent car, preference-ordered.
-
-    Falls back to the least-violating single action (ties to the smaller
-    |a|, then the smaller a) when the lane band excludes everything, so
-    the game always has an opponent move.
-    """
-    accs = np.asarray(grid.accelerations)
-    s_end, v_end = propagate(ac.s, ac.v, accs, horizon)
-    ok, lo, hi = _envelope(nb, ac_lane, ac.s, s_end, v_end)
-    if ok.any():
-        keep = np.flatnonzero(ok)
-    else:
-        violation = np.maximum(lo - v_end, v_end - hi)
-        keep = np.lexsort((accs, np.abs(accs), violation))[:1]
-    return sorted((grid.accelerations[i] for i in keep), key=lambda a: (abs(a), a))
+    """Feasible accelerations for an adjacent car, preference-ordered,
+    with the fallback of `_ac_columns`."""
+    return _ac_columns([ac], [ac_lane], grid, nb, horizon)[1].tolist()
 
 
 def nash_2p_matrices(j_row: np.ndarray, j_col: np.ndarray) -> tuple[int, int, int, bool]:
@@ -155,17 +192,14 @@ def nash_2p_matrices(j_row: np.ndarray, j_col: np.ndarray) -> tuple[int, int, in
     j_col = np.asarray(j_col, dtype=float)
     row_br = j_row == j_row.min(axis=0, keepdims=True)
     col_br = j_col == j_col.min(axis=1, keepdims=True)
-    eq = row_br & col_br
-    cells = np.argwhere(eq)
-    if cells.size == 0:
+    rows, cols = np.nonzero(row_br & col_br)
+    if rows.size == 0:
         worst = j_row.max(axis=1)
         r = int(np.argmin(worst))
         c = int(np.argmax(j_row[r]))
         return r, c, 0, True
-    vals = j_row[cells[:, 0], cells[:, 1]]
-    best = int(np.lexsort((cells[:, 1], cells[:, 0], vals))[0])
-    r, c = int(cells[best, 0]), int(cells[best, 1])
-    return r, c, int(len(cells)), False
+    best = int(np.lexsort((cols, rows, j_row[rows, cols]))[0])
+    return int(rows[best]), int(cols[best]), int(rows.size), False
 
 
 def stackelberg_2p_matrices(j_row: np.ndarray,
@@ -191,47 +225,53 @@ def stackelberg_2p_matrices(j_row: np.ndarray,
     return r, c, mult
 
 
-def _score(ego, ego_lane, rows, ac, ac_lane, ac_accels, nb, ego_style,
-           ac_style, gains, horizon):
-    """One payoff call over all rows: (ego matrix, opponent matrix, and a
-    map from a cell (r, c) to the ego's breakdown there)."""
-    j_e, j_a, parts = pair_payoff_matrices(
-        ego, ego_lane, [c.sigma for c in rows], [c.a_x for c in rows], ac,
-        ac_lane, ac_accels, nb, ego_style, ac_style, gains, horizon)
-    return j_e, j_a, lambda r, c: CostBreakdown(*(float(p[r, c]) for p in parts),
-                                                float(j_e[r, c]))
+def _breakdown_at(j_e, parts, r, c) -> CostBreakdown:
+    """The ego's breakdown at cell (r, c) of one payoff call."""
+    return CostBreakdown(*(float(p[r, c]) for p in parts), float(j_e[r, c]))
 
 
 def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
            gains, horizon) -> GameSolution:
     """One game per side (lane, car, style) on the rows of the module
     docstring's rule; a side whose lane is absent or that keeps no row is
-    skipped, and the lowest ego total decides."""
-    cands = ego_candidates(ego, ego_lane, ego_grid, nb, horizon)
-    lanes = {lane for lane, _, _ in sides}
-    ac_actions, played = {}, []
+    skipped, and the lowest ego total decides. Every side game is scored
+    in one payoff call, its columns one block per car, on the
+    projections the enumeration made."""
+    sigma, a_x, ego_track = _ego_rows(ego, ego_lane, ego_grid, nb, horizon)
+    target = ego_lane + sigma
+    played = []
     for ac_lane, ac, ac_style in sides:
-        others = lanes - {ac_lane}
-        rows = [c for c in cands if ego_lane + c.sigma not in others]
-        if ac_lane not in nb.lanes or not rows:
-            continue
-        ac_accels = ac_candidates(ac, ac_lane, ac_grid, nb, horizon)
-        j_e, j_a, breakdown = _score(ego, ego_lane, rows, ac, ac_lane, ac_accels,
-                                     nb, ego_style, ac_style, gains, horizon)
-        if kind == "nash":
-            r, c, mult, sec = nash_2p_matrices(j_e, j_a)
-        else:
-            r, c, mult = stackelberg_2p_matrices(j_e, j_a)
-            sec = False
-        ac_actions[ac_lane] = float(ac_accels[c])
-        played.append((breakdown(r, c), rows[r], mult, sec, ac_lane - ego_lane))
+        rows = np.arange(len(sigma))
+        for other, _, _ in sides:
+            if other != ac_lane:
+                rows = rows[target[rows] != other]
+        if ac_lane in nb.lanes and len(rows):
+            played.append((ac_lane, ac, ac_style, rows))
     if not played:
         raise InfeasibleDecisionError("no feasible ego action")
+    ac_lanes, acs, ac_styles, _ = zip(*played)
+    widths, a_a, ac_track = _ac_columns(acs, ac_lanes, ac_grid, nb, horizon)
+    j_e, j_a, parts = pair_payoff_matrices(
+        ego, ego_lane, sigma, a_x, acs, ac_lanes, a_a, nb, ego_style, ac_styles, gains,
+        horizon, widths=widths, tracks=(ego_track, ac_track))
+    ac_actions, results, hi = {}, [], 0
+    for (ac_lane, _, _, rows), n in zip(played, widths):
+        lo, hi = hi, hi + n
+        # A game that keeps every row plays on views, not copies.
+        sub = slice(None) if len(rows) == len(sigma) else rows
+        if kind == "nash":
+            r, c, mult, sec = nash_2p_matrices(j_e[sub, lo:hi], j_a[sub, lo:hi])
+        else:
+            r, c, mult = stackelberg_2p_matrices(j_e[sub, lo:hi], j_a[sub, lo:hi])
+            sec = False
+        r, c = rows[r], lo + c
+        ac_actions[ac_lane] = float(a_a[c])
+        results.append((_breakdown_at(j_e, parts, r, c), r, mult, sec, ac_lane - ego_lane))
     # min keeps the first of equal totals: an exact tie goes to the left.
-    eb, action, mult, sec, side = min(played, key=lambda p: p[0].total)
-    return GameSolution(ego_action=action, ac_actions=ac_actions, ego_cost=eb,
-                        multiplicity=mult, security_fallback=sec,
-                        side=side if len(sides) == 2 else None)
+    eb, r, mult, sec, side = min(results, key=lambda p: p[0].total)
+    return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
+                        ac_actions=ac_actions, ego_cost=eb, multiplicity=mult,
+                        security_fallback=sec, side=side if len(sides) == 2 else None)
 
 
 def solve_nash_2p(ego: KinematicState, ego_lane: int, ac: KinematicState,
@@ -263,14 +303,16 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     car would not enter; `simulate._decide` calls this only when neither
     side lane has one. Exact ties go to the earlier candidate.
     """
-    cands = ego_candidates(ego, ego_lane, grid, nb, horizon)
-    if not cands:
+    sigma, a_x, ego_track = _ego_rows(ego, ego_lane, grid, nb, horizon)
+    if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _, breakdown = _score(ego, ego_lane, cands, None, None, (0.0,), nb,
-                               style, style, gains, horizon)
+    j_e, _, parts = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
+                                         nb, style, style, gains, horizon,
+                                         tracks=(ego_track, (None, None)))
     r = int(np.argmin(j_e[:, 0]))
-    return GameSolution(ego_action=cands[r], ac_actions={},
-                        ego_cost=breakdown(r, 0), multiplicity=1)
+    return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
+                        ac_actions={}, ego_cost=_breakdown_at(j_e, parts, r, 0),
+                        multiplicity=1)
 
 
 def solve_nash_two_ac(ego: KinematicState, ego_lane: int,

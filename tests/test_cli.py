@@ -129,6 +129,22 @@ def test_name_unsafe_for_a_file_name_exits_3(tmp_path, capsys, command, name):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["named.json"]
 
 
+def test_explicit_acceleration_list_over_the_cap_exits_3(tmp_path, capsys):
+    # Both spellings of the grid share the cap: every decision step scores
+    # each candidate against each acceleration, so 3,001 entries would
+    # make millions of cells per step.
+    cfg = json.loads(_bundled_text("scenario_a"))
+    p = tmp_path / "wide_grid.json"
+    for n, code in ((1000, 0), (3001, 3)):
+        cfg["grid"] = {"accelerations": [round(-4.0 + 7.0 * i / (n - 1), 9)
+                                         for i in range(n)]}
+        p.write_text(json.dumps(cfg))
+        assert main(["validate", str(p)]) == code, n
+    err = capsys.readouterr().err
+    assert "grid: list holds 3001 accelerations, at most 1000 allowed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("radius", [60.0, 3.0])
 def test_validate_arc_outside_the_frenet_mapping_exits_3(tmp_path, capsys, radius):
     # scenario_b is 600 m long: radius 60 wraps past half a turn, radius 3

@@ -342,13 +342,13 @@ def test_two_ac_survives_one_dead_side(gains):
 def test_two_ac_enumerates_ego_candidates_once(solver, gains, monkeypatch):
     # Both side games take their rows from one enumeration of the full grid.
     calls = []
-    real = games.ego_candidates
+    real = games._ego_rows
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(games, "ego_candidates", counted)
+    monkeypatch.setattr(games, "_ego_rows", counted)
     ego, nb = _two_ac_scene()
     st = style_profile("normal")
     sol = solver(ego, 2, nb.lanes[1].adjacent, nb.lanes[3].adjacent, nb, GRID,
@@ -438,12 +438,58 @@ def test_reported_breakdown_is_the_scalar_cost_of_its_cell(gains, rng):
     assert seen == {"keep", "merge", "free lane"}
 
 
+@pytest.mark.parametrize("kind", ["nash", "stackelberg"])
+def test_two_ac_is_its_two_side_games(kind, gains, rng):
+    """A two-opponent solve scores both side games in one payoff call, the
+    opponents' columns side by side. Every field it reports equals that of
+    the winning one-opponent solve on its side's rows (an exact tie going
+    left), and each opponent keeps its own side's acceleration: a column
+    block that read the other car's state, lead, cruise speed or style
+    would break this."""
+    solver = solve_nash_two_ac if kind == "nash" else solve_stackelberg_two_ac
+    side_solver = solve_nash_2p if kind == "nash" else solve_stackelberg_2p
+    names, seen = sorted(BUILTIN_STYLES), set()
+
+    def side(ego, ac, lane, nb, grid, sigmas, st_e, st):
+        try:
+            return side_solver(ego, 2, ac, lane, nb, grid.restrict_sigmas(sigmas),
+                               grid, st_e, st, gains)
+        except InfeasibleDecisionError:
+            return None
+
+    for k in range(200):
+        grid = GRID if k % 2 else ActionGrid()
+        st_e, st_l, st_r = (style_profile(str(rng.choice(names))) for _ in range(3))
+        ego, nb = _random_game_scene(rng, (1, 3))
+        left = side(ego, nb.adjacent(1), 1, nb, grid, (-1, 0), st_e, st_l)
+        right = side(ego, nb.adjacent(3), 3, nb, grid, (0, 1), st_e, st_r)
+        args = (ego, 2, nb.adjacent(1), nb.adjacent(3), nb, grid, grid, st_e, st_l,
+                st_r, gains)
+        if left is None and right is None:
+            with pytest.raises(InfeasibleDecisionError):
+                solver(*args)
+            continue
+        sol = solver(*args)
+        if right is None or (left is not None
+                             and left.ego_cost.total <= right.ego_cost.total):
+            want, want_side = left, -1
+        else:
+            want, want_side = right, 1
+        assert (sol.ego_action, sol.ego_cost, sol.multiplicity, sol.security_fallback,
+                sol.side) == (want.ego_action, want.ego_cost, want.multiplicity,
+                              want.security_fallback, want_side), k
+        assert sol.ac_actions == {**(left.ac_actions if left else {}),
+                                  **(right.ac_actions if right else {})}, k
+        seen.add(want_side)
+    assert seen == {-1, 1}
+
+
 @pytest.mark.parametrize("solver", [solve_nash_two_ac, solve_stackelberg_two_ac])
-def test_two_ac_decision_projects_each_car_once_per_side(solver, gains, monkeypatch):
+def test_two_ac_decision_projects_each_car_once(solver, gains, monkeypatch):
     """With a lead on every lane, a decision projects the ego's grid once
-    to enumerate it, and per side the opponent's grid once to enumerate
-    it and each of the four cars once to score the game; it calls no
-    scalar cost."""
+    and both opponents' grids in one stacked call, each projection serving
+    both the enumeration and the one payoff call, and each of the three
+    leads once; it calls no scalar cost."""
     calls = dict.fromkeys(("propagate", "ego_cost", "ac_cost"), 0)
 
     def counted(name, fn):
@@ -468,7 +514,7 @@ def test_two_ac_decision_projects_each_car_once_per_side(solver, gains, monkeypa
     sol = solver(KinematicState(s=0.0, v=20.0), 2, nb.adjacent(1), nb.adjacent(3),
                  nb, ActionGrid(), ActionGrid(), st, st, st, gains)
     assert set(sol.ac_actions) == {1, 3}
-    assert calls == {"propagate": 11, "ego_cost": 0, "ac_cost": 0}
+    assert calls == {"propagate": 5, "ego_cost": 0, "ac_cost": 0}
 
 
 def test_one_ac_on_a_missing_lane_is_infeasible(gains):

@@ -85,10 +85,12 @@ def _bumps(dx, dy, cos_h, sin_h, cv, p: FieldParams) -> np.ndarray:
     ax = xh * xh / (2.0 * p.rho_x**2)
     ay = yh * yh / (2.0 * p.rho_y**2)
     r2 = ax + ay
-    denom = np.sqrt(np.where(r2 > 0.0, r2, 1.0))
-    skew = np.where(xh < 0.0, -1.0, 1.0) * np.where(r2 > 0.0, ax / denom, 0.0)
-    theta = -np.power(r2, p.b) + cv * skew
-    return p.a_oc * np.exp(theta)
+    off_center = r2 > 0.0
+    ratio = np.where(off_center, ax / np.sqrt(np.where(off_center, r2, 1.0)), 0.0)
+    skew = np.where(xh < 0.0, -ratio, ratio)
+    # pow(r2, 1) == r2 in IEEE arithmetic, so b == 1 skips the power.
+    shape = r2 if p.b == 1.0 else np.power(r2, p.b)
+    return p.a_oc * np.exp(-shape + cv * skew)
 
 
 def obstacle_field(qx, qy, obs: ObstaclePose, p: FieldParams) -> np.ndarray:

@@ -8,11 +8,18 @@ acceleration into the prediction). The optimizer works on the control
 increments du over the control horizon, with the preview command held
 after that and kept inside the given box u_box. It is a projected
 Newton method on a Gauss-Newton model of the cost (Bertsekas 1982): each
-iteration takes the output Jacobian by forward differences in one batch,
-solves for a Newton step with the increments held on their bounds
-removed, and scores halvings of that step and of the gradient step in
-one more batch. Only improvements are accepted, so the returned sequence
-never scores worse than leaving the command alone.
+iteration takes the output Jacobian by forward differences, solves for a
+Newton step with the increments held on their bounds removed, and scores
+halvings of that step and of the gradient step in one batch. Only
+improvements are accepted, so the returned sequence never scores worse
+than leaving the command alone.
+
+A solve makes one output batch per iteration, plus one to start. The
+Jacobian's probe rows ride with rows that are scored anyway: the first
+batch holds the zero increments and their probes, and every trial batch
+also holds the probes of the full Newton step, which is the usual winner
+(892 of the 900 iterations of the bundled overtake run). Only when
+another trial wins and the search goes on are its probes scored alone.
 
 The horizon cost is prepared once per solve and has one evaluation
 path, which the zero-increment cost, every trial and the returned plan
@@ -31,6 +38,7 @@ increments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +65,12 @@ CHANNELS = [IX, IY, IPHI]
 # Longest prediction horizon MpcConfig accepts, in steps.
 MAX_HORIZON_STEPS = 1000
 # Largest n_p * n_c MpcConfig accepts. A solve peaks at about
-# (270 + 85 * obstacles) bytes per n_p * max(n_c, 31), as the Jacobian
-# batch scores n_c rows and the line search 31 (tracemalloc of the first
+# (300 + 85 * obstacles) bytes per n_p * (n_c + 31), as a trial batch
+# scores 31 trials and n_c probe rows (tracemalloc of the first
 # scenario_b solve at n_p = n_c from 40 to 150 with 0 to 15 obstacles).
 # With n_p <= MAX_HORIZON_STEPS the cap bounds both, so with the largest
 # roster (scenario.MAX_VEHICLES = 16 cars, 15 obstacles) a solve peaks
-# near 62 MB.
+# near 112 MB.
 MAX_PLAN_CELLS = 40_000
 
 
@@ -111,6 +119,14 @@ class PlanResult:
     degraded: bool
 
 
+@functools.lru_cache(maxsize=8)
+def _lag(n_p: int, n_c: int) -> np.ndarray:
+    """Read-only (n_p, n_c) array lag[i, j] = max(i + 1 - j, 0), shared per size."""
+    lag = np.clip(np.arange(1, n_p + 1)[:, None] - np.arange(n_c), 0, None)
+    lag.flags.writeable = False
+    return lag
+
+
 class HorizonModel:
     """Frozen linear prediction over one planning step.
 
@@ -134,26 +150,28 @@ class HorizonModel:
         self.b_u = b_d[:, 0]
         self.w_d = b_d[:, 1]
 
-        n_p, n_c = cfg.n_p, cfg.n_c
-        # base[i] = state after i+1 steps with u held at u_prev.
+        n_p = cfg.n_p
+        # base[i] = state after i+1 steps with u held at u_prev, summed as
+        # (A x + B u_prev) + w, row by row in place.
+        held = self.b_u * self.u_prev
         base = np.empty((n_p, NX))
         x = self.x0
-        for i in range(n_p):
-            x = self.a_d @ x + self.b_u * self.u_prev + self.w_d
-            base[i] = x
+        for row in base:
+            np.dot(self.a_d, x, out=row)
+            row += held
+            row += self.w_d
+            x = row
         self.base = base
-        # cum[k] = sum_{m=0}^{k-1} A^m B, so d(state i)/d(du_j) = cum[i-j].
-        cum = np.zeros((n_p + 1, NX))
-        acc = np.zeros(NX)
-        power = self.b_u.copy()
-        for k in range(1, n_p + 1):
-            acc = acc + power
-            cum[k] = acc
-            power = self.a_d @ power
+        # cum[k] = sum_{m=0}^{k-1} A^m B, so d(state i)/d(du_j) = cum[i-j];
+        # the accumulation adds the powers one after the other.
+        power = np.zeros((n_p + 1, NX))     # power[m + 1] = A^m B
+        power[1] = self.b_u
+        for k in range(2, n_p + 1):
+            np.dot(self.a_d, power[k - 1], out=power[k])
+        cum = np.add.accumulate(power)
         # sens[i, :, j] = cum[i + 1 - j] maps du_j to state i (du frozen
         # after n_c); cum[0] = 0 fills the steps before du_j acts.
-        lag = np.clip(np.arange(1, n_p + 1)[:, None] - np.arange(n_c), 0, None)
-        self.sens = np.ascontiguousarray(cum[lag].transpose(0, 2, 1))
+        self.sens = np.ascontiguousarray(cum[_lag(n_p, cfg.n_c)].transpose(0, 2, 1))
         self.base_xyphi = base[:, CHANNELS]
         self.sens_xyphi = self.sens[:, CHANNELS, :]
 
@@ -192,10 +210,11 @@ def _outputs(poses: np.ndarray, prepared: PreparedField, target_lane) -> np.ndar
     ys = poses[..., 1]
     road = prepared.road
     s, d = road.to_frenet(xs, ys)
-    y1 = total_field(xs, ys, prepared, frenet=(s, d))
-    y2 = d - road.lane_offset(target_lane)
-    y3 = poses[..., 2] - road.tangent_heading(s)
-    return np.stack([y1, y2, y3], axis=-1)
+    out = np.empty(poses.shape)
+    out[..., 0] = total_field(xs, ys, prepared, frenet=(s, d))
+    np.subtract(d, road.lane_offset(target_lane), out=out[..., 1])
+    np.subtract(poses[..., 2], road.tangent_heading(s), out=out[..., 2])
+    return out
 
 
 def mpc_cost(outputs: np.ndarray, du: np.ndarray, w: np.ndarray, r: float):
@@ -225,8 +244,7 @@ def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
         lo, hi = _bounds(u, u_box, cfg)
-        out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
-        u = u + out[..., j]
+        u += np.minimum(np.maximum(du[..., j], lo), hi, out=out[..., j])
     return out
 
 
@@ -246,23 +264,33 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     over the horizon; ValueError unless dt > 0 and lo <= hi.
 
     Projected Newton on a Gauss-Newton model. Each iteration keeps the
-    outputs y of the accepted du, scores the n_c rows du + FD_STEP * e_j
-    in one batch and takes the output Jacobian J from forward differences
-    against y. With W weighting the outputs by q_diag at every horizon
-    step, g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
+    outputs y of the accepted du and of its n_c probe rows du + FD_STEP *
+    e_j, and takes the output Jacobian J from forward differences against
+    y. With W weighting the outputs by q_diag at every horizon step,
+    g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
     Gauss-Newton Hessian.
     An increment on its bound (the du box intersected with the running u
     box, as _project clips) whose gradient points outward is active; its
     row and column of H are cut to the diagonal before solving H d = -g.
     The trials du + NEWTON_STEPS * d and du - GRADIENT_STEPS * g / max|g|
     go through _project and are scored in one batch, and the lowest is
-    taken if it beats the best cost so far. The search stops when no
-    trial does or the drop is at most tol * max(1, best), so the returned
-    cost, which is the accepted one, never exceeds the zero-increment
-    cost. If no step is accepted while the first cost gradient 2g is
-    clearly nonzero, the plan is flagged degraded. The returned outputs
-    are the ones the accepted cost read, and the full 8-state prediction
-    is made for the returned plan.
+    taken, the first on a tie, if it beats the best cost so far. The
+    search stops when no trial does or the drop is at most
+    tol * max(1, best), so the returned cost, which is the accepted one,
+    never exceeds the zero-increment cost. If no step is accepted while
+    the first cost gradient 2g is clearly nonzero, the plan is flagged
+    degraded. The returned outputs are the ones the accepted cost read,
+    and the full 8-state prediction is made for the returned plan.
+
+    The outputs come in as few batches as the search allows, each row
+    scored as it would be alone: the zero increments with their probe
+    rows, then per iteration the trials with the probe rows of trial 0,
+    the full Newton step. When trial 0 is taken, the next Jacobian reads
+    those; when another trial is taken and the search goes on, its probe
+    rows are scored in a batch of their own.
+
+    DomainError if the zero-increment cost is not finite (a field or a
+    weight that overflows), since no trial could then be compared with it.
     """
     if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
         raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
@@ -275,13 +303,21 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         return _outputs(model.poses(du_batch), prepared, target_lane)
 
     du = np.zeros(n_c)
-    y = outputs_of(du)
-    best = float(mpc_cost(y, du, w, r))
-    cost_zero = best
     eye = np.eye(n_c)
+    diagonal = eye > 0
+    probes = FD_STEP * eye
+    ys = outputs_of(np.concatenate([du[None], du + probes]))
+    y, y_probe = ys[0], ys[1:]
+    best = float(mpc_cost(y, du, w, r))
+    if not np.isfinite(best):
+        raise DomainError(f"the zero-increment horizon cost is {best}")
+    cost_zero = best
+    n_trials = len(NEWTON_STEPS) + len(GRADIENT_STEPS)
 
     for iterations in range(1, cfg.max_iter + 1):
-        jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP    # (n_c, n_p, 3)
+        if y_probe is None:
+            y_probe = outputs_of(du + probes)
+        jac = (y_probe - y) / FD_STEP    # (n_c, n_p, 3)
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
         gnorm = float(np.max(np.abs(g)))
@@ -291,18 +327,19 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), u_box, cfg)
         free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
+        hess = np.where(np.outer(free, free) | diagonal, hess, 0.0)
         d = np.linalg.solve(hess, -g)
         trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
                                           du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
                           u_prev, u_box, cfg)
-        ys = outputs_of(trials)
-        vals = mpc_cost(ys, trials, w, r)
+        ys = outputs_of(np.concatenate([trials, trials[0] + probes]))
+        vals = mpc_cost(ys[:n_trials], trials, w, r)
         k = int(np.argmin(vals))
         if not vals[k] < best:
             break
         drop = best - float(vals[k])
         du, best, y = trials[k], float(vals[k]), ys[k]
+        y_probe = ys[n_trials:] if k == 0 else None
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
 

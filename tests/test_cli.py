@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lanegame import cli
@@ -173,6 +174,28 @@ def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "aborted=1" in captured.out
     assert "run aborted: domain error at t=1.40" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("block,key,value,cost", [
+    ("field", "rho_x", 1e-200, "nan"), ("field", "a_oc", 1e308, "inf"),
+    ("field", "c", 1e300, "inf"), ("mpc", "q_diag", [1e308, 1e308, 1e308], "inf")],
+    ids=["rho_x", "a_oc", "c", "q_diag"])
+def test_overflowing_cost_aborts_with_exit_4(tmp_path, capsys, block, key, value, cost):
+    # Each value validates, but the first horizon cost is not finite: the
+    # field is NaN, or the field, its skew or the weights overflow.
+    cfg = json.loads(_bundled_text("scenario_b"))
+    cfg["duration"] = 1.0
+    cfg[block][key] = value
+    p = tmp_path / "overflow.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["validate", str(p)]) == 0
+    with np.errstate(all="ignore"):
+        assert main(["run", str(p)]) == 4
+    captured = capsys.readouterr()
+    assert "aborted=1" in captured.out
+    assert (f"run aborted: domain error at t=0.00: the zero-increment horizon "
+            f"cost is {cost}") in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lanegame import field as field_module
 from lanegame.errors import DomainError
 from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
                             prepare_field, road_field, total_field)
@@ -110,6 +111,44 @@ def test_station_domain_enforced(three_lane_arc):
     x, y = three_lane_arc.to_global(three_lane_arc.length + 5.0, 0.0)
     with pytest.raises(DomainError):
         road_field(x, y, three_lane_arc, P)
+
+
+def _power_bumps(dx, dy, cos_h, sin_h, cv, p):
+    """The bump with the shape term always through np.power and the skew
+    sign as a factor."""
+    xh = cos_h * dx + sin_h * dy
+    yh = -sin_h * dx + cos_h * dy
+    ax = xh * xh / (2.0 * p.rho_x**2)
+    ay = yh * yh / (2.0 * p.rho_y**2)
+    r2 = ax + ay
+    denom = np.sqrt(np.where(r2 > 0.0, r2, 1.0))
+    skew = np.where(xh < 0.0, -1.0, 1.0) * np.where(r2 > 0.0, ax / denom, 0.0)
+    return p.a_oc * np.exp(-np.power(r2, p.b) + cv * skew)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.5])
+def test_bumps_skip_the_power_only_at_b_1(b, rng, monkeypatch):
+    # Bit for bit the np.power form on random offsets and, at heading 0,
+    # on offsets with r2 == 0 and with xh == +0 and -0; b = 1 calls no
+    # power, any other b one.
+    p = FieldParams(b=b)
+    edge_dx = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 1e-170])
+    edge_dy = np.array([0.0, -0.0, 1.0, 1.0, -1.0, 0.0])
+    xh = 1.0 * edge_dx + 0.0 * edge_dy
+    assert np.signbit(xh).tolist() == [False, True, False, False, True, False]
+    dx = np.concatenate([rng.normal(0.0, 20.0, 500), edge_dx])
+    dy = np.concatenate([rng.normal(0.0, 3.0, 500), edge_dy])
+    real_power = np.power
+    for heading in (0.0, 0.3, -2.9):
+        ch, sh = math.cos(heading), math.sin(heading)
+        for cv in (0.0, 0.75):
+            want = _power_bumps(dx, dy, ch, sh, cv, p)
+            powers = []
+            monkeypatch.setattr(np, "power", lambda *a: powers.append(a) or real_power(*a))
+            got = field_module._bumps(dx, dy, ch, sh, cv, p)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
+            assert len(powers) == (0 if b == 1.0 else 1)
 
 
 def test_total_is_sum_of_parts(two_lane_road):

@@ -1,14 +1,18 @@
 """Receding-horizon planner: prediction model, boxes, zero-dominance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from lanegame import planner
 from lanegame.errors import DomainError
 from lanegame.field import (FieldParams, ObstaclePose, obstacle_field,
                             prepare_field, road_field, total_field)
-from lanegame.planner import (CHANNELS, MAX_HORIZON_STEPS, MAX_PLAN_CELLS,
-                              HorizonModel, MpcConfig, _coasted, _outputs,
-                              _project, mpc_cost, solve_plan)
+from lanegame.planner import (CHANNELS, FD_STEP, GRADIENT_STEPS, MAX_HORIZON_STEPS,
+                              MAX_PLAN_CELLS, NEWTON_STEPS, HorizonModel, MpcConfig,
+                              PlanResult, _bounds, _coasted, _outputs, _project,
+                              mpc_cost, solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
@@ -78,6 +82,21 @@ def test_config_validation(two_lane_road):
                        small_cfg(), VP, DP, dt, box)
 
 
+@pytest.mark.parametrize("field,q_diag,cost", [
+    (FieldParams(rho_x=1e-200), (1.0, 10.0, 50.0), "nan"),
+    (FieldParams(a_oc=1e308), (1.0, 10.0, 50.0), "inf"),
+    (FP, (1e308, 1e308, 1e308), "inf")], ids=["nan_field", "inf_field", "inf_weights"])
+def test_non_finite_zero_increment_cost_is_a_domain_error(field, q_diag, cost,
+                                                          two_lane_road):
+    # No trial can beat a NaN or an infinite cost, so the solve would hold
+    # the command; a named error lets the closed loop abort instead.
+    obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
+    with np.errstate(all="ignore"), pytest.raises(
+            DomainError, match=f"the zero-increment horizon cost is {cost}"):
+        solve_plan(_x0(), 0.0, 0.0, obs, two_lane_road, 1, field,
+                   small_cfg(q_diag=q_diag), VP, DP, DT, BOX)
+
+
 def test_horizon_model_needs_forward_speed():
     # A named domain error, so a closed-loop run can abort on it cleanly.
     with pytest.raises(DomainError):
@@ -120,7 +139,7 @@ def test_sens_is_the_lagged_cumulative_input_gain():
             assert np.array_equal(m.sens[i, :, j], want)
 
 
-def test_states_batched_matches_rows(rng):
+def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     batch = rng.uniform(-0.3, 0.3, (7, cfg.n_c))
@@ -129,12 +148,15 @@ def test_states_batched_matches_rows(rng):
     for b in range(7):
         assert np.array_equal(got[b], m.states(batch[b]))
     # The cost's 3-channel prediction is the full one, bit for bit, for
-    # one sequence and for batches of the sizes the planner scores (n_c
-    # Jacobian rows, 31 trials), and one sequence gives its row in a
-    # batch, prediction and cost alike.
+    # one sequence and for batches of the sizes the planner scores (1 + n_c
+    # to start, 31 trials + n_c probe rows, n_c probe rows alone), and one
+    # sequence gives its row in a batch: prediction, outputs and cost alike.
     w = np.array([1.0, 10.0, 50.0])
+    obstacle = [ObstaclePose(x=15.0, y=0.5, heading=0.02, v=10.0)]
     for n_p, n_c, rows in ((12, 4, 7), (20, 5, 5), (20, 5, 31), (30, 5, 31),
-                           (30, 8, 8), (30, 8, 25), (5, 1, 3)):
+                           (30, 8, 8), (30, 8, 25), (5, 1, 3),
+                           (12, 4, 5), (12, 4, 35), (30, 5, 6), (30, 5, 36),
+                           (30, 8, 9), (30, 8, 39), (5, 1, 2), (5, 1, 32)):
         cfg = small_cfg(n_p=n_p, n_c=n_c)
         m = HorizonModel(_x0(v=rng.uniform(8.0, 30.0), y=rng.uniform(-2.0, 2.0)),
                          rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg, DT)
@@ -144,6 +166,12 @@ def test_states_batched_matches_rows(rng):
         assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
         assert np.array_equal(m.poses(batch[-1]), poses[-1])
         assert mpc_cost(poses, batch, w, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], w, 1.0)
+        road = two_lane_road if rows % 2 else three_lane_arc
+        field = prepare_field(_coasted(obstacle, n_p, DT), road, FP)
+        ys = _outputs(poses, field, 1)
+        for b in (0, rows // 2, rows - 1):
+            assert np.array_equal(_outputs(poses[b], field, 1), ys[b])
+            assert np.array_equal(_outputs(poses[b:b + 1], field, 1)[0], ys[b])
 
 
 def test_states_linear_in_du(rng):
@@ -364,17 +392,24 @@ def _settled_scene(rng):
 SETTLED_SEEDS = (26, 50, 116, 120, 138)
 
 
-@pytest.mark.parametrize("seed", [*range(24), *SETTLED_SEEDS])
+SCENE_SEEDS = (*range(24), *SETTLED_SEEDS)
+
+
+def _scene(seed, two_lane_road, three_lane_arc):
+    """(road, x0, u_prev, a_x, obstacles, target, cfg, box) of one seed."""
+    rng = np.random.default_rng(seed)
+    if seed in SETTLED_SEEDS:
+        return (two_lane_road, *_settled_scene(rng))
+    road = two_lane_road if seed % 2 else three_lane_arc
+    return (road, *_random_scene(rng, road))
+
+
+@pytest.mark.parametrize("seed", SCENE_SEEDS)
 def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lane_arc):
     # The plan's cost matches the gradient search's to 1e-3 relative or
     # beats it, never loses to zero increments, and keeps the boxes.
-    rng = np.random.default_rng(seed)
-    if seed in SETTLED_SEEDS:
-        road = two_lane_road
-        x0, u_prev, a_x, obstacles, target, cfg, box = _settled_scene(rng)
-    else:
-        road = two_lane_road if seed % 2 else three_lane_arc
-        x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
+    road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
+        seed, two_lane_road, three_lane_arc)
     plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
                       cfg, VP, DP, DT, box)
     reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
@@ -384,6 +419,106 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     assert np.all(du >= cfg.du_min) and np.all(du <= cfg.du_max)
     u = u_prev + np.cumsum(du)
     assert np.all(u >= box[0] - 1e-9) and np.all(u <= box[1] + 1e-9)
+
+
+def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
+    """solve_plan's search with every output batch scored on its own.
+
+    The same Jacobian, trials, tie rule and stopping test, but the zero
+    increments are scored alone and every iteration scores its n_c probe
+    rows in one batch and its 31 trials in another. Returns the plan and
+    the index of the trial each accepted step took, for the steps after
+    which the search went on.
+    """
+    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, FP)
+    w, r, n_c = np.array(cfg.q_diag), cfg.r, cfg.n_c
+    eye = np.eye(n_c)
+
+    def outputs_of(du_batch):
+        return _outputs(model.poses(du_batch), prepared, lane)
+
+    du = np.zeros(n_c)
+    y = outputs_of(du)
+    best = cost_zero = float(mpc_cost(y, du, w, r))
+    went_on_after = []
+    for iterations in range(1, cfg.max_iter + 1):
+        jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP
+        jw = (jac * w).reshape(n_c, -1)
+        g = jw @ y.ravel() + r * du
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm == 0.0:
+            break
+        lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), box, cfg)
+        free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
+        hess = jw @ jac.reshape(n_c, -1).T + r * eye
+        hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
+        d = np.linalg.solve(hess, -g)
+        trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
+                                          du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
+                          u_prev, box, cfg)
+        ys = outputs_of(trials)
+        vals = mpc_cost(ys, trials, w, r)
+        k = int(np.argmin(vals))
+        if not vals[k] < best:
+            break
+        drop = best - float(vals[k])
+        du, best, y = trials[k], float(vals[k]), ys[k]
+        if drop <= cfg.tol * max(1.0, best):
+            break
+        if iterations < cfg.max_iter:
+            went_on_after.append(k)
+    degraded = not np.any(du) and 2.0 * gnorm > 1e-6
+    plan = PlanResult(du_sequence=du, u_applied=float(u_prev + du[0]),
+                      predicted_states=model.states(du), predicted_outputs=y,
+                      cost=best, cost_zero=cost_zero, iterations=iterations,
+                      degraded=degraded)
+    return plan, went_on_after
+
+
+def _rows_per_outputs_call(monkeypatch):
+    """Patch the planner's _outputs to log the rows of every call it gets."""
+    rows, real = [], planner._outputs
+
+    def logged(poses, *args):
+        rows.append(poses[..., 0, 0].size)
+        return real(poses, *args)
+
+    monkeypatch.setattr(planner, "_outputs", logged)
+    return rows
+
+
+def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc,
+                                                   monkeypatch):
+    # Every PlanResult field equals, bit for bit, the search that scores
+    # each batch on its own, and each solve makes the calls it should: one
+    # of 1 + n_c rows, one of 31 + n_c per iteration, and one of n_c after
+    # each step that took another trial than the full Newton step and did
+    # not end the search. The scenes take both branches, so the check can
+    # tell them apart.
+    n_trials = len(NEWTON_STEPS) + len(GRADIENT_STEPS)
+    went_on_after = []
+    for seed in SCENE_SEEDS:
+        road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
+            seed, two_lane_road, three_lane_arc)
+        want, after = _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road,
+                                             target, cfg, box)
+        rows = _rows_per_outputs_call(monkeypatch)
+        got = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
+                         cfg, VP, DP, DT, box)
+        monkeypatch.undo()
+        for f in dataclasses.fields(PlanResult):
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, f.name)
+        n_c = cfg.n_c
+        fallbacks = sum(k != 0 for k in after)
+        assert len(rows) == 1 + got.iterations + fallbacks, seed
+        assert rows[0] == 1 + n_c
+        assert rows.count(n_trials + n_c) == got.iterations
+        assert rows.count(n_c) == fallbacks
+        went_on_after += after
+    assert went_on_after.count(0) > 0
+    assert len(went_on_after) - went_on_after.count(0) > 0
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan

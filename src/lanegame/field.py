@@ -46,6 +46,17 @@ class FieldParams:
     def __post_init__(self) -> None:
         if self.a_oc <= 0 or self.rho_x <= 0 or self.rho_y <= 0:
             raise ValueError("a_oc, rho_x, rho_y must be positive")
+        # _bumps divides by 2*rho**2, which underflows to 0 for a tiny rho
+        # and overflows (an OverflowError for a float) for a huge one.
+        for name in ("rho_x", "rho_y"):
+            rho = getattr(self, name)
+            try:
+                spread = 2.0 * rho**2
+            except OverflowError:
+                spread = math.inf
+            if not 0.0 < spread < math.inf:
+                raise ValueError(f"{name} = {rho:g} gives 2*{name}**2 = {spread:g}, "
+                                 f"which must be positive and finite")
         if self.b < 1:
             raise ValueError("shape exponent b must be >= 1")
         if self.c < 0:
@@ -78,19 +89,30 @@ def _bumps(dx, dy, cos_h, sin_h, cv, p: FieldParams) -> np.ndarray:
     up a positive skew cv = c*v so the bump reaches farther forward than
     backward. The skew ratio is 0 at the CoG, which keeps the exponent
     continuous there and pins the peak at a_oc. All arguments broadcast.
-    """
-    xh = cos_h * dx + sin_h * dy
-    yh = -sin_h * dx + cos_h * dy
 
-    ax = xh * xh / (2.0 * p.rho_x**2)
-    ay = yh * yh / (2.0 * p.rho_y**2)
-    r2 = ax + ay
-    off_center = r2 > 0.0
-    ratio = np.where(off_center, ax / np.sqrt(np.where(off_center, r2, 1.0)), 0.0)
-    skew = np.where(xh < 0.0, -ratio, ratio)
+    The temporaries are reused in place. At r2 == 0 the ratio is
+    0 / sqrt(5e-324) = 0, the subnormal floor standing in for a mask;
+    copysign then gives the skew a sign that is negative at xh = -0.0,
+    which the exponent cv*skew - shape adds to -0.0 or subtracts from a
+    positive shape, so exp sees the same value as with a +0.0 skew.
+    """
+    xh = np.asarray(cos_h * dx + sin_h * dy)
+    r2 = np.asarray(cos_h * dy - sin_h * dx)
+    skew = np.asarray(xh * xh)
+    skew /= 2.0 * p.rho_x**2          # ax
+    r2 *= r2
+    r2 /= 2.0 * p.rho_y**2            # ay
+    r2 += skew
+    np.copysign(skew, xh, out=skew)
+    root = np.sqrt(np.maximum(r2, 5e-324, out=xh), out=xh)
+    skew /= root
     # pow(r2, 1) == r2 in IEEE arithmetic, so b == 1 skips the power.
     shape = r2 if p.b == 1.0 else np.power(r2, p.b)
-    return p.a_oc * np.exp(-shape + cv * skew)
+    skew *= cv
+    skew -= shape
+    np.exp(skew, out=skew)
+    skew *= p.a_oc
+    return skew[()]
 
 
 def obstacle_field(qx, qy, obs: ObstaclePose, p: FieldParams) -> np.ndarray:

@@ -21,13 +21,16 @@ also holds the probes of the full Newton step, which is the usual winner
 (892 of the 900 iterations of the bundled overtake run). Only when
 another trial wins and the search goes on are its probes scored alone.
 
-The horizon cost is prepared once per solve and has one evaluation
-path, which the zero-increment cost, every trial and the returned plan
-share: the coasted obstacles are stacked into one PreparedField, one
-contraction predicts the 3 channels the cost reads (X, Y, phi) for one
-du sequence or a batch, and the positions are mapped to road coordinates
-once per call. Every value is the one the per-obstacle, full-state
-evaluation gives, bit for bit, and the plan's cost is the accepted one.
+The linear prediction is built from the powers of the discrete state
+matrix, taken by doubling (see HorizonModel), so its NumPy calls grow
+with the log of the horizon. The horizon cost is prepared once per solve
+and has one evaluation path, which the zero-increment cost, every trial
+and the returned plan share: the coasted obstacles are stacked into one
+PreparedField, one contraction predicts the 3 channels the cost reads
+(X, Y, phi) for one du sequence or a batch, and the positions are mapped
+to road coordinates once per call. Every value is the one the
+per-obstacle, full-state evaluation gives, bit for bit, and the plan's
+cost is the accepted one.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
@@ -130,8 +133,13 @@ def _lag(n_p: int, n_c: int) -> np.ndarray:
 class HorizonModel:
     """Frozen linear prediction over one planning step.
 
-    Holds the discretized (A, B, affine) triple and the stacked powers
-    needed to map a du sequence to states in one tensor contraction.
+    Holds the discretized (A, B, affine) triple, the held-command rollout
+    `base` and the lagged input gains `sens` that map a du sequence to
+    states in one tensor contraction. Both come from the powers A^1 ..
+    A^n_p, taken by doubling in ceil(log2 n_p) stacked matrix products,
+    and one more stacked product with [B, B u_prev + w]. They differ from
+    the step-by-step rollout by rounding only, within 1e-12 of the largest
+    value; `sens` repeats each gain bit for bit at every lag.
     """
 
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
@@ -151,27 +159,29 @@ class HorizonModel:
         self.w_d = b_d[:, 1]
 
         n_p = cfg.n_p
-        # base[i] = state after i+1 steps with u held at u_prev, summed as
-        # (A x + B u_prev) + w, row by row in place.
-        held = self.b_u * self.u_prev
-        base = np.empty((n_p, NX))
-        x = self.x0
-        for row in base:
-            np.dot(self.a_d, x, out=row)
-            row += held
-            row += self.w_d
-            x = row
+        # pw[m] = A^m for m = 0..n_p, filled by doubling: each matmul
+        # multiplies the highest power so far by all the powers below it.
+        pw = np.empty((n_p + 1, NX, NX))
+        pw[0] = np.eye(NX)
+        pw[1] = self.a_d
+        m = 1
+        while m < n_p:
+            k = min(m, n_p - m)
+            np.matmul(pw[m], pw[1:k + 1], out=pw[m + 1:m + k + 1])
+            m += k
+        # gains[k] = sum_{m<k} A^m [B, B u_prev + w]: the input gain and the
+        # held command's drift, accumulated over the powers; gains[0] = 0.
+        drive = np.column_stack([self.b_u, self.b_u * self.u_prev + self.w_d])
+        gains = np.zeros((n_p + 1, NX, 2))
+        np.add.accumulate(pw[:n_p] @ drive, out=gains[1:])
+        # base[i] = state after i+1 steps with u held at u_prev.
+        base = pw[1:] @ self.x0
+        base += gains[1:, :, 1]
         self.base = base
-        # cum[k] = sum_{m=0}^{k-1} A^m B, so d(state i)/d(du_j) = cum[i-j];
-        # the accumulation adds the powers one after the other.
-        power = np.zeros((n_p + 1, NX))     # power[m + 1] = A^m B
-        power[1] = self.b_u
-        for k in range(2, n_p + 1):
-            np.dot(self.a_d, power[k - 1], out=power[k])
-        cum = np.add.accumulate(power)
-        # sens[i, :, j] = cum[i + 1 - j] maps du_j to state i (du frozen
-        # after n_c); cum[0] = 0 fills the steps before du_j acts.
-        self.sens = np.ascontiguousarray(cum[_lag(n_p, cfg.n_c)].transpose(0, 2, 1))
+        # sens[i, :, j] = gains[i + 1 - j][:, 0] maps du_j to state i (du
+        # frozen after n_c); the zero row fills the steps before du_j acts.
+        self.sens = np.ascontiguousarray(
+            gains[_lag(n_p, cfg.n_c), :, 0].transpose(0, 2, 1))
         self.base_xyphi = base[:, CHANNELS]
         self.sens_xyphi = self.sens[:, CHANNELS, :]
 
@@ -239,13 +249,29 @@ def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
     own box with what keeps the running command inside u_box.
     The intersection is never empty while the running command stays in
     the box, which it does by induction.
+
+    When no row's running command comes near enough to the u box for it
+    to bind, every increment is just clipped to [du_min, du_max]. The
+    running commands of that clip are summed in the loop's order, so the
+    test reads the bounds the loop would, and the clip is its result.
     """
+    clipped = np.minimum(np.maximum(du, cfg.du_min), cfg.du_max)
+    u = _running(clipped, u_prev)
+    if np.all(u_box[0] - u < cfg.du_min) and np.all(u_box[1] - u > cfg.du_max):
+        return clipped
     out = np.empty_like(du)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
         lo, hi = _bounds(u, u_box, cfg)
         u += np.minimum(np.maximum(du[..., j], lo), hi, out=out[..., j])
     return out
+
+
+def _running(du: np.ndarray, u_prev: float) -> np.ndarray:
+    """Command before each increment of du: u_prev plus the ones before it,
+    summed one after the other as _project's loop sums them."""
+    start = np.full(du.shape[:-1] + (1,), float(u_prev))
+    return np.cumsum(np.concatenate([start, du[..., :-1]], axis=-1), axis=-1)
 
 
 def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
@@ -324,10 +350,11 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
         if gnorm == 0.0:
             break
         # Summed in _project's order, so a clipped increment equals its bound.
-        lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), u_box, cfg)
+        lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
         free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        hess = np.where(np.outer(free, free) | diagonal, hess, 0.0)
+        if not free.all():
+            hess = np.where(np.outer(free, free) | diagonal, hess, 0.0)
         d = np.linalg.solve(hess, -g)
         trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
                                           du - (GRADIENT_STEPS / gnorm)[:, None] * g]),

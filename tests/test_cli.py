@@ -177,13 +177,31 @@ def test_run_aborted_by_layer_failure_exits_4(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("rho_x,spread", [(1e-200, "0"), (1e200, "inf")],
+                         ids=["underflow", "overflow"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_field_spread_out_of_range_exits_3(tmp_path, capsys, command, rho_x, spread):
+    # The bump divides by 2*rho_x**2: 0 would make the first horizon cost
+    # NaN, and a float too large to square raised OverflowError mid-run.
+    cfg = json.loads(_bundled_text("scenario_b"))
+    cfg["duration"] = 1.0
+    cfg["field"]["rho_x"] = rho_x
+    p = tmp_path / "spread.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert (f"field: rho_x = {rho_x:g} gives 2*rho_x**2 = {spread}, which must be "
+            f"positive and finite") in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block,key,value,cost", [
-    ("field", "rho_x", 1e-200, "nan"), ("field", "a_oc", 1e308, "inf"),
-    ("field", "c", 1e300, "inf"), ("mpc", "q_diag", [1e308, 1e308, 1e308], "inf")],
-    ids=["rho_x", "a_oc", "c", "q_diag"])
+    ("field", "a_oc", 1e308, "inf"), ("field", "c", 1e300, "inf"),
+    ("mpc", "q_diag", [1e308, 1e308, 1e308], "inf")],
+    ids=["a_oc", "c", "q_diag"])
 def test_overflowing_cost_aborts_with_exit_4(tmp_path, capsys, block, key, value, cost):
     # Each value validates, but the first horizon cost is not finite: the
-    # field is NaN, or the field, its skew or the weights overflow.
+    # field, its skew or the weights overflow.
     cfg = json.loads(_bundled_text("scenario_b"))
     cfg["duration"] = 1.0
     cfg[block][key] = value

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanegame import field as field_module
 from lanegame.errors import DomainError
@@ -151,6 +152,69 @@ def test_bumps_skip_the_power_only_at_b_1(b, rng, monkeypatch):
             assert len(powers) == (0 if b == 1.0 else 1)
 
 
+def _masked_bumps(dx, dy, cos_h, sin_h, cv, p):
+    """The bump written with masks: where(r2 > 0) around the skew ratio,
+    where(xh < 0) for its sign, and the exponent -shape + cv*skew."""
+    xh = cos_h * dx + sin_h * dy
+    yh = -sin_h * dx + cos_h * dy
+    ax = xh * xh / (2.0 * p.rho_x**2)
+    ay = yh * yh / (2.0 * p.rho_y**2)
+    r2 = ax + ay
+    off_center = r2 > 0.0
+    ratio = np.where(off_center, ax / np.sqrt(np.where(off_center, r2, 1.0)), 0.0)
+    skew = np.where(xh < 0.0, -ratio, ratio)
+    shape = r2 if p.b == 1.0 else np.power(r2, p.b)
+    return p.a_oc * np.exp(-shape + cv * skew)
+
+
+def _assert_bumps_match_masked(dx, dy, heading, v, p):
+    """_bumps on arrays, and obstacle_field one 0-d query at a time, both
+    bit for bit the masked formula."""
+    ch, sh = math.cos(heading), math.sin(heading)
+    want = _masked_bumps(dx, dy, ch, sh, p.c * v, p)
+    assert field_module._bumps(dx, dy, ch, sh, p.c * v, p).tobytes() == want.tobytes()
+    # The obstacle sits at the origin, so the query is the offset itself.
+    obs = ObstaclePose(x=0.0, y=0.0, heading=heading, v=v)
+    for i in range(dx.size):
+        got = obstacle_field(float(dx[i]), float(dy[i]), obs, p)
+        assert np.ndim(got) == 0
+        assert np.float64(got).tobytes() == want[i].tobytes()
+    return want
+
+
+@pytest.mark.parametrize("b", [1.0, 1.5])
+@pytest.mark.parametrize("v", [0.0, 15.0])
+@pytest.mark.parametrize("heading", [0.0, 0.3, -2.9])
+def test_bumps_match_the_masked_formula_on_edge_cases(b, v, heading):
+    # r2 == 0 at the CoG and where the squares underflow, xh = +0 and -0
+    # (at heading 0), and offsets so far that exp underflows to 0.
+    p = FieldParams(b=b)
+    dx = np.array([0.0, -0.0, 0.0, -0.0, -0.0, 1e-170, -1e-170, 5e3, -5e3, 0.0, 40.0])
+    dy = np.array([0.0, -0.0, 1.0, 1.0, -1.0, 1e-170, 0.0, 0.0, 1.0, 3e3, -2.0])
+    want = _assert_bumps_match_masked(dx, dy, heading, v, p)
+    assert want[0] == p.a_oc              # r2 == 0: the peak
+    assert want[7] == 0.0 and want[9] == 0.0     # exp underflows
+    if heading == 0.0:
+        xh = 1.0 * dx + 0.0 * dy
+        assert np.signbit(xh[[1, 4]]).all() and not np.signbit(xh[[0, 2, 3]]).any()
+
+
+OFFSET = st.floats(min_value=-1e4, max_value=1e4)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(points=st.lists(st.tuples(OFFSET, OFFSET), min_size=1, max_size=12),
+       heading=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-math.pi, math.pi),
+       v=st.just(0.0) | st.floats(0.0, 60.0),
+       b=st.sampled_from([1.0, 1.5]),
+       rho=st.tuples(st.floats(0.5, 20.0), st.floats(0.3, 5.0)))
+def test_bumps_match_the_masked_formula(points, heading, v, b, rho):
+    # Offsets from subnormal to far beyond exp's underflow, zeros of both signs.
+    p = FieldParams(rho_x=rho[0], rho_y=rho[1], b=b)
+    dx, dy = np.array(points, dtype=float).T
+    _assert_bumps_match_masked(dx, dy, heading, v, p)
+
+
 def test_total_is_sum_of_parts(two_lane_road):
     obs = [ObstaclePose(x=30.0, y=0.0, v=10.0), ObstaclePose(x=60.0, y=4.0, v=5.0)]
     qx = np.linspace(10.0, 80.0, 15)
@@ -172,6 +236,16 @@ def test_param_validation():
         FieldParams(a_r=0.0)
     with pytest.raises(ValueError):
         FieldParams(d_safe=-1.0)
+    # The bump divides by 2*rho**2, which must neither underflow to 0 nor
+    # overflow; the smallest rho that passes still squares to a subnormal.
+    for name in ("rho_x", "rho_y"):
+        for rho, spread in ((1e-200, "0"), (1e200, "inf"), (1e154, "inf"),
+                            (float("nan"), "nan")):
+            with pytest.raises(ValueError, match=f"{name} = .* gives 2\\*{name}\\*\\*2 = "
+                                                 f"{spread}, which must be positive"):
+                FieldParams(**{name: rho})
+        FieldParams(**{name: 1e-160})
+        FieldParams(**{name: 1e150})
 
 
 def _reference_field(qx, qy, poses, road, p):

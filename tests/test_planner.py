@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lanegame import planner
 from lanegame.errors import DomainError
@@ -83,7 +84,9 @@ def test_config_validation(two_lane_road):
 
 
 @pytest.mark.parametrize("field,q_diag,cost", [
-    (FieldParams(rho_x=1e-200), (1.0, 10.0, 50.0), "nan"),
+    # 2*rho_x**2 = 2e-320 is positive, so the parameters validate, but
+    # an offset squared over it overflows and the skew ratio is inf/inf.
+    (FieldParams(rho_x=1e-160), (1.0, 10.0, 50.0), "nan"),
     (FieldParams(a_oc=1e308), (1.0, 10.0, 50.0), "inf"),
     (FP, (1e308, 1e308, 1e308), "inf")], ids=["nan_field", "inf_field", "inf_weights"])
 def test_non_finite_zero_increment_cost_is_a_domain_error(field, q_diag, cost,
@@ -124,19 +127,46 @@ def test_base_is_held_command_rollout():
     assert np.allclose(m.states(np.zeros(cfg.n_c)), m.base)
 
 
+def _sequential_model(m, n_p):
+    """(base, cum) by the gemv chain: base[i] = A base[i-1] + B u_prev + w
+    from x0, and cum[k] = sum_{i<k} A^i B with one A @ power per step."""
+    base, x = [], m.x0
+    cum, power = [np.zeros(NX)], m.b_u.copy()
+    for _ in range(n_p):
+        x = m.a_d @ x + m.b_u * m.u_prev + m.w_d
+        base.append(x)
+        cum.append(cum[-1] + power)
+        power = m.a_d @ power
+    return np.array(base), np.array(cum)
+
+
+def _assert_close_to(got, want):
+    # The powers come by doubling, not one gemv at a time: the sums
+    # round differently, within 1e-12 of the largest value.
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sens_is_the_lagged_cumulative_input_gain():
     cfg = small_cfg(n_p=9, n_c=4)
     m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
-    # cum[k] = sum_{i<k} A^i B, written out as a loop.
-    cum, power = [np.zeros(NX)], m.b_u.copy()
-    for _ in range(cfg.n_p):
-        cum.append(cum[-1] + power)
-        power = m.a_d @ power
     assert m.sens.shape == (cfg.n_p, NX, cfg.n_c)
     for i in range(cfg.n_p):
         for j in range(cfg.n_c):
-            want = cum[i + 1 - j] if j <= i else np.zeros(NX)
-            assert np.array_equal(m.sens[i, :, j], want)
+            if j > i:     # du_j has not acted yet
+                assert np.array_equal(m.sens[i, :, j], np.zeros(NX))
+            else:         # the same gain, j steps later
+                assert m.sens[i, :, j].tobytes() == m.sens[i - j, :, 0].tobytes()
+    _, cum = _sequential_model(m, cfg.n_p)
+    _assert_close_to(m.sens[:, :, 0], cum[1:])
+
+
+@pytest.mark.parametrize("n_p", [20, 30, 1000])
+def test_doubled_powers_match_the_gemv_chain(n_p):
+    cfg = small_cfg(n_p=n_p, n_c=4)
+    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
+    base, cum = _sequential_model(m, n_p)
+    _assert_close_to(m.base, base)
+    _assert_close_to(m.sens[:, :, 0], cum[1:])
 
 
 def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
@@ -279,6 +309,54 @@ def test_project_batch_matches_rows(rng):
         assert got.shape == batch.shape
         for b in range(9):
             assert np.array_equal(got[b], _project(batch[b], u_prev, box, cfg))
+
+
+def _sequential_project(du, u_prev, u_box, cfg):
+    """The projection as one loop over the increments, on every row."""
+    out = np.empty_like(du)
+    u = np.full(du.shape[:-1], float(u_prev))
+    for j in range(du.shape[-1]):
+        lo = np.maximum(cfg.du_min, u_box[0] - u)
+        hi = np.minimum(cfg.du_max, u_box[1] - u)
+        out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
+        u = u + out[..., j]
+    return out
+
+
+def test_project_clips_only_where_the_u_box_cannot_bind(rng, monkeypatch):
+    # A batch the u box binds in no row is the plain du clip and runs no
+    # loop; one it binds in some rows runs the loop on all of them, as
+    # does one whose running command sits exactly du_max below the box.
+    # Each equals the sequential projection bit for bit.
+    cfg = small_cfg(du_min=-0.25, du_max=0.25)
+    loop_steps = []
+    real_bounds = planner._bounds
+    monkeypatch.setattr(planner, "_bounds",
+                        lambda *a: loop_steps.append(1) or real_bounds(*a))
+    batch = rng.uniform(-0.6, 0.6, (31, cfg.n_c))
+    for u_prev, box, du, rows_bound in ((0.0, BOX, batch, "none"),
+                                        (0.5, (-1.0, 1.0), batch, "some"),
+                                        (0.5, (-1.0, 0.75), np.zeros((3, 4)), "none")):
+        loop_steps.clear()
+        got = _project(du, u_prev, box, cfg)
+        assert got.tobytes() == _sequential_project(du, u_prev, box, cfg).tobytes()
+        assert len(loop_steps) == (0 if box == BOX else cfg.n_c)
+        clipped = np.all(got == np.clip(du, cfg.du_min, cfg.du_max), axis=-1)
+        assert clipped.all() == (rows_bound == "none") and clipped.any()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(u_prev=st.floats(-2.0, 2.0), half_width=st.floats(0.0, 3.0),
+       du_box=st.tuples(st.floats(-0.5, 0.0), st.floats(0.0, 0.5)),
+       rows=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                     min_size=1, max_size=8))
+def test_project_matches_the_sequential_loop(u_prev, half_width, du_box, rows):
+    cfg = small_cfg(du_min=du_box[0], du_max=du_box[1])
+    box = (-half_width, half_width)
+    u_prev = min(max(u_prev, box[0]), box[1])   # the command starts in its box
+    batch = np.array(rows)
+    want = _sequential_project(batch, u_prev, box, cfg)
+    assert _project(batch, u_prev, box, cfg).tobytes() == want.tobytes()
 
 
 def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):

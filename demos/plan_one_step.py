@@ -8,7 +8,7 @@ Run: python3 demos/plan_one_step.py
 
 import numpy as np
 
-from lanegame.field import FieldParams, ObstaclePose
+from lanegame.field import FieldParams, ObstaclePose, prepare_field
 from lanegame.planner import MpcConfig, solve_plan
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
@@ -28,10 +28,12 @@ def main():
     x[IX], x[IY] = 30.0, 0.0
     ahead = ObstaclePose(x=65.0, y=0.0, heading=0.0, v=10.0)
 
+    # Lay the scene out once; the planner coasts it along the horizon.
     # One 0.05 s step; the preview command stays within the road edges.
-    plan = solve_plan(x, u_prev=0.0, a_x=0.0, obstacles=[ahead], road=road,
-                      target_lane=1, params=FieldParams(), cfg=cfg,
-                      vp=DEFAULT_VEHICLE, dp=dp, dt=0.05, u_box=(-2.0, 6.0))
+    scene = prepare_field([ahead], road, FieldParams())
+    plan = solve_plan(x, u_prev=0.0, a_x=0.0, scene=scene, target_lane=1,
+                      cfg=cfg, vp=DEFAULT_VEHICLE, dp=dp, dt=0.05,
+                      u_box=(-2.0, 6.0))
 
     print("preview increments:",
           " ".join(f"{d:+.3f}" for d in plan.du_sequence))

@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, LanegameError
-from .field import prepare_field, total_field
-from .road import RoadGeometry
+from .field import total_field
 from .scenario import STRATEGIES, load_scenario
 from .simulate import (STYLES_ALL, batch, comparison_csv, initial_cars,
-                       metrics_lines, obstacle_poses, run_simulation,
+                       metrics_lines, prepare_scene, run_simulation,
                        summarize, write_metrics, write_trace)
 
 # Largest field-dump grid in points (the default window holds a few thousand).
@@ -99,12 +98,6 @@ def _cmd_batch(args) -> int:
         raise ConfigError("--styles names no style")
     if not strategies:
         raise ConfigError("--strategies names no strategy")
-    for s in styles:
-        if s not in STYLES_ALL:
-            raise ConfigError(f"unknown style {s!r}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {s!r}")
     results = batch(cfg, styles=styles, strategies=strategies)
     if args.trace_dir:
         import os
@@ -121,7 +114,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_field_dump(args) -> int:
     cfg = load_scenario(args.scenario)
-    road: RoadGeometry = cfg.road
+    road = cfg.road
     ego = cfg.ego()
     s_lo = args.s_min if args.s_min is not None else max(0.0, ego.s - 20.0)
     s_hi = args.s_max if args.s_max is not None else min(road.length, ego.s + 120.0)
@@ -137,7 +130,7 @@ def _cmd_field_dump(args) -> int:
     if points > FIELD_DUMP_MAX_POINTS:
         raise ConfigError(f"field-dump: grid of {points:.3g} points exceeds "
                           f"{FIELD_DUMP_MAX_POINTS:,}")
-    field = prepare_field(obstacle_poses(road, initial_cars(cfg)), road, cfg.field)
+    field = prepare_scene(road, initial_cars(cfg), cfg.field)
     ss = np.arange(s_lo, s_hi + 1e-9, args.ds)
     dd = np.arange(d_min, d_max + 1e-9, args.dd)
     lines = ["s,d,x,y,gamma"]

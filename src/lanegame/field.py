@@ -4,11 +4,12 @@ Two ingredients: a velocity-skewed exponential bump around each obstacle
 car, and an exponential barrier along the road edge lines. Both are summed
 into a single scalar surface that the planner reads as its first output
 channel; one `FieldParams` holds the constants of both. `prepare_field`
-lays a scene out once (obstacles stacked along a leading axis,
-zero-weight lane lines dropped) and `total_field` queries it; all query
-arguments broadcast, so a whole prediction horizon (or a batch of
-candidate horizons) evaluates in one call. `_bumps` is the one
-obstacle-field formula, shared by the stacked and the single-pose paths.
+lays a scene out once (obstacles stacked along a leading axis, zero-weight
+lane lines dropped), `coasted` sweeps its obstacles along a horizon, and
+`total_field` queries it; all query arguments broadcast, so a whole
+prediction horizon (or a batch of candidate horizons) evaluates in one
+call. `_bumps` is the one obstacle-field formula, shared by the stacked
+and the single-pose paths.
 
 Obstacles and lines are summed with `.sum(axis=0)`, which numpy takes
 row after row, bit for bit a per-obstacle loop. Only a one-point query
@@ -18,12 +19,17 @@ with 8 or more terms reduces a 1-D array, which numpy sums pairwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .road import RoadGeometry
+
+
+# Smallest rho_x, rho_y, m, far below any car: at it xh**2/(2*rho**2) is finite
+# for offsets to 1e150 m; below it a road-scale offset can overflow it to inf.
+RHO_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,8 @@ class FieldParams:
             if not 0.0 < spread < math.inf:
                 raise ValueError(f"{name} = {rho:g} gives 2*{name}**2 = {spread:g}, "
                                  f"which must be positive and finite")
+            if rho < RHO_MIN:
+                raise ValueError(f"{name} = {rho:g} m is below the {RHO_MIN:g} m floor")
         if self.b < 1:
             raise ValueError("shape exponent b must be >= 1")
         if self.c < 0:
@@ -176,17 +184,17 @@ class PreparedField:
     """Obstacles and lane lines of one field, laid out for many queries.
 
     The obstacle arrays carry a leading obstacle axis: `x` and `y` are
-    (n_obs,) for fixed poses or (n_obs, n) for poses swept over n
-    prediction steps; `cos`, `sin` (of the heading) and `cv` (the skew
-    c*v) are (n_obs,). `offsets` and `gains` hold only the lane lines
-    with non-zero weight. Build one with `prepare_field`.
+    (n_obs,) for fixed poses or (n_obs, n) for poses `coasted` over n
+    prediction steps; `cos`, `sin` (of the heading) and `v` are (n_obs,).
+    `offsets` and `gains` hold only the lane lines with non-zero weight.
+    Build one with `prepare_field`.
     """
 
     x: np.ndarray
     y: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
-    cv: np.ndarray
+    v: np.ndarray
     road: RoadGeometry
     offsets: np.ndarray
     gains: np.ndarray
@@ -194,7 +202,7 @@ class PreparedField:
 
 
 def prepare_field(obstacles, road: RoadGeometry, params: FieldParams) -> PreparedField:
-    """Stack obstacle poses (all of one position shape) and keep the weighted lines."""
+    """Stack scalar obstacle poses and keep the weighted lines."""
     obstacles = list(obstacles)
     offsets, gains = _weighted_lines(road, params)
     return PreparedField(
@@ -202,8 +210,16 @@ def prepare_field(obstacles, road: RoadGeometry, params: FieldParams) -> Prepare
         y=np.array([o.y for o in obstacles], dtype=float),
         cos=np.array([math.cos(o.heading) for o in obstacles]),
         sin=np.array([math.sin(o.heading) for o in obstacles]),
-        cv=np.array([params.c * o.v for o in obstacles]),
+        v=np.array([o.v for o in obstacles], dtype=float),
         road=road, offsets=offsets, gains=gains, params=params)
+
+
+def coasted(field: PreparedField, t: np.ndarray) -> PreparedField:
+    """`field` with its fixed poses coasting at constant velocity for times t:
+    `x` and `y` become (n_obs, len(t)), x + v*t*cos and y + v*t*sin."""
+    vt = field.v[:, None] * t
+    return replace(field, x=field.x[:, None] + vt * field.cos[:, None],
+                   y=field.y[:, None] + vt * field.sin[:, None])
 
 
 def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
@@ -220,7 +236,7 @@ def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
     ndim = 1 + max(len(shape), field.x.ndim - 1)
     bumps = _bumps(qx - _leading(field.x, ndim), qy - _leading(field.y, ndim),
                    _leading(field.cos, ndim), _leading(field.sin, ndim),
-                   _leading(field.cv, ndim), field.params)
+                   _leading(field.params.c * field.v, ndim), field.params)
     s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
     return bumps.sum(axis=0) + _barrier(s, d, field.road, field.offsets,
                                         field.gains, field.params)

@@ -25,12 +25,12 @@ The linear prediction is built from the powers of the discrete state
 matrix, taken by doubling (see HorizonModel), so its NumPy calls grow
 with the log of the horizon. The horizon cost is prepared once per solve
 and has one evaluation path, which the zero-increment cost, every trial
-and the returned plan share: the coasted obstacles are stacked into one
-PreparedField, one contraction predicts the 3 channels the cost reads
-(X, Y, phi) for one du sequence or a batch, and the positions are mapped
-to road coordinates once per call. Every value is the one the
-per-obstacle, full-state evaluation gives, bit for bit, and the plan's
-cost is the accepted one.
+and the returned plan share: the caller's PreparedField is coasted along
+the horizon, one contraction predicts the 3 channels the cost reads (X,
+Y, phi) for one du sequence or a batch, and the positions are mapped to
+road coordinates once per call. Every value is the one the per-obstacle,
+full-state evaluation gives, bit for bit, and the plan's cost is the
+accepted one.
 
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
@@ -47,9 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .field import (FieldParams, ObstaclePose, PreparedField, prepare_field,
-                    total_field)
-from .road import RoadGeometry
+from .field import PreparedField, coasted, total_field
 from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
                       VehicleParams, derivatives, discretize, linearize)
 
@@ -194,27 +192,12 @@ class HorizonModel:
         return self.base_xyphi + np.einsum("...j,ixj->...ix", du, self.sens_xyphi)
 
 
-def _coasted(obstacles: list[ObstaclePose], n_p: int, dt: float) -> list[ObstaclePose]:
-    """Obstacle poses swept along the horizon, one array-valued pose each.
-
-    Positions become (n_p,) arrays indexed by prediction step, so a field
-    query over the whole horizon is a single broadcast instead of a
-    per-step loop. Heading and speed stay scalar (constant coasting).
-    """
-    t = (np.arange(n_p) + 1) * dt
-    return [ObstaclePose(x=o.x + o.v * t * np.cos(o.heading),
-                         y=o.y + o.v * t * np.sin(o.heading),
-                         heading=o.heading, v=o.v)
-            for o in obstacles]
-
-
 def _outputs(poses: np.ndarray, prepared: PreparedField, target_lane) -> np.ndarray:
     """(..., n_p, 3) outputs for (..., n_p, 3) predicted (X, Y, phi).
 
-    `prepared` must come from _coasted poses so the obstacle
-    positions line up with the prediction steps on the last axis. The
-    road coordinates of the poses are computed once and serve both the
-    road barrier and y2/y3.
+    `prepared` is the scene coasted over the horizon, so its obstacles
+    line up with the prediction steps on the last axis. The poses' road
+    coordinates are computed once, for the road barrier and y2/y3.
     """
     xs = poses[..., 0]
     ys = poses[..., 1]
@@ -279,15 +262,14 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
     return np.maximum(cfg.du_min, u_box[0] - u), np.minimum(cfg.du_max, u_box[1] - u)
 
 
-def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
-               obstacles: list[ObstaclePose], road: RoadGeometry,
-               target_lane: int, params: FieldParams, cfg: MpcConfig,
-               vp: VehicleParams, dp: DriverParams, dt: float,
-               u_box: tuple[float, float]) -> PlanResult:
+def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
+               target_lane: int, cfg: MpcConfig, vp: VehicleParams,
+               dp: DriverParams, dt: float, u_box: tuple[float, float]) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
 
-    dt is the model step and u_box = (lo, hi) bounds the preview command
-    over the horizon; ValueError unless dt > 0 and lo <= hi.
+    `scene` holds the other cars now; they coast over the horizon. dt is
+    the model step and u_box = (lo, hi) bounds the preview command over
+    the horizon; ValueError unless dt > 0 and lo <= hi.
 
     Projected Newton on a Gauss-Newton model. Each iteration keeps the
     outputs y of the accepted du and of its n_c probe rows du + FD_STEP *
@@ -323,7 +305,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float,
     model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg, dt)
     n_c, r = cfg.n_c, cfg.r
     w = np.array(cfg.q_diag, dtype=float)
-    prepared = prepare_field(_coasted(obstacles, cfg.n_p, dt), road, params)
+    prepared = coasted(scene, (np.arange(cfg.n_p) + 1) * dt)
 
     def outputs_of(du_batch: np.ndarray) -> np.ndarray:
         return _outputs(model.poses(du_batch), prepared, target_lane)

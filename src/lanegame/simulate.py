@@ -2,12 +2,13 @@
 
 Per step: (1) finish or continue any committed lane change, (2) build
 the ego's view of the scene once (`_scene_view`: each lane's lead and
-speed cap, and the game opponent on each other lane), (3) if no change
-is in progress, solve the decision game against the opponents beside
-the ego, (4) log style-free running cost components, (5) plan the
-steering preview command, (6) integrate the ego and advance the other
-cars as point masses. The game and the running costs read the roster
-only through that view.
+speed cap, and the game opponent on each other lane) and its field
+(`prepare_scene`), (3) if no change is in progress, solve the decision
+game against the opponents beside the ego, (4) log style-free running
+cost components, (5) plan the steering preview command, (6) integrate
+the ego and advance the other cars as point masses. The game and the
+running costs read the roster only through that view; the planner, the
+field at the ego and the clearance metric read that one field.
 
 The running `j_*` columns differ from the decision cost on purpose. They
 are instantaneous (the scene now, not a projection over the decision
@@ -37,13 +38,14 @@ import numpy as np
 from .costs import (KinematicState, LaneView, NeighborView, combine,
                     comfort_cost, lane_change_lat_accel, lateral_safety_cost,
                     longitudinal_safety_cost)
-from .errors import DomainError, InfeasibleDecisionError
-from .field import ObstaclePose, prepare_field, total_field
+from .errors import ConfigError, DomainError, InfeasibleDecisionError
+from .field import (FieldParams, ObstaclePose, PreparedField, prepare_field,
+                    total_field)
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
 from .planner import MpcConfig, solve_plan
 from .road import RoadGeometry
-from .scenario import EGO_ROLE, ScenarioConfig, VehicleSpec
+from .scenario import EGO_ROLE, STRATEGIES, ScenarioConfig, VehicleSpec
 from .styles import BUILTIN_STYLES, style_profile
 from .vehicle import (DEFAULT_VEHICLE, IDELTA, IPHI, IR, IVX, IVY, IX, IY,
                       ControlInput, DriverParams, step)
@@ -231,26 +233,32 @@ def initial_cars(cfg: ScenarioConfig) -> list[_Car]:
             for spec in cfg.vehicles if spec.role != EGO_ROLE]
 
 
-def obstacle_poses(road: RoadGeometry, cars: list[_Car]) -> list[ObstaclePose]:
-    """Global poses of the other cars, as the planner and the field see them."""
-    poses = []
-    for c in cars:
-        x, y = road.to_global(c.s, c.d)
-        poses.append(ObstaclePose(x=float(x), y=float(y),
-                                  heading=float(road.tangent_heading(c.s)), v=c.v))
-    return poses
+def prepare_scene(road: RoadGeometry, cars: list[_Car],
+                  params: FieldParams) -> PreparedField:
+    """The other cars at their global poses, laid out as the field's obstacles."""
+    poses = [ObstaclePose(*map(float, road.to_global(c.s, c.d)),
+                          heading=float(road.tangent_heading(c.s)), v=c.v) for c in cars]
+    return prepare_field(poses, road, params)
 
 
-def _lane_share_clearance(ego_d, ego_x, ego_y, cars, obstacles) -> float:
+def _lane_share_clearance(ego_d, ego_x, ego_y, cars, scene: PreparedField) -> float:
     """Smallest distance among pairs currently sharing a lane laterally."""
     poses = [(ego_d, ego_x, ego_y)]
-    poses += [(c.d, o.x, o.y) for c, o in zip(cars, obstacles)]
+    poses += zip([c.d for c in cars], scene.x.tolist(), scene.y.tolist())
     best = math.inf
     for i, (d_i, x_i, y_i) in enumerate(poses):
         for d_j, x_j, y_j in poses[i + 1:]:
             if abs(d_i - d_j) < LANE_SHARE_BAND:
                 best = min(best, math.hypot(x_i - x_j, y_i - y_j))
     return best
+
+
+def _check_names(styles, strategies) -> None:
+    """ConfigError, naming the known ones, for an unknown style or strategy."""
+    for kind, names, known in (("style", styles, BUILTIN_STYLES),
+                               ("strategy", strategies, STRATEGIES)):
+        for name in (n for n in names if n not in known):
+            raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
 
 
 def run_simulation(cfg: ScenarioConfig, style: str | None = None,
@@ -261,6 +269,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     strategy = strategy or cfg.strategy
     ego_spec = cfg.ego()
     style_name = style or ego_spec.style
+    _check_names([style_name], [strategy])
     ego_style = style_profile(style_name)
     vp = DEFAULT_VEHICLE
     dp = ego_style.driver
@@ -309,7 +318,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                 sigma_now = 0
 
         nb, opponents = _scene_view(road, cfg, cars, ego_lane, s_e, flow_ref)
-        obstacles = obstacle_poses(road, cars)
+        scene = prepare_scene(road, cars, cfg.field)
         u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
         decided = 0.0
         try:
@@ -329,10 +338,9 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
                 dec_cost = (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)
             # After the decision, so a change committed now tracks its new lane.
             plan_lane = ego_lane + sigma_now
-            plan = solve_plan(x, u_prev, a_cmd, obstacles, road, plan_lane,
-                              cfg.field, cfg.mpc, vp, dp, cfg.dt, (u_lo, u_hi))
-            here = prepare_field(obstacles, road, cfg.field)
-            field_here = float(total_field(x[IX], x[IY], here))
+            plan = solve_plan(x, u_prev, a_cmd, scene, plan_lane, cfg.mpc, vp,
+                              dp, cfg.dt, (u_lo, u_hi))
+            field_here = float(total_field(x[IX], x[IY], scene))
         except (InfeasibleDecisionError, DomainError) as exc:
             what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
                     else "domain error")
@@ -351,8 +359,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         j_rc_m = comfort_cost(a_cmd, a_y_change, sigma_now, cfg.gains)
         j_pe_m = (v_e - float(nb.v_cap(road.nearest_lane(d_e)))) ** 2
         j_total_m = float(combine(ego_style, j_ds_m, j_rc_m, j_pe_m))
-        clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]),
-                                          cars, obstacles)
+        clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]), cars, scene)
 
         state, clamped = step(x, ControlInput(y_p=u_cmd, a_x=a_cmd), vp, dp,
                               cfg.dt)
@@ -472,6 +479,7 @@ STYLES_ALL = tuple(BUILTIN_STYLES)
 def batch(cfg: ScenarioConfig, styles=STYLES_ALL,
           strategies=("nash", "stackelberg")) -> list[tuple[TraceLog, RunMetrics]]:
     """Every style x strategy combination for one scenario."""
+    _check_names(styles, strategies)
     out = []
     for strat in strategies:
         for sty in styles:

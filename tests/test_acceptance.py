@@ -9,6 +9,7 @@ pattern, cost-comparison, safety, and determinism criteria.
 import functools
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.integrate import solve_ivp
 from lanegame.costs import (CostGains, KinematicState, LaneView, ac_cost,
                             ego_cost)
 from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
-                            road_field)
+                            prepare_field, road_field)
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
                             solve_stackelberg_2p, solve_stackelberg_two_ac,
@@ -52,11 +53,19 @@ def criterion(name):
     return deco
 
 
+def warning_free_batch(cfg):
+    """batch(cfg) with every warning an error, so a NumPy overflow or
+    invalid value in a bundled run fails instead of passing unseen."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return batch(cfg)
+
+
 @pytest.fixture(scope="module")
 def merge_runs():
     cfg = load_scenario("scenario_a")
     t0 = time.perf_counter()
-    runs = batch(cfg)
+    runs = warning_free_batch(cfg)
     elapsed = time.perf_counter() - t0
     return cfg, {(m.strategy, m.style): m for _, m in runs}, runs, elapsed
 
@@ -64,7 +73,7 @@ def merge_runs():
 @pytest.fixture(scope="module")
 def overtake_runs():
     cfg = load_scenario("scenario_b")
-    runs = batch(cfg)
+    runs = warning_free_batch(cfg)
     return cfg, {(m.strategy, m.style): m for _, m in runs}, runs
 
 
@@ -397,8 +406,8 @@ def test_planner_invariants(merge_runs, overtake_runs):
         x0[5] = rng.uniform(-1.0, 5.0)
         obstacles = [ObstaclePose(x=float(rng.uniform(10.0, 50.0)), y=0.0,
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
-        plan = solve_plan(x0, 0.0, 0.0, obstacles, road, 1, params, cfg, vp,
-                          dp, 0.05, (lo, hi))
+        plan = solve_plan(x0, 0.0, 0.0, prepare_field(obstacles, road, params), 1,
+                          cfg, vp, dp, 0.05, (lo, hi))
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)

@@ -195,6 +195,23 @@ def test_field_spread_out_of_range_exits_3(tmp_path, capsys, command, rho_x, spr
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,rho", [("rho_x", 1e-160), ("rho_y", 1e-155)])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_field_spread_below_floor_exits_3(tmp_path, capsys, command, name, rho):
+    # 2*rho**2 is positive, but an offset of a metre squared over it
+    # overflows: rho_x made the first horizon cost NaN (exit 4), and rho_y
+    # turned the lateral term inf, so every bump read 0 and the run passed.
+    cfg = json.loads(_bundled_text("scenario_b"))
+    cfg["duration"] = 1.0
+    cfg["field"][name] = rho
+    p = tmp_path / "floor.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert f"field: {name} = {rho:g} m is below the 0.001 m floor" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block,key,value,cost", [
     ("field", "a_oc", 1e308, "inf"), ("field", "c", 1e300, "inf"),
     ("mpc", "q_diag", [1e308, 1e308, 1e308], "inf")],

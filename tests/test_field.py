@@ -1,6 +1,8 @@
 """Potential field: obstacle bump shape, road barrier, composition."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from lanegame import field as field_module
 from lanegame.errors import DomainError
-from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
-                            prepare_field, road_field, total_field)
+from lanegame.field import (RHO_MIN, FieldParams, ObstaclePose, coasted, gamma_crit,
+                            obstacle_field, prepare_field, road_field, total_field)
 
 P = FieldParams(a_oc=50.0, rho_x=8.0, rho_y=1.2, b=1.0, c=0.05)
 
@@ -58,17 +60,18 @@ def test_rotation_invariance():
     assert np.max(np.abs(v1 - v0)) < 1e-12
 
 
-def test_array_valued_pose_matches_scalar_loop():
-    # The planner sweeps obstacles along the horizon by handing the pose
-    # arrays of positions; elementwise it must agree with scalar poses.
+def test_coasted_field_matches_scalar_poses(two_lane_road):
+    # The planner sweeps a prepared scene along the horizon with `coasted`;
+    # step by step its bump must agree with a scalar pose at that step.
     t = np.arange(1, 6) * 0.1
     h, v = 0.3, 14.0
     xs = 2.0 + v * t * math.cos(h)
     ys = -1.0 + v * t * math.sin(h)
-    swept = ObstaclePose(x=xs, y=ys, heading=h, v=v)
+    scene = prepare_field([ObstaclePose(x=2.0, y=-1.0, heading=h, v=v)],
+                          two_lane_road, replace(P, edge_weight=0.0))   # no lines
     qx = np.linspace(0.0, 12.0, 5)
     qy = np.linspace(-2.0, 2.0, 5)
-    batched = obstacle_field(qx, qy, swept, P)
+    batched = total_field(qx, qy, coasted(scene, t))
     single = [obstacle_field(qx[i], qy[i],
                              ObstaclePose(x=xs[i], y=ys[i], heading=h, v=v), P)
               for i in range(5)]
@@ -237,14 +240,18 @@ def test_param_validation():
     with pytest.raises(ValueError):
         FieldParams(d_safe=-1.0)
     # The bump divides by 2*rho**2, which must neither underflow to 0 nor
-    # overflow; the smallest rho that passes still squares to a subnormal.
+    # overflow; and below a floor on rho a road-scale offset overflows the
+    # exponent even where 2*rho**2 is a positive subnormal (1e-160, 1e-155).
     for name in ("rho_x", "rho_y"):
         for rho, spread in ((1e-200, "0"), (1e200, "inf"), (1e154, "inf"),
                             (float("nan"), "nan")):
             with pytest.raises(ValueError, match=f"{name} = .* gives 2\\*{name}\\*\\*2 = "
                                                  f"{spread}, which must be positive"):
                 FieldParams(**{name: rho})
-        FieldParams(**{name: 1e-160})
+        for rho in (1e-160, 1e-155, np.nextafter(RHO_MIN, 0.0)):
+            with pytest.raises(ValueError, match=f"{name} = .* m is below the 0.001 m floor"):
+                FieldParams(**{name: rho})
+        FieldParams(**{name: RHO_MIN})
         FieldParams(**{name: 1e150})
 
 
@@ -280,7 +287,7 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
     road = two_lane_road if (seed // 4) % 2 else three_lane_arc
     p = FieldParams(interior_weight=0.5 if seed >= 8 else 0.0)
     t = np.arange(1, 21) * 0.05
-    fixed, swept = [], []
+    fixed, swept = [], []   # swept: the positions over t, written out
     for _ in range(seed % 4):
         so = rng.uniform(110.0, 140.0)
         xo, yo = (float(c) for c in road.to_global(so, rng.uniform(-4.0, 4.0)))
@@ -288,14 +295,14 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
         heading = float(road.tangent_heading(so)) + turn
         v = float(rng.choice([0.0, rng.uniform(5.0, 25.0)]))
         fixed.append(ObstaclePose(x=xo, y=yo, heading=heading, v=v))
-        swept.append(ObstaclePose(x=xo + v * t * np.cos(heading),
-                                  y=yo + v * t * np.sin(heading), heading=heading, v=v))
+        swept.append(SimpleNamespace(x=xo + v * t * np.cos(heading),
+                                     y=yo + v * t * np.sin(heading), heading=heading, v=v))
     # Query batches shaped like the planner's (rows, horizon), all near the cars.
     rows = int(rng.integers(1, 26))
     qx, qy = road.to_global(rng.uniform(100.0, 160.0, (rows, t.size)),
                             rng.uniform(-5.0, 5.0, (rows, t.size)))
-    for poses in (fixed, swept):
-        field = prepare_field(poses, road, p)
+    for poses, field in ((fixed, prepare_field(fixed, road, p)),
+                         (swept, coasted(prepare_field(fixed, road, p), t))):
         want = _reference_field(qx, qy, poses, road, p)
         assert np.array_equal(total_field(qx, qy, field), want)
         # Road coordinates handed in give the same values.

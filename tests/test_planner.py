@@ -1,6 +1,7 @@
 """Receding-horizon planner: prediction model, boxes, zero-dominance."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from lanegame import planner
 from lanegame.errors import DomainError
-from lanegame.field import (FieldParams, ObstaclePose, obstacle_field,
+from lanegame.field import (FieldParams, ObstaclePose, coasted, obstacle_field,
                             prepare_field, road_field, total_field)
 from lanegame.planner import (CHANNELS, FD_STEP, GRADIENT_STEPS, MAX_HORIZON_STEPS,
                               MAX_PLAN_CELLS, NEWTON_STEPS, HorizonModel, MpcConfig,
-                              PlanResult, _bounds, _coasted, _outputs, _project,
-                              mpc_cost, solve_plan)
+                              PlanResult, _bounds, _outputs, _project, mpc_cost,
+                              solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
 
@@ -30,6 +31,11 @@ def _x0(v=20.0, y=0.0):
     x[IVX] = v
     x[IY] = y
     return x
+
+
+def _times(n_p):
+    """Prediction times of the horizon steps, as solve_plan coasts the scene."""
+    return (np.arange(n_p) + 1) * DT
 
 
 def small_cfg(**kw):
@@ -79,24 +85,25 @@ def test_config_validation(two_lane_road):
     for dt, box in ((0.0, BOX), (float("nan"), BOX), (DT, (1.0, -1.0)),
                     (DT, (float("nan"), 1.0))):
         with pytest.raises(ValueError, match="dt > 0 .* lo <= hi"):
-            solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, FP,
+            solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 1,
                        small_cfg(), VP, DP, dt, box)
 
 
 @pytest.mark.parametrize("field,q_diag,cost", [
-    # 2*rho_x**2 = 2e-320 is positive, so the parameters validate, but
-    # an offset squared over it overflows and the skew ratio is inf/inf.
-    (FieldParams(rho_x=1e-160), (1.0, 10.0, 50.0), "nan"),
+    # An infinite peak is inf near the car 30 m ahead and inf * 0 = NaN
+    # where the bump of the car 100 m aside underflows to 0.
+    (FieldParams(a_oc=math.inf), (1.0, 10.0, 50.0), "nan"),
     (FieldParams(a_oc=1e308), (1.0, 10.0, 50.0), "inf"),
     (FP, (1e308, 1e308, 1e308), "inf")], ids=["nan_field", "inf_field", "inf_weights"])
 def test_non_finite_zero_increment_cost_is_a_domain_error(field, q_diag, cost,
                                                           two_lane_road):
     # No trial can beat a NaN or an infinite cost, so the solve would hold
     # the command; a named error lets the closed loop abort instead.
-    obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
+    obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0),
+           ObstaclePose(x=30.0, y=100.0, heading=0.0, v=10.0)]
     with np.errstate(all="ignore"), pytest.raises(
             DomainError, match=f"the zero-increment horizon cost is {cost}"):
-        solve_plan(_x0(), 0.0, 0.0, obs, two_lane_road, 1, field,
+        solve_plan(_x0(), 0.0, 0.0, prepare_field(obs, two_lane_road, field), 1,
                    small_cfg(q_diag=q_diag), VP, DP, DT, BOX)
 
 
@@ -197,7 +204,7 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
         assert np.array_equal(m.poses(batch[-1]), poses[-1])
         assert mpc_cost(poses, batch, w, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], w, 1.0)
         road = two_lane_road if rows % 2 else three_lane_arc
-        field = prepare_field(_coasted(obstacle, n_p, DT), road, FP)
+        field = coasted(prepare_field(obstacle, road, FP), _times(n_p))
         ys = _outputs(poses, field, 1)
         for b in (0, rows // 2, rows - 1):
             assert np.array_equal(_outputs(poses[b], field, 1), ys[b])
@@ -218,15 +225,35 @@ def test_states_linear_in_du(rng):
     assert np.all(np.abs(diff[cfg.n_c - 1:, IY]) > 0.0) or np.any(diff != 0.0)
 
 
-def test_coasted_sweeps_constant_velocity():
-    cfg = small_cfg()
-    obs = [ObstaclePose(x=10.0, y=-4.0, heading=0.1, v=15.0)]
-    swept = _coasted(obs, cfg.n_p, DT)
-    assert len(swept) == 1
-    t = (np.arange(cfg.n_p) + 1) * DT
-    assert np.allclose(swept[0].x, 10.0 + 15.0 * t * np.cos(0.1))
-    assert np.allclose(swept[0].y, -4.0 + 15.0 * t * np.sin(0.1))
-    assert swept[0].heading == 0.1 and swept[0].v == 15.0
+def _swept_one_pose_at_a_time(obstacles, t):
+    """(x, y) of each pose coasting for times t, as x + v * t * cos(heading)."""
+    return (np.array([o.x + o.v * t * np.cos(o.heading) for o in obstacles]),
+            np.array([o.y + o.v * t * np.sin(o.heading) for o in obstacles]))
+
+
+def test_coasted_sweeps_constant_velocity(rng, two_lane_road, three_lane_arc):
+    # The swept positions equal the per-pose formula bit for bit, for cars
+    # on a straight road and on an arc, still and moving, and for no cars;
+    # everything but the positions is the prepared scene's own.
+    t = _times(20)
+    for road in (two_lane_road, three_lane_arc):
+        for n_obs in (0, 1, 4):
+            obstacles = []
+            for _ in range(n_obs):
+                s = rng.uniform(50.0, 400.0)
+                x, y = road.to_global(s, road.lane_offset(int(rng.integers(1, 3))))
+                obstacles.append(ObstaclePose(
+                    x=float(x), y=float(y), heading=float(road.tangent_heading(s)),
+                    v=float(rng.choice([0.0, rng.uniform(5.0, 30.0)]))))
+            scene = prepare_field(obstacles, road, FP)
+            swept = coasted(scene, t)
+            want_x, want_y = _swept_one_pose_at_a_time(obstacles, t)
+            assert swept.x.shape == swept.y.shape == (n_obs, t.size)
+            assert swept.x.tobytes() == want_x.tobytes()
+            assert swept.y.tobytes() == want_y.tobytes()
+            for name in ("cos", "sin", "v", "road", "offsets", "gains", "params"):
+                assert getattr(swept, name) is getattr(scene, name)
+    assert any(o.v == 0.0 for o in obstacles) and any(o.v > 0.0 for o in obstacles)
 
 
 def test_outputs_channels(two_lane_road):
@@ -234,7 +261,7 @@ def test_outputs_channels(two_lane_road):
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     states = m.states(np.zeros(cfg.n_c))
-    field = prepare_field(_coasted(obs, cfg.n_p, DT), two_lane_road, FP)
+    field = coasted(prepare_field(obs, two_lane_road, FP), _times(cfg.n_p))
     y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
@@ -369,16 +396,20 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     an elementwise projection written out here.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
-    coasted = _coasted(obstacles, cfg.n_p, DT)
+    t = _times(cfg.n_p)
+    # How far each obstacle has coasted from its pose at each step.
+    shifts = [(o.v * t * np.cos(o.heading), o.v * t * np.sin(o.heading))
+              for o in obstacles]
     h = 1e-4
 
     def cost_of(du):
-        # The full prediction, and the field one obstacle at a time.
+        # The full prediction, and the field one obstacle at a time, each
+        # queried in the frame that coasts with it.
         states = model.states(du)
         xs, ys = states[..., IX], states[..., IY]
         y1 = np.zeros(xs.shape)
-        for o in coasted:
-            y1 = y1 + obstacle_field(xs, ys, o, FP)
+        for o, (sx, sy) in zip(obstacles, shifts):
+            y1 = y1 + obstacle_field(xs - sx, ys - sy, o, FP)
         y1 = y1 + road_field(xs, ys, road, FP)
         s, d = road.to_frenet(xs, ys)
         y = np.stack([y1, d - road.lane_offset(lane),
@@ -488,7 +519,7 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     # beats it, never loses to zero increments, and keeps the boxes.
     road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
         seed, two_lane_road, three_lane_arc)
-    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
+    plan = solve_plan(x0, u_prev, a_x, prepare_field(obstacles, road, FP), target,
                       cfg, VP, DP, DT, box)
     reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
     assert plan.cost <= reference * (1.0 + 1e-3)
@@ -509,7 +540,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     which the search went on.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
-    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, FP)
+    prepared = coasted(prepare_field(obstacles, road, FP), _times(cfg.n_p))
     w, r, n_c = np.array(cfg.q_diag), cfg.r, cfg.n_c
     eye = np.eye(n_c)
 
@@ -582,7 +613,7 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
         want, after = _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road,
                                              target, cfg, box)
         rows = _rows_per_outputs_call(monkeypatch)
-        got = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
+        got = solve_plan(x0, u_prev, a_x, prepare_field(obstacles, road, FP), target,
                          cfg, VP, DP, DT, box)
         monkeypatch.undo()
         for f in dataclasses.fields(PlanResult):
@@ -607,10 +638,10 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     rng = np.random.default_rng(seed)
     road = two_lane_road if seed % 2 else three_lane_arc
     x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
-    plan = solve_plan(x0, u_prev, a_x, obstacles, road, target, FP,
-                      cfg, VP, DP, DT, box)
+    scene = prepare_field(obstacles, road, FP)
+    plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
-    prepared = prepare_field(_coasted(obstacles, cfg.n_p, DT), road, FP)
+    prepared = coasted(scene, _times(cfg.n_p))
     du = plan.du_sequence[None]
     y = _outputs(model.poses(du), prepared, target)
     assert plan.cost == float(mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)[0])
@@ -625,7 +656,7 @@ def test_plan_never_beats_zero_baseline(two_lane_road, rng):
         x0 = _x0(v=rng.uniform(10.0, 25.0), y=rng.uniform(-1.0, 5.0))
         obs = [ObstaclePose(x=rng.uniform(10.0, 40.0), y=0.0, heading=0.0,
                             v=rng.uniform(5.0, 15.0))]
-        plan = solve_plan(x0, 0.0, 0.0, obs, two_lane_road, 1, FP,
+        plan = solve_plan(x0, 0.0, 0.0, prepare_field(obs, two_lane_road, FP), 1,
                           cfg, VP, DP, DT, BOX)
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
@@ -640,7 +671,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     # the target to lane 1 must pull the command upward and strictly
     # improve on doing nothing.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 1, FP,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 1,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
@@ -655,7 +686,7 @@ def test_plan_at_rest_point_stays_put(two_lane_road):
     # and the optimizer must keep the zero sequence rather than wander.
     cfg = small_cfg()
     quiet = FieldParams(edge_weight=0.0, interior_weight=0.0)
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, quiet,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, quiet), 2,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost_zero == pytest.approx(0.0, abs=1e-18)
     assert plan.cost == pytest.approx(plan.cost_zero, abs=1e-18)
@@ -667,7 +698,7 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     # The live road field pulls slightly toward the road center; the lane
     # tracking term must keep that drift to centimeters over the horizon.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, [], two_lane_road, 2, FP,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 2,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost <= plan.cost_zero
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
@@ -677,7 +708,7 @@ def test_applied_command_is_first_increment(two_lane_road):
     # Receding horizon: only the first increment of the plan is applied.
     cfg = small_cfg()
     obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
-    plan = solve_plan(_x0(), 0.4, 0.0, obs, two_lane_road, 1, FP,
+    plan = solve_plan(_x0(), 0.4, 0.0, prepare_field(obs, two_lane_road, FP), 1,
                       cfg, VP, DP, DT, BOX)
     assert np.any(plan.du_sequence != 0.0)
     assert plan.u_applied == 0.4 + plan.du_sequence[0]

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lanegame import simulate
+from lanegame import field, simulate
 from lanegame.costs import KinematicState
+from lanegame.errors import ConfigError
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.scenario import load_scenario
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
@@ -56,6 +57,37 @@ def test_style_and_strategy_override(merge_cfg):
     tr = run_simulation(cfg, style="conservative", strategy="stackelberg")
     assert tr.style == "conservative"
     assert tr.strategy == "stackelberg"
+
+
+@pytest.mark.parametrize("kind,name", [("strategy", "Nash"), ("strategy", "foo"),
+                                       ("style", "Normal")])
+def test_unknown_strategy_or_style_is_a_config_error(merge_cfg, monkeypatch, kind, name):
+    # Not run under another solver or labelled with the name, and no bare
+    # KeyError: a ConfigError naming the known values, before any step.
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(simulate, "step", no_step)
+    known = "aggressive, normal, conservative" if kind == "style" else "nash, stackelberg"
+    match = f"unknown {kind} '{name}'; known: {known}"
+    with pytest.raises(ConfigError, match=match):
+        run_simulation(merge_cfg, **{kind: name})
+    sweep = {"styles": STYLES_ALL, "strategies": ("nash", "stackelberg")}
+    sweep["styles" if kind == "style" else "strategies"] += (name,)
+    with pytest.raises(ConfigError, match=match):
+        batch(merge_cfg, **sweep)
+
+
+def test_one_field_layout_per_step(merge_cfg, monkeypatch):
+    # The closed loop lays the other cars out once per step, and the
+    # planner coasts that layout: one pass over the lane lines per step.
+    calls = []
+    real = field._weighted_lines
+    monkeypatch.setattr(field, "_weighted_lines",
+                        lambda *args: calls.append(1) or real(*args))
+    tr = run_simulation(replace(merge_cfg, duration=0.5))
+    assert len(tr.rows) == 10 and not tr.aborted
+    assert len(calls) == len(tr.rows)
 
 
 def test_repeat_runs_byte_identical(merge_cfg, tmp_path):

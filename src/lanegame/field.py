@@ -8,8 +8,12 @@ lays a scene out once (obstacles stacked along a leading axis, zero-weight
 lane lines dropped), `coasted` sweeps its obstacles along a horizon, and
 `total_field` queries it; all query arguments broadcast, so a whole
 prediction horizon (or a batch of candidate horizons) evaluates in one
-call. `_bumps` is the one obstacle-field formula, shared by the stacked
-and the single-pose paths.
+call. A prepared field lines its arrays up with a query once per query
+rank and keeps that layout, so repeated queries of one rank, such as the
+batches of a planner solve, do only the arithmetic that depends on the
+query points. `_bumps` is the one obstacle-field formula, shared by the
+stacked and the single-pose paths, and `_barrier` the one lane-line
+formula.
 
 Obstacles and lines are summed with `.sum(axis=0)`, which numpy takes
 row after row, bit for bit a per-obstacle loop. Only a one-point query
@@ -19,7 +23,7 @@ with 8 or more terms reduces a 1-D array, which numpy sums pairwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -156,12 +160,19 @@ def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
 
 def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
              p: FieldParams) -> np.ndarray:
-    """Lane-line barrier at road coordinates (s, d), summed over the lines."""
-    if np.any(s < -1e-9) or np.any(s > road.length + 1e-9):
+    """Lane-line barrier at road coordinates (s, d), summed over the lines.
+
+    `offsets` and `gains` are the weighted lines laid out by `_leading`
+    with one axis more than d, so the leading axis runs over the lines.
+    """
+    if np.less(s, -1e-9).any() or np.greater(s, road.length + 1e-9).any():
         raise DomainError("query station outside the road's station range")
-    d = np.asarray(d, dtype=float)
-    dist = np.abs(d - _leading(offsets, d.ndim + 1))
-    terms = _leading(gains, d.ndim + 1) * np.exp(-dist + p.d_safe + 0.5 * p.w)
+    terms = np.abs(np.asarray(d, dtype=float) - offsets)
+    np.negative(terms, out=terms)
+    terms += p.d_safe
+    terms += 0.5 * p.w
+    np.exp(terms, out=terms)
+    terms *= gains
     return terms.sum(axis=0)
 
 
@@ -176,7 +187,9 @@ def road_field(qx, qy, road: RoadGeometry, p: FieldParams) -> np.ndarray:
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
     s, d = road.to_frenet(qx, qy)
-    return _barrier(s, d, road, *_weighted_lines(road, p), p)
+    offsets, gains = _weighted_lines(road, p)
+    lines = np.ndim(d) + 1
+    return _barrier(s, d, road, _leading(offsets, lines), _leading(gains, lines), p)
 
 
 @dataclass(frozen=True)
@@ -188,6 +201,13 @@ class PreparedField:
     prediction steps; `cos`, `sin` (of the heading) and `v` are (n_obs,).
     `offsets` and `gains` hold only the lane lines with non-zero weight.
     Build one with `prepare_field`.
+
+    The first query of each rank (number of query axes) lines the
+    obstacle arrays, c*v and the lines up with it (see `_layout`) and
+    keeps that layout for later queries of the rank, so a planner solve
+    lays its coasted scene out once for all its batches. The layouts are
+    no init field: `replace`, and so `coasted`, starts a new field with
+    none.
     """
 
     x: np.ndarray
@@ -199,6 +219,8 @@ class PreparedField:
     offsets: np.ndarray
     gains: np.ndarray
     params: FieldParams
+    _layouts: dict = dataclass_field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
 
 def prepare_field(obstacles, road: RoadGeometry, params: FieldParams) -> PreparedField:
@@ -222,21 +244,39 @@ def coasted(field: PreparedField, t: np.ndarray) -> PreparedField:
                    y=field.y[:, None] + vt * field.sin[:, None])
 
 
+def _layout(field: PreparedField, rank: int) -> tuple:
+    """(x, y, cos, sin, c*v, offsets, gains) of `field` lined up with a query
+    of `rank` axes, made on the first such query and kept on the field.
+
+    The obstacle arrays get the axes that broadcast their leading axis
+    over the query (and over the horizon of coasted poses); the lines get
+    one axis more than the query's road coordinates.
+    """
+    layout = field._layouts.get(rank)
+    if layout is None:
+        ndim = 1 + max(rank, field.x.ndim - 1)
+        lines = rank + 1
+        layout = field._layouts[rank] = (
+            _leading(field.x, ndim), _leading(field.y, ndim),
+            _leading(field.cos, ndim), _leading(field.sin, ndim),
+            _leading(field.params.c * field.v, ndim),
+            _leading(field.offsets, lines), _leading(field.gains, lines))
+    return layout
+
+
 def total_field(qx, qy, field: PreparedField, frenet=None) -> np.ndarray:
     """Obstacle fields summed over all OCs plus the road barrier.
 
     All obstacles are evaluated in one broadcast over the leading
     obstacle axis and added up in obstacle order; the barrier is added
-    last. `frenet` may pass road coordinates (s, d) of the query that the
+    last. Only the arithmetic that depends on the query runs per call;
+    the field's layout for the query's rank is made once. `frenet` may
+    pass road coordinates (s, d) of the query, in its shape, that the
     caller already holds, so they are not computed twice.
     """
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
-    shape = np.broadcast(qx, qy).shape
-    ndim = 1 + max(len(shape), field.x.ndim - 1)
-    bumps = _bumps(qx - _leading(field.x, ndim), qy - _leading(field.y, ndim),
-                   _leading(field.cos, ndim), _leading(field.sin, ndim),
-                   _leading(field.params.c * field.v, ndim), field.params)
+    x, y, cos, sin, cv, offsets, gains = _layout(field, max(qx.ndim, qy.ndim))
+    bumps = _bumps(qx - x, qy - y, cos, sin, cv, field.params)
     s, d = field.road.to_frenet(qx, qy) if frenet is None else frenet
-    return bumps.sum(axis=0) + _barrier(s, d, field.road, field.offsets,
-                                        field.gains, field.params)
+    return bumps.sum(axis=0) + _barrier(s, d, field.road, offsets, gains, field.params)

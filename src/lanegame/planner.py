@@ -32,6 +32,14 @@ road coordinates once per call. Every value is the one the per-obstacle,
 full-state evaluation gives, bit for bit, and the plan's cost is the
 accepted one.
 
+What depends only on the solve is done once per solve: whether the u
+box can bind any projection (see _box_free; it cannot in every
+scenario_b solve and in 215-230 of the 240 solves of each scenario_a
+run, and every projection is then the plain du clip), the coasted
+scene with its query layout (made on the first batch and kept by the
+PreparedField), and the buffer that each iteration's trials and probe
+rows are built in.
+
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
 target lane centerline, y3 yaw error against the road tangent. The cost
@@ -220,11 +228,11 @@ def mpc_cost(outputs: np.ndarray, du: np.ndarray, w: np.ndarray, r: float):
     outputs = np.asarray(outputs, dtype=float)
     du = np.asarray(du, dtype=float)
     quad = np.einsum("...ni,i,...ni->...", outputs, w, outputs)
-    return quad + r * np.sum(du * du, axis=-1)
+    return quad + r * (du * du).sum(axis=-1)
 
 
 def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
-             cfg: MpcConfig) -> np.ndarray:
+             cfg: MpcConfig, box_free: bool = False, out=None) -> np.ndarray:
     """Clip du sequences into the du boxes and the cumulative u box.
 
     Works on one sequence or a batch over leading axes. Sequential along
@@ -233,21 +241,38 @@ def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
     The intersection is never empty while the running command stays in
     the box, which it does by induction.
 
-    When no row's running command comes near enough to the u box for it
-    to bind, every increment is just clipped to [du_min, du_max]. The
-    running commands of that clip are summed in the loop's order, so the
-    test reads the bounds the loop would, and the clip is its result.
+    `box_free` is the solve's decision (see `_box_free`) that the u box
+    can bind no increment; every increment is then just clipped to
+    [du_min, du_max], which is what the loop would give. The result goes
+    into `out` when given.
     """
-    clipped = np.minimum(np.maximum(du, cfg.du_min), cfg.du_max)
-    u = _running(clipped, u_prev)
-    if np.all(u_box[0] - u < cfg.du_min) and np.all(u_box[1] - u > cfg.du_max):
-        return clipped
-    out = np.empty_like(du)
+    if out is None:
+        out = np.empty_like(du)
+    if box_free:
+        return np.minimum(np.maximum(du, cfg.du_min), cfg.du_max, out=out)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
         lo, hi = _bounds(u, u_box, cfg)
         u += np.minimum(np.maximum(du[..., j], lo), hi, out=out[..., j])
     return out
+
+
+def _box_free(u_prev: float, u_box: tuple[float, float], cfg: MpcConfig) -> bool:
+    """Whether the u box can bind no increment of any du-clipped sequence.
+
+    u_prev plus n_c - 1 times du_min, and plus n_c - 1 times du_max, summed
+    one after the other as _project's loop sums the running command,
+    bound every running command of a sequence clipped to [du_min, du_max],
+    since rounded addition is monotone. When even these extremes leave
+    more room to the u box than the du box allows (strictly, as _bounds'
+    maximum and minimum then pick the du box), every projection is the
+    plain clip and every increment's bounds are (du_min, du_max).
+    """
+    lo = hi = float(u_prev)
+    for _ in range(cfg.n_c - 1):
+        lo += cfg.du_min
+        hi += cfg.du_max
+    return u_box[0] - lo < cfg.du_min and u_box[1] - hi > cfg.du_max
 
 
 def _running(du: np.ndarray, u_prev: float) -> np.ndarray:
@@ -260,6 +285,20 @@ def _running(du: np.ndarray, u_prev: float) -> np.ndarray:
 def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
     """(lo, hi) at running command u: the du box within what keeps u in u_box."""
     return np.maximum(cfg.du_min, u_box[0] - u), np.minimum(cfg.du_max, u_box[1] - u)
+
+
+@functools.lru_cache(maxsize=8)
+def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-size constants of a solve, shared like _lag: the identity,
+    its diagonal mask, the probe steps FD_STEP * I and the first batch (the
+    zero increments, then their probe rows)."""
+    eye = np.eye(n_c)
+    probes = FD_STEP * eye
+    first = np.concatenate([np.zeros((1, n_c)), probes])
+    consts = (eye, eye > 0, probes, first)
+    for a in consts:
+        a.flags.writeable = False
+    return consts
 
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
@@ -297,6 +336,14 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     those; when another trial is taken and the search goes on, its probe
     rows are scored in a batch of their own.
 
+    Whether the u box can bind is decided once, before the first
+    iteration. When no running command of any du-clipped sequence comes
+    near enough to the u box for it to bind (see _box_free), every
+    projection is the plain [du_min, du_max] clip and the active-set
+    bounds are the du box, with no _bounds call; otherwise each batch
+    runs _project's loop and the bounds are read at the running command.
+    Both give the loop's result bit for bit.
+
     DomainError if the zero-increment cost is not finite (a field or a
     weight that overflows), since no trial could then be compared with it.
     """
@@ -311,16 +358,23 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         return _outputs(model.poses(du_batch), prepared, target_lane)
 
     du = np.zeros(n_c)
-    eye = np.eye(n_c)
-    diagonal = eye > 0
-    probes = FD_STEP * eye
-    ys = outputs_of(np.concatenate([du[None], du + probes]))
+    eye, diagonal, probes, first = _probes(n_c)
+    ys = outputs_of(first)
     y, y_probe = ys[0], ys[1:]
     best = float(mpc_cost(y, du, w, r))
     if not np.isfinite(best):
         raise DomainError(f"the zero-increment horizon cost is {best}")
     cost_zero = best
-    n_trials = len(NEWTON_STEPS) + len(GRADIENT_STEPS)
+    n_newton = len(NEWTON_STEPS)
+    n_trials = n_newton + len(GRADIENT_STEPS)
+    box_free = _box_free(u_prev, u_box, cfg)
+    if box_free:
+        lo, hi = cfg.du_min, cfg.du_max
+    # Unprojected trials, and the batch scored each iteration: the
+    # projected trials, then the probe rows of trial 0.
+    steps = np.empty((n_trials, n_c))
+    batch = np.empty((n_trials + n_c, n_c))
+    trials = batch[:n_trials]
 
     for iterations in range(1, cfg.max_iter + 1):
         if y_probe is None:
@@ -328,26 +382,30 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         jac = (y_probe - y) / FD_STEP    # (n_c, n_p, 3)
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm == 0.0:
             break
-        # Summed in _project's order, so a clipped increment equals its bound.
-        lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
+        if not box_free:
+            # Summed in _project's order, so a clipped increment equals its bound.
+            lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
         free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
         if not free.all():
             hess = np.where(np.outer(free, free) | diagonal, hess, 0.0)
         d = np.linalg.solve(hess, -g)
-        trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
-                                          du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
-                          u_prev, u_box, cfg)
-        ys = outputs_of(np.concatenate([trials, trials[0] + probes]))
+        np.multiply(NEWTON_STEPS[:, None], d, out=steps[:n_newton])
+        np.add(du, steps[:n_newton], out=steps[:n_newton])
+        np.multiply((GRADIENT_STEPS / gnorm)[:, None], g, out=steps[n_newton:])
+        np.subtract(du, steps[n_newton:], out=steps[n_newton:])
+        _project(steps, u_prev, u_box, cfg, box_free, out=trials)
+        np.add(trials[0], probes, out=batch[n_trials:])
+        ys = outputs_of(batch)
         vals = mpc_cost(ys[:n_trials], trials, w, r)
         k = int(np.argmin(vals))
         if not vals[k] < best:
             break
         drop = best - float(vals[k])
-        du, best, y = trials[k], float(vals[k]), ys[k]
+        du, best, y = trials[k].copy(), float(vals[k]), ys[k]
         y_probe = ys[n_trials:] if k == 0 else None
         if drop <= cfg.tol * max(1.0, best):
             break  # converged

@@ -381,7 +381,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         for c in cars:
             lane = road.lanes[c.lane]
             c.s += c.v * cfg.dt + 0.5 * c.a * cfg.dt * cfg.dt
-            c.v = float(np.clip(c.v + c.a * cfg.dt, lane.v_min, lane.v_max))
+            c.v = float(min(max(c.v + c.a * cfg.dt, lane.v_min), lane.v_max))
         u_prev = u_cmd
 
     return trace

@@ -188,8 +188,13 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
     # one sequence and for batches of the sizes the planner scores (1 + n_c
     # to start, 31 trials + n_c probe rows, n_c probe rows alone), and one
     # sequence gives its row in a batch: prediction, outputs and cost alike.
+    # The field's query layout is made once per rank and kept: one
+    # prepared scene of 0, 1 or 3 cars, on either road, queried at ranks
+    # 2, 0, 1 and 2 again, and its coasted copy, match fresh fields.
     w = np.array([1.0, 10.0, 50.0])
-    obstacle = [ObstaclePose(x=15.0, y=0.5, heading=0.02, v=10.0)]
+    cars = [ObstaclePose(x=15.0, y=0.5, heading=0.02, v=10.0),
+            ObstaclePose(x=40.0, y=-3.5, heading=-0.01, v=0.0),
+            ObstaclePose(x=-5.0, y=4.2, heading=0.0, v=25.0)]
     for n_p, n_c, rows in ((12, 4, 7), (20, 5, 5), (20, 5, 31), (30, 5, 31),
                            (30, 8, 8), (30, 8, 25), (5, 1, 3),
                            (12, 4, 5), (12, 4, 35), (30, 5, 6), (30, 5, 36),
@@ -203,12 +208,22 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
         assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
         assert np.array_equal(m.poses(batch[-1]), poses[-1])
         assert mpc_cost(poses, batch, w, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], w, 1.0)
-        road = two_lane_road if rows % 2 else three_lane_arc
-        field = coasted(prepare_field(obstacle, road, FP), _times(n_p))
-        ys = _outputs(poses, field, 1)
-        for b in (0, rows // 2, rows - 1):
-            assert np.array_equal(_outputs(poses[b], field, 1), ys[b])
-            assert np.array_equal(_outputs(poses[b:b + 1], field, 1)[0], ys[b])
+        qx, qy = poses[..., 0], poses[..., 1]
+        for road in (two_lane_road, three_lane_arc):
+            for obstacles in ([], cars[:1], cars):
+                scene = prepare_field(obstacles, road, FP)
+                for q in (np.s_[...], np.s_[0, 0], np.s_[rows // 2], np.s_[1:]):
+                    got = total_field(qx[q], qy[q], scene)
+                    want = total_field(qx[q], qy[q], prepare_field(obstacles, road, FP))
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                field = coasted(scene, _times(n_p))
+                ys = _outputs(poses, field, 1)
+                want = _outputs(poses, coasted(prepare_field(obstacles, road, FP),
+                                               _times(n_p)), 1)
+                assert ys.tobytes() == want.tobytes()
+                for b in (0, rows // 2, rows - 1):
+                    assert np.array_equal(_outputs(poses[b], field, 1), ys[b])
+                    assert np.array_equal(_outputs(poses[b:b + 1], field, 1)[0], ys[b])
 
 
 def test_states_linear_in_du(rng):
@@ -350,26 +365,99 @@ def _sequential_project(du, u_prev, u_box, cfg):
     return out
 
 
-def test_project_clips_only_where_the_u_box_cannot_bind(rng, monkeypatch):
-    # A batch the u box binds in no row is the plain du clip and runs no
-    # loop; one it binds in some rows runs the loop on all of them, as
-    # does one whose running command sits exactly du_max below the box.
-    # Each equals the sequential projection bit for bit.
-    cfg = small_cfg(du_min=-0.25, du_max=0.25)
-    loop_steps = []
-    real_bounds = planner._bounds
+def _logged_solve(monkeypatch, *args):
+    """solve_plan(*args) with every projected batch (input and result) and
+    every _bounds and _running call of the planner logged."""
+    batches, bounds, running = [], [], []
+    project, real_bounds, real_running = planner._project, planner._bounds, planner._running
+
+    def logged_project(du, *a, **k):
+        got = project(du, *a, **k)
+        batches.append((du.copy(), got.copy()))
+        return got
+
+    monkeypatch.setattr(planner, "_project", logged_project)
     monkeypatch.setattr(planner, "_bounds",
-                        lambda *a: loop_steps.append(1) or real_bounds(*a))
-    batch = rng.uniform(-0.6, 0.6, (31, cfg.n_c))
-    for u_prev, box, du, rows_bound in ((0.0, BOX, batch, "none"),
-                                        (0.5, (-1.0, 1.0), batch, "some"),
-                                        (0.5, (-1.0, 0.75), np.zeros((3, 4)), "none")):
-        loop_steps.clear()
-        got = _project(du, u_prev, box, cfg)
-        assert got.tobytes() == _sequential_project(du, u_prev, box, cfg).tobytes()
-        assert len(loop_steps) == (0 if box == BOX else cfg.n_c)
-        clipped = np.all(got == np.clip(du, cfg.du_min, cfg.du_max), axis=-1)
-        assert clipped.all() == (rows_bound == "none") and clipped.any()
+                        lambda *a: bounds.append(1) or real_bounds(*a))
+    monkeypatch.setattr(planner, "_running",
+                        lambda *a: running.append(1) or real_running(*a))
+    plan = solve_plan(*args)
+    monkeypatch.undo()
+    return plan, batches, len(bounds), len(running)
+
+
+def test_project_clips_only_where_the_u_box_cannot_bind(two_lane_road, monkeypatch):
+    # The solve decides once whether the u box can bind. Far from the box
+    # every batch is the plain du clip and no _bounds call is made. With
+    # the box binding some rows, and with the extreme running command
+    # exactly du_max below the box, every batch runs the loop: n_c _bounds
+    # calls per projected batch, and one per active-set test. Each batch
+    # equals the sequential projection bit for bit.
+    cfg = small_cfg(du_min=-0.25, du_max=0.25)
+    scene = prepare_field([], two_lane_road, FP)
+    for u_prev, box, rows_bound in ((0.0, BOX, "none"), (0.5, (-1.0, 1.0), "some"),
+                                    (0.0, (-1.0, 1.0), "none")):
+        box_free = box == BOX
+        assert planner._box_free(u_prev, box, cfg) == box_free
+        plan, batches, n_bounds, n_running = _logged_solve(
+            monkeypatch, _x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, box)
+        assert len(batches) == plan.iterations >= 2
+        assert n_running == (0 if box_free else plan.iterations)
+        assert n_bounds == (0 if box_free else cfg.n_c * len(batches) + n_running)
+        clipped = []
+        for du, got in batches:
+            assert got.tobytes() == _sequential_project(du, u_prev, box, cfg).tobytes()
+            clipped.append(np.all(got == np.clip(du, cfg.du_min, cfg.du_max), axis=-1))
+        if rows_bound == "none":
+            assert all(c.all() for c in clipped)
+        else:
+            assert any(c.any() and not c.all() for c in clipped)
+
+
+def _first_bound(u_free: float, u_bound: float, free) -> float:
+    """The u_prev nearest u_free at which free(u_prev) turns False, between
+    u_free (free) and u_bound (not), bisected down to adjacent floats."""
+    a, b = u_free, u_bound
+    while True:
+        m = a + (b - a) / 2
+        if m == a or m == b:
+            return b
+        a, b = (m, b) if free(m) else (a, m)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(center=st.floats(-2.0, 2.0), spare=st.floats(0.01, 1.0), n_c=st.integers(1, 8),
+       du_box=st.tuples(st.floats(-0.5, 0.0), st.floats(0.0, 0.5)),
+       rows=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+                     min_size=1, max_size=8))
+def test_box_decision_picks_the_clip_only_where_it_is_the_loop(center, spare, n_c,
+                                                               du_box, rows):
+    # At each edge of the u box, the decision's threshold for u_prev and
+    # one float step on either side of it: the clip the decision picks
+    # equals the sequential projection bit for bit, on the drawn rows and
+    # on the two rows whose running commands reach the extremes. The step
+    # inside is free, the threshold and the step outside are not.
+    cfg = small_cfg(n_p=8, n_c=n_c, du_min=du_box[0], du_max=du_box[1])
+    reach = 0.5 * n_c + spare
+    box = (center - reach, center + reach)
+    batch = np.array([[1.0] * n_c, [-1.0] * n_c] + [r[:n_c] for r in rows])
+
+    def free(u_prev):
+        return planner._box_free(u_prev, box, cfg)
+
+    assert free(center)
+    outcomes = []
+    for edge in box:
+        threshold = _first_bound(center, edge, free)
+        for u_prev in (np.nextafter(threshold, center), threshold,
+                       np.nextafter(threshold, 2.0 * edge - center)):
+            decided = free(float(u_prev))
+            outcomes.append(decided)
+            want = _sequential_project(batch, u_prev, box, cfg)
+            got = _project(batch, u_prev, box, cfg, decided)
+            assert got.tobytes() == want.tobytes(), (u_prev, decided)
+        assert outcomes[-3:] == [True, False, False]
+    assert True in outcomes and False in outcomes
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -586,46 +674,72 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
 
 
 def _rows_per_outputs_call(monkeypatch):
-    """Patch the planner's _outputs to log the rows of every call it gets."""
-    rows, real = [], planner._outputs
+    """Patch the planner's _outputs to log the rows of every call it gets,
+    and its _bounds to count its calls."""
+    rows, bounds = [], []
+    real, real_bounds = planner._outputs, planner._bounds
 
     def logged(poses, *args):
         rows.append(poses[..., 0, 0].size)
         return real(poses, *args)
 
     monkeypatch.setattr(planner, "_outputs", logged)
-    return rows
+    monkeypatch.setattr(planner, "_bounds",
+                        lambda *a: bounds.append(1) or real_bounds(*a))
+    return rows, bounds
+
+
+# A settled merge state under a wide and under a tight command box, and
+# the projection each solve should take: the plain du clip (the u box
+# cannot bind) or the loop.
+BOXED_SCENES = ((10.0, "clip"), (0.4, "loop"))
+
+
+def _boxed_scene(reach, two_lane_road):
+    """(road, x0, u_prev, a_x, obstacles, target, cfg, box) with u_prev +- reach."""
+    x0, u_prev, a_x, obstacles, target, cfg, _ = _settled_scene(np.random.default_rng(7))
+    box = (u_prev - reach, u_prev + reach)
+    return two_lane_road, x0, u_prev, a_x, obstacles, target, cfg, box
 
 
 def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc,
                                                    monkeypatch):
     # Every PlanResult field equals, bit for bit, the search that scores
-    # each batch on its own, and each solve makes the calls it should: one
-    # of 1 + n_c rows, one of 31 + n_c per iteration, and one of n_c after
-    # each step that took another trial than the full Newton step and did
-    # not end the search. The scenes take both branches, so the check can
-    # tell them apart.
+    # each batch on its own and projects through the loop, and each solve
+    # makes the calls it should: one of 1 + n_c rows, one of 31 + n_c per
+    # iteration, and one of n_c after each step that took another trial
+    # than the full Newton step and did not end the search. The scenes
+    # take both branches, and both projections: the boxed scenes check
+    # which one each took, by its _bounds calls.
     n_trials = len(NEWTON_STEPS) + len(GRADIENT_STEPS)
-    went_on_after = []
-    for seed in SCENE_SEEDS:
-        road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
-            seed, two_lane_road, three_lane_arc)
+    scenes = [(seed, _scene(seed, two_lane_road, three_lane_arc), None)
+              for seed in SCENE_SEEDS]
+    scenes += [(reach, _boxed_scene(reach, two_lane_road), path)
+               for reach, path in BOXED_SCENES]
+    went_on_after, paths = [], set()
+    for label, scene, path in scenes:
+        road, x0, u_prev, a_x, obstacles, target, cfg, box = scene
         want, after = _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road,
                                              target, cfg, box)
-        rows = _rows_per_outputs_call(monkeypatch)
+        rows, bounds = _rows_per_outputs_call(monkeypatch)
         got = solve_plan(x0, u_prev, a_x, prepare_field(obstacles, road, FP), target,
                          cfg, VP, DP, DT, box)
         monkeypatch.undo()
         for f in dataclasses.fields(PlanResult):
             a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, f.name)
         n_c = cfg.n_c
         fallbacks = sum(k != 0 for k in after)
-        assert len(rows) == 1 + got.iterations + fallbacks, seed
+        assert len(rows) == 1 + got.iterations + fallbacks, label
         assert rows[0] == 1 + n_c
         assert rows.count(n_trials + n_c) == got.iterations
         assert rows.count(n_c) == fallbacks
+        took = "loop" if bounds else "clip"
+        assert took == ("clip" if planner._box_free(u_prev, box, cfg) else "loop")
+        assert path in (None, took), label
+        paths.add(took)
         went_on_after += after
+    assert paths == {"clip", "loop"}
     assert went_on_after.count(0) > 0
     assert len(went_on_after) - went_on_after.count(0) > 0
 

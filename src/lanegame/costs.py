@@ -12,6 +12,14 @@ car is projected once; merge partners share one lateral pair term,
 and off the merge cells each player's cost depends on its own action
 alone, so only the merge cells are evaluated per cell.
 
+A projection has two stages. Its acceleration-only terms are cached
+read-only per (accelerations, horizon) by `projection_terms`, keyed on
+the accelerations' bytes so that a grid holding -0.0 keeps its own;
+`project` then combines them with the cars' states. `propagate` runs
+both stages, one formula in one operation order. The game layer
+projects the ego and every opponent over a grid in one call, and a
+payoff call projects all the leads it scores, at constant speed, in one.
+
 Sign conventions for the velocity gates:
   longitudinal: dv = v_lead - v_ego, penalized only while closing (dv < 0)
   lateral:      dv = v_ego - v_adjacent, penalized only when slower (dv < 0)
@@ -20,7 +28,6 @@ Sign conventions for the velocity gates:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -170,20 +177,47 @@ def propagate(s, v, a, t):
     """Constant-acceleration projection with a stop at v = 0.
 
     Broadcasts over all arguments; returns (position, velocity) arrays.
+    Runs both stages of the projection: `_terms` of (a, t), then `project`.
     """
-    s = np.asarray(s, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
+    return project(_terms(np.asarray(a, dtype=float), np.asarray(t, dtype=float)),
+                   np.asarray(s, dtype=float), np.asarray(v, dtype=float))
+
+
+def _terms(a, t):
+    """The acceleration-only terms of a projection: (t, a < 0, brake rate,
+    0.5·a·t·t, 2·brake, a·t)."""
     neg = a < 0
     brake = np.where(neg, -a, 1.0)
-    t_stop = np.where(neg, v / brake, INF)
-    stopped = t >= t_stop
-    pos_free = s + v * t + 0.5 * a * t * t
-    pos_hold = s + np.where(neg, v * v / (2.0 * brake), 0.0)
-    pos = np.where(stopped, pos_hold, pos_free)
-    vel = np.maximum(v + a * t, 0.0)
-    return pos, vel
+    return t, neg, brake, 0.5 * a * t * t, 2.0 * brake, a * t
+
+
+@functools.lru_cache(maxsize=16)
+def projection_terms(accels: bytes, horizon: float):
+    """`_terms` of the float64 accelerations packed in `accels`, as a column,
+    at sample_times(horizon); read-only and shared per key. Keyed on bytes,
+    not values, so a grid holding -0.0 never shares a grid holding 0.0.
+    When no acceleration is negative and every time is finite no car
+    stops, and the terms hold None for a < 0 so that `project` skips the
+    stop."""
+    terms = _terms(np.frombuffer(accels)[:, None], sample_times(horizon))
+    for x in terms:
+        x.flags.writeable = False
+    t, neg = terms[:2]
+    if not neg.any() and np.isfinite(t).all():
+        terms = (t, None, *terms[2:])
+    return terms
+
+
+def project(terms, s, v):
+    """The state stage of a projection: (position, velocity) of the states
+    (s, v) under `terms`, broadcasting s and v against them."""
+    t, neg, brake, half_at2, two_brake, at = terms
+    pos = s + v * t + half_at2
+    if neg is not None:
+        # A braking car stops at t_stop = v / brake and holds its station.
+        stopped = t >= np.where(neg, v / brake, INF)
+        pos = np.where(stopped, s + np.where(neg, v * v / two_brake, 0.0), pos)
+    return pos, np.maximum(v + at, 0.0)
 
 
 def _gap_term(dv, dist, g: CostGains, lateral: bool):
@@ -199,6 +233,13 @@ def _gap_term(dv, dist, g: CostGains, lateral: bool):
     gap = np.maximum(np.abs(dist) - g.l_v, 0.0)
     closing = np.where(dv < 0.0, 1.0, 0.0)
     return kv * closing * dv * dv + ks / (gap * gap + g.epsilon)
+
+
+def _worst(x):
+    """The largest value along each row of x. NumPy reduces a short last
+    axis row by row, so this reduces the first axis of a transposed copy,
+    a few times faster on the (merge cells, K) samples."""
+    return np.ascontiguousarray(x.T).max(axis=0)
 
 
 def longitudinal_safety_cost(ego: KinematicState, lead: KinematicState | None,
@@ -254,6 +295,9 @@ def sample_times(horizon: float) -> np.ndarray:
     return ts
 
 
+# The packed acceleration of a car at constant speed, for projection_terms.
+_STILL = bytes(8)
+
 # Merge cells whose pair term is evaluated at once: bounds the (cells, K)
 # temporaries of a large grid to a few MB.
 PAIR_CHUNK = 4096
@@ -290,42 +334,59 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
     for an opponent, and `on` holds the merge cells' values (None where
     they take `off`).
     """
-    ts = sample_times(horizon)
-    a_e = np.reshape(np.asarray(a_e, dtype=float), -1)
-    a_a = np.reshape(np.asarray(a_a, dtype=float), -1)
+    a_e = np.asarray(a_e, dtype=float).reshape(-1)
+    a_a = np.asarray(a_a, dtype=float).reshape(-1)
     sigma = np.zeros(a_e.shape, dtype=int) + sigma
     target = ego_lane + sigma
     moving = sigma != 0
-    bounds = list(itertools.accumulate(widths))
     if tracks is not None:
         (se, ve), (sa, va) = tracks
     else:
+        ts = sample_times(horizon)
         se, ve = propagate(ego.s, ego.v, a_e[:, None], ts)
         if acs:
             sa, va = (np.concatenate(x) for x in zip(*(
                 propagate(ac.s, ac.v, a[:, None], ts)
-                for ac, a in zip(acs, np.split(a_a, bounds[:-1])))))
-    # A column without a car carries the ego's own lane: never a partner.
-    lane_c = np.repeat(ac_lanes, widths) if acs else np.full(len(a_a), ego_lane)
-    ri, ci = cells = np.nonzero(moving[:, None] & (target[:, None] == lane_c))
+                for ac, a in zip(acs, np.split(a_a, np.cumsum(widths)[:-1])))))
+    if acs:
+        lane_c = np.asarray(ac_lanes).repeat(widths)
+        cells = (moving[:, None] & (target[:, None] == lane_c)).nonzero()
+    else:  # a column without a car is nobody's merge partner
+        cells = (np.empty(0, dtype=np.intp),) * 2
+    ri, ci = cells
     pair = np.empty(len(ri))
     for lo in range(0, len(ri), PAIR_CHUNK):
         r, c = ri[lo:lo + PAIR_CHUNK], ci[lo:lo + PAIR_CHUNK]
-        pair[lo:lo + PAIR_CHUNK] = _gap_term(ve.take(r, 0) - va.take(c, 0),
-                                             sa.take(c, 0) - se.take(r, 0), g,
-                                             lateral=True).max(axis=-1)
+        pair[lo:lo + PAIR_CHUNK] = _worst(_gap_term(ve.take(r, 0) - va.take(c, 0),
+                                                    sa.take(c, 0) - se.take(r, 0), g,
+                                                    lateral=True))
 
-    def follow(lead, s, v):
-        # Worst following term behind the lead along each row of (s, v).
-        sl, vl = propagate(lead.s, lead.v, 0.0, ts)
-        return _gap_term(vl - v, sl - s, g, lateral=False).max(axis=-1)
+    # The leads followed, the ego's then each opponent's (None for none):
+    # the ego follows on its keep-lane rows, an opponent unless every row
+    # merges with it, which leaves it no lead. All are projected at
+    # constant speed in one call.
+    keep = sigma == 0
+    lead = nb.lead(ego_lane) if ego_style is not None else None
+    leads = [lead if lead is not None and keep.any() else None]
+    if ac_styles is not None and acs:
+        lanes = [nb.lanes[lane] for lane in ac_lanes]
+        leads += [None if lv.ac_lead is None or (moving & (target == lane)).all()
+                  else lv.ac_lead for lane, lv in zip(ac_lanes, lanes)]
+    followed = [i for i, x in enumerate(leads) if x is not None]
+    if followed:
+        sl, vl = project(projection_terms(_STILL, horizon),
+                         np.array([[leads[i].s] for i in followed]),
+                         np.array([[leads[i].v] for i in followed]))
+
+    def behind(i, s, v):
+        # Worst following term behind lead i along each row of (s, v).
+        k = followed.index(i)
+        return _worst(_gap_term(vl[k] - v, sl[k] - s, g, lateral=False))
 
     ego_parts = ac_parts = None
     if ego_style is not None:
-        keep, lead = sigma == 0, nb.lead(ego_lane)
-        ds = np.zeros(len(a_e))
-        if lead is not None and keep.any():
-            ds = np.where(keep, follow(lead, se, ve), 0.0)
+        ds = (np.zeros(len(a_e)) if leads[0] is None
+              else np.where(keep, behind(0, se, ve), 0.0))
         # Each row aims at the desired speed of its own target lane.
         moves = sorted(set(sigma.tolist()))
         targets = [nb.lanes[ego_lane + m] for m in moves]
@@ -333,39 +394,36 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
                               [INF if t.lead is None else t.lead.v for t in targets],
                               ego_style.v_factor, nb.flow_ref)
         rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
-        pe = np.square(ve[:, -1] - v_bar[np.searchsorted(moves, sigma)])
+        pe = np.square(ve[:, -1] - v_bar[np.asarray(moves).searchsorted(sigma)])
         ego_parts = ((ds[:, None], pair),
                      (rc[:, None], None), (pe[:, None], None),
                      (combine(ego_style, ds, rc, pe)[:, None],
                       combine(ego_style, pair, rc[ri], pe[ri])))
     if ac_styles is not None and acs:
-        block = np.repeat(np.arange(len(acs)), widths)
-        lanes = [nb.lanes[lane] for lane in ac_lanes]
+        n = len(a_a)
+        block = np.arange(len(acs)).repeat(widths)
         # Per car: cruise speed, lane limit, its lead's speed, style.
         car = np.array([(ac.v if lv.adjacent_v_ref is None else lv.adjacent_v_ref,
                          lv.v_max, INF if lv.ac_lead is None else lv.ac_lead.v,
                          st.v_factor, st.w_ds, st.w_rc, st.w_pe)
                         for ac, lv, st in zip(acs, lanes, ac_styles)])
-        v_ref, v_max, lead_v, v_fac, *w = car[block].T
-        ds = np.zeros(len(a_a))
-        for lane, lv, hi, n in zip(ac_lanes, lanes, bounds, widths):
-            # Rows that merge with this car everywhere leave it no lead to follow.
-            if lv.ac_lead is not None and not np.all(moving & (target == lane)):
-                ds[hi - n:hi] = follow(lv.ac_lead, sa[hi - n:hi], va[hi - n:hi])
+        # Every column, then every merge cell, in one evaluation; in a merge
+        # cell, an ego that ends up ahead becomes the column car's lead.
+        at = np.concatenate([np.arange(n), ci])
+        v_ref, v_max, lead_v, v_fac, *w = car[block.take(at)].T
+        ahead = se[:, -1].take(ri) > sa[:, -1].take(ci)
+        lead_v[n:] = np.where(ahead, ve[:, -1].take(ri), lead_v[n:])
+        ds, hi = np.zeros(n), 0
+        for b, width in enumerate(widths, 1):
+            lo, hi = hi, hi + width
+            if leads[b] is not None:
+                ds[lo:hi] = behind(b, sa[lo:hi], va[lo:hi])
         rc = comfort_cost(a_a, 0.0, 0, g)
         # The adjacent car defends its own cruise speed, not the lane limit.
-        va_end = va[:, -1]
-        pe = np.square(va_end - desired_speed(np.minimum(v_max, v_ref), lead_v, v_fac,
-                                              v_ref))
-        # A merged ego that ends up ahead becomes this car's lead.
-        m_ref, m_max, m_lead, m_fac, *wm = car[block.take(ci)].T
-        ahead = se[:, -1].take(ri) > sa[:, -1].take(ci)
-        m_lead = np.where(ahead, ve[:, -1].take(ri), m_lead)
-        pe_m = np.square(va_end.take(ci) - desired_speed(np.minimum(m_max, m_ref), m_lead,
-                                                         m_fac, m_ref))
-        ac_parts = ((ds, pair), (rc, None), (pe, pe_m),
-                    (w[0] * ds + w[1] * rc + w[2] * pe,
-                     wm[0] * pair + wm[1] * rc.take(ci) + wm[2] * pe_m))
+        pe = np.square(va[:, -1].take(at) - desired_speed(np.minimum(v_max, v_ref), lead_v,
+                                                          v_fac, v_ref))
+        j = w[0] * np.concatenate([ds, pair]) + w[1] * rc.take(at) + w[2] * pe
+        ac_parts = ((ds, pair), (rc, None), (pe[:n], pe[n:]), (j[:n], j[n:]))
     return cells, ego_parts, ac_parts
 
 

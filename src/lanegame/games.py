@@ -4,18 +4,20 @@ Two layers. The matrix cores work on plain cost matrices (rows = ego
 candidates, columns = opponent accelerations) and know nothing about
 driving; they carry the equilibrium logic and the documented index
 tie-breaks. The scene wrappers enumerate feasible candidates as arrays:
-the ego's grid in one projection, all adjacent cars' grids in one
-stacked projection, each sampled over the horizon so that the same
-projection serves the scoring. One driver plays a game per adjacent
-car on the ego's candidates, enumerated once per decision: each side
-game keeps the rows whose sigma does not move the ego onto another
-side's lane, so with a car on each side the left game keeps sigma in
-{-1, 0} and the right one {0, +1}. Every side game of a decision, and
-the solo game, is scored in one payoff call: all candidates as rows,
-each car's accelerations as its own block of columns. Each core then
-runs on its game's rows and block; the winning cell maps back to
-actions, and the ego's breakdown there is read from the parts that
-call returned.
+the ego and all adjacent cars are projected over the grid in one
+stacked call (one call per grid when the ego's and the opponents'
+differ), sampled over the horizon so that the same projection serves
+the scoring, and the feasible candidates are picked by mask from
+preference orders cached per grid. One function plays a game per
+adjacent car on the ego's candidates, enumerated once per decision:
+each side game keeps the rows whose sigma does not move the ego onto
+another side's lane, so with a car on each side the left game keeps
+sigma in {-1, 0} and the right one {0, +1}. Every side game of a
+decision, and the solo game, is scored in one payoff call: all
+candidates as rows, each car's accelerations as its own block of
+columns. Each core then runs on its game's rows and block; the winning
+cell maps back to actions, and the ego's breakdown there is read from
+the parts that call returned.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -25,13 +27,14 @@ order), which makes the index tie-break implement the documented one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    NeighborView, T_DM, pair_payoff_matrices, propagate,
-                    sample_times)
+                    NeighborView, T_DM, pair_payoff_matrices, project,
+                    projection_terms)
 # Not called here; bench/layers.py patches them on this module until ROADMAP item 2.
 from .costs import ac_cost, ego_cost  # noqa: F401
 from .errors import InfeasibleDecisionError
@@ -93,6 +96,30 @@ class ActionGrid:
             raise ValueError("sigma restriction leaves an empty set")
         return replace(self, sigmas=kept)
 
+    @functools.cached_property
+    def _packed(self) -> bytes:
+        """The accelerations as float64 bytes: the key of
+        costs.projection_terms, under which -0.0 and 0.0 stay apart."""
+        return np.array(self.accelerations).tobytes()
+
+    @functools.cached_property
+    def _orders(self):
+        """Read-only preference orders, made on first use: the
+        accelerations; the ego's order of every (sigma, a_x) pair (smaller
+        |a_x|, then sigma rank, then a_x) as flat indices, sigma position
+        times accelerations plus acceleration index, with each pair's sigma
+        and acceleration index; and an opponent's order of the
+        accelerations (smaller |a|, then a)."""
+        accs = np.frombuffer(self._packed)
+        n = len(accs)
+        a_x = np.tile(accs, len(self.sigmas))
+        sigma = np.repeat(np.asarray(self.sigmas, dtype=int), n)
+        ego = np.lexsort((a_x, _SIGMA_RANK[sigma + 1], np.abs(a_x)))
+        orders = (accs, ego, sigma[ego], ego % n, np.lexsort((accs, np.abs(accs))))
+        for x in orders:
+            x.flags.writeable = False
+        return orders
+
 
 @dataclass
 class GameSolution:
@@ -104,63 +131,76 @@ class GameSolution:
     side: int | None = None  # winning branch of a two-opponent solve
 
 
-def _envelope(nb, lane, s, s_end, v_end):
-    """Mask of end speeds inside a lane's band, its upper bound the lane
-    cap taken at each projected station s_end; and (lo, hi)."""
-    lo = nb.lanes[lane].v_min
-    hi = nb.v_cap(lane, s_end - s)
+def _envelope(nb, lanes, s, s_end, v_end):
+    """Mask of end speeds inside each lane's band, a row per lane, the
+    band's upper bound the lane cap taken at each projected station
+    s_end; and (lo, hi), a row each. s_end and v_end are one row for all
+    lanes or one row per lane, s broadcasting against s_end."""
+    ds = s_end - s
+    lo = np.array([nb.lanes[lane].v_min for lane in lanes])[:, None]
+    hi = np.empty((len(lanes), ds.shape[-1]))
+    for i, lane in enumerate(lanes):
+        hi[i] = nb.v_cap(lane, ds if ds.ndim == 1 else ds[i])
     return (lo - _VTOL <= v_end) & (v_end <= hi + _VTOL), lo, hi
 
 
+def _project(cars, grid: ActionGrid, horizon: float):
+    """Every car projected over the grid's accelerations at
+    sample_times(horizon), in one call: (s, v), each (cars, accelerations, K)."""
+    return project(projection_terms(grid._packed, horizon),
+                   np.array([c.s for c in cars])[:, None, None],
+                   np.array([c.v for c in cars])[:, None, None])
+
+
 def _ego_rows(ego: KinematicState, ego_lane: int, grid: ActionGrid,
-              nb: NeighborView, horizon: float):
+              nb: NeighborView, horizon: float, track=None):
     """The ego's feasible candidates in tie-break preference order, as
-    (sigma, a_x) arrays, and their projection (s, v) at
-    sample_times(horizon), each (candidates, K).
+    (sigma, a_x) arrays, and their rows of the grid's projection (s, v) at
+    sample_times(horizon), each (candidates, K); `track` passes in that
+    projection when the caller has made it.
 
     A candidate survives when its target lane exists, keeping an ending
     lane is still allowed, and the projected end speed stays inside the
-    speed band of its target lane. The grid is projected once, since the
-    projection does not depend on sigma, and its last sample, the
-    horizon's end, is tested per target lane.
+    speed band of its target lane. The projection does not depend on
+    sigma, so its last sample, the horizon's end, is tested per target
+    lane; the survivors keep the grid's cached order.
     """
-    accs = np.asarray(grid.accelerations)
-    s, v = propagate(ego.s, ego.v, accs[:, None], sample_times(horizon))
-    sigmas = [sg for sg in grid.sigmas if nb.has_lane(ego_lane + sg) and not (
-        sg == 0 and nb.keep_lane_blocked(ego_lane, ego.v))]
-    ok = [_envelope(nb, ego_lane + sg, ego.s, s[:, -1], v[:, -1])[0] for sg in sigmas]
-    which, idx = np.nonzero(np.reshape(ok, (len(sigmas), len(accs))))
-    sigma, a_x = np.asarray(sigmas, dtype=int)[which], accs[idx]
-    order = np.lexsort((a_x, _SIGMA_RANK[sigma + 1], np.abs(a_x)))
-    idx = idx[order]
-    return sigma[order], a_x[order], (s.take(idx, 0), v.take(idx, 0))
+    s, v = [x[0] for x in _project([ego], grid, horizon)] if track is None else track
+    accs, order, sigma, idx, _ = grid._orders
+    offered = [i for i, sg in enumerate(grid.sigmas) if nb.has_lane(ego_lane + sg)
+               and not (sg == 0 and nb.keep_lane_blocked(ego_lane, ego.v))]
+    ok = np.zeros((len(grid.sigmas), len(accs)), dtype=bool)
+    ok[offered] = _envelope(nb, [ego_lane + grid.sigmas[i] for i in offered], ego.s,
+                            s[:, -1], v[:, -1])[0]
+    keep = ok.reshape(-1)[order]
+    sigma, idx = sigma[keep], idx[keep]
+    return sigma, accs[idx], (s.take(idx, 0), v.take(idx, 0))
 
 
-def _ac_columns(acs, ac_lanes, grid: ActionGrid, nb: NeighborView, horizon: float):
+def _ac_columns(acs, ac_lanes, grid: ActionGrid, nb: NeighborView, horizon: float,
+                track=None):
     """Every adjacent car's feasible accelerations, preference-ordered,
     laid one car's block after another: (block widths, accelerations,
-    their projection (s, v) at sample_times(horizon), each (columns, K)).
-    The cars are projected over the grid in one stacked call.
+    their rows of the cars' projection (s, v) over the grid at
+    sample_times(horizon), each (columns, K)). `track` passes in that
+    projection, (cars, accelerations, K) each, when the caller has made it.
 
     A car whose lane band excludes everything keeps the least-violating
     single action (ties to the smaller |a|, then the smaller a), so each
     game always has an opponent move.
     """
-    accs = np.asarray(grid.accelerations)
-    s, v = propagate(np.array([ac.s for ac in acs])[:, None, None],
-                     np.array([ac.v for ac in acs])[:, None, None], accs[:, None],
-                     sample_times(horizon))
-    order = np.lexsort((accs, np.abs(accs)))
-    cols = []
-    for ac, lane, v_k, s_k in zip(acs, ac_lanes, v[..., -1], s[..., -1]):
-        ok, lo, hi = _envelope(nb, lane, ac.s, s_k, v_k)
-        if ok.any():
-            cols.append(order[ok[order]])
-        else:
-            violation = np.maximum(lo - v_k, v_k - hi)
-            cols.append(np.lexsort((accs, np.abs(accs), violation))[:1])
-    widths = [len(c) for c in cols]
-    block, col = np.repeat(np.arange(len(cols)), widths), np.concatenate(cols)
+    s, v = _project(acs, grid, horizon) if track is None else track
+    accs, *_, order = grid._orders
+    v_end = v[..., -1]
+    ok, lo, hi = _envelope(nb, ac_lanes, np.array([ac.s for ac in acs])[:, None],
+                           s[..., -1], v_end)
+    for i in (~ok.any(axis=1)).nonzero()[0]:
+        violation = np.maximum(lo[i] - v_end[i], v_end[i] - hi[i])
+        ok[i, np.lexsort((accs, np.abs(accs), violation))[0]] = True
+    # Each car's feasible accelerations in the cached order, car by car.
+    block, col = ok[:, order].nonzero()
+    col = order.take(col)
+    widths = np.bincount(block, minlength=len(acs)).tolist()
     return widths, accs[col], (s[block, col], v[block, col])
 
 
@@ -192,13 +232,15 @@ def nash_2p_matrices(j_row: np.ndarray, j_col: np.ndarray) -> tuple[int, int, in
     j_col = np.asarray(j_col, dtype=float)
     row_br = j_row == j_row.min(axis=0, keepdims=True)
     col_br = j_col == j_col.min(axis=1, keepdims=True)
-    rows, cols = np.nonzero(row_br & col_br)
+    rows, cols = (row_br & col_br).nonzero()
     if rows.size == 0:
         worst = j_row.max(axis=1)
-        r = int(np.argmin(worst))
-        c = int(np.argmax(j_row[r]))
+        r = int(worst.argmin())
+        c = int(j_row[r].argmax())
         return r, c, 0, True
-    best = int(np.lexsort((cols, rows, j_row[rows, cols]))[0])
+    # nonzero lists cells row by row, so the first lowest cost also has the
+    # lowest row, then column.
+    best = int(j_row[rows, cols].argmin())
     return int(rows[best]), int(cols[best]), int(rows.size), False
 
 
@@ -218,10 +260,10 @@ def stackelberg_2p_matrices(j_row: np.ndarray,
     m = j_col.min(axis=1, keepdims=True)
     br = j_col <= m + _BRTOL * np.maximum(1.0, np.abs(m))
     worst = np.where(br, j_row, -np.inf).max(axis=1)
-    r = int(np.argmin(worst))
+    r = int(worst.argmin())
     in_set = br[r] & (j_row[r] == worst[r])
-    c = int(np.argmax(in_set))
-    mult = int(np.sum(worst == worst[r]))
+    c = int(in_set.argmax())
+    mult = int((worst == worst[r]).sum())
     return r, c, mult
 
 
@@ -234,28 +276,38 @@ def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
            gains, horizon) -> GameSolution:
     """One game per side (lane, car, style) on the rows of the module
     docstring's rule; a side whose lane is absent or that keeps no row is
-    skipped, and the lowest ego total decides. Every side game is scored
-    in one payoff call, its columns one block per car, on the
-    projections the enumeration made."""
-    sigma, a_x, ego_track = _ego_rows(ego, ego_lane, ego_grid, nb, horizon)
+    skipped, and the lowest ego total decides. The ego and the cars of
+    the sides whose lanes exist are projected in one stacked call per
+    distinct grid. Every side game is scored in one payoff call, its
+    columns one block per car, on the projections the enumeration made."""
+    present = [side for side in sides if side[0] in nb.lanes]
+    cars, ego_track = [ac for _, ac, _ in present], None
+    if ego_grid._packed == ac_grid._packed:
+        s, v = _project([ego, *cars], ego_grid, horizon)
+        ego_track, ac_track = (s[0], v[0]), (s[1:], v[1:])
+    else:
+        ac_track = _project(cars, ac_grid, horizon)
+    sigma, a_x, ego_track = _ego_rows(ego, ego_lane, ego_grid, nb, horizon, ego_track)
     target = ego_lane + sigma
     played = []
-    for ac_lane, ac, ac_style in sides:
+    for k, (ac_lane, ac, ac_style) in enumerate(present):
         rows = np.arange(len(sigma))
         for other, _, _ in sides:
             if other != ac_lane:
                 rows = rows[target[rows] != other]
-        if ac_lane in nb.lanes and len(rows):
-            played.append((ac_lane, ac, ac_style, rows))
+        if len(rows):
+            played.append((ac_lane, ac, ac_style, rows, k))
     if not played:
         raise InfeasibleDecisionError("no feasible ego action")
-    ac_lanes, acs, ac_styles, _ = zip(*played)
-    widths, a_a, ac_track = _ac_columns(acs, ac_lanes, ac_grid, nb, horizon)
+    ac_lanes, acs, ac_styles, _, ks = zip(*played)
+    if len(ks) < len(present):
+        ac_track = tuple(x[list(ks)] for x in ac_track)
+    widths, a_a, ac_track = _ac_columns(acs, ac_lanes, ac_grid, nb, horizon, ac_track)
     j_e, j_a, parts = pair_payoff_matrices(
         ego, ego_lane, sigma, a_x, acs, ac_lanes, a_a, nb, ego_style, ac_styles, gains,
         horizon, widths=widths, tracks=(ego_track, ac_track))
     ac_actions, results, hi = {}, [], 0
-    for (ac_lane, _, _, rows), n in zip(played, widths):
+    for (ac_lane, _, _, rows, _), n in zip(played, widths):
         lo, hi = hi, hi + n
         # A game that keeps every row plays on views, not copies.
         sub = slice(None) if len(rows) == len(sigma) else rows
@@ -309,7 +361,7 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     j_e, _, parts = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
                                          nb, style, style, gains, horizon,
                                          tracks=(ego_track, (None, None)))
-    r = int(np.argmin(j_e[:, 0]))
+    r = int(j_e[:, 0].argmin())
     return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
                         ac_actions={}, ego_cost=_breakdown_at(j_e, parts, r, 0),
                         multiplicity=1)

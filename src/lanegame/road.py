@@ -104,9 +104,10 @@ class RoadGeometry:
         return self.radius * ang, self.radius - rr
 
     def tangent_heading(self, s):
-        """Heading of the road tangent at station s (rad, global frame)."""
+        """Heading of the road tangent at station s (rad, global frame); on
+        a straight road the scalar 0.0 for any s, which broadcasts."""
         if self.kind == "straight":
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
+            return 0.0
         return np.asarray(s, dtype=float) / self.radius if np.ndim(s) else s / self.radius
 
     def remaining(self, lane: int, s: float) -> float:

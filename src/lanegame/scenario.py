@@ -55,6 +55,14 @@ class VehicleSpec:
         return self.role.startswith("AC")
 
 
+# Longest decision horizon, s (the paper uses 3 s). A candidate holds one
+# acceleration over the whole horizon, so a minute is already far past any
+# meaningful projection; without a cap, a horizon near 1e154 s overflows
+# the projection's a·t·t and the gap term's squares, and the run commits
+# on non-finite costs.
+MAX_HORIZON = 60.0
+
+
 @dataclass
 class DecisionParams:
     horizon: float = T_DM       # projection window for candidate costs, s
@@ -65,8 +73,10 @@ class DecisionParams:
     a_brake: float = 6.0        # emergency decel for the keep-lane cutoff
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        # Written so that NaN fails too.
+        if not 0 < self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must be in (0, {MAX_HORIZON:g}] s, "
+                              f"got {self.horizon:g}")
         if self.a_end <= 0 or self.a_brake <= 0:
             raise ConfigError("a_end and a_brake must be positive")
         # A zero or negative tolerance is never met: a change never ends.

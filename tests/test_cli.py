@@ -212,6 +212,22 @@ def test_field_spread_below_floor_exits_3(tmp_path, capsys, command, name, rho):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("horizon", [1e154, 60.5])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_decision_horizon_over_the_cap_exits_3(tmp_path, capsys, command, horizon):
+    # A horizon near 1e154 s validated, and the run then committed on
+    # costs that overflowed in the projection and the gap term.
+    cfg = json.loads(_bundled_text("scenario_a"))
+    cfg["duration"] = 1.0
+    cfg["decision"]["horizon"] = horizon
+    p = tmp_path / "long_horizon.json"
+    p.write_text(json.dumps(cfg))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert f"decision: horizon must be in (0, 60] s, got {horizon:g}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block,key,value,cost", [
     ("field", "a_oc", 1e308, "inf"), ("field", "c", 1e300, "inf"),
     ("mpc", "q_diag", [1e308, 1e308, 1e308], "inf")],

@@ -342,15 +342,17 @@ def test_ac_follows_its_lead_unless_merged(gains):
 def test_one_projection_per_car(gains, monkeypatch):
     """One payoff call projects every car it involves exactly once: the
     ego and its merge partner on a merge; the ego, the AC and the lead of
-    each on keep-lane, and when keep-lane and merge rows share the call."""
+    each on keep-lane, and when keep-lane and merge rows share the call.
+    Counted at the state stage of the projection, which every projection
+    runs once per car state it is given."""
     seen = []
-    real = costs.propagate
+    real = costs.project
 
-    def counted(s, v, a, t):
-        seen.append((float(s), float(v)))
-        return real(s, v, a, t)
+    def counted(terms, s, v):
+        seen.extend(zip(np.ravel(s).tolist(), np.ravel(v).tolist()))
+        return real(terms, s, v)
 
-    monkeypatch.setattr(costs, "propagate", counted)
+    monkeypatch.setattr(costs, "project", counted)
     nb, ego, ac, ac_lane = _two_lane_merge()
     cars = {"ego": (0.0, 20.0), "ac": (4.0, 16.0), "ego lead": (45.0, 15.0),
             "ac lead": (60.0, 14.0)}

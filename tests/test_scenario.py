@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lanegame.errors import ConfigError
 from lanegame.field import FieldParams
-from lanegame.scenario import (BUNDLED, MAX_VEHICLES, DecisionParams,
+from lanegame.scenario import (BUNDLED, MAX_HORIZON, MAX_VEHICLES, DecisionParams,
                                config_from_dict, load_scenario, validate)
 from lanegame.simulate import run_simulation
 
@@ -374,6 +374,11 @@ def test_gains_and_decision_blocks():
 def test_decision_params_validate():
     with pytest.raises(ConfigError):
         DecisionParams(horizon=0.0)
+    # Library use can pass what JSON parsing refuses: NaN fails the range.
+    for bad in (NAN, INF, MAX_HORIZON * (1 + 1e-12)):
+        with pytest.raises(ConfigError, match="horizon must be in"):
+            DecisionParams(horizon=bad)
+    assert DecisionParams(horizon=MAX_HORIZON).horizon == MAX_HORIZON
     with pytest.raises(ConfigError):
         DecisionParams(a_brake=-2.0)
 

@@ -3,10 +3,11 @@
 Run: python3 demos/field_map.py
 """
 
+import math
+
 import numpy as np
 
-from lanegame.field import (FieldParams, ObstaclePose, gamma_crit,
-                            prepare_field, total_field)
+from lanegame.field import FieldParams, prepare_field, total_field
 from lanegame.road import LaneSpec, RoadGeometry
 
 SHADES = " .,:;o*#@"
@@ -16,16 +17,14 @@ def main():
     road = RoadGeometry(kind="straight", length=200.0,
                         lanes={1: LaneSpec(index=1), 2: LaneSpec(index=2)})
     params = FieldParams()
-    # A slow car ahead in lane 2 and a faster one alongside in lane 1.
-    cars = [
-        ObstaclePose(x=60.0, y=0.0, heading=0.0, v=10.0),
-        ObstaclePose(x=40.0, y=4.0, heading=0.0, v=18.0),
-    ]
-
-    field = prepare_field(cars, road, params)
+    # A slow car ahead in lane 2 and a faster one alongside in lane 1,
+    # both heading along the road: one array entry per car.
+    field = prepare_field(x=[60.0, 40.0], y=[0.0, 4.0], heading=[0.0, 0.0],
+                          v=[10.0, 18.0], road=road, params=params)
     xs = np.arange(10.0, 110.0, 2.0)
     ds = np.arange(6.5, -2.75, -0.5)
-    crit = gamma_crit(params)
+    # The inner-core threshold: the field one shape unit from a car's CoG.
+    crit = params.a_oc * math.exp(-1.0)
     print(f"risk field, inner-core threshold {crit:.2f} marked with X")
     print(f"cars at x=60 (lane 2, 10 m/s) and x=40 (lane 1, 18 m/s)")
     print()

@@ -8,7 +8,7 @@ Run: python3 demos/plan_one_step.py
 
 import numpy as np
 
-from lanegame.field import FieldParams, ObstaclePose, prepare_field
+from lanegame.field import FieldParams, prepare_field
 from lanegame.planner import MpcConfig, solve_plan
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
@@ -26,11 +26,13 @@ def main():
     x = np.zeros(NX)
     x[IVX] = 20.0
     x[IX], x[IY] = 30.0, 0.0
-    ahead = ObstaclePose(x=65.0, y=0.0, heading=0.0, v=10.0)
 
-    # Lay the scene out once; the planner coasts it along the horizon.
-    # One 0.05 s step; the preview command stays within the road edges.
-    scene = prepare_field([ahead], road, FieldParams())
+    # Lay the scene out once, one array entry per car (here the car at
+    # x = 65 m heading along the road at 10 m/s); the planner coasts it
+    # along the horizon. One 0.05 s step; the preview command stays within
+    # the road edges.
+    scene = prepare_field(x=[65.0], y=[0.0], heading=[0.0], v=[10.0], road=road,
+                          params=FieldParams())
     plan = solve_plan(x, u_prev=0.0, a_x=0.0, scene=scene, target_lane=1,
                       cfg=cfg, vp=DEFAULT_VEHICLE, dp=dp, dt=0.05,
                       u_box=(-2.0, 6.0))

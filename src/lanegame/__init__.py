@@ -1,37 +1,33 @@
 """Game-theoretic lane-change decision making with a driver-in-the-loop
 vehicle model, potential-field risk maps, and a preview-tracking planner.
 
-The usual entry points:
+The package exports the entry points that README "Library use" names,
+and the dataclasses needed to call them:
 
-- ``load_scenario`` / ``run_simulation`` / ``summarize`` for closed-loop runs
+- ``load_scenario`` / ``run_simulation`` / ``summarize`` / ``batch`` for
+  closed-loop runs
 - ``solve_nash_2p`` / ``solve_stackelberg_2p`` and the two-opponent variants
-  for standalone decision games
+  for standalone decision games, scored by ``pair_payoff_matrices``
 - ``prepare_field`` / ``total_field`` for risk-map sampling, ``solve_plan``
   for one planner step
+- ``derivatives`` / ``step`` / ``linearize`` / ``discretize`` for the
+  vehicle model
+
+Everything else is reached through its module.
 """
 
-from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    LaneView, NeighborView, comfort_cost, desired_speed,
-                    ego_cost, lateral_safety_cost, longitudinal_safety_cost,
+from .costs import (CostGains, KinematicState, LaneView, NeighborView,
                     pair_payoff_matrices)
-from .errors import (ConfigError, DomainError, InfeasibleDecisionError,
-                     LanegameError)
-from .field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
-                    prepare_field, road_field, total_field)
-from .games import (ActionGrid, GameSolution, nash_2p_matrices, solve_nash_2p,
-                    solve_nash_two_ac, solve_solo, solve_stackelberg_2p,
-                    solve_stackelberg_two_ac, stackelberg_2p_matrices)
-from .planner import MpcConfig, PlanResult, solve_plan
+from .errors import ConfigError, DomainError, InfeasibleDecisionError
+from .field import FieldParams, PreparedField, prepare_field, total_field
+from .games import (ActionGrid, solve_nash_2p, solve_nash_two_ac,
+                    solve_stackelberg_2p, solve_stackelberg_two_ac)
+from .planner import MpcConfig, solve_plan
 from .road import LaneSpec, RoadGeometry
-from .scenario import (DecisionParams, ScenarioConfig, VehicleSpec,
-                       load_scenario, validate)
-from .simulate import (RunMetrics, TraceLog, batch, comparison_csv,
-                       metrics_lines, run_simulation, summarize,
-                       write_metrics, write_trace)
-from .styles import (AGGRESSIVE, BUILTIN_STYLES, CONSERVATIVE, NORMAL,
-                     StyleProfile, style_profile)
-from .vehicle import (DEFAULT_VEHICLE, ControlInput, DriverParams,
-                      VehicleParams, derivatives, discretize, lateral_forces,
-                      linearize, step)
+from .scenario import ScenarioConfig, load_scenario
+from .simulate import batch, run_simulation, summarize
+from .styles import StyleProfile
+from .vehicle import (ControlInput, DriverParams, VehicleParams, derivatives,
+                      discretize, linearize, step)
 
 __version__ = "0.1.0"

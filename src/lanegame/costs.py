@@ -84,10 +84,6 @@ class CostBreakdown:
     j_pe: float  # efficiency
     total: float
 
-    @property
-    def feasible(self) -> bool:
-        return math.isfinite(self.total)
-
 
 INFEASIBLE = CostBreakdown(j_ds=INF, j_rc=INF, j_pe=INF, total=INF)
 

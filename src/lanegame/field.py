@@ -4,16 +4,15 @@ Two ingredients: a velocity-skewed exponential bump around each obstacle
 car, and an exponential barrier along the road edge lines. Both are summed
 into a single scalar surface that the planner reads as its first output
 channel; one `FieldParams` holds the constants of both. `prepare_field`
-lays a scene out once (obstacles stacked along a leading axis, zero-weight
-lane lines dropped), `coasted` sweeps its obstacles along a horizon, and
+lays a scene out once (one array entry per obstacle along a leading axis,
+zero-weight lane lines dropped), `coasted` sweeps its obstacles along a horizon, and
 `total_field` queries it; all query arguments broadcast, so a whole
 prediction horizon (or a batch of candidate horizons) evaluates in one
 call. A prepared field lines its arrays up with a query once per query
 rank and keeps that layout, so repeated queries of one rank, such as the
 batches of a planner solve, do only the arithmetic that depends on the
-query points. `_bumps` is the one obstacle-field formula, shared by the
-stacked and the single-pose paths, and `_barrier` the one lane-line
-formula.
+query points. `_bumps` is the one obstacle-field formula and `_barrier`
+the one lane-line formula.
 
 Obstacles and lines are summed with `.sum(axis=0)`, which numpy takes
 row after row, bit for bit a per-obstacle loop. Only a one-point query
@@ -77,21 +76,6 @@ class FieldParams:
             raise ValueError("a_r and w must be positive, d_safe nonnegative")
 
 
-@dataclass(frozen=True)
-class ObstaclePose:
-    """Obstacle car pose and speed in global coordinates."""
-
-    x: float
-    y: float
-    heading: float = 0.0
-    v: float = 0.0
-
-
-def gamma_crit(p: FieldParams) -> float:
-    """Inner-core threshold: the field value one shape unit from the CoG."""
-    return p.a_oc * math.exp(-1.0)
-
-
 def _bumps(dx, dy, cos_h, sin_h, cv, p: FieldParams) -> np.ndarray:
     """The obstacle bump at offsets (dx, dy) from the obstacle CoG.
 
@@ -127,14 +111,6 @@ def _bumps(dx, dy, cos_h, sin_h, cv, p: FieldParams) -> np.ndarray:
     return skew[()]
 
 
-def obstacle_field(qx, qy, obs: ObstaclePose, p: FieldParams) -> np.ndarray:
-    """Field of one obstacle car at query position(s) (qx, qy)."""
-    qx = np.asarray(qx, dtype=float)
-    qy = np.asarray(qy, dtype=float)
-    return _bumps(qx - obs.x, qy - obs.y, math.cos(obs.heading),
-                  math.sin(obs.heading), p.c * obs.v, p)
-
-
 def _weighted_lines(road: RoadGeometry, p: FieldParams):
     """(lateral offsets, weight * a_r) of the lane lines with non-zero weight."""
     d_left, _ = road.lateral_extent()
@@ -160,10 +136,11 @@ def _leading(a: np.ndarray, ndim: int) -> np.ndarray:
 
 def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
              p: FieldParams) -> np.ndarray:
-    """Lane-line barrier at road coordinates (s, d), summed over the lines.
-
-    `offsets` and `gains` are the weighted lines laid out by `_leading`
-    with one axis more than d, so the leading axis runs over the lines.
+    """Lane-line barrier at road coordinates (s, d), summed over the lines:
+    weight * a_r * exp(-|d - d_e| + d_safe + 0.5*w) for the line at lateral
+    offset d_e, on straight and arc roads alike. `offsets` and `gains` are
+    the weighted lines laid out by `_leading` with one axis more than d, so
+    the leading axis runs over the lines.
     """
     if np.less(s, -1e-9).any() or np.greater(s, road.length + 1e-9).any():
         raise DomainError("query station outside the road's station range")
@@ -174,22 +151,6 @@ def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
     np.exp(terms, out=terms)
     terms *= gains
     return terms.sum(axis=0)
-
-
-def road_field(qx, qy, road: RoadGeometry, p: FieldParams) -> np.ndarray:
-    """Summed lane-line barrier at query position(s) (qx, qy).
-
-    Each weighted line contributes a_r * exp(-d + d_safe + 0.5*w) where d
-    is the distance from the query to that line. For both straight and arc
-    roads the distance to a line at lateral offset d_e is |d - d_e| in
-    road coordinates.
-    """
-    qx = np.asarray(qx, dtype=float)
-    qy = np.asarray(qy, dtype=float)
-    s, d = road.to_frenet(qx, qy)
-    offsets, gains = _weighted_lines(road, p)
-    lines = np.ndim(d) + 1
-    return _barrier(s, d, road, _leading(offsets, lines), _leading(gains, lines), p)
 
 
 @dataclass(frozen=True)
@@ -223,17 +184,16 @@ class PreparedField:
                                      compare=False)
 
 
-def prepare_field(obstacles, road: RoadGeometry, params: FieldParams) -> PreparedField:
-    """Stack scalar obstacle poses and keep the weighted lines."""
-    obstacles = list(obstacles)
+def prepare_field(x, y, heading, v, road: RoadGeometry,
+                  params: FieldParams) -> PreparedField:
+    """Lay out obstacles given as (n_obs,) arrays of global position, heading
+    and speed, and keep the weighted lines."""
+    heading = np.asarray(heading, dtype=float)
     offsets, gains = _weighted_lines(road, params)
-    return PreparedField(
-        x=np.array([o.x for o in obstacles], dtype=float),
-        y=np.array([o.y for o in obstacles], dtype=float),
-        cos=np.array([math.cos(o.heading) for o in obstacles]),
-        sin=np.array([math.sin(o.heading) for o in obstacles]),
-        v=np.array([o.v for o in obstacles], dtype=float),
-        road=road, offsets=offsets, gains=gains, params=params)
+    return PreparedField(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
+                         cos=np.cos(heading), sin=np.sin(heading),
+                         v=np.asarray(v, dtype=float),
+                         road=road, offsets=offsets, gains=gains, params=params)
 
 
 def coasted(field: PreparedField, t: np.ndarray) -> PreparedField:

@@ -35,7 +35,7 @@ import numpy as np
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
                     NeighborView, T_DM, pair_payoff_matrices, project,
                     projection_terms)
-# Not called here; bench/layers.py patches them on this module until ROADMAP item 2.
+# Not called here; bench/layers.py patches them on this module until ROADMAP item 1.
 from .costs import ac_cost, ego_cost  # noqa: F401
 from .errors import InfeasibleDecisionError
 from .styles import StyleProfile

@@ -250,7 +250,8 @@ def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
         out = np.empty_like(du)
     if box_free:
         return np.minimum(np.maximum(du, cfg.du_min), cfg.du_max, out=out)
-    u = np.full(du.shape[:-1], float(u_prev))
+    u = np.empty(du.shape[:-1])
+    u.fill(u_prev)
     for j in range(du.shape[-1]):
         lo, hi = _bounds(u, u_box, cfg)
         u += np.minimum(np.maximum(du[..., j], lo), hi, out=out[..., j])
@@ -401,7 +402,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         np.add(trials[0], probes, out=batch[n_trials:])
         ys = outputs_of(batch)
         vals = mpc_cost(ys[:n_trials], trials, w, r)
-        k = int(np.argmin(vals))
+        k = int(vals.argmin())
         if not vals[k] < best:
             break
         drop = best - float(vals[k])
@@ -412,7 +413,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
 
     # A run that accepted no step stopped in its first iteration, so
     # gnorm is still the first gradient's.
-    degraded = not np.any(du) and 2.0 * gnorm > 1e-6
+    degraded = not du.any() and 2.0 * gnorm > 1e-6
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
                       predicted_states=model.states(du), predicted_outputs=y,

@@ -36,6 +36,9 @@ EGO_ROLE = "EC"
 # Largest roster validate accepts. Every car but the ego is an obstacle of
 # the planner's field; planner.MAX_PLAN_CELLS gives the peak this allows.
 MAX_VEHICLES = 16
+# Shortest start gap, m, between two cars on one lane: one car length, the
+# vehicle-length margin CostGains.l_v. Closer, they start in contact.
+CAR_LENGTH = 5.0
 
 BUNDLED = ("scenario_a", "scenario_b")
 
@@ -294,6 +297,13 @@ def validate(cfg: ScenarioConfig) -> list[str]:
             strategic_lanes.add(v.lane)
         if v.style not in BUILTIN_STYLES:
             problems.append(f"vehicles[{i}].style: unknown style {v.style!r}")
+    # Sorted by lane and station, each car's next entry is its car ahead.
+    placed = sorted((v.lane, v.s, v.role) for v in cfg.vehicles if math.isfinite(v.s))
+    for (lane, s, role), (ahead_lane, ahead_s, ahead_role) in zip(placed, placed[1:]):
+        if lane == ahead_lane and ahead_s - s < CAR_LENGTH:
+            problems.append(f"vehicles: {role!r} and {ahead_role!r} start "
+                            f"{ahead_s - s:.2f} m apart on lane {lane}, closer than "
+                            f"a car length ({CAR_LENGTH:g} m)")
     if cfg.strategy not in STRATEGIES:
         problems.append(f"strategy: must be one of {STRATEGIES}")
     if not 0 < cfg.duration < math.inf:   # NaN fails too

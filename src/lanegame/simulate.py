@@ -39,8 +39,7 @@ from .costs import (KinematicState, LaneView, NeighborView, combine,
                     comfort_cost, lane_change_lat_accel, lateral_safety_cost,
                     longitudinal_safety_cost)
 from .errors import ConfigError, DomainError, InfeasibleDecisionError
-from .field import (FieldParams, ObstaclePose, PreparedField, prepare_field,
-                    total_field)
+from .field import FieldParams, PreparedField, prepare_field, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
 from .planner import MpcConfig, solve_plan
@@ -235,10 +234,12 @@ def initial_cars(cfg: ScenarioConfig) -> list[_Car]:
 
 def prepare_scene(road: RoadGeometry, cars: list[_Car],
                   params: FieldParams) -> PreparedField:
-    """The other cars at their global poses, laid out as the field's obstacles."""
-    poses = [ObstaclePose(*map(float, road.to_global(c.s, c.d)),
-                          heading=float(road.tangent_heading(c.s)), v=c.v) for c in cars]
-    return prepare_field(poses, road, params)
+    """The other cars at their global poses, laid out as the field's obstacles;
+    a straight road's scalar heading broadcasts to the car count."""
+    s = np.array([c.s for c in cars], dtype=float)
+    x, y = road.to_global(s, np.array([c.d for c in cars], dtype=float))
+    heading = np.broadcast_to(road.tangent_heading(s), s.shape)
+    return prepare_field(x, y, heading, [c.v for c in cars], road, params)
 
 
 def _lane_share_clearance(ego_d, ego_x, ego_y, cars, scene: PreparedField) -> float:
@@ -374,7 +375,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
             row += [c.s, c.d, c.v, c.a]
         trace.rows.append(row)
 
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             trace.aborted = True
             trace.abort_reason = f"non-finite ego state after t={t:.2f}"
             break

@@ -18,8 +18,7 @@ from scipy.integrate import solve_ivp
 
 from lanegame.costs import (CostGains, KinematicState, LaneView, ac_cost,
                             ego_cost)
-from lanegame.field import (FieldParams, ObstaclePose, gamma_crit, obstacle_field,
-                            prepare_field, road_field)
+from lanegame.field import FieldParams
 from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
                             nash_2p_matrices, solve_nash_2p, solve_nash_two_ac,
                             solve_stackelberg_2p, solve_stackelberg_two_ac,
@@ -33,6 +32,7 @@ from lanegame.vehicle import (DEFAULT_VEHICLE, IVX, NX, ControlInput,
                               derivatives, discretize, linearize)
 
 from conftest import make_neighbors
+from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
 
 STYLES = ("aggressive", "normal", "conservative")
 STRATS = ("nash", "stackelberg")
@@ -376,7 +376,9 @@ def test_style_signature(merge_runs, overtake_runs):
 def test_planner_safety(merge_runs, overtake_runs):
     for cfg, ms in ((merge_runs[0], merge_runs[1]),
                     (overtake_runs[0], overtake_runs[1])):
-        limit = gamma_crit(cfg.field)
+        # The inner-core level: the field one shape unit from an obstacle's
+        # CoG, where the bump's exponent is exactly -1.
+        limit = cfg.field.a_oc * math.exp(-1.0)
         for key, m in ms.items():
             assert m.min_clearance > 5.0, (key, m.min_clearance)
             assert m.max_field <= limit, (key, m.max_field, limit)
@@ -406,7 +408,7 @@ def test_planner_invariants(merge_runs, overtake_runs):
         x0[5] = rng.uniform(-1.0, 5.0)
         obstacles = [ObstaclePose(x=float(rng.uniform(10.0, 50.0)), y=0.0,
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
-        plan = solve_plan(x0, 0.0, 0.0, prepare_field(obstacles, road, params), 1,
+        plan = solve_plan(x0, 0.0, 0.0, prepare_poses(obstacles, road, params), 1,
                           cfg, vp, dp, 0.05, (lo, hi))
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)

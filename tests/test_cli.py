@@ -90,12 +90,16 @@ BAD_VALUES = [
     # Another car starting above its lane's band would be clipped in one step.
     (lambda c: c["vehicles"][1].update(v=28.0),
      "vehicles[1].v: 28 m/s is outside lane 1's speed band [0, 25]"),
+    # The ego and a car ahead on its lane, 1.46 m apart, would start in contact.
+    (lambda c: (c["vehicles"][0].update(s=41.48),
+                c["vehicles"].append({"role": "LC", "lane": 2, "s": 42.94, "v": 15.0})),
+     "vehicles: 'EC' and 'LC' start 1.46 m apart on lane 2"),
 ]
 
 
 @pytest.mark.parametrize("mutate,needle", BAD_VALUES,
                          ids=["band_reversed", "band_negative", "lane_fraction",
-                              "grid_v_max", "car_above_band"])
+                              "grid_v_max", "car_above_band", "cars_in_contact"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scenario_value_exits_3(tmp_path, capsys, command, mutate, needle):
     cfg = json.loads(_bundled_text("scenario_a"))

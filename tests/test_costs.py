@@ -150,14 +150,14 @@ def test_ego_cost_total_is_weighted_sum(gains):
                   {1: -0.5}, nb, st, gains)
     assert cb.total == pytest.approx(
         st.w_ds * cb.j_ds + st.w_rc * cb.j_rc + st.w_pe * cb.j_pe, rel=1e-12)
-    assert cb.feasible
+    assert math.isfinite(cb.total)
 
 
 def test_ego_cost_infeasible_cases(gains):
     nb = make_neighbors()
     off_road = ego_cost(KinematicState(0.0, 20.0), 2, DecisionAction(1, 0.0),
                         {}, nb, _style(), gains)
-    assert off_road == INFEASIBLE and not off_road.feasible
+    assert off_road == INFEASIBLE and not math.isfinite(off_road.total)
     nb_end = make_neighbors(end_remaining={2: 40.0})
     blocked = ego_cost(KinematicState(0.0, 20.0), 2, DecisionAction(0, 0.0),
                        {}, nb_end, _style(), gains)

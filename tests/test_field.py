@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from lanegame import field as field_module
 from lanegame.errors import DomainError
-from lanegame.field import (RHO_MIN, FieldParams, ObstaclePose, coasted, gamma_crit,
-                            obstacle_field, prepare_field, road_field, total_field)
+from lanegame.field import RHO_MIN, FieldParams, coasted, total_field
+
+from reference import ObstaclePose, gamma_crit, obstacle_field, prepare_poses, road_field
 
 P = FieldParams(a_oc=50.0, rho_x=8.0, rho_y=1.2, b=1.0, c=0.05)
 
@@ -67,7 +68,7 @@ def test_coasted_field_matches_scalar_poses(two_lane_road):
     h, v = 0.3, 14.0
     xs = 2.0 + v * t * math.cos(h)
     ys = -1.0 + v * t * math.sin(h)
-    scene = prepare_field([ObstaclePose(x=2.0, y=-1.0, heading=h, v=v)],
+    scene = prepare_poses([ObstaclePose(x=2.0, y=-1.0, heading=h, v=v)],
                           two_lane_road, replace(P, edge_weight=0.0))   # no lines
     qx = np.linspace(0.0, 12.0, 5)
     qy = np.linspace(-2.0, 2.0, 5)
@@ -222,7 +223,7 @@ def test_total_is_sum_of_parts(two_lane_road):
     obs = [ObstaclePose(x=30.0, y=0.0, v=10.0), ObstaclePose(x=60.0, y=4.0, v=5.0)]
     qx = np.linspace(10.0, 80.0, 15)
     qy = np.linspace(-1.0, 5.0, 15)
-    total = total_field(qx, qy, prepare_field(obs, two_lane_road, P))
+    total = total_field(qx, qy, prepare_poses(obs, two_lane_road, P))
     parts = (obstacle_field(qx, qy, obs[0], P) + obstacle_field(qx, qy, obs[1], P)
              + road_field(qx, qy, two_lane_road, P))
     assert np.allclose(total, parts, rtol=1e-14)
@@ -301,8 +302,8 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
     rows = int(rng.integers(1, 26))
     qx, qy = road.to_global(rng.uniform(100.0, 160.0, (rows, t.size)),
                             rng.uniform(-5.0, 5.0, (rows, t.size)))
-    for poses, field in ((fixed, prepare_field(fixed, road, p)),
-                         (swept, coasted(prepare_field(fixed, road, p), t))):
+    for poses, field in ((fixed, prepare_poses(fixed, road, p)),
+                         (swept, coasted(prepare_poses(fixed, road, p), t))):
         want = _reference_field(qx, qy, poses, road, p)
         assert np.array_equal(total_field(qx, qy, field), want)
         # Road coordinates handed in give the same values.
@@ -313,7 +314,7 @@ def test_stacked_field_matches_obstacle_loop(seed, two_lane_road, three_lane_arc
         with pytest.raises(DomainError):
             total_field(off_x, off_y, field)
     # One point at a time, as simulate queries the field at the ego.
-    field = prepare_field(fixed, road, p)
+    field = prepare_poses(fixed, road, p)
     for i in range(rows):
         assert np.array_equal(total_field(qx[i, 0], qy[i, 0], field),
                               _reference_field(qx[i, 0], qy[i, 0], fixed, road, p))

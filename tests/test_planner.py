@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from lanegame import planner
 from lanegame.errors import DomainError
-from lanegame.field import (FieldParams, ObstaclePose, coasted, obstacle_field,
-                            prepare_field, road_field, total_field)
+from lanegame.field import FieldParams, coasted, total_field
 from lanegame.planner import (CHANNELS, FD_STEP, GRADIENT_STEPS, MAX_HORIZON_STEPS,
                               MAX_PLAN_CELLS, NEWTON_STEPS, HorizonModel, MpcConfig,
                               PlanResult, _bounds, _outputs, _project, mpc_cost,
                               solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
+
+from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
 
 VP = VehicleParams()
 DP = style_profile("normal").driver
@@ -85,7 +86,7 @@ def test_config_validation(two_lane_road):
     for dt, box in ((0.0, BOX), (float("nan"), BOX), (DT, (1.0, -1.0)),
                     (DT, (float("nan"), 1.0))):
         with pytest.raises(ValueError, match="dt > 0 .* lo <= hi"):
-            solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 1,
+            solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 1,
                        small_cfg(), VP, DP, dt, box)
 
 
@@ -103,7 +104,7 @@ def test_non_finite_zero_increment_cost_is_a_domain_error(field, q_diag, cost,
            ObstaclePose(x=30.0, y=100.0, heading=0.0, v=10.0)]
     with np.errstate(all="ignore"), pytest.raises(
             DomainError, match=f"the zero-increment horizon cost is {cost}"):
-        solve_plan(_x0(), 0.0, 0.0, prepare_field(obs, two_lane_road, field), 1,
+        solve_plan(_x0(), 0.0, 0.0, prepare_poses(obs, two_lane_road, field), 1,
                    small_cfg(q_diag=q_diag), VP, DP, DT, BOX)
 
 
@@ -211,14 +212,14 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
         qx, qy = poses[..., 0], poses[..., 1]
         for road in (two_lane_road, three_lane_arc):
             for obstacles in ([], cars[:1], cars):
-                scene = prepare_field(obstacles, road, FP)
+                scene = prepare_poses(obstacles, road, FP)
                 for q in (np.s_[...], np.s_[0, 0], np.s_[rows // 2], np.s_[1:]):
                     got = total_field(qx[q], qy[q], scene)
-                    want = total_field(qx[q], qy[q], prepare_field(obstacles, road, FP))
+                    want = total_field(qx[q], qy[q], prepare_poses(obstacles, road, FP))
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 field = coasted(scene, _times(n_p))
                 ys = _outputs(poses, field, 1)
-                want = _outputs(poses, coasted(prepare_field(obstacles, road, FP),
+                want = _outputs(poses, coasted(prepare_poses(obstacles, road, FP),
                                                _times(n_p)), 1)
                 assert ys.tobytes() == want.tobytes()
                 for b in (0, rows // 2, rows - 1):
@@ -260,7 +261,7 @@ def test_coasted_sweeps_constant_velocity(rng, two_lane_road, three_lane_arc):
                 obstacles.append(ObstaclePose(
                     x=float(x), y=float(y), heading=float(road.tangent_heading(s)),
                     v=float(rng.choice([0.0, rng.uniform(5.0, 30.0)]))))
-            scene = prepare_field(obstacles, road, FP)
+            scene = prepare_poses(obstacles, road, FP)
             swept = coasted(scene, t)
             want_x, want_y = _swept_one_pose_at_a_time(obstacles, t)
             assert swept.x.shape == swept.y.shape == (n_obs, t.size)
@@ -276,7 +277,7 @@ def test_outputs_channels(two_lane_road):
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     states = m.states(np.zeros(cfg.n_c))
-    field = coasted(prepare_field(obs, two_lane_road, FP), _times(cfg.n_p))
+    field = coasted(prepare_poses(obs, two_lane_road, FP), _times(cfg.n_p))
     y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
@@ -284,7 +285,7 @@ def test_outputs_channels(two_lane_road):
     for i in range(cfg.n_p):
         stepped = [ObstaclePose(x=30.0 + 10.0 * t[i], y=0.0, heading=0.0, v=10.0)]
         ref = total_field(states[i, IX], states[i, IY],
-                          prepare_field(stepped, two_lane_road, FP))
+                          prepare_poses(stepped, two_lane_road, FP))
         assert y[i, 0] == pytest.approx(float(ref), rel=1e-12)
     # Lane 1 centerline sits at +4 on this road; the ego starts at 0.
     s, d = two_lane_road.to_frenet(states[:, IX], states[:, IY])
@@ -394,7 +395,7 @@ def test_project_clips_only_where_the_u_box_cannot_bind(two_lane_road, monkeypat
     # calls per projected batch, and one per active-set test. Each batch
     # equals the sequential projection bit for bit.
     cfg = small_cfg(du_min=-0.25, du_max=0.25)
-    scene = prepare_field([], two_lane_road, FP)
+    scene = prepare_poses([], two_lane_road, FP)
     for u_prev, box, rows_bound in ((0.0, BOX, "none"), (0.5, (-1.0, 1.0), "some"),
                                     (0.0, (-1.0, 1.0), "none")):
         box_free = box == BOX
@@ -607,7 +608,7 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     # beats it, never loses to zero increments, and keeps the boxes.
     road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
         seed, two_lane_road, three_lane_arc)
-    plan = solve_plan(x0, u_prev, a_x, prepare_field(obstacles, road, FP), target,
+    plan = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP), target,
                       cfg, VP, DP, DT, box)
     reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
     assert plan.cost <= reference * (1.0 + 1e-3)
@@ -628,7 +629,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     which the search went on.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
-    prepared = coasted(prepare_field(obstacles, road, FP), _times(cfg.n_p))
+    prepared = coasted(prepare_poses(obstacles, road, FP), _times(cfg.n_p))
     w, r, n_c = np.array(cfg.q_diag), cfg.r, cfg.n_c
     eye = np.eye(n_c)
 
@@ -722,7 +723,7 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
         want, after = _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road,
                                              target, cfg, box)
         rows, bounds = _rows_per_outputs_call(monkeypatch)
-        got = solve_plan(x0, u_prev, a_x, prepare_field(obstacles, road, FP), target,
+        got = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP), target,
                          cfg, VP, DP, DT, box)
         monkeypatch.undo()
         for f in dataclasses.fields(PlanResult):
@@ -752,7 +753,7 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     rng = np.random.default_rng(seed)
     road = two_lane_road if seed % 2 else three_lane_arc
     x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
-    scene = prepare_field(obstacles, road, FP)
+    scene = prepare_poses(obstacles, road, FP)
     plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
     prepared = coasted(scene, _times(cfg.n_p))
@@ -770,7 +771,7 @@ def test_plan_never_beats_zero_baseline(two_lane_road, rng):
         x0 = _x0(v=rng.uniform(10.0, 25.0), y=rng.uniform(-1.0, 5.0))
         obs = [ObstaclePose(x=rng.uniform(10.0, 40.0), y=0.0, heading=0.0,
                             v=rng.uniform(5.0, 15.0))]
-        plan = solve_plan(x0, 0.0, 0.0, prepare_field(obs, two_lane_road, FP), 1,
+        plan = solve_plan(x0, 0.0, 0.0, prepare_poses(obs, two_lane_road, FP), 1,
                           cfg, VP, DP, DT, BOX)
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
@@ -785,7 +786,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     # the target to lane 1 must pull the command upward and strictly
     # improve on doing nothing.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 1,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 1,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
@@ -800,7 +801,7 @@ def test_plan_at_rest_point_stays_put(two_lane_road):
     # and the optimizer must keep the zero sequence rather than wander.
     cfg = small_cfg()
     quiet = FieldParams(edge_weight=0.0, interior_weight=0.0)
-    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, quiet), 2,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, quiet), 2,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost_zero == pytest.approx(0.0, abs=1e-18)
     assert plan.cost == pytest.approx(plan.cost_zero, abs=1e-18)
@@ -812,7 +813,7 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     # The live road field pulls slightly toward the road center; the lane
     # tracking term must keep that drift to centimeters over the horizon.
     cfg = small_cfg()
-    plan = solve_plan(_x0(), 0.0, 0.0, prepare_field([], two_lane_road, FP), 2,
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 2,
                       cfg, VP, DP, DT, BOX)
     assert plan.cost <= plan.cost_zero
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
@@ -822,7 +823,7 @@ def test_applied_command_is_first_increment(two_lane_road):
     # Receding horizon: only the first increment of the plan is applied.
     cfg = small_cfg()
     obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
-    plan = solve_plan(_x0(), 0.4, 0.0, prepare_field(obs, two_lane_road, FP), 1,
+    plan = solve_plan(_x0(), 0.4, 0.0, prepare_poses(obs, two_lane_road, FP), 1,
                       cfg, VP, DP, DT, BOX)
     assert np.any(plan.du_sequence != 0.0)
     assert plan.u_applied == 0.4 + plan.du_sequence[0]

@@ -7,10 +7,12 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lanegame.costs import CostGains
 from lanegame.errors import ConfigError
 from lanegame.field import FieldParams
-from lanegame.scenario import (BUNDLED, MAX_HORIZON, MAX_VEHICLES, DecisionParams,
-                               config_from_dict, load_scenario, validate)
+from lanegame.scenario import (BUNDLED, CAR_LENGTH, MAX_HORIZON, MAX_VEHICLES,
+                               DecisionParams, config_from_dict, load_scenario,
+                               validate)
 from lanegame.simulate import run_simulation
 
 
@@ -358,6 +360,24 @@ def test_largest_roster_validates():
     doc["vehicles"].extend({"role": f"LC{i}", "lane": 1, "s": 100.0 + 10.0 * i, "v": 20.0}
                            for i in range(MAX_VEHICLES - 2))
     assert len(config_from_dict(doc).vehicles) == MAX_VEHICLES
+
+
+def test_cars_on_one_lane_start_a_car_length_apart():
+    # EC and LC 1.46 m apart on lane 2 would start in contact; the check
+    # names both, whichever order the roster lists them in.
+    doc = minimal_doc()
+    doc["vehicles"][0]["s"] = 41.48
+    doc["vehicles"].insert(0, {"role": "LC", "lane": 2, "s": 42.94, "v": 15.0})
+    with pytest.raises(ConfigError, match=r"vehicles: 'EC' and 'LC' start 1\.46 m apart "
+                                          r"on lane 2, closer than a car length \(5 m\)"):
+        config_from_dict(doc)
+    # Exactly a car length apart, or side by side on two lanes, they start.
+    doc["vehicles"][1]["s"] = 40.0
+    doc["vehicles"][0]["s"] = 40.0 + CAR_LENGTH
+    assert validate(config_from_dict(doc)) == []
+    doc["vehicles"][0].update(s=40.0, lane=1)
+    assert validate(config_from_dict(doc)) == []
+    assert CAR_LENGTH == CostGains().l_v
 
 
 def test_gains_and_decision_blocks():

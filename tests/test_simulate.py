@@ -90,6 +90,34 @@ def test_one_field_layout_per_step(merge_cfg, monkeypatch):
     assert len(calls) == len(tr.rows)
 
 
+@pytest.mark.parametrize("n_cars", [0, 1, 3])
+@pytest.mark.parametrize("radius", [None, 2000.0, 300.0], ids=["straight", "arc", "tight_arc"])
+def test_prepare_scene_matches_the_per_car_scalar_path(n_cars, radius):
+    # The closed loop places the other cars with one array call each of
+    # to_global and tangent_heading. Bit for bit, that is every car placed
+    # on its own: scalar calls, and math.cos / math.sin of its heading.
+    road = (RoadGeometry(length=500.0) if radius is None else
+            RoadGeometry(kind="arc", radius=radius, length=600.0,
+                         lanes={i: LaneSpec(index=i) for i in (1, 2, 3)}))
+    rng = np.random.default_rng(n_cars)
+    for _ in range(50):
+        cars = [_Car(role=f"C{k}", lane=1, strategic=False, style="normal",
+                     s=float(rng.uniform(0.0, 500.0)), d=float(rng.uniform(-6.0, 6.0)),
+                     v=float(rng.uniform(0.0, 30.0)), v_ref=20.0)
+                for k in range(n_cars)]
+        poses = [(*map(float, road.to_global(c.s, c.d)), float(road.tangent_heading(c.s)))
+                 for c in cars]
+        want = {"x": [x for x, _, _ in poses], "y": [y for _, y, _ in poses],
+                "cos": [math.cos(h) for _, _, h in poses],
+                "sin": [math.sin(h) for _, _, h in poses], "v": [c.v for c in cars]}
+        scene = simulate.prepare_scene(road, cars, field.FieldParams())
+        for name, values in want.items():
+            got = getattr(scene, name)
+            assert got.shape == (n_cars,) and got.dtype == np.float64, name
+            assert got.tobytes() == np.array(values, dtype=float).tobytes(), name
+        assert scene.road is road
+
+
 def test_repeat_runs_byte_identical(merge_cfg, tmp_path):
     cfg = replace(merge_cfg, duration=1.0)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,10 +7,11 @@ projections of every involved car, not on the instantaneous scene; the
 safety terms take their worst value along the projection so a candidate
 cannot score well by teleporting past a conflict. One payoff call
 scores all side games of a decision for both players, each opponent's
-accelerations a block of columns, and returns the ego's parts. Every
-car is projected once; merge partners share one lateral pair term,
-and off the merge cells each player's cost depends on its own action
-alone, so only the merge cells are evaluated per cell.
+accelerations a block of columns. Every car is projected once; merge
+partners share one lateral pair term, and off the merge cells each
+player's cost depends on its own action alone, so only the merge cells
+are evaluated per cell. A cell's breakdown is read from those parts by
+`breakdown_at`, and `ego_cost`/`ac_cost` are the same call on one cell.
 
 A projection has two stages. Its acceleration-only terms are cached
 read-only per (accelerations, horizon) by `projection_terms`, keyed on
@@ -300,9 +301,8 @@ PAIR_CHUNK = 4096
 
 
 def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
-                ego_style: StyleProfile | None, acs, ac_lanes, widths, a_a,
-                ac_styles, nb: NeighborView, g: CostGains, horizon: float,
-                tracks=None):
+                ego_style: StyleProfile, acs, ac_lanes, widths, a_a, ac_styles,
+                nb: NeighborView, g: CostGains, horizon: float, tracks=None):
     """Safety/comfort/efficiency parts of the ego and the opponents.
 
     Rows are the ego accelerations a_e, each with its lane move in sigma
@@ -325,10 +325,10 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
 
     Returns (cells, ego, ac): the merge cells as (rows, columns) index
     arrays, and per player (j_ds, j_rc, j_pe, total), each an (off, on)
-    pair, or None for a player whose style is not given: `off`
-    broadcasts to the matrix shape, per row for the ego and per column
-    for an opponent, and `on` holds the merge cells' values (None where
-    they take `off`).
+    pair (ac None with no opponent): `off` broadcasts to the matrix
+    shape, a column (rows, 1) for the ego and a row (columns,) for the
+    opponents, and `on` holds the merge cells' values (None where they
+    take `off`). `breakdown_at` reads one cell of them.
     """
     a_e = np.asarray(a_e, dtype=float).reshape(-1)
     a_a = np.asarray(a_a, dtype=float).reshape(-1)
@@ -362,9 +362,9 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
     # merges with it, which leaves it no lead. All are projected at
     # constant speed in one call.
     keep = sigma == 0
-    lead = nb.lead(ego_lane) if ego_style is not None else None
+    lead = nb.lead(ego_lane)
     leads = [lead if lead is not None and keep.any() else None]
-    if ac_styles is not None and acs:
+    if acs:
         lanes = [nb.lanes[lane] for lane in ac_lanes]
         leads += [None if lv.ac_lead is None or (moving & (target == lane)).all()
                   else lv.ac_lead for lane, lv in zip(ac_lanes, lanes)]
@@ -379,23 +379,22 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
         k = followed.index(i)
         return _worst(_gap_term(vl[k] - v, sl[k] - s, g, lateral=False))
 
-    ego_parts = ac_parts = None
-    if ego_style is not None:
-        ds = (np.zeros(len(a_e)) if leads[0] is None
-              else np.where(keep, behind(0, se, ve), 0.0))
-        # Each row aims at the desired speed of its own target lane.
-        moves = sorted(set(sigma.tolist()))
-        targets = [nb.lanes[ego_lane + m] for m in moves]
-        v_bar = desired_speed([t.v_max for t in targets],
-                              [INF if t.lead is None else t.lead.v for t in targets],
-                              ego_style.v_factor, nb.flow_ref)
-        rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
-        pe = np.square(ve[:, -1] - v_bar[np.asarray(moves).searchsorted(sigma)])
-        ego_parts = ((ds[:, None], pair),
-                     (rc[:, None], None), (pe[:, None], None),
-                     (combine(ego_style, ds, rc, pe)[:, None],
-                      combine(ego_style, pair, rc[ri], pe[ri])))
-    if ac_styles is not None and acs:
+    ds = (np.zeros(len(a_e)) if leads[0] is None
+          else np.where(keep, behind(0, se, ve), 0.0))
+    # Each row aims at the desired speed of its own target lane.
+    moves = sorted(set(sigma.tolist()))
+    targets = [nb.lanes[ego_lane + m] for m in moves]
+    v_bar = desired_speed([t.v_max for t in targets],
+                          [INF if t.lead is None else t.lead.v for t in targets],
+                          ego_style.v_factor, nb.flow_ref)
+    rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
+    pe = np.square(ve[:, -1] - v_bar[np.asarray(moves).searchsorted(sigma)])
+    ego_parts = ((ds[:, None], pair),
+                 (rc[:, None], None), (pe[:, None], None),
+                 (combine(ego_style, ds, rc, pe)[:, None],
+                  combine(ego_style, pair, rc[ri], pe[ri])))
+    ac_parts = None
+    if acs:
         n = len(a_a)
         block = np.arange(len(acs)).repeat(widths)
         # Per car: cruise speed, lane limit, its lead's speed, style.
@@ -424,20 +423,22 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
 
 
 def _spread(part, cells, shape):
-    """One part as a (rows, columns) matrix: `off` broadcast, and `on` at
-    the merge cells (a read-only view when `on` is None)."""
+    """One part as a (rows, columns) matrix: `off` broadcast, `on` at the merge cells."""
     off, on = part
-    if on is None:
-        return np.broadcast_to(off, shape)
     out = np.empty(shape)
     out[...] = off
     out[cells] = on
     return out
 
 
-def _breakdown(parts, cells) -> CostBreakdown:
-    """The breakdown at the one cell of a 1 x 1 parts evaluation."""
-    return CostBreakdown(*(float(_spread(p, cells, (1, 1))[0, 0]) for p in parts))
+def breakdown_at(cells, parts, r, c) -> CostBreakdown:
+    """One player's breakdown at cell (r, c) of a `_pair_parts` call: each
+    part's `on` where (r, c) is a merge cell, else its `off` at row r (the
+    ego's parts) or at column c (an opponent's)."""
+    k = ((cells[0] == r) & (cells[1] == c)).nonzero()[0]
+    return CostBreakdown(*(float(on[k[0]]) if len(k) and on is not None
+                           else float(off[r, 0] if off.ndim == 2 else off[c])
+                           for off, on in parts))
 
 
 def combine(style: StyleProfile, j_ds, j_rc, j_pe):
@@ -459,9 +460,9 @@ def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
     acs = () if partner is None else (partner,)
     cells, parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
                                   acs, (target,) * len(acs), (1,) * len(acs),
-                                  opponent_accels.get(target, 0.0), None, neighbors,
-                                  gains, horizon)
-    return _breakdown(parts, cells)
+                                  opponent_accels.get(target, 0.0), (style,) * len(acs),
+                                  neighbors, gains, horizon)
+    return breakdown_at(cells, parts, 0, 0)
 
 
 def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
@@ -469,10 +470,12 @@ def ac_cost(ac: KinematicState, ac_lane: int, ego: KinematicState,
             neighbors: NeighborView, ac_style: StyleProfile, gains: CostGains,
             horizon: float = T_DM) -> CostBreakdown:
     """Cost breakdown of one adjacent-car response to one ego candidate."""
-    cells, _, parts = _pair_parts(ego, ego_lane, ego_action.sigma, ego_action.a_x,
-                                  None, (ac,), (ac_lane,), (1,), ac_accel,
+    # An ego move off the road merges with no one: to the opponent, a keep-lane.
+    sigma = ego_action.sigma if neighbors.has_lane(ego_lane + ego_action.sigma) else 0
+    cells, _, parts = _pair_parts(ego, ego_lane, sigma, ego_action.a_x,
+                                  ac_style, (ac,), (ac_lane,), (1,), ac_accel,
                                   (ac_style,), neighbors, gains, horizon)
-    return _breakdown(parts, cells)
+    return breakdown_at(cells, parts, 0, 0)
 
 
 def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
@@ -481,7 +484,7 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
                          ac_style, gains: CostGains, horizon: float = T_DM, *,
                          widths=None, tracks=None):
     """Cost matrices (ego, opponents) of one or more side games, and the
-    ego's parts.
+    ego's breakdown reader.
 
     Rows index ego accelerations, each with its own lane move when sigma
     is an array (a scalar sigma applies to every row). Columns index the
@@ -493,9 +496,9 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
     Both matrices come from one parts evaluation, so every car is
     projected at most once per call (the ego and the opponents not at
     all when `tracks` gives their projections, see `_pair_parts`) and a
-    merge's pair term is computed once. The ego's (j_ds, j_rc, j_pe) come
-    back in the matrix shape, j_rc and j_pe as read-only views. Without
-    an adjacent car (ac None) the ego column is constant and the
+    merge's pair term is computed once. The third value, called with a
+    cell (r, c), gives the ego's `CostBreakdown` there (`breakdown_at`).
+    Without an adjacent car (ac None) the ego column is constant and the
     opponent matrix zero.
     """
     if widths is None:
@@ -508,4 +511,4 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
         ac_style, neighbors, gains, horizon, tracks)
     j_ac = np.zeros(shape) if ac_parts is None else _spread(ac_parts[3], cells, shape)
     return (_spread(ego_parts[3], cells, shape), j_ac,
-            tuple(_spread(p, cells, shape) for p in ego_parts[:3]))
+            functools.partial(breakdown_at, cells, ego_parts))

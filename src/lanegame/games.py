@@ -16,8 +16,8 @@ sigma in {-1, 0} and the right one {0, +1}. Every side game of a
 decision, and the solo game, is scored in one payoff call: all
 candidates as rows, each car's accelerations as its own block of
 columns. Each core then runs on its game's rows and block; the winning
-cell maps back to actions, and the ego's breakdown there is read from
-the parts that call returned.
+cell maps back to actions, and the ego's breakdown there comes from the
+reader that call returned, which reads the cell from the payoff parts.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -267,11 +267,6 @@ def stackelberg_2p_matrices(j_row: np.ndarray,
     return r, c, mult
 
 
-def _breakdown_at(j_e, parts, r, c) -> CostBreakdown:
-    """The ego's breakdown at cell (r, c) of one payoff call."""
-    return CostBreakdown(*(float(p[r, c]) for p in parts), float(j_e[r, c]))
-
-
 def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
            gains, horizon) -> GameSolution:
     """One game per side (lane, car, style) on the rows of the module
@@ -303,7 +298,7 @@ def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
     if len(ks) < len(present):
         ac_track = tuple(x[list(ks)] for x in ac_track)
     widths, a_a, ac_track = _ac_columns(acs, ac_lanes, ac_grid, nb, horizon, ac_track)
-    j_e, j_a, parts = pair_payoff_matrices(
+    j_e, j_a, ego_at = pair_payoff_matrices(
         ego, ego_lane, sigma, a_x, acs, ac_lanes, a_a, nb, ego_style, ac_styles, gains,
         horizon, widths=widths, tracks=(ego_track, ac_track))
     ac_actions, results, hi = {}, [], 0
@@ -318,7 +313,7 @@ def _solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style,
             sec = False
         r, c = rows[r], lo + c
         ac_actions[ac_lane] = float(a_a[c])
-        results.append((_breakdown_at(j_e, parts, r, c), r, mult, sec, ac_lane - ego_lane))
+        results.append((ego_at(r, c), r, mult, sec, ac_lane - ego_lane))
     # min keeps the first of equal totals: an exact tie goes to the left.
     eb, r, mult, sec, side = min(results, key=lambda p: p[0].total)
     return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
@@ -358,12 +353,12 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     sigma, a_x, ego_track = _ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _, parts = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
-                                         nb, style, style, gains, horizon,
-                                         tracks=(ego_track, (None, None)))
+    j_e, _, ego_at = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
+                                          nb, style, style, gains, horizon,
+                                          tracks=(ego_track, (None, None)))
     r = int(j_e[:, 0].argmin())
     return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=_breakdown_at(j_e, parts, r, 0),
+                        ac_actions={}, ego_cost=ego_at(r, 0),
                         multiplicity=1)
 
 

@@ -279,7 +279,8 @@ def _box_free(u_prev: float, u_box: tuple[float, float], cfg: MpcConfig) -> bool
 def _running(du: np.ndarray, u_prev: float) -> np.ndarray:
     """Command before each increment of du: u_prev plus the ones before it,
     summed one after the other as _project's loop sums them."""
-    start = np.full(du.shape[:-1] + (1,), float(u_prev))
+    start = np.empty(du.shape[:-1] + (1,))
+    start.fill(u_prev)
     return np.cumsum(np.concatenate([start, du[..., :-1]], axis=-1), axis=-1)
 
 

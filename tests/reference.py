@@ -1,10 +1,15 @@
-"""Single-pose reference paths of the potential field, for the tests.
+"""Reference paths for the tests.
 
-The program lays every scene out with `field.prepare_field` from arrays
-and queries it with `field.total_field`. The tests compare that path
-against the field of one obstacle pose and of the road barrier on its
-own, built here on the program's one bump formula (`field._bumps`) and
-its one lane-line formula (`field._barrier`).
+The potential field: the program lays every scene out with
+`field.prepare_field` from arrays and queries it with `field.total_field`.
+The tests compare that path against the field of one obstacle pose and of
+the road barrier on its own, built here on the program's one bump formula
+(`field._bumps`) and its one lane-line formula (`field._barrier`).
+
+The decision costs: the program reads a cell's breakdown straight from the
+(off, on) parts of `costs._pair_parts` with `costs.breakdown_at`. The
+tests compare it against the parts spread into full matrices and indexed
+at the cell.
 """
 
 import math
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lanegame.costs import CostBreakdown
 from lanegame.field import (FieldParams, PreparedField, _barrier, _bumps, _leading,
                             _weighted_lines, prepare_field)
 from lanegame.road import RoadGeometry
@@ -52,3 +58,21 @@ def prepare_poses(poses, road: RoadGeometry, params: FieldParams) -> PreparedFie
     """`prepare_field` of a list of poses: one array per pose attribute."""
     return prepare_field(*(np.array([getattr(o, k) for o in poses], dtype=float)
                            for k in ("x", "y", "heading", "v")), road, params)
+
+
+def spread(part, cells, shape):
+    """One (off, on) part of `costs._pair_parts` as a (rows, columns)
+    matrix: `off` broadcast, and `on` at the merge cells (a read-only view
+    when `on` is None)."""
+    off, on = part
+    if on is None:
+        return np.broadcast_to(off, shape)
+    out = np.empty(shape)
+    out[...] = off
+    out[cells] = on
+    return out
+
+
+def breakdown_from_matrices(cells, parts, shape, r, c) -> CostBreakdown:
+    """A player's breakdown at cell (r, c), read from its parts spread."""
+    return CostBreakdown(*(float(spread(p, cells, shape)[r, c]) for p in parts))

@@ -1,6 +1,7 @@
 """Decision costs: closed-form oracles, gates, propagation semantics."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lanegame.costs import (INFEASIBLE, CostGains, DecisionAction,
 from lanegame.styles import BUILTIN_STYLES, style_profile
 
 from conftest import make_neighbors
+from reference import breakdown_from_matrices
 
 
 def test_longitudinal_substitution_oracle(gains):
@@ -197,6 +199,20 @@ def test_ac_ignores_lateral_when_ego_keeps(gains):
     assert ab.j_ds == 0.0
 
 
+def test_ac_cost_of_an_ego_move_off_the_road_is_its_keep_lane_cost(gains):
+    # No lane 3: the ego's move right merges with no one, so the opponent
+    # pays what it pays when the ego keeps its lane.
+    nb = make_neighbors(lanes={
+        1: LaneView(adjacent=KinematicState(s=5.0, v=18.0), adjacent_v_ref=19.0,
+                    ac_lead=KinematicState(s=30.0, v=16.0)),
+        2: LaneView(lead=KinematicState(s=40.0, v=15.0)),
+    })
+    ac, ego = KinematicState(5.0, 18.0), KinematicState(0.0, 20.0)
+    off_road, keep = (ac_cost(ac, 1, ego, 2, DecisionAction(sigma, 1.0), -0.5, nb,
+                              _style(), gains) for sigma in (1, 0))
+    assert off_road == keep and keep.j_ds > 0.0
+
+
 def test_ac_defends_its_own_cruise_speed(gains):
     # An AC already at its reference speed loses by being pushed off it,
     # not by failing to reach the lane limit.
@@ -289,36 +305,102 @@ def test_breakdown_totals_equal_matrix_cells_exactly(gains, rng):
         st_e, st_a = (_style(str(rng.choice(names))) for _ in range(2))
         e_acc, a_acc = rng.uniform(-4.0, 3.0, (2, 6))
         for sigma in (-1, 0, 1):
-            j_e, j_a, parts = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane,
-                                                   a_acc, nb, st_e, st_a, gains)
+            j_e, j_a, ego_at = pair_payoff_matrices(ego, 2, sigma, e_acc, ac, ac_lane,
+                                                    a_acc, nb, st_e, st_a, gains)
             # One cell per row and column: each breakdown has its own speeds.
             for i, (ae, aa) in enumerate(zip(e_acc, a_acc)):
                 action = DecisionAction(sigma, float(ae))
                 eb = ego_cost(ego, 2, action, {ac_lane: float(aa)}, nb, st_e, gains)
                 ab = ac_cost(ac, ac_lane, ego, 2, action, float(aa), nb, st_a, gains)
                 assert (eb.total, ab.total) == (j_e[i, i], j_a[i, i]), (sigma, i)
-                assert (eb.j_ds, eb.j_rc, eb.j_pe) == tuple(p[i, i] for p in parts)
+                assert eb == ego_at(i, i), (sigma, i)
 
 
 def test_per_row_sigmas_equal_one_call_per_sigma(gains, rng):
     """One call with a lane move per row gives, row for row and to the
-    last bit, what one call per sigma gives: both matrices and the parts."""
+    last bit, what one call per sigma gives: both matrices and the ego's
+    breakdown at every cell."""
     names = sorted(BUILTIN_STYLES)
     for _ in range(100):
         nb, ego, ac, ac_lane = _random_three_lane_scene(rng)
         st_e, st_a = (_style(str(rng.choice(names))) for _ in range(2))
         sigmas = rng.choice([-1, 0, 1], 9)
         e_acc, a_acc = rng.uniform(-4.0, 3.0, 9), rng.uniform(-4.0, 3.0, 5)
-        j_e, j_a, parts = pair_payoff_matrices(ego, 2, sigmas, e_acc, ac, ac_lane,
-                                               a_acc, nb, st_e, st_a, gains)
+        j_e, j_a, ego_at = pair_payoff_matrices(ego, 2, sigmas, e_acc, ac, ac_lane,
+                                                a_acc, nb, st_e, st_a, gains)
         for sigma in np.unique(sigmas):
-            rows = sigmas == sigma
+            rows = (sigmas == sigma).nonzero()[0]
             want = pair_payoff_matrices(ego, 2, int(sigma), e_acc[rows], ac, ac_lane,
                                         a_acc, nb, st_e, st_a, gains)
             assert np.array_equal(j_e[rows], want[0])
             assert np.array_equal(j_a[rows], want[1])
-            for got, part in zip(parts, want[2]):
-                assert np.array_equal(got[rows], part)
+            for k, r in enumerate(rows):
+                for c in range(len(a_acc)):
+                    assert _bits(ego_at(r, c)) == _bits(want[2](k, c))
+
+
+def _bits(cb):
+    """A breakdown's fields as hex strings: equal only when equal bit for bit."""
+    return tuple(float(x).hex() for x in astuple(cb))
+
+
+def _random_two_opponent_scene(rng):
+    """Ego on lane 2 at s = 0 with an opponent on each side, leads drawn
+    at random."""
+    lanes = {}
+    for lane in (1, 2, 3):
+        lv = LaneView(v_max=float(rng.uniform(18.0, 28.0)))
+        if rng.random() < 0.7:
+            lv.lead = KinematicState(s=float(rng.uniform(5.0, 80.0)),
+                                     v=float(rng.uniform(10.0, 24.0)))
+        if lane != 2:
+            lv.adjacent = KinematicState(s=float(rng.uniform(-20.0, 20.0)),
+                                         v=float(rng.uniform(12.0, 24.0)))
+            lv.adjacent_v_ref = float(rng.uniform(12.0, 24.0))
+            if rng.random() < 0.7:
+                lv.ac_lead = KinematicState(s=float(rng.uniform(25.0, 90.0)),
+                                            v=float(rng.uniform(10.0, 24.0)))
+        lanes[lane] = lv
+    nb = make_neighbors(lanes=lanes, flow_ref=float(rng.uniform(15.0, 25.0)))
+    return nb, KinematicState(s=0.0, v=float(rng.uniform(12.0, 24.0)))
+
+
+def test_breakdown_reader_equals_the_spread_matrices(gains, rng):
+    """`breakdown_at` gives, bit for bit, what the parts spread into full
+    matrices give at every cell, for the ego and for every opponent: on
+    one-opponent calls, two-opponent block calls and solo calls, merge
+    cells and others alike."""
+    names = sorted(BUILTIN_STYLES)
+    merge = other = 0
+    for trial in range(120):
+        st_e, st_1, st_3 = (_style(str(rng.choice(names))) for _ in range(3))
+        sigmas = rng.choice([-1, 0, 1], 7)
+        e_acc = rng.uniform(-4.0, 3.0, 7)
+        if trial % 3 == 0:
+            nb, ego, ac, ac_lane = _random_three_lane_scene(rng)
+            acs, lanes, styles, widths = (ac,), (ac_lane,), (st_1,), (5,)
+        elif trial % 3 == 1:
+            nb, ego = _random_two_opponent_scene(rng)
+            acs, lanes = (nb.adjacent(1), nb.adjacent(3)), (1, 3)
+            styles, widths = (st_1, st_3), (4, 3)
+        else:
+            nb, ego = _random_two_opponent_scene(rng)
+            acs, lanes, styles, widths = (), (), (), ()
+        a_acc = rng.uniform(-4.0, 3.0, sum(widths) or 1)
+        cells, ego_parts, ac_parts = costs._pair_parts(
+            ego, 2, sigmas, e_acc, st_e, acs, lanes, widths, a_acc, styles, nb, gains,
+            T_DM)
+        assert (ac_parts is None) == (not acs)
+        shape = (len(e_acc), len(a_acc))
+        merged = set(zip(*(x.tolist() for x in cells)))
+        for r in range(shape[0]):
+            for c in range(shape[1]):
+                for parts in (ego_parts, ac_parts)[:1 + bool(acs)]:
+                    assert _bits(costs.breakdown_at(cells, parts, r, c)) == _bits(
+                        breakdown_from_matrices(cells, parts, shape, r, c)), (trial, r, c)
+                merge += (r, c) in merged
+                other += (r, c) not in merged
+    assert merge > 100 and other > 100
 
 
 def test_ac_follows_its_lead_unless_merged(gains):

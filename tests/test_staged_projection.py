@@ -73,10 +73,6 @@ def _terms_per_use(accels, horizon):
     return costs._terms(np.frombuffer(accels)[:, None], sample_times(horizon))
 
 
-def _breakdown_at(j_e, parts, r, c):
-    return costs.CostBreakdown(*(float(p[r, c]) for p in parts), float(j_e[r, c]))
-
-
 def _ref_solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style, gains,
                horizon):
     sigma, a_x, ego_track = _ref_ego_rows(ego, ego_lane, ego_grid, nb, horizon)
@@ -93,7 +89,7 @@ def _ref_solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style, gai
         raise InfeasibleDecisionError("no feasible ego action")
     ac_lanes, acs, ac_styles, _ = zip(*played)
     widths, a_a, ac_track = _ref_ac_columns(acs, ac_lanes, ac_grid, nb, horizon)
-    j_e, j_a, parts = pair_payoff_matrices(
+    j_e, j_a, ego_at = pair_payoff_matrices(
         ego, ego_lane, sigma, a_x, acs, ac_lanes, a_a, nb, ego_style, ac_styles, gains,
         horizon, widths=widths, tracks=(ego_track, ac_track))
     ac_actions, results, hi = {}, [], 0
@@ -106,7 +102,7 @@ def _ref_solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style, gai
             sec = False
         r, c = rows[r], lo + c
         ac_actions[ac_lane] = float(a_a[c])
-        results.append((_breakdown_at(j_e, parts, r, c), r, mult, sec, ac_lane - ego_lane))
+        results.append((ego_at(r, c), r, mult, sec, ac_lane - ego_lane))
     eb, r, mult, sec, side = min(results, key=lambda p: p[0].total)
     return GameSolution(ego_action=costs.DecisionAction(sigma=int(sigma[r]),
                                                         a_x=float(a_x[r])),
@@ -118,13 +114,13 @@ def _ref_solo(ego, ego_lane, nb, grid, style, gains, horizon):
     sigma, a_x, ego_track = _ref_ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _, parts = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
-                                         nb, style, style, gains, horizon,
-                                         tracks=(ego_track, (None, None)))
+    j_e, _, ego_at = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
+                                          nb, style, style, gains, horizon,
+                                          tracks=(ego_track, (None, None)))
     r = int(np.argmin(j_e[:, 0]))
     return GameSolution(ego_action=costs.DecisionAction(sigma=int(sigma[r]),
                                                         a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=_breakdown_at(j_e, parts, r, 0),
+                        ac_actions={}, ego_cost=ego_at(r, 0),
                         multiplicity=1)
 
 

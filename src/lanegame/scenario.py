@@ -36,6 +36,8 @@ EGO_ROLE = "EC"
 # Largest roster validate accepts. Every car but the ego is an obstacle of
 # the planner's field; planner.MAX_PLAN_CELLS gives the peak this allows.
 MAX_VEHICLES = 16
+# Most steps, round(duration / dt), of a run: a 16-car trace near 70 MB.
+MAX_STEPS = 20_000
 # Shortest start gap, m, between two cars on one lane: one car length, the
 # vehicle-length margin CostGains.l_v. Closer, they start in contact.
 CAR_LENGTH = 5.0
@@ -310,6 +312,9 @@ def validate(cfg: ScenarioConfig) -> list[str]:
         problems.append("duration: must be positive and finite")
     if not 0 < cfg.dt < math.inf:
         problems.append("dt: must be positive and finite")
+    elif cfg.duration / cfg.dt > MAX_STEPS + 0.5:   # round() would pass MAX_STEPS
+        problems.append(f"duration, dt: {cfg.duration:g} s in steps of {cfg.dt:g} s "
+                        f"exceed the longest run, {MAX_STEPS} steps")
     return problems
 
 

@@ -23,9 +23,10 @@ the ego style.
 Other cars follow their initial lane; adjacent (strategic) cars apply
 the acceleration from their side of the game while one is active and
 hold it during the ego's lane change, then coast. Everything is
-deterministic, so repeated runs produce identical traces. A layer that
-fails (no feasible decision, a query outside a model's domain) aborts
-the run with a reason; the rows produced so far are kept.
+deterministic, so repeated runs give identical traces and `batch` can
+share a style's loop among its strategies (`_runs`). A layer that fails
+(no feasible decision, a query outside a model's domain) aborts the run
+with a reason; the rows produced so far are kept.
 """
 
 from __future__ import annotations
@@ -175,28 +176,29 @@ def _scene_view(road: RoadGeometry, cfg: ScenarioConfig, cars: list[_Car],
 
 def _decide(cfg: ScenarioConfig, strategy: str, nb: NeighborView,
             ego_kin: KinematicState, ego_lane: int, ego_style,
-            opponents: dict[int, _Car]) -> tuple[GameSolution, int]:
+            opponents: dict[int, _Car]) -> tuple[GameSolution, int] | Exception:
     """Solve the decision game against the opponents beside the ego.
 
     Returns the solution and its mode, the number of side opponents: 0
-    solo, 1 one opponent, 2 opponents on both sides. The solvers are
-    looked up by name at call time.
+    solo, 1 one opponent, 2 opponents on both sides; or the layer failure
+    a solver raised. The solvers are looked up by name at call time.
     """
     sides = [lane for lane in (ego_lane - 1, ego_lane + 1) if lane in opponents]
     styles = [style_profile(opponents[lane].style) for lane in sides]
-    grid = cfg.grid
-    gains = cfg.gains
-    horizon = cfg.decision.horizon
-    if len(sides) == 2:
-        solver = solve_nash_two_ac if strategy == "nash" else solve_stackelberg_two_ac
-        sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), nb.adjacent(sides[1]),
-                     nb, grid, grid, ego_style, *styles, gains, horizon)
-    elif sides:
-        solver = solve_nash_2p if strategy == "nash" else solve_stackelberg_2p
-        sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), sides[0], nb,
-                     grid, grid, ego_style, *styles, gains, horizon)
-    else:
-        sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon)
+    grid, gains, horizon = cfg.grid, cfg.gains, cfg.decision.horizon
+    try:
+        if len(sides) == 2:
+            solver = solve_nash_two_ac if strategy == "nash" else solve_stackelberg_two_ac
+            sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), nb.adjacent(sides[1]),
+                         nb, grid, grid, ego_style, *styles, gains, horizon)
+        elif sides:
+            solver = solve_nash_2p if strategy == "nash" else solve_stackelberg_2p
+            sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), sides[0], nb,
+                         grid, grid, ego_style, *styles, gains, horizon)
+        else:
+            sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon)
+    except (InfeasibleDecisionError, DomainError) as exc:
+        return exc
     return sol, len(sides)
 
 
@@ -262,15 +264,18 @@ def _check_names(styles, strategies) -> None:
             raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
 
 
-def run_simulation(cfg: ScenarioConfig, style: str | None = None,
-                   strategy: str | None = None) -> TraceLog:
-    """Simulate one run; ego style and strategy may override the scenario."""
+def _runs(cfg: ScenarioConfig, style_name: str,
+          strategies) -> dict[str, TraceLog]:
+    """One closed loop for the given strategies, a trace per name. They
+    share it while their decisions agree bit for bit (`repr`: `==` takes
+    -0.0 for 0.0, which the trace tells apart), failures included; any
+    that part rerun from step 0 among themselves, so each trace is that
+    of an independent run. Names must be known (`_check_names`)."""
+    group = list(dict.fromkeys(strategies))
+    parted: list[str] = []
     road = cfg.road
     dec = cfg.decision
-    strategy = strategy or cfg.strategy
     ego_spec = cfg.ego()
-    style_name = style or ego_spec.style
-    _check_names([style_name], [strategy])
     ego_style = style_profile(style_name)
     vp = DEFAULT_VEHICLE
     dp = ego_style.driver
@@ -278,7 +283,7 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
     cars = initial_cars(cfg)
     roles = [c.role for c in cars]
     columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
-    trace = TraceLog(scenario=cfg.name, style=style_name, strategy=strategy,
+    trace = TraceLog(scenario=cfg.name, style=style_name, strategy=group[0],
                      columns=columns, roles=roles, max_iter=cfg.mpc.max_iter)
 
     # Ego starts aligned with the road on its lane centerline.
@@ -324,8 +329,15 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
         decided = 0.0
         try:
             if sigma_now == 0:
-                sol, mode = _decide(cfg, strategy, nb, ego_kin, ego_lane,
-                                    ego_style, opponents)
+                outcomes = [_decide(cfg, s, nb, ego_kin, ego_lane, ego_style, opponents)
+                            for s in group]
+                if len(group) > 1:
+                    first = repr(outcomes[0])
+                    parted += [s for s, o in zip(group, outcomes) if repr(o) != first]
+                    group = [s for s, o in zip(group, outcomes) if repr(o) == first]
+                if isinstance(outcomes[0], Exception):
+                    raise outcomes[0]
+                sol, mode = outcomes[0]
                 decided = 1.0
                 sigma_now = sol.ego_action.sigma
                 a_cmd = sol.ego_action.a_x
@@ -385,7 +397,17 @@ def run_simulation(cfg: ScenarioConfig, style: str | None = None,
             c.v = float(min(max(c.v + c.a * cfg.dt, lane.v_min), lane.v_max))
         u_prev = u_cmd
 
-    return trace
+    traces = {s: replace(trace, strategy=s, rows=[r[:] for r in trace.rows])
+              for s in group[1:]}
+    return {group[0]: trace} | traces | (_runs(cfg, style_name, parted) if parted else {})
+
+
+def run_simulation(cfg: ScenarioConfig, style: str | None = None,
+                   strategy: str | None = None) -> TraceLog:
+    """Simulate one run; ego style and strategy may override the scenario."""
+    strategy, style = strategy or cfg.strategy, style or cfg.ego().style
+    _check_names([style], [strategy])
+    return _runs(cfg, style, (strategy,))[strategy]
 
 
 def summarize(trace: TraceLog) -> RunMetrics:
@@ -479,14 +501,12 @@ STYLES_ALL = tuple(BUILTIN_STYLES)
 
 def batch(cfg: ScenarioConfig, styles=STYLES_ALL,
           strategies=("nash", "stackelberg")) -> list[tuple[TraceLog, RunMetrics]]:
-    """Every style x strategy combination for one scenario."""
+    """Every style x strategy combination for one scenario, strategy-major
+    and repeated names included; each style runs one `_runs` loop."""
     _check_names(styles, strategies)
-    out = []
-    for strat in strategies:
-        for sty in styles:
-            trace = run_simulation(cfg, style=sty, strategy=strat)
-            out.append((trace, summarize(trace)))
-    return out
+    runs = {sty: _runs(cfg, sty, strategies) for sty in dict.fromkeys(styles)}
+    traces = [runs[sty][strat] for strat in strategies for sty in styles]
+    return [(trace, summarize(trace)) for trace in traces]
 
 
 def comparison_csv(metrics: list[RunMetrics]) -> str:

@@ -8,7 +8,8 @@ import pytest
 from lanegame import cli
 from lanegame.cli import main
 from lanegame.errors import DomainError, InfeasibleDecisionError
-from lanegame.scenario import load_scenario
+from lanegame.scenario import STRATEGIES, load_scenario
+from lanegame.simulate import STYLES_ALL
 
 
 def _bundled_text(name):
@@ -94,12 +95,18 @@ BAD_VALUES = [
     (lambda c: (c["vehicles"][0].update(s=41.48),
                 c["vehicles"].append({"role": "LC", "lane": 2, "s": 42.94, "v": 15.0})),
      "vehicles: 'EC' and 'LC' start 1.46 m apart on lane 2"),
+    # round(duration / dt) overflows int(); 2e10 steps would never finish.
+    (lambda c: c.update(duration=1e300, dt=1e-300),
+     "duration, dt: 1e+300 s in steps of 1e-300 s exceed the longest run, 20000 steps"),
+    (lambda c: c.update(duration=1e9, dt=0.05),
+     "duration, dt: 1e+09 s in steps of 0.05 s exceed the longest run, 20000 steps"),
 ]
 
 
 @pytest.mark.parametrize("mutate,needle", BAD_VALUES,
                          ids=["band_reversed", "band_negative", "lane_fraction",
-                              "grid_v_max", "car_above_band", "cars_in_contact"])
+                              "grid_v_max", "car_above_band", "cars_in_contact",
+                              "steps_overflow", "steps_too_many"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bad_scenario_value_exits_3(tmp_path, capsys, command, mutate, needle):
     cfg = json.loads(_bundled_text("scenario_a"))
@@ -299,6 +306,22 @@ def test_batch_writes_comparison_and_traces(short_scene, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].split(",")[2] == "nash"
     assert (tdir / "scenario_a_nash_normal.csv").exists()
+
+
+def test_batch_traces_equal_separate_runs(short_scene, tmp_path, capsys):
+    # batch runs a style's strategies on one closed loop while they decide
+    # alike; every trace it writes is the one `run --trace` writes.
+    tdir = tmp_path / "traces"
+    assert main(["batch", short_scene, "--out", str(tmp_path / "cmp.csv"),
+                 "--trace-dir", str(tdir)]) == 0
+    assert len(list(tdir.iterdir())) == len(STYLES_ALL) * len(STRATEGIES)
+    for style in STYLES_ALL:
+        for strategy in STRATEGIES:
+            alone = tmp_path / "alone.csv"
+            assert main(["run", short_scene, "--style", style, "--strategy", strategy,
+                         "--trace", str(alone), "--metrics", str(tmp_path / "m.txt")]) == 0
+            shared = tdir / f"scenario_a_{strategy}_{style}.csv"
+            assert shared.read_bytes() == alone.read_bytes(), (style, strategy)
 
 
 def test_field_dump_grid(short_scene, tmp_path):

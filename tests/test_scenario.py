@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lanegame.costs import CostGains
 from lanegame.errors import ConfigError
 from lanegame.field import FieldParams
-from lanegame.scenario import (BUNDLED, CAR_LENGTH, MAX_HORIZON, MAX_VEHICLES,
+from lanegame.scenario import (BUNDLED, CAR_LENGTH, MAX_HORIZON, MAX_STEPS, MAX_VEHICLES,
                                DecisionParams, config_from_dict, load_scenario,
                                validate)
 from lanegame.simulate import run_simulation
@@ -126,6 +126,12 @@ def test_missing_blocks_rejected():
     (lambda d: (d.__setitem__("mpc", {"n_p": 200000, "n_c": 200000}),
                 d.__setitem__("dt", 5e-5)),
      "mpc: n_p = 200000 exceeds the largest horizon, 1000 steps"),
+    # A run's step count, round(duration / dt), is capped: 1e300 / 1e-300
+    # overflows int(), and 2e10 steps would never finish.
+    (lambda d: d.update(duration=1e300, dt=1e-300),
+     r"duration, dt: 1e\+300 s in steps of 1e-300 s exceed the longest run, 20000 steps"),
+    (lambda d: d.update(duration=1e9), r"duration, dt: 1e\+09 s in steps of 0\.05 s exceed"),
+    (lambda d: d.update(duration=1000.05), "exceed the longest run"),
     # A repeated lane index would silently drop the earlier lane.
     (lambda d: d["road"]["lanes"].append({"index": 2, "v_max": 10.0}),
      r"road\.lanes\[2\]: repeats lane index 2"),
@@ -360,6 +366,11 @@ def test_largest_roster_validates():
     doc["vehicles"].extend({"role": f"LC{i}", "lane": 1, "s": 100.0 + 10.0 * i, "v": 20.0}
                            for i in range(MAX_VEHICLES - 2))
     assert len(config_from_dict(doc).vehicles) == MAX_VEHICLES
+
+
+def test_longest_run_validates():
+    cfg = config_from_dict(minimal_doc(duration=MAX_STEPS * 0.05))
+    assert int(round(cfg.duration / cfg.dt)) == MAX_STEPS
 
 
 def test_cars_on_one_lane_start_a_car_length_apart():

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from lanegame import field, simulate
-from lanegame.costs import KinematicState
-from lanegame.errors import ConfigError
+from lanegame.costs import DecisionAction, KinematicState
+from lanegame.errors import ConfigError, InfeasibleDecisionError
+from lanegame.games import GameSolution
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.scenario import load_scenario
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
@@ -348,3 +349,122 @@ def test_decide_looks_the_solver_up_at_call_time(merge_cfg, monkeypatch):
                         strategy="nash")
     assert calls == [1] * int(np.sum(tr.column("decided")))
     assert calls and set(tr.column("mode")) == {1.0}
+
+
+# --- strategies sharing one closed loop ----------------------------------
+
+def _separate_runs_agree(runs, cfg, tmp_path):
+    """Each batch trace, by `write_trace` bytes and abort reason, is that
+    of its own `run_simulation` call."""
+    for trace, m in runs:
+        alone = run_simulation(cfg, style=trace.style, strategy=trace.strategy)
+        write_trace(trace, str(tmp_path / "shared.csv"))
+        write_trace(alone, str(tmp_path / "alone.csv"))
+        key = (trace.style, trace.strategy)
+        assert (tmp_path / "shared.csv").read_bytes() == \
+            (tmp_path / "alone.csv").read_bytes(), key
+        assert (trace.aborted, trace.abort_reason) == (alone.aborted, alone.abort_reason), key
+        assert metrics_lines(m) == metrics_lines(summarize(alone)), key
+    return {(t.strategy, t.style): t for t, _ in runs}
+
+
+def _patched_stackelberg(monkeypatch, change):
+    """Make `simulate.solve_stackelberg_2p` return change(ego, solution)."""
+    real = simulate.solve_stackelberg_2p
+    monkeypatch.setattr(simulate, "solve_stackelberg_2p",
+                        lambda ego, *args: change(ego, real(ego, *args)))
+
+
+def _first_difference(a: TraceLog, b: TraceLog):
+    return next((k for k, (ra, rb) in enumerate(zip(a.rows, b.rows))
+                 if repr(ra) != repr(rb)), None)
+
+
+def test_a_strategy_that_parts_by_action_reruns_alone(merge_cfg, monkeypatch, tmp_path):
+    # From 10 m past its start the Stackelberg ego keeps its lane at 0.25
+    # m/s^2, off the action grid so that Nash never plays it: it shares
+    # the Nash loop up to there, step 10, and then runs on its own.
+    cfg = replace(merge_cfg, duration=1.5)
+    s0 = cfg.ego().s
+    assert 0.25 not in cfg.grid.accelerations
+    _patched_stackelberg(monkeypatch, lambda ego, sol: sol if ego.s <= s0 + 10.0 else
+                         replace(sol, ego_action=DecisionAction(sigma=0, a_x=0.25)))
+    traces = _separate_runs_agree(batch(cfg), cfg, tmp_path)
+    for style in STYLES_ALL:
+        nash, stack = traces[("nash", style)], traces[("stackelberg", style)]
+        assert _first_difference(nash, stack) == 10, style
+        assert stack.column("a_cmd")[10:].tolist() == [0.25] * 20
+
+
+@pytest.mark.parametrize("strategies", [("nash", "stackelberg"), ("stackelberg", "nash")])
+def test_a_strategy_that_parts_by_failure_aborts_alone(merge_cfg, monkeypatch, tmp_path,
+                                                      strategies):
+    # A solver failure is an outcome like any other: the failing strategy
+    # aborts as its own run would, first in the group or not, and the
+    # other runs on.
+    cfg = replace(merge_cfg, duration=1.5)
+    s0 = cfg.ego().s
+
+    def fail_past(ego, sol):
+        if ego.s > s0 + 10.0:
+            raise InfeasibleDecisionError("no stable cell past the mark")
+        return sol
+
+    _patched_stackelberg(monkeypatch, fail_past)
+    runs = batch(cfg, styles=("normal",), strategies=strategies)
+    traces = _separate_runs_agree(runs, cfg, tmp_path)
+    stack, nash = traces[("stackelberg", "normal")], traces[("nash", "normal")]
+    assert stack.aborted and not nash.aborted
+    assert stack.abort_reason == ("decision infeasible at t=0.50: "
+                                  "no stable cell past the mark")
+    assert len(stack.rows) == 10 and stack.rows == nash.rows[:10]
+
+
+def test_a_strategy_that_parts_by_the_sign_of_zero_reruns_alone(merge_cfg, monkeypatch,
+                                                               tmp_path):
+    # -0.0 == 0.0, but the trace writes -0 and 0: a Stackelberg ego that
+    # holds -0.0 where Nash holds 0.0 no longer shares the Nash loop.
+    cfg = replace(merge_cfg, duration=3.0)
+    _patched_stackelberg(monkeypatch, lambda ego, sol: sol if sol.ego_action.a_x != 0.0 else
+                         replace(sol, ego_action=replace(sol.ego_action, a_x=-0.0)))
+    runs = [(t, m) for t, m in batch(cfg) if t.style == "normal"]
+    traces = _separate_runs_agree(runs, cfg, tmp_path)
+    write_trace(traces[("stackelberg", "normal")], str(tmp_path / "stack.csv"))
+    lines = (tmp_path / "stack.csv").read_text().splitlines()
+    a_cmd = lines[0].split(",").index("a_cmd")
+    assert sum(line.split(",")[a_cmd] == "-0" for line in lines[1:]) > 0
+    assert traces[("nash", "normal")].column("a_cmd").tolist().count(0.0) > 0
+
+
+def test_bundled_strategies_share_one_loop(merge_cfg, monkeypatch):
+    # Nash and Stackelberg decide alike on every bundled merge run, so a
+    # batch plans each step of each style once.
+    calls = []
+    real = simulate.solve_plan
+    monkeypatch.setattr(simulate, "solve_plan", lambda *a: calls.append(1) or real(*a))
+    runs = batch(merge_cfg)
+    n_steps = int(round(merge_cfg.duration / merge_cfg.dt))
+    assert len(calls) == len(STYLES_ALL) * n_steps == 720
+    assert [len(t.rows) for t, _ in runs] == [n_steps] * 6
+    # Each trace owns its rows.
+    assert len({id(t.rows) for t, _ in runs}) == 6
+
+
+def test_one_strategy_run_compares_no_outcomes(merge_cfg, monkeypatch):
+    def no_repr(self):
+        raise AssertionError("an outcome was compared")
+
+    monkeypatch.setattr(GameSolution, "__repr__", no_repr)
+    tr = run_simulation(replace(merge_cfg, duration=0.25), style="normal")
+    assert np.sum(tr.column("decided")) == 5
+
+
+def test_batch_repeats_names_in_order(merge_cfg):
+    cfg = replace(merge_cfg, duration=0.5)
+    styles, strategies = ("normal", "normal", "aggressive"), ("stackelberg", "nash",
+                                                             "stackelberg")
+    runs = batch(cfg, styles=styles, strategies=strategies)
+    want = [summarize(run_simulation(cfg, style=sty, strategy=strat))
+            for strat in strategies for sty in styles]
+    assert [(m.strategy, m.style) for _, m in runs] == [(m.strategy, m.style) for m in want]
+    assert comparison_csv([m for _, m in runs]) == comparison_csv(want)

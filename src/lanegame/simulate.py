@@ -45,7 +45,7 @@ from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
 from .planner import MpcConfig, solve_plan
 from .road import RoadGeometry
-from .scenario import EGO_ROLE, STRATEGIES, ScenarioConfig, VehicleSpec
+from .scenario import CAR_LENGTH, EGO_ROLE, STRATEGIES, ScenarioConfig, VehicleSpec
 from .styles import BUILTIN_STYLES, style_profile
 from .vehicle import (DEFAULT_VEHICLE, IDELTA, IPHI, IR, IVX, IVY, IX, IY,
                       ControlInput, DriverParams, step)
@@ -112,6 +112,7 @@ class RunMetrics:
     rms_efficiency: float = math.nan
     rms_total: float = math.nan
     min_clearance: float = math.inf  # lane-sharing pairs only; inf if none occur
+    contact_steps: int = 0           # steps with min_clearance under CAR_LENGTH
     max_field: float = math.nan
     planner_regressions: int = 0     # steps where the plan lost to zero increments
     box_violations: int = 0
@@ -272,6 +273,8 @@ def _runs(cfg: ScenarioConfig, style_name: str,
     that part rerun from step 0 among themselves, so each trace is that
     of an independent run. Names must be known (`_check_names`)."""
     group = list(dict.fromkeys(strategies))
+    if not group:
+        return {}
     parted: list[str] = []
     road = cfg.road
     dec = cfg.decision
@@ -399,7 +402,7 @@ def _runs(cfg: ScenarioConfig, style_name: str,
 
     traces = {s: replace(trace, strategy=s, rows=[r[:] for r in trace.rows])
               for s in group[1:]}
-    return {group[0]: trace} | traces | (_runs(cfg, style_name, parted) if parted else {})
+    return {group[0]: trace} | traces | _runs(cfg, style_name, parted)
 
 
 def run_simulation(cfg: ScenarioConfig, style: str | None = None,
@@ -451,6 +454,7 @@ def summarize(trace: TraceLog) -> RunMetrics:
         rms_safety=rms("j_ds"), rms_comfort=rms("j_rc"),
         rms_efficiency=rms("j_pe"), rms_total=rms("j_total"),
         min_clearance=float(np.min(col("min_clearance"))),
+        contact_steps=int(np.sum(col("min_clearance") < CAR_LENGTH)),
         max_field=float(np.max(col("field_ec"))),
         planner_regressions=int(np.sum(col("mpc_cost") > col("mpc_cost_zero") + 1e-9)),
         box_violations=int(np.sum(col("box_violation"))),

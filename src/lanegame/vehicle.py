@@ -6,6 +6,10 @@ preview-tracking driver whose command is the lateral preview point Y_p.
 Longitudinal acceleration a_x enters as an exogenous input chosen by the
 decision layer.
 
+The equations are written once, in `derivatives`. `linearize` takes
+their Jacobians from it by complex step, which needs `derivatives` to
+stay complex-analytic: no abs, max or comparison of states.
+
 The planner discretizes the linearized model with a zero-order hold,
 through the exponential of an augmented matrix. That exponential is
 computed here with NumPy alone, by scaling and squaring with a Padé(13)
@@ -26,6 +30,9 @@ NX = 8
 
 # Forward speed floor; the slip-angle terms divide by v_x.
 V_FLOOR = 0.5
+
+# Imaginary step of `linearize`: h^2 vanishes beside any state value.
+_CS_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,10 @@ def derivatives(state: np.ndarray, u: ControlInput, vp: VehicleParams,
                 dp: DriverParams) -> np.ndarray:
     """Time derivative of the 8-state vector.
 
-    Caller guarantees v_x >= V_FLOOR; the slip angles are singular at
-    v_x = 0.
+    `state` may hold a batch of states along a trailing axis, with `u.y_p`
+    one value or one per state; real or complex, so `linearize` can
+    differentiate it. Caller guarantees v_x >= V_FLOOR; the slip angles
+    are singular at v_x = 0.
     """
     v_x, v_y, r, phi = state[IVX], state[IVY], state[IR], state[IPHI]
     delta, ddelta = state[IDELTA], state[IDDELTA]
@@ -87,7 +96,7 @@ def derivatives(state: np.ndarray, u: ControlInput, vp: VehicleParams,
     # Preview error: commanded lateral point vs. predicted lateral position.
     err = u.y_p - (state[IY] + dp.t_p * v_x * phi)
 
-    out = np.empty(NX)
+    out = np.empty(np.shape(state), dtype=np.result_type(state, u.y_p))
     out[IVX] = v_y * r + u.a_x
     out[IVY] = -v_x * r + (f_yf * cos_d + f_yr) / vp.m
     out[IR] = (vp.l_f * f_yf * cos_d - vp.l_r * f_yr) / vp.i_z
@@ -120,63 +129,19 @@ def step(state: np.ndarray, u: ControlInput, vp: VehicleParams,
 
 def linearize(state: np.ndarray, u: ControlInput, vp: VehicleParams,
               dp: DriverParams) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic continuous-time Jacobians A = df/dx, B = df/du at (state, u).
+    """Continuous-time Jacobians A = df/dx, B = df/du of `derivatives` at
+    (state, u), by complex step.
 
-    The only control channel is the preview point Y_p, which enters the
-    steering-acceleration row; a_x is treated as a held constant.
+    One call of `derivatives` takes the NX state probes x + i h e_j and the
+    preview probe Y_p + i h side by side; each column is imag / h. That
+    subtracts nothing, so the columns are exact to rounding (Squire &
+    Trapp 1998, SIAM Rev. 40(1)). The only control channel is the preview
+    point Y_p; a_x is treated as a held constant.
     """
-    v_x, v_y, r, phi = state[IVX], state[IVY], state[IR], state[IPHI]
-    delta = state[IDELTA]
-
-    f_yf, _ = lateral_forces(state, vp)
-    cos_d, sin_d = np.cos(delta), np.sin(delta)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-
-    # Slip-angle partials.
-    daf_dvx = -(v_y + vp.l_f * r) / v_x**2
-    dar_dvx = -(v_y - vp.l_r * r) / v_x**2
-
-    A = np.zeros((NX, NX))
-    B = np.zeros((NX, 1))
-
-    A[IVX, IVY] = r
-    A[IVX, IR] = v_y
-
-    # v_y_dot = -v_x r + (F_yf cos(delta) + F_yr) / m
-    A[IVY, IVX] = -r + (-vp.k_f * daf_dvx * cos_d - vp.k_r * dar_dvx) / vp.m
-    A[IVY, IVY] = (-vp.k_f * cos_d / v_x - vp.k_r / v_x) / vp.m
-    A[IVY, IR] = -v_x + (-vp.k_f * vp.l_f * cos_d / v_x + vp.k_r * vp.l_r / v_x) / vp.m
-    A[IVY, IDELTA] = (vp.k_f * cos_d - f_yf * sin_d) / vp.m
-
-    # r_dot = (l_f F_yf cos(delta) - l_r F_yr) / I_z
-    A[IR, IVX] = (-vp.l_f * vp.k_f * daf_dvx * cos_d + vp.l_r * vp.k_r * dar_dvx) / vp.i_z
-    A[IR, IVY] = (-vp.l_f * vp.k_f * cos_d / v_x + vp.l_r * vp.k_r / v_x) / vp.i_z
-    A[IR, IR] = (-vp.l_f**2 * vp.k_f * cos_d / v_x - vp.l_r**2 * vp.k_r / v_x) / vp.i_z
-    A[IR, IDELTA] = vp.l_f * (vp.k_f * cos_d - f_yf * sin_d) / vp.i_z
-
-    A[IPHI, IR] = 1.0
-
-    A[IX, IVX] = cphi
-    A[IX, IVY] = -sphi
-    A[IX, IPHI] = -v_x * sphi - v_y * cphi
-
-    A[IY, IVX] = sphi
-    A[IY, IVY] = cphi
-    A[IY, IPHI] = v_x * cphi - v_y * sphi
-
-    A[IDELTA, IDDELTA] = 1.0
-
-    atd = dp.a * dp.t_d
-    atd2 = dp.a * dp.t_d * dp.t_d
-    gain = dp.g_s / atd2
-    A[IDDELTA, IVX] = -gain * dp.t_p * phi
-    A[IDDELTA, IPHI] = -gain * dp.t_p * v_x
-    A[IDDELTA, IY] = -gain
-    A[IDDELTA, IDELTA] = -1.0 / atd2
-    A[IDDELTA, IDDELTA] = -1.0 / atd
-
-    B[IDDELTA, 0] = gain
-    return A, B
+    probes = state[:, None] + 1j * _CS_STEP * np.eye(NX, NX + 1)
+    y_p = u.y_p + 1j * _CS_STEP * np.eye(NX + 1)[NX]
+    jac = derivatives(probes, ControlInput(y_p=y_p, a_x=u.a_x), vp, dp).imag / _CS_STEP
+    return jac[:, :NX], jac[:, NX:]
 
 
 # Padé(13) coefficients b_k of the exponential, divided by b_0 so that

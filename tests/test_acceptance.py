@@ -3,10 +3,11 @@
 Each test covers one release criterion and prints a single verdict line
 (run with -s to see them as they happen, or -rA for the captured block).
 The two scenario batches are computed once per module and shared by the
-pattern, cost-comparison, safety, and determinism criteria.
+pattern, cost-comparison, safety, determinism and fingerprint checks.
 """
 
 import functools
+import json
 import math
 import time
 import warnings
@@ -26,12 +27,13 @@ from lanegame.games import (ActionGrid, ac_candidates, ego_candidates,
 from lanegame.planner import solve_plan
 from lanegame.road import RoadGeometry
 from lanegame.scenario import load_scenario
-from lanegame.simulate import batch, run_simulation, write_trace
+from lanegame.cli import main as cli_main
+from lanegame.simulate import batch, comparison_csv, run_simulation, write_trace
 from lanegame.styles import style_profile
 from lanegame.vehicle import (DEFAULT_VEHICLE, IVX, NX, ControlInput,
                               derivatives, discretize, linearize)
 
-from conftest import make_neighbors
+from conftest import FINGERPRINTS, check_fingerprints, make_neighbors
 from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
 
 STYLES = ("aggressive", "normal", "conservative")
@@ -261,7 +263,7 @@ def test_two_ac_decomposition():
 
 # --- model accuracy -------------------------------------------------------
 
-@criterion("analytic Jacobians within 1e-5 of central differences (500 states)")
+@criterion("complex-step Jacobians within 1e-5 of central differences (500 states)")
 def test_linearization_accuracy():
     rng = np.random.default_rng(11)
     vp = DEFAULT_VEHICLE
@@ -272,18 +274,18 @@ def test_linearization_accuracy():
         x = rng.normal(0.0, 0.3, NX)
         x[IVX] = rng.uniform(5.0, 30.0)
         u = ControlInput(y_p=rng.normal(0.0, 2.0), a_x=rng.normal(0.0, 1.0))
-        a_an, b_an = linearize(x, u, vp, dp)
-        scale = max(1.0, np.max(np.abs(a_an)))
+        a_lin, b_lin = linearize(x, u, vp, dp)
+        scale = max(1.0, np.max(np.abs(a_lin)))
         for j in range(NX):
             e = np.zeros(NX)
             e[j] = h
             col = (derivatives(x + e, u, vp, dp)
                    - derivatives(x - e, u, vp, dp)) / (2.0 * h)
-            worst = max(worst, np.max(np.abs(col - a_an[:, j])) / scale)
+            worst = max(worst, np.max(np.abs(col - a_lin[:, j])) / scale)
         up = ControlInput(y_p=u.y_p + h, a_x=u.a_x)
         dn = ControlInput(y_p=u.y_p - h, a_x=u.a_x)
         bcol = (derivatives(x, up, vp, dp) - derivatives(x, dn, vp, dp)) / (2.0 * h)
-        worst = max(worst, np.max(np.abs(bcol - b_an[:, 0])) / scale)
+        worst = max(worst, np.max(np.abs(bcol - b_lin[:, 0])) / scale)
     print(f"  max relative Jacobian error {worst:.3g}")
     assert worst < 1e-5
 
@@ -383,6 +385,7 @@ def test_planner_safety(merge_runs, overtake_runs):
         limit = cfg.field.a_oc * math.exp(-1.0)
         for key, m in ms.items():
             assert m.min_clearance > 5.0, (key, m.min_clearance)
+            assert m.contact_steps == 0, key
             assert m.max_field <= limit, (key, m.max_field, limit)
 
 
@@ -499,6 +502,30 @@ def test_determinism(merge_runs, tmp_path):
 
 
 # --- locked behaviour -----------------------------------------------------
+
+def test_bundled_output_fingerprints(merge_runs, overtake_runs, tmp_path):
+    """The bytes of the bundled outputs: each batch trace as `write_trace`
+    writes it, each comparison CSV and each default field dump. A change
+    in the last printed digit fails here, where the golden metrics below
+    bound only how far a declared change may move a run."""
+    outputs = {"traces": {}, "comparison": {}, "field_dump": {}}
+    for cfg, runs in ((merge_runs[0], merge_runs[2]),
+                      (overtake_runs[0], overtake_runs[2])):
+        for trace, _ in runs:
+            path = tmp_path / f"{trace.scenario}_{trace.strategy}_{trace.style}.csv"
+            write_trace(trace, str(path))
+            outputs["traces"][path.name] = path.read_bytes()
+        csv = comparison_csv([m for _, m in runs])
+        outputs["comparison"][cfg.name] = csv.encode()
+        dump = tmp_path / f"{cfg.name}_field.csv"
+        assert cli_main(["field-dump", cfg.name, "--out", str(dump)]) == 0
+        outputs["field_dump"][cfg.name] = dump.read_bytes()
+    check_fingerprints(outputs)
+    recorded = json.loads(FINGERPRINTS.read_text())
+    assert len(outputs["traces"]) == 12
+    assert {kind: set(by_name) for kind, by_name in outputs.items()} == \
+        {kind: set(recorded[kind]) for kind in outputs}
+
 
 # Per-run metrics of the 12 bundled runs. The exact fields were recorded
 # before the cost terms were consolidated, the tolerance-checked ones

@@ -1,7 +1,8 @@
 """Every demo script runs to completion and prints its walkthrough.
 
 Each demo runs in its own interpreter with `PYTHONPATH=src`, as the
-README tells a reader to run it. `overtake_styles.py` is left out: it
+README tells a reader to run it, and its output must match the digest
+recorded in `fingerprints.json`. `overtake_styles.py` is left out: it
 simulates the overtake scenario once per style, about 5 s, and the
 closed loop it drives is covered by the acceptance tests.
 """
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import check_fingerprints
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("decision_matrix.py", "driver_step_response.py", "field_map.py",
@@ -27,3 +30,4 @@ def test_demo_runs(name):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    check_fingerprints({"demos": {name: done.stdout.encode()}})

@@ -11,7 +11,7 @@ from lanegame.costs import DecisionAction, KinematicState
 from lanegame.errors import ConfigError, InfeasibleDecisionError
 from lanegame.games import GameSolution
 from lanegame.road import LaneSpec, RoadGeometry
-from lanegame.scenario import load_scenario
+from lanegame.scenario import CAR_LENGTH, VehicleSpec, load_scenario
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
                                _scene_view, batch, comparison_csv,
                                metrics_lines, run_simulation, summarize,
@@ -185,7 +185,7 @@ def test_summarize_empty_trace():
     m = summarize(tr)
     assert m.steps == 0 and m.aborted
     assert math.isnan(m.t_commit) and m.sigma_commit == 0
-    assert m.min_clearance == math.inf
+    assert m.min_clearance == math.inf and m.contact_steps == 0
 
 
 def test_layer_failure_aborts_with_reason(merge_cfg):
@@ -468,3 +468,28 @@ def test_batch_repeats_names_in_order(merge_cfg):
             for strat in strategies for sty in styles]
     assert [(m.strategy, m.style) for _, m in runs] == [(m.strategy, m.style) for m in want]
     assert comparison_csv([m for _, m in runs]) == comparison_csv(want)
+
+
+@pytest.mark.parametrize("sweep", [{"strategies": ()}, {"styles": ()},
+                                   {"styles": (), "strategies": ()}])
+def test_batch_of_no_runs_is_empty(merge_cfg, monkeypatch, sweep):
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(simulate, "step", no_step)
+    assert batch(merge_cfg, **sweep) == []
+
+
+def test_contact_steps_counts_steps_under_a_car_length(merge_cfg, short_trace):
+    # The ego starts at 23.2 m/s, 8.6 m behind a 12.8 m/s car on its own
+    # lane: too close to keep clear. The run goes on, and the steps where
+    # the pair is closer than a car length are counted.
+    vehicles = [replace(v, s=40.0, v=23.2) if v.role == "EC" else v
+                for v in merge_cfg.vehicles]
+    vehicles.append(VehicleSpec(role="LC", lane=2, s=48.6, v=12.8))
+    tr = run_simulation(replace(merge_cfg, vehicles=vehicles, duration=3.0))
+    m = summarize(tr)
+    assert not m.aborted and m.min_clearance < 0.3
+    assert m.contact_steps == np.sum(tr.column("min_clearance") < CAR_LENGTH) == 19
+    assert "contact_steps=19" in metrics_lines(m)
+    assert summarize(short_trace).contact_steps == 0

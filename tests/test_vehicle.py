@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
+from lanegame import planner
 from lanegame.scenario import load_scenario
+from lanegame.simulate import run_simulation
 from lanegame.styles import style_profile
 from lanegame.vehicle import (DEFAULT_VEHICLE, IDDELTA, IDELTA, IPHI, IR, IVX,
                               IVY, IX, IY, NX, V_FLOOR, ControlInput,
@@ -99,24 +102,77 @@ def test_step_clamps_speed_floor():
     assert nxt[IVX] == V_FLOOR
 
 
+def _assert_matches_central_differences(x, u, dp, h=1e-6):
+    vp = DEFAULT_VEHICLE
+    A, B = linearize(x, u, vp, dp)
+    scale = max(1.0, np.max(np.abs(A)))
+    for j in range(NX):
+        e = np.zeros(NX)
+        e[j] = h
+        col = (derivatives(x + e, u, vp, dp) - derivatives(x - e, u, vp, dp)) / (2 * h)
+        assert np.max(np.abs(col - A[:, j])) / scale < 1e-5
+    up = ControlInput(y_p=u.y_p + h, a_x=u.a_x)
+    dn = ControlInput(y_p=u.y_p - h, a_x=u.a_x)
+    bcol = (derivatives(x, up, vp, dp) - derivatives(x, dn, vp, dp)) / (2 * h)
+    assert np.max(np.abs(bcol - B[:, 0])) / scale < 1e-5
+
+
 def test_linearize_matches_finite_differences(rng):
-    vp, dp = DEFAULT_VEHICLE, NORMAL_DRIVER
-    h = 1e-6
     for _ in range(25):
         x = rng.normal(0.0, 0.3, NX)
         x[IVX] = rng.uniform(5.0, 30.0)
         u = ControlInput(y_p=rng.normal(0.0, 2.0), a_x=rng.normal(0.0, 1.0))
-        A, B = linearize(x, u, vp, dp)
-        scale = max(1.0, np.max(np.abs(A)))
-        for j in range(NX):
-            e = np.zeros(NX)
-            e[j] = h
-            col = (derivatives(x + e, u, vp, dp) - derivatives(x - e, u, vp, dp)) / (2 * h)
-            assert np.max(np.abs(col - A[:, j])) / scale < 1e-5
-        up = ControlInput(y_p=u.y_p + h, a_x=u.a_x)
-        dn = ControlInput(y_p=u.y_p - h, a_x=u.a_x)
-        bcol = (derivatives(x, up, vp, dp) - derivatives(x, dn, vp, dp)) / (2 * h)
-        assert np.max(np.abs(bcol - B[:, 0])) / scale < 1e-5
+        _assert_matches_central_differences(x, u, NORMAL_DRIVER)
+
+
+def test_linearize_matches_finite_differences_along_a_bundled_run(monkeypatch):
+    # Every 10th linearization point of the aggressive overtake, which
+    # changes lane on the arc among three cars.
+    points = []
+
+    def record(x, u, vp, dp):
+        points.append((x.copy(), replace(u), dp))
+        return linearize(x, u, vp, dp)
+
+    monkeypatch.setattr(planner, "linearize", record)
+    trace = run_simulation(load_scenario("scenario_b"), style="aggressive",
+                           strategy="nash")
+    assert len(points) == len(trace.rows) == 300
+    for x, u, dp in points[::10]:
+        _assert_matches_central_differences(x, u, dp)
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_derivatives_of_a_batch_equal_its_columns(rng, kind):
+    # linearize evaluates its probes as one batch, states along a trailing
+    # axis, so each column must be that state's own result bit for bit:
+    # an (NX, 1) batch of it, and for a real state the (NX,) call that
+    # step makes. NumPy's complex scalar product rounds apart from its
+    # array loop in the last bit, so a complex (NX,) call agrees to
+    # rounding only.
+    n = 23
+    states = rng.normal(0.0, 0.3, (NX, n)).astype(kind)
+    states[IVX] += rng.uniform(5.0, 30.0, n)
+    y_p = rng.normal(0.0, 2.0, n).astype(kind)
+    if kind is complex:
+        states += 1j * rng.normal(0.0, 1e-3, (NX, n))
+        y_p += 1j * rng.normal(0.0, 1e-3, n)
+    dp = style_profile("aggressive").driver
+
+    def f(x, y):
+        return derivatives(x, ControlInput(y_p=y, a_x=0.7), DEFAULT_VEHICLE, dp)
+
+    out = f(states, y_p)
+    assert out.shape == (NX, n) and out.dtype == np.dtype(kind)
+    for j in range(n):
+        assert f(states[:, j:j + 1], y_p[j:j + 1])[:, 0].tobytes() == out[:, j].tobytes(), j
+        one = f(states[:, j], y_p[j])
+        assert one.dtype == np.dtype(kind)
+        if kind is float:
+            assert one.tobytes() == out[:, j].tobytes(), j
+        for part in (np.real, np.imag):
+            want = part(out[:, j])
+            assert np.max(np.abs(part(one) - want)) <= 1e-14 * np.max(np.abs(want)), j
 
 
 def test_control_enters_steering_row_only():

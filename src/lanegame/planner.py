@@ -8,18 +8,21 @@ acceleration into the prediction). The optimizer works on the control
 increments du over the control horizon, with the preview command held
 after that and kept inside the given box u_box. It is a projected
 Newton method on a Gauss-Newton model of the cost (Bertsekas 1982): each
-iteration takes the output Jacobian by forward differences, solves for a
-Newton step with the increments held on their bounds removed, and scores
-halvings of that step and of the gradient step in one batch. Only
-improvements are accepted, so the returned sequence never scores worse
-than leaving the command alone.
+iteration takes the output Jacobian by forward differences, takes as its
+step the exact minimizer of the model over the increments' box (a small
+active-set QP, _box_qp, that usually ends after one linear solve), and
+scores halvings of that step in one batch. Only improvements are
+accepted, so the returned sequence never scores worse than leaving the
+command alone.
 
 A solve makes one output batch per iteration, plus one to start. The
 Jacobian's probe rows ride with rows that are scored anyway: the first
 batch holds the zero increments and their probes, and every trial batch
-also holds the probes of the full Newton step, which is the usual winner
-(892 of the 900 iterations of the bundled overtake run). Only when
-another trial wins and the search goes on are its probes scored alone.
+also holds the probes of the full step, which is the usual winner (it
+scores lowest in all 900 trial batches of the bundled overtake run and
+in 2,490 of the 2,514 of the three scenario_a runs). Only when another
+trial wins and the search goes on are its probes scored alone. A trial
+batch is len(NEWTON_STEPS) + n_c rows.
 
 The linear prediction is built from the powers of the discrete state
 matrix, taken by doubling (see HorizonModel), so its NumPy calls grow
@@ -63,23 +66,21 @@ from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
 # Forward finite-difference step of the output Jacobian, in preview-command m.
 FD_STEP = 1e-4
 # Trial step factors of one iteration, all scored as one batch: halvings
-# of the Newton step, and of the gradient step that moves the largest
-# increment by 1. The gradient trials take the tiny gains near a rest
-# point; with 13 of them the bundled aggressive merge has 2 degraded steps.
+# of the step that minimizes the Gauss-Newton model over the box.
 NEWTON_STEPS = 0.5 ** np.arange(6)
-GRADIENT_STEPS = 0.5 ** np.arange(25)
 # State channels the cost reads: position for the field and the lateral
 # offset, yaw for the heading error.
 CHANNELS = [IX, IY, IPHI]
 # Longest prediction horizon MpcConfig accepts, in steps.
 MAX_HORIZON_STEPS = 1000
 # Largest n_p * n_c MpcConfig accepts. A solve peaks at about
-# (300 + 85 * obstacles) bytes per n_p * (n_c + 31), as a trial batch
-# scores 31 trials and n_c probe rows (tracemalloc of the first
-# scenario_b solve at n_p = n_c from 40 to 150 with 0 to 15 obstacles).
-# With n_p <= MAX_HORIZON_STEPS the cap bounds both, so with the largest
-# roster (scenario.MAX_VEHICLES = 16 cars, 15 obstacles) a solve peaks
-# near 112 MB.
+# (300 + 45 * obstacles) bytes per n_p * (n_c + 6), as a trial batch
+# scores len(NEWTON_STEPS) = 6 trials and n_c probe rows (tracemalloc of
+# three-iteration solves on a straight three-lane road, at n_p = n_c = 40
+# and 200 and at n_p = 1000, n_c = 40, with 0, 3 and 15 obstacles). With
+# n_p <= MAX_HORIZON_STEPS the cap bounds both, so with the largest roster
+# (scenario.MAX_VEHICLES = 16 cars, 15 obstacles) a solve peaks near
+# 45 MB; n_p = 1000, n_c = 40 read 37 MB.
 MAX_PLAN_CELLS = 40_000
 
 
@@ -126,6 +127,7 @@ class PlanResult:
     cost_zero: float
     iterations: int
     degraded: bool
+    cost_rows: int                # output rows scored, probes included
 
 
 @functools.lru_cache(maxsize=8)
@@ -290,17 +292,75 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
 
 
 @functools.lru_cache(maxsize=8)
-def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only per-size constants of a solve, shared like _lag: the identity,
-    its diagonal mask, the probe steps FD_STEP * I and the first batch (the
-    zero increments, then their probe rows)."""
+    the probe steps FD_STEP * I and the first batch (the zero increments,
+    then their probe rows)."""
     eye = np.eye(n_c)
     probes = FD_STEP * eye
     first = np.concatenate([np.zeros((1, n_c)), probes])
-    consts = (eye, eye > 0, probes, first)
+    consts = (eye, probes, first)
     for a in consts:
         a.flags.writeable = False
     return consts
+
+
+def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """The d minimizing g.d + d.H.d / 2 over lo <= d <= hi.
+
+    H must be symmetric positive definite and the box must hold 0.
+    Primal active set from d = 0 (Nocedal & Wright 2006, Algorithm 16.3),
+    with the components that sit on a bound at 0 and whose gradient
+    points out of the box held from the start. Each pass makes one
+    np.linalg.solve of the masked system, identity rows for the held
+    components and H rows for the others, whose solution minimizes the
+    model with the held ones on their bounds. A solution inside the box is
+    taken; then the held component whose multiplier H d + g has the wrong
+    sign for its bound, the largest first, is let go, or the minimizer is
+    found. A solution outside the box is approached from d up to the first
+    bound it crosses, and that component is held there.
+    With no component held, the first pass is np.linalg.solve(H, -g) and
+    nothing else when that lies in the box.
+
+    No pass raises the model, so d stays feasible and scores no higher on
+    it than 0. Every pass but the last holds or lets go one component, and
+    the model falls strictly between two passes that let go, so no held
+    set comes back and the loop ends: within 2 n + 2 passes on random
+    problems, and within 10 (n = 5) on the bundled runs. At its bound,
+    4 n + 2 passes, it returns the last d, feasible and no worse on the
+    model than 0, though not its minimizer.
+    """
+    n = g.size
+    held = ((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0))
+    d = np.zeros(n)
+    for _ in range(4 * n + 2):
+        if held.any():
+            z = np.linalg.solve(np.where(held[:, None], np.eye(n), hess),
+                                np.where(held, d, -g))
+            z[held] = d[held]
+        else:
+            z = np.linalg.solve(hess, -g)
+        below, above = z < lo, z > hi
+        crossed = below | above
+        if crossed.any():
+            # Go from d toward z up to the first bound crossed, and hold it.
+            bound = np.where(below, lo, hi)
+            frac = np.divide(bound - d, z - d, out=np.full(n, np.inf), where=crossed)
+            k = int(frac.argmin())
+            d = np.minimum(np.maximum(d + frac[k] * (z - d), lo), hi)
+            d[k] = bound[k]
+            held[k] = True
+            continue
+        d = z
+        if not held.any():
+            break
+        mult = hess @ d + g
+        wrong = held & (((mult < 0.0) & (d < hi)) | ((mult > 0.0) & (d > lo)))
+        if not wrong.any():
+            break
+        held[int(np.abs(np.where(wrong, mult, 0.0)).argmax())] = False
+    return d
 
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
@@ -317,19 +377,20 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     e_j, and takes the output Jacobian J from forward differences against
     y. With W weighting the outputs by q_diag at every horizon step,
     g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
-    Gauss-Newton Hessian.
-    An increment on its bound (the du box intersected with the running u
-    box, as _project clips) whose gradient points outward is active; its
-    row and column of H are cut to the diagonal before solving H d = -g.
-    The trials du + NEWTON_STEPS * d and du - GRADIENT_STEPS * g / max|g|
-    go through _project and are scored in one batch, and the lowest is
-    taken, the first on a tie, if it beats the best cost so far. The
-    search stops when no trial does or the drop is at most
-    tol * max(1, best), so the returned cost, which is the accepted one,
-    never exceeds the zero-increment cost. If no step is accepted while
-    the first cost gradient 2g is clearly nonzero, the plan is flagged
-    degraded. The returned outputs are the ones the accepted cost read,
-    and the full 8-state prediction is made for the returned plan.
+    Gauss-Newton Hessian. The step d minimizes the model g.d + d.H.d / 2
+    over lo - du <= d <= hi - du, where (lo, hi) is the du box intersected
+    with the running u box at du, as _project clips (see _box_qp). The
+    trials du + NEWTON_STEPS * d go through _project and are scored in one
+    batch, and the lowest is taken, the first on a tie, if it beats the
+    best cost so far. The search stops when no trial does or the drop is
+    at most tol * max(1, best), so the returned cost, which is the
+    accepted one, never exceeds the zero-increment cost. If no step is
+    accepted while the first iteration's model promised a drop -(g.d +
+    d.H.d / 2) above tol * max(1, cost_zero), the plan is flagged
+    degraded; at a point where the box allows no descent the step is 0
+    and so is the promise. The returned outputs are the ones the accepted
+    cost read, the full 8-state prediction is made for the returned plan,
+    and cost_rows counts the output rows the solve scored.
 
     The outputs come in as few batches as the search allows, each row
     scored as it would be alone: the zero increments with their probe
@@ -341,10 +402,10 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     Whether the u box can bind is decided once, before the first
     iteration. When no running command of any du-clipped sequence comes
     near enough to the u box for it to bind (see _box_free), every
-    projection is the plain [du_min, du_max] clip and the active-set
-    bounds are the du box, with no _bounds call; otherwise each batch
-    runs _project's loop and the bounds are read at the running command.
-    Both give the loop's result bit for bit.
+    projection is the plain [du_min, du_max] clip and the step's bounds
+    are the du box, with no _bounds call; otherwise each batch runs
+    _project's loop and the bounds are read at the running command. Both
+    give the loop's result bit for bit.
 
     DomainError if the zero-increment cost is not finite (a field or a
     weight that overflows), since no trial could then be compared with it.
@@ -356,19 +417,22 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     w = np.array(cfg.q_diag, dtype=float)
     prepared = coasted(scene, (np.arange(cfg.n_p) + 1) * dt)
 
+    scored = 0
+
     def outputs_of(du_batch: np.ndarray) -> np.ndarray:
+        nonlocal scored
+        scored += len(du_batch)
         return _outputs(model.poses(du_batch), prepared, target_lane)
 
     du = np.zeros(n_c)
-    eye, diagonal, probes, first = _probes(n_c)
+    eye, probes, first = _probes(n_c)
     ys = outputs_of(first)
     y, y_probe = ys[0], ys[1:]
     best = float(mpc_cost(y, du, w, r))
     if not np.isfinite(best):
         raise DomainError(f"the zero-increment horizon cost is {best}")
     cost_zero = best
-    n_newton = len(NEWTON_STEPS)
-    n_trials = n_newton + len(GRADIENT_STEPS)
+    n_trials = len(NEWTON_STEPS)
     box_free = _box_free(u_prev, u_box, cfg)
     if box_free:
         lo, hi = cfg.du_min, cfg.du_max
@@ -377,6 +441,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     steps = np.empty((n_trials, n_c))
     batch = np.empty((n_trials + n_c, n_c))
     trials = batch[:n_trials]
+    degraded = False
 
     for iterations in range(1, cfg.max_iter + 1):
         if y_probe is None:
@@ -384,27 +449,27 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         jac = (y_probe - y) / FD_STEP    # (n_c, n_p, 3)
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
-        gnorm = float(np.abs(g).max())
-        if gnorm == 0.0:
+        if not g.any():
             break
+        hess = jw @ jac.reshape(n_c, -1).T + r * eye
         if not box_free:
             # Summed in _project's order, so a clipped increment equals its bound.
             lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
-        free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
-        hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        if not free.all():
-            hess = np.where(np.outer(free, free) | diagonal, hess, 0.0)
-        d = np.linalg.solve(hess, -g)
-        np.multiply(NEWTON_STEPS[:, None], d, out=steps[:n_newton])
-        np.add(du, steps[:n_newton], out=steps[:n_newton])
-        np.multiply((GRADIENT_STEPS / gnorm)[:, None], g, out=steps[n_newton:])
-        np.subtract(du, steps[n_newton:], out=steps[n_newton:])
+        # A u_prev outside u_box can leave du past a bound; the step's box
+        # is then widened to hold 0.
+        d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
+        np.multiply(NEWTON_STEPS[:, None], d, out=steps)
+        np.add(du, steps, out=steps)
         _project(steps, u_prev, u_box, cfg, box_free, out=trials)
         np.add(trials[0], probes, out=batch[n_trials:])
         ys = outputs_of(batch)
         vals = mpc_cost(ys[:n_trials], trials, w, r)
         k = int(vals.argmin())
         if not vals[k] < best:
+            # A first iteration that gains nothing missed if its model
+            # promised a clear drop.
+            degraded = (iterations == 1 and
+                        -(g @ d + 0.5 * (d @ hess @ d)) > cfg.tol * max(1.0, cost_zero))
             break
         drop = best - float(vals[k])
         du, best, y = trials[k].copy(), float(vals[k]), ys[k]
@@ -412,11 +477,8 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
 
-    # A run that accepted no step stopped in its first iteration, so
-    # gnorm is still the first gradient's.
-    degraded = not du.any() and 2.0 * gnorm > 1e-6
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
                       predicted_states=model.states(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
-                      degraded=degraded)
+                      degraded=degraded, cost_rows=scored)

@@ -83,6 +83,8 @@ class TraceLog:
     aborted: bool = False
     abort_reason: str = ""
     max_iter: int = MpcConfig.max_iter   # the planner's iteration cap in this run
+    # Planner output rows scored over the run; kept off the CSV columns.
+    mpc_cost_rows: int = 0
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -119,6 +121,7 @@ class RunMetrics:
     degraded_steps: int = 0
     maxiter_steps: int = 0           # plans that stopped at the iteration cap
     mpc_iterations: int = 0          # planner iterations summed over the run
+    mpc_cost_rows: int = 0           # planner output rows scored over the run
     security_steps: int = 0
     clamp_steps: int = 0
 
@@ -364,6 +367,7 @@ def _runs(cfg: ScenarioConfig, style_name: str,
             trace.abort_reason = f"{what} at t={t:.2f}: {exc}"
             break
         u_cmd = plan.u_applied
+        trace.mpc_cost_rows += plan.cost_rows
         box_violation = float(not u_lo - 1e-9 <= u_cmd <= u_hi + 1e-9)
 
         # Running cost components (see the module docstring); safety
@@ -461,6 +465,7 @@ def summarize(trace: TraceLog) -> RunMetrics:
         degraded_steps=int(np.sum(col("mpc_degraded"))),
         maxiter_steps=int(np.sum(col("mpc_iters") >= trace.max_iter)),
         mpc_iterations=int(np.sum(col("mpc_iters"))),
+        mpc_cost_rows=trace.mpc_cost_rows,
         security_steps=int(np.sum(col("security"))),
         clamp_steps=int(np.sum(col("clamped"))),
     )

@@ -529,30 +529,31 @@ def test_bundled_output_fingerprints(merge_runs, overtake_runs, tmp_path):
 
 # Per-run metrics of the 12 bundled runs. The exact fields were recorded
 # before the cost terms were consolidated, the tolerance-checked ones
-# when the planner became projected Newton. A refactor must reproduce
-# them; an intended change to any of them must be justified in
-# CHANGES.md. t_commit is k * dt at the committing step and is compared
-# exactly, like the other integers.
+# when the planner became projected Newton, and again for the first five
+# rows when its step became the model's exact minimizer over the box. A
+# refactor must reproduce them; an intended change to any of them must be
+# justified in CHANGES.md. t_commit is k * dt at the committing step and
+# is compared exactly, like the other integers.
 GOLDEN_EXACT = ("steps", "t_commit", "sigma_commit", "merged", "final_lane")
 GOLDEN_CLOSE = ("rms_safety", "rms_comfort", "rms_efficiency", "rms_total",
                 "min_clearance", "max_field")
 GOLDEN_REL_TOL = 1e-6
 _GOLDEN_BY_STYLE = {
-    ("scenario_a", "aggressive"): (240, 0.9, -1, True, 1, 2.97143731,
-                                   4.72393904, 7.96098795, 6.81723531,
-                                   15.275621, 9.05962729),
-    ("scenario_a", "normal"): (240, 2.15, -1, True, 1, 0.257208467,
-                               3.33418586, 13.1391932, 3.35479117,
-                               21.8417824, 5.33563089),
-    ("scenario_a", "conservative"): (240, 2.7, -1, True, 1, 0.177892688,
-                                     3.48818712, 19.0244269, 2.32495155,
-                                     24.3671988, 5.63236782),
+    ("scenario_a", "aggressive"): (240, 0.9, -1, True, 1, 2.97143691,
+                                   4.72393904, 7.9609926, 6.81723928,
+                                   15.2755851, 9.05994822),
+    ("scenario_a", "normal"): (240, 2.15, -1, True, 1, 0.257208498,
+                               3.33418586, 13.1392289, 3.35479652,
+                               21.8417874, 5.33584298),
+    ("scenario_a", "conservative"): (240, 2.7, -1, True, 1, 0.177892564,
+                                     3.48818712, 19.0231553, 2.32484433,
+                                     24.3672275, 5.63079985),
     ("scenario_b", "aggressive"): (300, 1.7000000000000002, -1, True, 1,
-                                   15.0546641, 5.64091806, 7.13350399,
-                                   7.33459591, 21.4773046, 6.08439999),
+                                   15.0546642, 5.64091806, 7.13334245,
+                                   7.33449566, 21.4773033, 6.08425987),
     ("scenario_b", "normal"): (300, 3.3000000000000003, -1, True, 1,
-                               12.3004817, 5.8409287, 15.0255617,
-                               9.62233017, 22.6562978, 6.06741991),
+                               12.3004818, 5.8409287, 15.0249991,
+                               9.62229575, 22.6563161, 6.06762882),
     ("scenario_b", "conservative"): (300, math.nan, 0, False, 2,
                                      10.4968585, 0.190394328, 60.7738612,
                                      11.9874068, 12.6524835, 5.24510348),

@@ -1,7 +1,10 @@
 """Receding-horizon planner: prediction model, boxes, zero-dominance."""
 
 import dataclasses
+import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 from lanegame import planner
 from lanegame.errors import DomainError
 from lanegame.field import FieldParams, coasted, total_field
-from lanegame.planner import (CHANNELS, FD_STEP, GRADIENT_STEPS, MAX_HORIZON_STEPS,
-                              MAX_PLAN_CELLS, NEWTON_STEPS, HorizonModel, MpcConfig,
-                              PlanResult, _bounds, _outputs, _project, mpc_cost,
+from lanegame.planner import (CHANNELS, FD_STEP, MAX_HORIZON_STEPS, MAX_PLAN_CELLS,
+                              NEWTON_STEPS, HorizonModel, MpcConfig, PlanResult,
+                              _bounds, _box_qp, _outputs, _project, mpc_cost,
                               solve_plan)
 from lanegame.styles import style_profile
 from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
@@ -622,11 +625,12 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
 def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     """solve_plan's search with every output batch scored on its own.
 
-    The same Jacobian, trials, tie rule and stopping test, but the zero
-    increments are scored alone and every iteration scores its n_c probe
-    rows in one batch and its 31 trials in another. Returns the plan and
-    the index of the trial each accepted step took, for the steps after
-    which the search went on.
+    The same Jacobian, box QP step, trials, tie rule and stopping test,
+    but the zero increments are scored alone, every iteration scores its
+    n_c probe rows in one batch and its len(NEWTON_STEPS) trials in
+    another, and the step's box is always read at the running command.
+    Returns the plan and the index of the trial each accepted step took,
+    for the steps after which the search went on.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
     prepared = coasted(prepare_poses(obstacles, road, FP), _times(cfg.n_p))
@@ -640,25 +644,23 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     y = outputs_of(du)
     best = cost_zero = float(mpc_cost(y, du, w, r))
     went_on_after = []
+    degraded = False
     for iterations in range(1, cfg.max_iter + 1):
         jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm == 0.0:
+        if not np.any(g):
             break
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), box, cfg)
-        free = ~(((du <= lo) & (g > 0)) | ((du >= hi) & (g < 0)))
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        hess = np.where(np.outer(free, free) | (eye > 0), hess, 0.0)
-        d = np.linalg.solve(hess, -g)
-        trials = _project(np.concatenate([du + NEWTON_STEPS[:, None] * d,
-                                          du - (GRADIENT_STEPS / gnorm)[:, None] * g]),
-                          u_prev, box, cfg)
+        d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
+        trials = _project(du + NEWTON_STEPS[:, None] * d, u_prev, box, cfg)
         ys = outputs_of(trials)
         vals = mpc_cost(ys, trials, w, r)
         k = int(np.argmin(vals))
         if not vals[k] < best:
+            degraded = (iterations == 1 and
+                        -(g @ d + 0.5 * (d @ hess @ d)) > cfg.tol * max(1.0, cost_zero))
             break
         drop = best - float(vals[k])
         du, best, y = trials[k], float(vals[k]), ys[k]
@@ -666,11 +668,10 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
             break
         if iterations < cfg.max_iter:
             went_on_after.append(k)
-    degraded = not np.any(du) and 2.0 * gnorm > 1e-6
     plan = PlanResult(du_sequence=du, u_applied=float(u_prev + du[0]),
                       predicted_states=model.states(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
-                      degraded=degraded)
+                      degraded=degraded, cost_rows=0)   # rows not counted here
     return plan, went_on_after
 
 
@@ -705,14 +706,15 @@ def _boxed_scene(reach, two_lane_road):
 
 def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc,
                                                    monkeypatch):
-    # Every PlanResult field equals, bit for bit, the search that scores
-    # each batch on its own and projects through the loop, and each solve
-    # makes the calls it should: one of 1 + n_c rows, one of 31 + n_c per
-    # iteration, and one of n_c after each step that took another trial
-    # than the full Newton step and did not end the search. The scenes
-    # take both branches, and both projections: the boxed scenes check
-    # which one each took, by its _bounds calls.
-    n_trials = len(NEWTON_STEPS) + len(GRADIENT_STEPS)
+    # Every PlanResult field but the row count equals, bit for bit, the
+    # search that scores each batch on its own and projects through the
+    # loop, and each solve makes the calls it should: one of 1 + n_c rows,
+    # one of len(NEWTON_STEPS) + n_c per iteration, and one of n_c after
+    # each step that took another trial than the full step and did not end
+    # the search. The plan's row count is the rows of those calls. The
+    # scenes take both branches, and both projections: the boxed scenes
+    # check which one each took, by its _bounds calls.
+    n_trials = len(NEWTON_STEPS)
     scenes = [(seed, _scene(seed, two_lane_road, three_lane_arc), None)
               for seed in SCENE_SEEDS]
     scenes += [(reach, _boxed_scene(reach, two_lane_road), path)
@@ -727,6 +729,8 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
                          cfg, VP, DP, DT, box)
         monkeypatch.undo()
         for f in dataclasses.fields(PlanResult):
+            if f.name == "cost_rows":
+                continue
             a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, f.name)
         n_c = cfg.n_c
@@ -735,6 +739,7 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
         assert rows[0] == 1 + n_c
         assert rows.count(n_trials + n_c) == got.iterations
         assert rows.count(n_c) == fallbacks
+        assert got.cost_rows == sum(rows)
         took = "loop" if bounds else "clip"
         assert took == ("clip" if planner._box_free(u_prev, box, cfg) else "loop")
         assert path in (None, took), label
@@ -743,6 +748,125 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
     assert paths == {"clip", "loop"}
     assert went_on_after.count(0) > 0
     assert len(went_on_after) - went_on_after.count(0) > 0
+
+
+def _model(hess, g, d):
+    return g @ d + 0.5 * (d @ hess @ d)
+
+
+def _enumerated_qp(hess, g, lo, hi):
+    """The box QP's minimizer by trying all 3**n ways to hold each component
+    on its lower bound, on its upper bound or free, keeping the feasible
+    lowest."""
+    n, best = g.size, None
+    for way in itertools.product((0, 1, 2), repeat=n):
+        way = np.array(way)
+        held = way < 2
+        d = np.where(way == 0, lo, hi)
+        free = ~held
+        if free.any():
+            d[free] = np.linalg.solve(hess[np.ix_(free, free)],
+                                      -(g[free] + hess[np.ix_(free, held)] @ d[held]))
+        if np.all(d >= lo - 1e-12) and np.all(d <= hi + 1e-12):
+            if best is None or _model(hess, g, d) < _model(hess, g, best):
+                best = d
+    return best
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_box_qp_step_is_the_model_minimizer_over_the_box(n, seed):
+    # Random SPD H and g, and boxes that hold 0, some with a side at 0.
+    # The step is feasible and meets the KKT conditions to 1e-9, is the
+    # minimizer found by enumeration for n <= 6, and when the box binds
+    # nothing it is np.linalg.solve(H, -g) bit for bit. It ends before
+    # the loop's bound of 4 n + 2 passes, one np.linalg.solve each.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    hess = a @ a.T + rng.uniform(0.01, 2.0) * np.eye(n)
+    g = rng.normal(size=n) * rng.choice([0.1, 1.0, 3.0])
+    lo = -rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    hi = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.2)
+    if rng.uniform() < 0.2:
+        lo, hi = lo - 100.0, hi + 100.0
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        d = _box_qp(hess, g, lo, hi)
+    assert 1 <= solve.call_count < 4 * n + 2
+    assert np.all(lo <= d) and np.all(d <= hi)
+    mult = hess @ d + g
+    free = (lo < d) & (d < hi)
+    assert np.all(np.abs(mult[free]) <= 1e-9)
+    assert np.all(mult[(d == lo) & (lo < hi)] >= -1e-9)
+    assert np.all(mult[(d == hi) & (lo < hi)] <= 1e-9)
+    if n <= 6:
+        assert np.allclose(d, _enumerated_qp(hess, g, lo, hi), rtol=0.0, atol=1e-9)
+    newton = np.linalg.solve(hess, -g)
+    if np.all(lo + 1e-9 < newton) and np.all(newton < hi - 1e-9):
+        assert d.tobytes() == newton.tobytes()
+
+
+def _lane_change_solve(monkeypatch, road, u_box, worse_trials=False):
+    """The solve of test_plan_moves_toward_target_lane under u_box, and the
+    g of each step it computed. With worse_trials every trial row after the
+    first batch scores 10 m further off the lane than it would."""
+    gs = []
+    real_qp, real_outputs = planner._box_qp, planner._outputs
+
+    def logged_qp(hess, g, *args):
+        gs.append(g.copy())
+        return real_qp(hess, g, *args)
+
+    def shifted(poses, *args):
+        out = real_outputs(poses, *args)
+        if len(out) == len(NEWTON_STEPS) + cfg.n_c:
+            out[:len(NEWTON_STEPS), :, 1] += 10.0
+        return out
+
+    cfg = small_cfg()
+    monkeypatch.setattr(planner, "_box_qp", logged_qp)
+    if worse_trials:
+        monkeypatch.setattr(planner, "_outputs", shifted)
+    plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], road, FP), 1,
+                      cfg, VP, DP, DT, u_box)
+    monkeypatch.undo()
+    return plan, gs
+
+
+def test_degraded_flags_a_step_that_missed_its_model(two_lane_road, monkeypatch):
+    # Every trial scores worse than the model promised, by far: the solve
+    # keeps the zero increments in its first iteration and says so.
+    plan, gs = _lane_change_solve(monkeypatch, two_lane_road, BOX,
+                                  worse_trials=True)
+    assert plan.iterations == 1 and len(gs) == 1
+    assert not plan.du_sequence.any() and plan.cost == plan.cost_zero
+    assert plan.degraded
+    # Unpatched, the same solve takes the step.
+    plan, _ = _lane_change_solve(monkeypatch, two_lane_road, BOX)
+    assert plan.cost < plan.cost_zero and not plan.degraded
+
+
+def test_degraded_spares_an_optimum_on_the_box_edge(two_lane_road, monkeypatch):
+    # The target lane pulls the command up, and u_prev = 0 is the top of
+    # the u box: every increment's upper bound is 0 and its gradient points
+    # out of the box, so the step is 0 and the zero increments are the
+    # plan. The former rule (no step taken while 2 |g| > 1e-6) flagged it.
+    plan, gs = _lane_change_solve(monkeypatch, two_lane_road, (-10.0, 0.0))
+    assert plan.iterations == 1 and len(gs) == 1
+    assert not plan.du_sequence.any() and plan.cost == plan.cost_zero
+    assert np.all(gs[0] < 0.0) and 2.0 * np.abs(gs[0]).max() > 1e-6
+    assert not plan.degraded
+
+
+def test_plan_from_below_the_u_box(two_lane_road):
+    # u_prev under the u box puts the projected increments past their
+    # bounds, so the step's box is widened to hold 0: the solve still
+    # climbs toward the target lane, with no floating-point warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = solve_plan(_x0(), -10.5, 0.0, prepare_poses([], two_lane_road, FP), 2,
+                          small_cfg(), VP, DP, DT, BOX)
+    assert plan.cost < plan.cost_zero
+    assert plan.du_sequence[0] > 0.0 and not plan.degraded
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan

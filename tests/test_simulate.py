@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lanegame import field, simulate
+from lanegame import field, planner, simulate
 from lanegame.costs import DecisionAction, KinematicState
 from lanegame.errors import ConfigError, InfeasibleDecisionError
 from lanegame.games import GameSolution
@@ -221,6 +221,26 @@ def test_mpc_iterations_sums_the_trace_column(short_trace):
     assert m.mpc_iterations == int(iters.sum()) > len(iters)
     assert f"mpc_iterations={m.mpc_iterations}" in metrics_lines(m)
     assert summarize(replace(short_trace, rows=[])).mpc_iterations == 0
+
+
+def test_mpc_cost_rows_counts_the_planner_output_rows(merge_cfg, monkeypatch):
+    # The run's row count is the rows the planner's _outputs scored, and
+    # it is printed with the metrics but is no trace column.
+    rows = []
+    real = planner._outputs
+
+    def counted(poses, *args):
+        rows.append(poses[..., 0, 0].size)
+        return real(poses, *args)
+
+    monkeypatch.setattr(planner, "_outputs", counted)
+    tr = run_simulation(replace(merge_cfg, duration=0.5), style="aggressive",
+                        strategy="nash")
+    m = summarize(tr)
+    assert m.mpc_cost_rows == sum(rows) > 0
+    assert f"mpc_cost_rows={m.mpc_cost_rows}" in metrics_lines(m)
+    assert "mpc_cost_rows" not in tr.columns
+    assert summarize(replace(tr, rows=[])).mpc_cost_rows == 0
 
 
 def test_metrics_text_outputs(short_trace, tmp_path):

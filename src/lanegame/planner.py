@@ -287,8 +287,16 @@ def _running(du: np.ndarray, u_prev: float) -> np.ndarray:
 
 
 def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
-    """(lo, hi) at running command u: the du box within what keeps u in u_box."""
-    return np.maximum(cfg.du_min, u_box[0] - u), np.minimum(cfg.du_max, u_box[1] - u)
+    """(lo, hi) at running command u: the du box within what keeps u in u_box.
+
+    Each bound is the room to its edge of u_box clipped to the du box, so
+    lo <= hi always. With u inside u_box that is the intersection of the
+    two boxes; with u outside, both bounds are the du box's edge nearest
+    u_box, and the increment moves the command toward it as far as the
+    du box allows.
+    """
+    return (np.minimum(np.maximum(u_box[0] - u, cfg.du_min), cfg.du_max),
+            np.minimum(np.maximum(u_box[1] - u, cfg.du_min), cfg.du_max))
 
 
 @functools.lru_cache(maxsize=8)

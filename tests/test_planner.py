@@ -346,6 +346,29 @@ def test_project_respects_running_command_box():
     assert np.allclose(_project(du, 0.0, BOX, cfg), du)
 
 
+def test_project_from_outside_the_u_box_stays_in_the_du_box():
+    # A command outside the u box is moved toward it by at most the du
+    # box per increment, from above as from below, whatever du asks for,
+    # and kept inside once there.
+    cfg = small_cfg(du_min=-0.3, du_max=0.3)
+    assert np.allclose(_project(np.zeros(4), 10.5, BOX, cfg), [-0.3, -0.2, 0.0, 0.0])
+    assert np.allclose(_project(np.zeros(4), -10.5, BOX, cfg), [0.3, 0.2, 0.0, 0.0])
+    for u_prev in (10.5, -10.5):
+        for du in (np.zeros(4), np.full(4, 1.0), np.full(4, -1.0)):
+            out = _project(du, u_prev, BOX, cfg)
+            assert abs(out[0]) == 0.3 and np.sign(out[0]) == -np.sign(u_prev)
+            assert np.all(out >= cfg.du_min) and np.all(out <= cfg.du_max)
+            u = u_prev + np.cumsum(out)
+            assert np.all((u[1:] >= BOX[0] - 1e-12) & (u[1:] <= BOX[1] + 1e-12))
+    # A box the du box cannot reach in n_c increments: every increment
+    # is the du box's edge nearest the u box.
+    assert np.array_equal(_project(np.zeros(4), 12.0, BOX, cfg), np.full(4, -0.3))
+    assert np.array_equal(_project(np.zeros(4), -12.0, BOX, cfg), np.full(4, 0.3))
+    lo, hi = _bounds(np.array([12.0, -12.0, 0.0]), BOX, cfg)
+    assert np.array_equal(lo, [-0.3, 0.3, -0.3])
+    assert np.array_equal(hi, [-0.3, 0.3, 0.3])
+
+
 def test_project_batch_matches_rows(rng):
     cfg = small_cfg(du_min=-0.3, du_max=0.3)
     box = (-1.0, 1.0)
@@ -358,12 +381,13 @@ def test_project_batch_matches_rows(rng):
 
 
 def _sequential_project(du, u_prev, u_box, cfg):
-    """The projection as one loop over the increments, on every row."""
+    """The projection as one loop over the increments, on every row; from
+    outside the u box, each bound is the du box's edge nearest it."""
     out = np.empty_like(du)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
-        lo = np.maximum(cfg.du_min, u_box[0] - u)
-        hi = np.minimum(cfg.du_max, u_box[1] - u)
+        lo = np.minimum(cfg.du_max, np.maximum(cfg.du_min, u_box[0] - u))
+        hi = np.maximum(cfg.du_min, np.minimum(cfg.du_max, u_box[1] - u))
         out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
         u = u + out[..., j]
     return out
@@ -867,6 +891,21 @@ def test_plan_from_below_the_u_box(two_lane_road):
                           small_cfg(), VP, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0 and not plan.degraded
+
+
+def test_plan_from_above_the_u_box(two_lane_road):
+    # The mirror of the case above: u_prev over the u box, and the solve
+    # descends toward the target lane with every increment inside the du
+    # box (the clip once took -0.5 past du_min = -0.3 here).
+    cfg = small_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = solve_plan(_x0(), 10.5, 0.0, prepare_poses([], two_lane_road, FP), 2,
+                          cfg, VP, DP, DT, BOX)
+    assert plan.cost < plan.cost_zero
+    assert plan.du_sequence[0] < 0.0 and not plan.degraded
+    assert np.all(plan.du_sequence >= cfg.du_min)
+    assert np.all(plan.du_sequence <= cfg.du_max)
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan

@@ -22,7 +22,7 @@ with 8 or more terms reduces a 1-D array, which numpy sums pairwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -142,9 +142,9 @@ def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
     the weighted lines laid out by `_leading` with one axis more than d, so
     the leading axis runs over the lines.
     """
-    if np.less(s, -1e-9).any() or np.greater(s, road.length + 1e-9).any():
+    if s.min() < -1e-9 or s.max() > road.length + 1e-9:
         raise DomainError("query station outside the road's station range")
-    terms = np.abs(np.asarray(d, dtype=float) - offsets)
+    terms = np.abs(d - offsets)
     np.negative(terms, out=terms)
     terms += p.d_safe
     terms += 0.5 * p.w
@@ -167,7 +167,7 @@ class PreparedField:
     obstacle arrays, c*v and the lines up with it (see `_layout`) and
     keeps that layout for later queries of the rank, so a planner solve
     lays its coasted scene out once for all its batches. The layouts are
-    no init field: `replace`, and so `coasted`, starts a new field with
+    no init field, so a new field, such as `coasted` makes, starts with
     none.
     """
 
@@ -200,8 +200,10 @@ def coasted(field: PreparedField, t: np.ndarray) -> PreparedField:
     """`field` with its fixed poses coasting at constant velocity for times t:
     `x` and `y` become (n_obs, len(t)), x + v*t*cos and y + v*t*sin."""
     vt = field.v[:, None] * t
-    return replace(field, x=field.x[:, None] + vt * field.cos[:, None],
-                   y=field.y[:, None] + vt * field.sin[:, None])
+    return PreparedField(x=field.x[:, None] + vt * field.cos[:, None],
+                         y=field.y[:, None] + vt * field.sin[:, None],
+                         cos=field.cos, sin=field.sin, v=field.v, road=field.road,
+                         offsets=field.offsets, gains=field.gains, params=field.params)
 
 
 def _layout(field: PreparedField, rank: int) -> tuple:

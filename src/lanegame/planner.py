@@ -24,8 +24,8 @@ in 2,490 of the 2,514 of the three scenario_a runs). Only when another
 trial wins and the search goes on are its probes scored alone. A trial
 batch is len(NEWTON_STEPS) + n_c rows.
 
-The linear prediction is built from the powers of the discrete state
-matrix, taken by doubling (see HorizonModel), so its NumPy calls grow
+The linear prediction is a rollout of the discrete step map over the
+horizon, taken by doubling (see HorizonModel), so its NumPy calls grow
 with the log of the horizon. The horizon cost is prepared once per solve
 and has one evaluation path, which the zero-increment cost, every trial
 and the returned plan share: the caller's PreparedField is coasted along
@@ -143,55 +143,65 @@ class HorizonModel:
 
     Holds the discretized (A, B, affine) triple, the held-command rollout
     `base` and the lagged input gains `sens` that map a du sequence to
-    states in one tensor contraction. Both come from the powers A^1 ..
-    A^n_p, taken by doubling in ceil(log2 n_p) stacked matrix products,
-    and one more stacked product with [B, B u_prev + w]. They differ from
-    the step-by-step rollout by rounding only, within 1e-12 of the largest
-    value; `sens` repeats each gain bit for bit at every lag.
+    states in one tensor contraction. Both come from one rollout of the
+    augmented step map M = [[A, B, c], [0, 1, 0], [0, 0, 1]], c = B u_prev
+    + w the held command's drift, applied to the two columns (0, 1, 0) and
+    (x0, 0, 1): M^k of them holds the input gain sum_{m<k} A^m B and the
+    held-command state after k steps. The rollout goes by doubling: with
+    M^m known and the first m steps rolled out, one matrix product gives
+    the next m and one squaring gives M^2m, so a horizon of n_p steps
+    takes ceil(log2(n_p + 1)) products. They differ from the
+    step-by-step rollout by rounding only, within 1e-12 of the largest
+    value (6.1e-15 over the 1,620 planner steps of the six bundled Nash
+    runs); `sens` repeats each gain bit for bit at every lag.
     """
 
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
                  vp: VehicleParams, dp: DriverParams, cfg: MpcConfig, dt: float):
         if x0[0] <= V_FLOOR:
             raise DomainError("linearization needs forward speed above the floor")
-        self.x0 = np.asarray(x0, dtype=float)
+        self.x0 = x0 = np.asarray(x0, dtype=float)
         self.u_prev = float(u_prev)
         u0 = ControlInput(y_p=u_prev, a_x=a_x)
-        a_c, b_c = linearize(self.x0, u0, vp, dp)
-        # Affine remainder: the model is not linear through the origin, and
-        # a_x enters the prediction only through this term.
-        w_c = derivatives(self.x0, u0, vp, dp) - a_c @ self.x0 - b_c[:, 0] * u_prev
-        b_aug = np.column_stack([b_c, w_c])
+        a_c, b_c = linearize(x0, u0, vp, dp)
+        # Drift of the held command, f(x0, u0) - A x0 = B u_prev + w: the
+        # model is affine, not linear through the origin, and a_x enters
+        # the prediction only through its remainder w.
+        b_aug = np.empty((NX, 2))
+        b_aug[:, :1] = b_c
+        np.subtract(derivatives(x0, u0, vp, dp), a_c @ x0, out=b_aug[:, 1])
         self.a_d, b_d = discretize(a_c, b_aug, dt)
         self.b_u = b_d[:, 0]
-        self.w_d = b_d[:, 1]
+        self.w_d = b_d[:, 1] - self.b_u * self.u_prev
 
         n_p = cfg.n_p
-        # pw[m] = A^m for m = 0..n_p, filled by doubling: each matmul
-        # multiplies the highest power so far by all the powers below it.
-        pw = np.empty((n_p + 1, NX, NX))
-        pw[0] = np.eye(NX)
-        pw[1] = self.a_d
+        # roll[k] holds M^k z0 and M^k z1 as rows, for z0 = (0, 1, 0) and
+        # z1 = (x0, 0, 1), k = 0..n_p. On rows, each doubling is one
+        # product of the rows so far with step_t = (M^m)'.
+        step_t = np.zeros((NX + 2, NX + 2))
+        step_t[:NX, :NX] = self.a_d.T
+        step_t[NX:, :NX] = b_d.T
+        step_t[NX, NX] = step_t[NX + 1, NX + 1] = 1.0
+        roll = np.zeros((n_p + 1, 2, NX + 2))
+        roll[0, 1, :NX] = x0
+        roll[0, 0, NX] = roll[0, 1, NX + 1] = 1.0
+        rows = roll.reshape(2 * (n_p + 1), NX + 2)
         m = 1
-        while m < n_p:
-            k = min(m, n_p - m)
-            np.matmul(pw[m], pw[1:k + 1], out=pw[m + 1:m + k + 1])
+        while m <= n_p:
+            k = min(m, n_p + 1 - m)
+            np.matmul(rows[:2 * k], step_t, out=rows[2 * m:2 * (m + k)])
             m += k
-        # gains[k] = sum_{m<k} A^m [B, B u_prev + w]: the input gain and the
-        # held command's drift, accumulated over the powers; gains[0] = 0.
-        drive = np.column_stack([self.b_u, self.b_u * self.u_prev + self.w_d])
-        gains = np.zeros((n_p + 1, NX, 2))
-        np.add.accumulate(pw[:n_p] @ drive, out=gains[1:])
+            if m <= n_p:
+                step_t = step_t @ step_t
         # base[i] = state after i+1 steps with u held at u_prev.
-        base = pw[1:] @ self.x0
-        base += gains[1:, :, 1]
-        self.base = base
-        # sens[i, :, j] = gains[i + 1 - j][:, 0] maps du_j to state i (du
-        # frozen after n_c); the zero row fills the steps before du_j acts.
+        self.base = base = roll[1:, 1, :NX]
+        # sens[i, :, j] = gain after i + 1 - j steps maps du_j to state i
+        # (du frozen after n_c); the zero gain of roll[0] fills the steps
+        # before du_j acts.
         self.sens = np.ascontiguousarray(
-            gains[_lag(n_p, cfg.n_c), :, 0].transpose(0, 2, 1))
-        self.base_xyphi = base[:, CHANNELS]
-        self.sens_xyphi = self.sens[:, CHANNELS, :]
+            roll[_lag(n_p, cfg.n_c), 0, :NX].transpose(0, 2, 1))
+        self.base_xyphi = base.take(CHANNELS, axis=1)
+        self.sens_xyphi = self.sens.take(CHANNELS, axis=1)
 
     def states(self, du: np.ndarray) -> np.ndarray:
         """Predicted states for one du sequence or a batch over leading axes."""
@@ -227,8 +237,6 @@ def mpc_cost(outputs: np.ndarray, du: np.ndarray, w: np.ndarray, r: float):
     channel) order, which is how the quadratic form with the matrix
     diag(w) sums them.
     """
-    outputs = np.asarray(outputs, dtype=float)
-    du = np.asarray(du, dtype=float)
     quad = np.einsum("...ni,i,...ni->...", outputs, w, outputs)
     return quad + r * (du * du).sum(axis=-1)
 
@@ -301,9 +309,9 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
 
 @functools.lru_cache(maxsize=8)
 def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only per-size constants of a solve, shared like _lag: the identity,
-    the probe steps FD_STEP * I and the first batch (the zero increments,
-    then their probe rows)."""
+    """Read-only per-size constants of a solve, shared like _lag: the identity
+    (which _box_qp also reads), the probe steps FD_STEP * I and the first
+    batch (the zero increments, then their probe rows)."""
     eye = np.eye(n_c)
     probes = FD_STEP * eye
     first = np.concatenate([np.zeros((1, n_c)), probes])
@@ -341,14 +349,16 @@ def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
     """
     n = g.size
     held = ((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0))
+    n_held = int(np.count_nonzero(held))
+    rhs = -g
     d = np.zeros(n)
     for _ in range(4 * n + 2):
-        if held.any():
-            z = np.linalg.solve(np.where(held[:, None], np.eye(n), hess),
-                                np.where(held, d, -g))
+        if n_held:
+            z = np.linalg.solve(np.where(held[:, None], _probes(n)[0], hess),
+                                np.where(held, d, rhs))
             z[held] = d[held]
         else:
-            z = np.linalg.solve(hess, -g)
+            z = np.linalg.solve(hess, rhs)
         below, above = z < lo, z > hi
         crossed = below | above
         if crossed.any():
@@ -359,15 +369,17 @@ def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
             d = np.minimum(np.maximum(d + frac[k] * (z - d), lo), hi)
             d[k] = bound[k]
             held[k] = True
+            n_held += 1
             continue
         d = z
-        if not held.any():
+        if not n_held:
             break
         mult = hess @ d + g
         wrong = held & (((mult < 0.0) & (d < hi)) | ((mult > 0.0) & (d > lo)))
         if not wrong.any():
             break
         held[int(np.abs(np.where(wrong, mult, 0.0)).argmax())] = False
+        n_held -= 1
     return d
 
 
@@ -386,14 +398,14 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     y. With W weighting the outputs by q_diag at every horizon step,
     g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
     Gauss-Newton Hessian. The step d minimizes the model g.d + d.H.d / 2
-    over lo - du <= d <= hi - du, where (lo, hi) is the du box intersected
-    with the running u box at du, as _project clips (see _box_qp). The
-    trials du + NEWTON_STEPS * d go through _project and are scored in one
-    batch, and the lowest is taken, the first on a tie, if it beats the
-    best cost so far. The search stops when no trial does or the drop is
-    at most tol * max(1, best), so the returned cost, which is the
-    accepted one, never exceeds the zero-increment cost. If no step is
-    accepted while the first iteration's model promised a drop -(g.d +
+    over lo - du <= d <= hi - du, widened to hold 0, where (lo, hi) are
+    the bounds _project clips to at du's running commands (see _bounds
+    and _box_qp). The trials du + NEWTON_STEPS * d go through _project and
+    are scored in one batch, and the lowest is taken, the first on a tie,
+    if it beats the best cost so far. The search stops when no trial does
+    or the drop is at most tol * max(1, best), so the returned cost, which
+    is the accepted one, never exceeds the zero-increment cost. If no step
+    is accepted while the first iteration's model promised a drop -(g.d +
     d.H.d / 2) above tol * max(1, cost_zero), the plan is flagged
     degraded; at a point where the box allows no descent the step is 0
     and so is the promise. The returned outputs are the ones the accepted
@@ -434,6 +446,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
 
     du = np.zeros(n_c)
     eye, probes, first = _probes(n_c)
+    r_eye = r * eye
     ys = outputs_of(first)
     y, y_probe = ys[0], ys[1:]
     best = float(mpc_cost(y, du, w, r))
@@ -442,8 +455,6 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     cost_zero = best
     n_trials = len(NEWTON_STEPS)
     box_free = _box_free(u_prev, u_box, cfg)
-    if box_free:
-        lo, hi = cfg.du_min, cfg.du_max
     # Unprojected trials, and the batch scored each iteration: the
     # projected trials, then the probe rows of trial 0.
     steps = np.empty((n_trials, n_c))
@@ -459,13 +470,16 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         g = jw @ y.ravel() + r * du
         if not g.any():
             break
-        hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        if not box_free:
-            # Summed in _project's order, so a clipped increment equals its bound.
+        hess = jw @ jac.reshape(n_c, -1).T + r_eye
+        if box_free:
+            # du is clipped to the du box, so the step's box holds 0.
+            d = _box_qp(hess, g, cfg.du_min - du, cfg.du_max - du)
+        else:
+            # Summed in _project's order, so a clipped increment equals its
+            # bound. From a u_prev outside u_box the zero increments lie
+            # past a bound; the step's box is then widened to hold 0.
             lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
-        # A u_prev outside u_box can leave du past a bound; the step's box
-        # is then widened to hold 0.
-        d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
+            d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
         np.multiply(NEWTON_STEPS[:, None], d, out=steps)
         np.add(du, steps, out=steps)
         _project(steps, u_prev, u_box, cfg, box_free, out=trials)

@@ -152,7 +152,7 @@ def _sequential_model(m, n_p):
 
 
 def _assert_close_to(got, want):
-    # The powers come by doubling, not one gemv at a time: the sums
+    # The rollout goes by doubling, not one gemv at a time: the sums
     # round differently, within 1e-12 of the largest value.
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -171,9 +171,11 @@ def test_sens_is_the_lagged_cumulative_input_gain():
     _assert_close_to(m.sens[:, :, 0], cum[1:])
 
 
-@pytest.mark.parametrize("n_p", [20, 30, 1000])
+# n_p = 1 is one product and no squaring; 2 and 17 end the doubling on a
+# partial block, 1 of 2 and 2 of 16 steps.
+@pytest.mark.parametrize("n_p", [1, 2, 17, 20, 30, 1000])
 def test_doubled_powers_match_the_gemv_chain(n_p):
-    cfg = small_cfg(n_p=n_p, n_c=4)
+    cfg = small_cfg(n_p=n_p, n_c=min(n_p, 4))
     m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
     base, cum = _sequential_model(m, n_p)
     _assert_close_to(m.base, base)

@@ -13,11 +13,11 @@ step the exact minimizer of the model over the increments' box (a small
 active-set QP, _box_qp, that usually ends after one linear solve), and
 scores halvings of that step in one batch. Only improvements are
 accepted, so the returned sequence never scores worse than leaving the
-command alone.
+command alone (or, from outside u_box, than moving it straight back).
 
 A solve makes one output batch per iteration, plus one to start. The
 Jacobian's probe rows ride with rows that are scored anyway: the first
-batch holds the zero increments and their probes, and every trial batch
+batch holds the baseline and its probes, and every trial batch
 also holds the probes of the full step, which is the usual winner (it
 scores lowest in all 900 trial batches of the bundled overtake run and
 in 2,490 of the 2,514 of the three scenario_a runs). Only when another
@@ -27,7 +27,7 @@ batch is len(NEWTON_STEPS) + n_c rows.
 The linear prediction is a rollout of the discrete step map over the
 horizon, taken by doubling (see HorizonModel), so its NumPy calls grow
 with the log of the horizon. The horizon cost is prepared once per solve
-and has one evaluation path, which the zero-increment cost, every trial
+and has one evaluation path, which the baseline's cost, every trial
 and the returned plan share: the caller's PreparedField is coasted along
 the horizon, one contraction predicts the 3 channels the cost reads (X,
 Y, phi) for one du sequence or a batch, and the positions are mapped to
@@ -311,7 +311,7 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
 def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only per-size constants of a solve, shared like _lag: the identity
     (which _box_qp also reads), the probe steps FD_STEP * I and the first
-    batch (the zero increments, then their probe rows)."""
+    batch's offsets from the baseline (0, then the probe steps)."""
     eye = np.eye(n_c)
     probes = FD_STEP * eye
     first = np.concatenate([np.zeros((1, n_c)), probes])
@@ -397,25 +397,28 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     e_j, and takes the output Jacobian J from forward differences against
     y. With W weighting the outputs by q_diag at every horizon step,
     g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
-    Gauss-Newton Hessian. The step d minimizes the model g.d + d.H.d / 2
-    over lo - du <= d <= hi - du, widened to hold 0, where (lo, hi) are
-    the bounds _project clips to at du's running commands (see _bounds
-    and _box_qp). The trials du + NEWTON_STEPS * d go through _project and
+    Gauss-Newton Hessian. The search starts from the zero increments
+    projected, which are zeros from a u_prev inside u_box and move the
+    command toward the box from outside; cost_zero is their cost. The step
+    d minimizes the model g.d + d.H.d / 2 over lo - du <= d <= hi - du,
+    where (lo, hi) are the bounds _project clips to at du's running
+    commands (see _bounds and _box_qp); du is a projection, so that box
+    holds 0. The trials du + NEWTON_STEPS * d go through _project and
     are scored in one batch, and the lowest is taken, the first on a tie,
     if it beats the best cost so far. The search stops when no trial does
     or the drop is at most tol * max(1, best), so the returned cost, which
-    is the accepted one, never exceeds the zero-increment cost. If no step
-    is accepted while the first iteration's model promised a drop -(g.d +
-    d.H.d / 2) above tol * max(1, cost_zero), the plan is flagged
+    is the accepted one, never exceeds cost_zero. If no step is accepted
+    while the first iteration's model promised a drop -(g.d + d.H.d / 2)
+    above tol * max(1, cost_zero), the plan is flagged
     degraded; at a point where the box allows no descent the step is 0
     and so is the promise. The returned outputs are the ones the accepted
     cost read, the full 8-state prediction is made for the returned plan,
     and cost_rows counts the output rows the solve scored.
 
     The outputs come in as few batches as the search allows, each row
-    scored as it would be alone: the zero increments with their probe
-    rows, then per iteration the trials with the probe rows of trial 0,
-    the full Newton step. When trial 0 is taken, the next Jacobian reads
+    scored as it would be alone: the baseline with its probe rows, then
+    per iteration the trials with the probe rows of trial 0, the full
+    Newton step. When trial 0 is taken, the next Jacobian reads
     those; when another trial is taken and the search goes on, its probe
     rows are scored in a batch of their own.
 
@@ -444,17 +447,19 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         scored += len(du_batch)
         return _outputs(model.poses(du_batch), prepared, target_lane)
 
-    du = np.zeros(n_c)
     eye, probes, first = _probes(n_c)
     r_eye = r * eye
-    ys = outputs_of(first)
+    box_free = _box_free(u_prev, u_box, cfg)
+    # The baseline is the zero increments projected: zeros from a u_prev
+    # inside u_box, a move toward it from outside.
+    du = _project(np.zeros(n_c), u_prev, u_box, cfg, box_free, out=np.empty(n_c))
+    ys = outputs_of(du + first)
     y, y_probe = ys[0], ys[1:]
     best = float(mpc_cost(y, du, w, r))
     if not np.isfinite(best):
         raise DomainError(f"the zero-increment horizon cost is {best}")
     cost_zero = best
     n_trials = len(NEWTON_STEPS)
-    box_free = _box_free(u_prev, u_box, cfg)
     # Unprojected trials, and the batch scored each iteration: the
     # projected trials, then the probe rows of trial 0.
     steps = np.empty((n_trials, n_c))
@@ -471,15 +476,14 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         if not g.any():
             break
         hess = jw @ jac.reshape(n_c, -1).T + r_eye
+        # du is a projection, and the running commands are summed in
+        # _project's order, so the step's box holds 0: a clipped increment
+        # equals its bound.
         if box_free:
-            # du is clipped to the du box, so the step's box holds 0.
-            d = _box_qp(hess, g, cfg.du_min - du, cfg.du_max - du)
+            lo, hi = cfg.du_min, cfg.du_max
         else:
-            # Summed in _project's order, so a clipped increment equals its
-            # bound. From a u_prev outside u_box the zero increments lie
-            # past a bound; the step's box is then widened to hold 0.
             lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
-            d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
+        d = _box_qp(hess, g, lo - du, hi - du)
         np.multiply(NEWTON_STEPS[:, None], d, out=steps)
         np.add(du, steps, out=steps)
         _project(steps, u_prev, u_box, cfg, box_free, out=trials)

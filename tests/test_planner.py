@@ -431,7 +431,8 @@ def test_project_clips_only_where_the_u_box_cannot_bind(two_lane_road, monkeypat
         assert planner._box_free(u_prev, box, cfg) == box_free
         plan, batches, n_bounds, n_running = _logged_solve(
             monkeypatch, _x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, box)
-        assert len(batches) == plan.iterations >= 2
+        # The baseline, then one batch of trials per iteration.
+        assert len(batches) == plan.iterations + 1 and plan.iterations >= 2
         assert n_running == (0 if box_free else plan.iterations)
         assert n_bounds == (0 if box_free else cfg.n_c * len(batches) + n_running)
         clipped = []
@@ -651,8 +652,8 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
 def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     """solve_plan's search with every output batch scored on its own.
 
-    The same Jacobian, box QP step, trials, tie rule and stopping test,
-    but the zero increments are scored alone, every iteration scores its
+    The same baseline, Jacobian, box QP step, trials, tie rule and
+    stopping test, but the baseline is scored alone, every iteration scores its
     n_c probe rows in one batch and its len(NEWTON_STEPS) trials in
     another, and the step's box is always read at the running command.
     Returns the plan and the index of the trial each accepted step took,
@@ -666,7 +667,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     def outputs_of(du_batch):
         return _outputs(model.poses(du_batch), prepared, lane)
 
-    du = np.zeros(n_c)
+    du = _project(np.zeros(n_c), u_prev, box, cfg)
     y = outputs_of(du)
     best = cost_zero = float(mpc_cost(y, du, w, r))
     went_on_after = []
@@ -679,7 +680,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
             break
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), box, cfg)
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
-        d = _box_qp(hess, g, np.minimum(lo - du, 0.0), np.maximum(hi - du, 0.0))
+        d = _box_qp(hess, g, lo - du, hi - du)
         trials = _project(du + NEWTON_STEPS[:, None] * d, u_prev, box, cfg)
         ys = outputs_of(trials)
         vals = mpc_cost(ys, trials, w, r)
@@ -884,9 +885,9 @@ def test_degraded_spares_an_optimum_on_the_box_edge(two_lane_road, monkeypatch):
 
 
 def test_plan_from_below_the_u_box(two_lane_road):
-    # u_prev under the u box puts the projected increments past their
-    # bounds, so the step's box is widened to hold 0: the solve still
-    # climbs toward the target lane, with no floating-point warning.
+    # u_prev under the u box: the baseline climbs back into the box, and
+    # the solve climbs further toward the target lane, with no
+    # floating-point warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = solve_plan(_x0(), -10.5, 0.0, prepare_poses([], two_lane_road, FP), 2,
@@ -908,6 +909,22 @@ def test_plan_from_above_the_u_box(two_lane_road):
     assert plan.du_sequence[0] < 0.0 and not plan.degraded
     assert np.all(plan.du_sequence >= cfg.du_min)
     assert np.all(plan.du_sequence <= cfg.du_max)
+
+
+def test_plan_from_outside_the_u_box_returns_into_it(two_lane_road):
+    # The target lane pulls the command further up from u_prev = 10.5
+    # over u_box = (-10, 10). The baseline is the zero increments
+    # projected, which bring the command back into the box; the zeros
+    # themselves would keep it at 10.5 and beat every projected trial.
+    cfg = MpcConfig(n_p=12, n_c=4)
+    scene = prepare_poses([], two_lane_road, FP)
+    for u_prev, du, u_applied in ((10.5, [-0.3, -0.2, 0.0, 0.0], 10.2),
+                                  (10.05, [-0.05, 0.0, 0.0, 0.0], 10.0)):
+        plan = solve_plan(_x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, BOX)
+        assert np.allclose(plan.du_sequence, du, rtol=0.0, atol=1e-12)
+        assert plan.u_applied == pytest.approx(u_applied, abs=1e-12)
+        assert plan.cost <= plan.cost_zero
+        assert u_prev + np.cumsum(plan.du_sequence)[-1] <= BOX[1] + 1e-12
 
 
 # Seed 93 on the straight road is a scene where scoring the returned plan

@@ -46,9 +46,9 @@ def main():
     print("horizon preview (every third step):")
     print("   k      x       y    field  lane-err  yaw-err")
     for k in range(0, cfg.n_p, 3):
-        s = plan.predicted_states[k]
+        px, py, _ = plan.predicted_poses[k]
         y1, y2, y3 = plan.predicted_outputs[k]
-        print(f"{k:4d} {s[IX]:7.2f} {s[IY]:7.3f} {y1:8.3f} {y2:9.3f} "
+        print(f"{k:4d} {px:7.2f} {py:7.3f} {y1:8.3f} {y2:9.3f} "
               f"{y3:8.4f}")
     print()
     print("The lateral error shrinks along the horizon while the field")

@@ -18,7 +18,7 @@ from .field import total_field
 from .scenario import STRATEGIES, load_scenario
 from .simulate import (STYLES_ALL, batch, comparison_csv, initial_cars,
                        metrics_lines, prepare_scene, run_simulation,
-                       summarize, write_metrics, write_trace)
+                       summarize, write_trace)
 
 # Largest field-dump grid in points (the default window holds a few thousand).
 FIELD_DUMP_MAX_POINTS = 1_000_000
@@ -80,10 +80,7 @@ def _cmd_run(args) -> int:
     metrics = summarize(trace)
     if args.trace:
         write_trace(trace, args.trace)
-    if args.metrics:
-        write_metrics(metrics, args.metrics)
-    else:
-        sys.stdout.write("\n".join(metrics_lines(metrics)) + "\n")
+    _emit("\n".join(metrics_lines(metrics)) + "\n", args.metrics)
     if trace.aborted:
         sys.stderr.write(f"run aborted: {trace.abort_reason}\n")
         return 4

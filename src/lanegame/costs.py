@@ -18,8 +18,9 @@ read-only per (accelerations, horizon) by `projection_terms`, keyed on
 the accelerations' bytes so that a grid holding -0.0 keeps its own;
 `project` then combines them with the cars' states. `propagate` runs
 both stages, one formula in one operation order. The game layer
-projects the ego and every opponent over a grid in one call, and a
-payoff call projects all the leads it scores, at constant speed, in one.
+projects the ego and every opponent over a grid in one call. The leads
+a payoff call scores are not projected: they coast at their speed,
+s + v t.
 
 Sign conventions for the velocity gates:
   longitudinal: dv = v_lead - v_ego, penalized only while closing (dv < 0)
@@ -192,28 +193,21 @@ def _terms(a, t):
 def projection_terms(accels: bytes, horizon: float):
     """`_terms` of the float64 accelerations packed in `accels`, as a column,
     at sample_times(horizon); read-only and shared per key. Keyed on bytes,
-    not values, so a grid holding -0.0 never shares a grid holding 0.0.
-    When no acceleration is negative and every time is finite no car
-    stops, and the terms hold None for a < 0 so that `project` skips the
-    stop."""
+    not values, so a grid holding -0.0 never shares a grid holding 0.0."""
     terms = _terms(np.frombuffer(accels)[:, None], sample_times(horizon))
     for x in terms:
         x.flags.writeable = False
-    t, neg = terms[:2]
-    if not neg.any() and np.isfinite(t).all():
-        terms = (t, None, *terms[2:])
     return terms
 
 
 def project(terms, s, v):
     """The state stage of a projection: (position, velocity) of the states
-    (s, v) under `terms`, broadcasting s and v against them."""
+    (s, v) under `terms`, broadcasting s and v against them. A braking car
+    stops at t_stop = v / brake and holds its station."""
     t, neg, brake, half_at2, two_brake, at = terms
-    pos = s + v * t + half_at2
-    if neg is not None:
-        # A braking car stops at t_stop = v / brake and holds its station.
-        stopped = t >= np.where(neg, v / brake, INF)
-        pos = np.where(stopped, s + np.where(neg, v * v / two_brake, 0.0), pos)
+    stopped = t >= np.where(neg, v / brake, INF)
+    pos = np.where(stopped, s + np.where(neg, v * v / two_brake, 0.0),
+                   s + v * t + half_at2)
     return pos, np.maximum(v + at, 0.0)
 
 
@@ -292,9 +286,6 @@ def sample_times(horizon: float) -> np.ndarray:
     return ts
 
 
-# The packed acceleration of a car at constant speed, for projection_terms.
-_STILL = bytes(8)
-
 # Merge cells whose pair term is evaluated at once: bounds the (cells, K)
 # temporaries of a large grid to a few MB.
 PAIR_CHUNK = 4096
@@ -309,10 +300,10 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
     (one for all rows, or one per row). Columns are the opponents'
     accelerations a_a in blocks: acs[b] on lane ac_lanes[b] owns the next
     widths[b] columns, with its state, lead, cruise speed and style; with
-    no opponent the columns belong to no car. Each car is projected once,
-    the leads at constant speed, unless `tracks` gives the rows' and the
-    columns' projections at sample_times(horizon), ((rows, K), (columns,
-    K)) pairs (s, v).
+    no opponent there are no columns. Each car is projected once, unless
+    `tracks` gives the rows' and the columns' projections at
+    sample_times(horizon), ((rows, K), (columns, K)) pairs (s, v); the
+    leads coast at their speed, s + v t.
 
     Where sigma moves the ego onto a column's lane the two are merge
     partners and both pay the one lateral pair term: a merge cell.
@@ -341,13 +332,13 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
         ts = sample_times(horizon)
         se, ve = propagate(ego.s, ego.v, a_e[:, None], ts)
         if acs:
-            sa, va = (np.concatenate(x) for x in zip(*(
-                propagate(ac.s, ac.v, a[:, None], ts)
-                for ac, a in zip(acs, np.split(a_a, np.cumsum(widths)[:-1])))))
+            sa, va = propagate(np.repeat([ac.s for ac in acs], widths)[:, None],
+                               np.repeat([ac.v for ac in acs], widths)[:, None],
+                               a_a[:, None], ts)
     if acs:
         lane_c = np.asarray(ac_lanes).repeat(widths)
         cells = (moving[:, None] & (target[:, None] == lane_c)).nonzero()
-    else:  # a column without a car is nobody's merge partner
+    else:  # no opponent, no merge cell
         cells = (np.empty(0, dtype=np.intp),) * 2
     ri, ci = cells
     pair = np.empty(len(ri))
@@ -359,8 +350,7 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
 
     # The leads followed, the ego's then each opponent's (None for none):
     # the ego follows on its keep-lane rows, an opponent unless every row
-    # merges with it, which leaves it no lead. All are projected at
-    # constant speed in one call.
+    # merges with it, which leaves it no lead. All coast at their speed.
     keep = sigma == 0
     lead = nb.lead(ego_lane)
     leads = [lead if lead is not None and keep.any() else None]
@@ -370,9 +360,8 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
                   else lv.ac_lead for lane, lv in zip(ac_lanes, lanes)]
     followed = [i for i, x in enumerate(leads) if x is not None]
     if followed:
-        sl, vl = project(projection_terms(_STILL, horizon),
-                         np.array([[leads[i].s] for i in followed]),
-                         np.array([[leads[i].v] for i in followed]))
+        vl = np.array([[leads[i].v] for i in followed])
+        sl = np.array([[leads[i].s] for i in followed]) + vl * sample_times(horizon)
 
     def behind(i, s, v):
         # Worst following term behind lead i along each row of (s, v).
@@ -498,17 +487,12 @@ def pair_payoff_matrices(ego: KinematicState, ego_lane: int, sigma,
     all when `tracks` gives their projections, see `_pair_parts`) and a
     merge's pair term is computed once. The third value, called with a
     cell (r, c), gives the ego's `CostBreakdown` there (`breakdown_at`).
-    Without an adjacent car (ac None) the ego column is constant and the
-    opponent matrix zero.
     """
     if widths is None:
-        acs = () if ac is None else (ac,)
-        ac, ac_lane, ac_style, widths = (acs, (ac_lane,) * len(acs), (ac_style,),
-                                         (len(ac_accels),) * len(acs))
+        ac, ac_lane, ac_style, widths = (ac,), (ac_lane,), (ac_style,), (len(ac_accels),)
     shape = (len(ego_accels), len(ac_accels))
     cells, ego_parts, ac_parts = _pair_parts(
         ego, ego_lane, sigma, ego_accels, ego_style, ac, ac_lane, widths, ac_accels,
         ac_style, neighbors, gains, horizon, tracks)
-    j_ac = np.zeros(shape) if ac_parts is None else _spread(ac_parts[3], cells, shape)
-    return (_spread(ego_parts[3], cells, shape), j_ac,
+    return (_spread(ego_parts[3], cells, shape), _spread(ac_parts[3], cells, shape),
             functools.partial(breakdown_at, cells, ego_parts))

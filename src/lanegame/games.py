@@ -13,11 +13,12 @@ adjacent car on the ego's candidates, enumerated once per decision:
 each side game keeps the rows whose sigma does not move the ego onto
 another side's lane, so with a car on each side the left game keeps
 sigma in {-1, 0} and the right one {0, +1}. Every side game of a
-decision, and the solo game, is scored in one payoff call: all
-candidates as rows, each car's accelerations as its own block of
-columns. Each core then runs on its game's rows and block; the winning
-cell maps back to actions, and the ego's breakdown there comes from the
-reader that call returned, which reads the cell from the payoff parts.
+decision is scored in one payoff call: all candidates as rows, each
+car's accelerations as its own block of columns; the solo game scores
+the ego's candidates alone. Each core then runs on its game's rows and
+block; the winning cell maps back to actions, and the ego's breakdown
+there comes from the reader that call returned, which reads the cell
+from the payoff parts.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -33,9 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    NeighborView, T_DM, pair_payoff_matrices, project,
-                    projection_terms)
-# Not called here; bench/layers.py patches them on this module until ROADMAP item 1.
+                    NeighborView, T_DM, _pair_parts, breakdown_at,
+                    pair_payoff_matrices, project, projection_terms)
+# Not called here; bench/layers.py patches them on this module for its
+# costs.breakdown layer, until a benchmark change drops that layer.
 from .costs import ac_cost, ego_cost  # noqa: F401
 from .errors import InfeasibleDecisionError
 from .styles import StyleProfile
@@ -346,19 +348,18 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                horizon: float = T_DM) -> GameSolution:
     """Degenerate game with no adjacent car: plain argmin for the ego.
 
-    Scores through the payoff assembly with no opponent, so an adjacent
-    car would not enter; `simulate._decide` calls this only when neither
-    side lane has one. Exact ties go to the earlier candidate.
+    Scores the ego's parts with no opponent, so an adjacent car would not
+    enter; `simulate._decide` calls this only when neither side lane has
+    one. Exact ties go to the earlier candidate.
     """
     sigma, a_x, ego_track = _ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _, ego_at = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
-                                          nb, style, style, gains, horizon,
-                                          tracks=(ego_track, (None, None)))
-    r = int(j_e[:, 0].argmin())
+    cells, parts, _ = _pair_parts(ego, ego_lane, sigma, a_x, style, (), (), (), (), (),
+                                  nb, gains, horizon, tracks=(ego_track, (None, None)))
+    r = int(parts[3][0].argmin())    # the ego's total, a (rows, 1) column
     return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=ego_at(r, 0),
+                        ac_actions={}, ego_cost=breakdown_at(cells, parts, r, 0),
                         multiplicity=1)
 
 

@@ -26,14 +26,14 @@ batch is len(NEWTON_STEPS) + n_c rows.
 
 The linear prediction is a rollout of the discrete step map over the
 horizon, taken by doubling (see HorizonModel), so its NumPy calls grow
-with the log of the horizon. The horizon cost is prepared once per solve
-and has one evaluation path, which the baseline's cost, every trial
-and the returned plan share: the caller's PreparedField is coasted along
-the horizon, one contraction predicts the 3 channels the cost reads (X,
-Y, phi) for one du sequence or a batch, and the positions are mapped to
-road coordinates once per call. Every value is the one the per-obstacle,
-full-state evaluation gives, bit for bit, and the plan's cost is the
-accepted one.
+with the log of the horizon; it keeps the 3 channels the cost reads, the
+pose (X, Y, phi). The horizon cost is prepared once per solve and has
+one evaluation path, which the baseline's cost, every trial and the
+returned plan share: the caller's PreparedField is coasted along the
+horizon, one contraction predicts the poses for one du sequence or a
+batch, and the positions are mapped to road coordinates once per call.
+Every field value is the one the per-obstacle evaluation gives, bit for
+bit, and the plan's cost is the accepted one.
 
 What depends only on the solve is done once per solve: whether the u
 box can bind any projection (see _box_free; it cannot in every
@@ -121,7 +121,7 @@ class MpcConfig:
 class PlanResult:
     du_sequence: np.ndarray       # (n_c,)
     u_applied: float
-    predicted_states: np.ndarray  # (n_p, 8)
+    predicted_poses: np.ndarray   # (n_p, 3): X, Y, phi
     predicted_outputs: np.ndarray  # (n_p, 3)
     cost: float
     cost_zero: float
@@ -139,29 +139,28 @@ def _lag(n_p: int, n_c: int) -> np.ndarray:
 
 
 class HorizonModel:
-    """Frozen linear prediction over one planning step.
+    """Frozen linear prediction of the pose (X, Y, phi) over one planning step.
 
-    Holds the discretized (A, B, affine) triple, the held-command rollout
-    `base` and the lagged input gains `sens` that map a du sequence to
-    states in one tensor contraction. Both come from one rollout of the
-    augmented step map M = [[A, B, c], [0, 1, 0], [0, 0, 1]], c = B u_prev
-    + w the held command's drift, applied to the two columns (0, 1, 0) and
-    (x0, 0, 1): M^k of them holds the input gain sum_{m<k} A^m B and the
-    held-command state after k steps. The rollout goes by doubling: with
-    M^m known and the first m steps rolled out, one matrix product gives
-    the next m and one squaring gives M^2m, so a horizon of n_p steps
-    takes ceil(log2(n_p + 1)) products. They differ from the
-    step-by-step rollout by rounding only, within 1e-12 of the largest
-    value (6.1e-15 over the 1,620 planner steps of the six bundled Nash
-    runs); `sens` repeats each gain bit for bit at every lag.
+    Holds the held-command rollout `base` (n_p, 3) and the lagged input
+    gains `sens` (n_p, 3, n_c) that map a du sequence to poses in one
+    tensor contraction. Both are the pose channels of one rollout of the
+    discretized augmented step map M = [[A, B, c], [0, 1, 0], [0, 0, 1]],
+    c = B u_prev + w the held command's drift, applied to the two columns
+    (0, 1, 0) and (x0, 0, 1): M^k of them holds the input gain
+    sum_{m<k} A^m B and the held-command state after k steps. The rollout
+    goes by doubling: with M^m known and the first m steps rolled out, one
+    matrix product gives the next m and one squaring gives M^2m, so a
+    horizon of n_p steps takes ceil(log2(n_p + 1)) products. They differ
+    from the step-by-step rollout by rounding only, within 1e-12 of the
+    largest value (6.1e-15 over the 1,620 planner steps of the six bundled
+    Nash runs); `sens` repeats each gain bit for bit at every lag.
     """
 
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
                  vp: VehicleParams, dp: DriverParams, cfg: MpcConfig, dt: float):
         if x0[0] <= V_FLOOR:
             raise DomainError("linearization needs forward speed above the floor")
-        self.x0 = x0 = np.asarray(x0, dtype=float)
-        self.u_prev = float(u_prev)
+        x0 = np.asarray(x0, dtype=float)
         u0 = ControlInput(y_p=u_prev, a_x=a_x)
         a_c, b_c = linearize(x0, u0, vp, dp)
         # Drift of the held command, f(x0, u0) - A x0 = B u_prev + w: the
@@ -170,16 +169,14 @@ class HorizonModel:
         b_aug = np.empty((NX, 2))
         b_aug[:, :1] = b_c
         np.subtract(derivatives(x0, u0, vp, dp), a_c @ x0, out=b_aug[:, 1])
-        self.a_d, b_d = discretize(a_c, b_aug, dt)
-        self.b_u = b_d[:, 0]
-        self.w_d = b_d[:, 1] - self.b_u * self.u_prev
+        a_d, b_d = discretize(a_c, b_aug, dt)
 
         n_p = cfg.n_p
         # roll[k] holds M^k z0 and M^k z1 as rows, for z0 = (0, 1, 0) and
         # z1 = (x0, 0, 1), k = 0..n_p. On rows, each doubling is one
         # product of the rows so far with step_t = (M^m)'.
         step_t = np.zeros((NX + 2, NX + 2))
-        step_t[:NX, :NX] = self.a_d.T
+        step_t[:NX, :NX] = a_d.T
         step_t[NX:, :NX] = b_d.T
         step_t[NX, NX] = step_t[NX + 1, NX + 1] = 1.0
         roll = np.zeros((n_p + 1, 2, NX + 2))
@@ -193,23 +190,18 @@ class HorizonModel:
             m += k
             if m <= n_p:
                 step_t = step_t @ step_t
-        # base[i] = state after i+1 steps with u held at u_prev.
-        self.base = base = roll[1:, 1, :NX]
-        # sens[i, :, j] = gain after i + 1 - j steps maps du_j to state i
+        poses = roll.take(CHANNELS, axis=2)
+        # base[i] = pose after i+1 steps with u held at u_prev.
+        self.base = poses[1:, 1]
+        # sens[i, :, j] = gain after i + 1 - j steps maps du_j to pose i
         # (du frozen after n_c); the zero gain of roll[0] fills the steps
         # before du_j acts.
         self.sens = np.ascontiguousarray(
-            roll[_lag(n_p, cfg.n_c), 0, :NX].transpose(0, 2, 1))
-        self.base_xyphi = base.take(CHANNELS, axis=1)
-        self.sens_xyphi = self.sens.take(CHANNELS, axis=1)
-
-    def states(self, du: np.ndarray) -> np.ndarray:
-        """Predicted states for one du sequence or a batch over leading axes."""
-        return self.base + np.einsum("...j,ixj->...ix", du, self.sens)
+            poses[_lag(n_p, cfg.n_c), 0].transpose(0, 2, 1))
 
     def poses(self, du: np.ndarray) -> np.ndarray:
-        """Predicted (X, Y, phi), equal to states(du)[..., CHANNELS] bit for bit."""
-        return self.base_xyphi + np.einsum("...j,ixj->...ix", du, self.sens_xyphi)
+        """Predicted (X, Y, phi) for one du sequence or a batch over leading axes."""
+        return self.base + np.einsum("...j,ixj->...ix", du, self.sens)
 
 
 def _outputs(poses: np.ndarray, prepared: PreparedField, target_lane) -> np.ndarray:
@@ -242,7 +234,7 @@ def mpc_cost(outputs: np.ndarray, du: np.ndarray, w: np.ndarray, r: float):
 
 
 def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
-             cfg: MpcConfig, box_free: bool = False, out=None) -> np.ndarray:
+             cfg: MpcConfig, box_free: bool, out: np.ndarray) -> np.ndarray:
     """Clip du sequences into the du boxes and the cumulative u box.
 
     Works on one sequence or a batch over leading axes. Sequential along
@@ -254,10 +246,8 @@ def _project(du: np.ndarray, u_prev: float, u_box: tuple[float, float],
     `box_free` is the solve's decision (see `_box_free`) that the u box
     can bind no increment; every increment is then just clipped to
     [du_min, du_max], which is what the loop would give. The result goes
-    into `out` when given.
+    into `out`, an array of du's shape.
     """
-    if out is None:
-        out = np.empty_like(du)
     if box_free:
         return np.minimum(np.maximum(du, cfg.du_min), cfg.du_max, out=out)
     u = np.empty(du.shape[:-1])
@@ -409,18 +399,18 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     or the drop is at most tol * max(1, best), so the returned cost, which
     is the accepted one, never exceeds cost_zero. If no step is accepted
     while the first iteration's model promised a drop -(g.d + d.H.d / 2)
-    above tol * max(1, cost_zero), the plan is flagged
-    degraded; at a point where the box allows no descent the step is 0
-    and so is the promise. The returned outputs are the ones the accepted
-    cost read, the full 8-state prediction is made for the returned plan,
+    above tol * max(1, cost_zero), the plan is flagged degraded; at a
+    point where the box allows no descent the step is 0 and so is the
+    promise. The returned outputs are the ones the accepted
+    cost read, the returned poses are the plan's predicted (X, Y, phi),
     and cost_rows counts the output rows the solve scored.
 
     The outputs come in as few batches as the search allows, each row
     scored as it would be alone: the baseline with its probe rows, then
     per iteration the trials with the probe rows of trial 0, the full
-    Newton step. When trial 0 is taken, the next Jacobian reads
-    those; when another trial is taken and the search goes on, its probe
-    rows are scored in a batch of their own.
+    Newton step. When trial 0 is taken, the next Jacobian reads those;
+    when another trial is taken and the search goes on, its probe rows
+    are scored in a batch of their own.
 
     Whether the u box can bind is decided once, before the first
     iteration. When no running command of any du-clipped sequence comes
@@ -430,8 +420,8 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     _project's loop and the bounds are read at the running command. Both
     give the loop's result bit for bit.
 
-    DomainError if the zero-increment cost is not finite (a field or a
-    weight that overflows), since no trial could then be compared with it.
+    DomainError if the baseline's cost is not finite (a field or a weight
+    that overflows), since no trial could then be compared with it.
     """
     if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
         raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
@@ -505,6 +495,6 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
 
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
-                      predicted_states=model.states(du), predicted_outputs=y,
+                      predicted_poses=model.poses(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded, cost_rows=scored)

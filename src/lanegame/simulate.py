@@ -500,11 +500,6 @@ def metrics_lines(m: RunMetrics) -> list[str]:
     return out
 
 
-def write_metrics(m: RunMetrics, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(metrics_lines(m)) + "\n")
-
-
 STYLES_ALL = tuple(BUILTIN_STYLES)
 
 

@@ -1,5 +1,7 @@
 """Every name the benchmark harness patches or imports still resolves,
-and a planner solve still goes through the names patched in `planner`.
+a planner solve still goes through the names patched in `planner`, and
+the closed loop still decides through the solver names patched in
+`simulate`.
 
 `bench/tracing.patched` reads each patched name from its owner's own
 namespace, `vars(owner)[attr]`, so a name renamed away in `src/` makes
@@ -7,14 +9,16 @@ every `bench/run.py` run fail. These tests fail first.
 """
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lanegame
-from lanegame import planner
+from lanegame import games, planner, simulate
 from lanegame.field import FieldParams
+from lanegame.scenario import load_scenario
 from lanegame.styles import style_profile
 from lanegame.vehicle import IVX, NX, VehicleParams
 
@@ -68,3 +72,71 @@ def test_a_solve_calls_every_patched_planner_name(monkeypatch, two_lane_road):
                               (-10.0, 10.0))
     assert plan.iterations >= 1
     assert all(calls.values()), calls
+
+
+def _bystander(cfg):
+    """cfg with its game opponents made plain traffic: a solo scene."""
+    return replace(cfg, vehicles=[replace(v, role=f"LC{i}") if v.strategic else v
+                                  for i, v in enumerate(cfg.vehicles)])
+
+
+# (scene, strategy, the solver its decisions take, their mode).
+LOOPS = [
+    ("solo", "nash", "solve_solo", 0),
+    ("scenario_a", "nash", "solve_nash_2p", 1),
+    ("scenario_a", "stackelberg", "solve_stackelberg_2p", 1),
+    ("scenario_b", "nash", "solve_nash_two_ac", 2),
+    ("scenario_b", "stackelberg", "solve_stackelberg_two_ac", 2),
+]
+
+
+def test_closed_loops_reach_every_patched_solver(monkeypatch):
+    # `--trace 1` times decisions through the solver names the harness
+    # patches on `simulate`, and the payoff layer (costs.payoff) through
+    # `games.pair_payoff_matrices`. A short closed loop of each mode
+    # decides through its own solver and no other, and the one- and
+    # two-opponent solvers still score through the payoff name.
+    layers = _bench_module("layers", monkeypatch)
+    tracing = _bench_module("tracing", monkeypatch)
+    patched = {(owner, attr)
+               for owner, attr, _ in layers.patches(tracing.Tracer(), lanegame)}
+    solvers = sorted(layers.GAME_SOLVERS)
+    assert all((simulate, name) in patched for name in solvers)
+    assert sorted(s for _, _, s, _ in LOOPS) == solvers
+    assert (games, "pair_payoff_matrices") in patched
+    calls = dict.fromkeys(solvers, 0)
+    payoffs = dict.fromkeys(solvers, 0)
+    active = []
+
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            active.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapped
+
+    def payoff(*args, _real=games.pair_payoff_matrices, **kwargs):
+        payoffs[active[-1]] += 1
+        return _real(*args, **kwargs)
+
+    for name in solvers:
+        monkeypatch.setattr(simulate, name, counted(name, vars(simulate)[name]))
+    monkeypatch.setattr(games, "pair_payoff_matrices", payoff)
+    for scene, strategy, solver, mode in LOOPS:
+        cfg = (_bystander(load_scenario("scenario_a")) if scene == "solo"
+               else load_scenario(scene))
+        for name in solvers:
+            calls[name] = payoffs[name] = 0
+        trace = simulate.run_simulation(replace(cfg, duration=0.25), strategy=strategy)
+        assert not trace.aborted
+        rows = np.array(trace.rows)
+        decided = rows[:, trace.columns.index("decided")] == 1.0
+        assert decided.any()
+        assert set(rows[decided, trace.columns.index("mode")].tolist()) == {mode}
+        assert calls == {name: int(decided.sum()) if name == solver else 0
+                         for name in solvers}, scene
+        if mode:
+            assert payoffs[solver] == calls[solver], scene

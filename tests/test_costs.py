@@ -422,39 +422,26 @@ def test_ac_follows_its_lead_unless_merged(gains):
 
 
 def test_one_projection_per_car(gains, monkeypatch):
-    """One payoff call projects every car it involves exactly once: the
-    ego and its merge partner on a merge; the ego, the AC and the lead of
-    each on keep-lane, and when keep-lane and merge rows share the call.
-    Counted at the state stage of the projection, which every projection
-    runs once per car state it is given."""
-    seen = []
+    """One payoff call projects the ego once and all the opponents'
+    columns in one more call, each column from its car's state; the leads
+    coast at their speed and are not projected. Counted at the state stage
+    of the projection, which every projection runs once per call, on a
+    merge, on keep-lane and when keep-lane and merge rows share the call."""
+    calls = []
     real = costs.project
 
     def counted(terms, s, v):
-        seen.extend(zip(np.ravel(s).tolist(), np.ravel(v).tolist()))
+        calls.append(sorted(zip(np.ravel(s).tolist(), np.ravel(v).tolist())))
         return real(terms, s, v)
 
     monkeypatch.setattr(costs, "project", counted)
     nb, ego, ac, ac_lane = _two_lane_merge()
-    cars = {"ego": (0.0, 20.0), "ac": (4.0, 16.0), "ego lead": (45.0, 15.0),
-            "ac lead": (60.0, 14.0)}
-    for sigma, involved in ((-1, ("ego", "ac")),
-                            (0, ("ego", "ac", "ego lead", "ac lead")),
-                            ([0, -1, 0], ("ego", "ac", "ego lead", "ac lead"))):
-        seen.clear()
+    a_acc = np.array([-1.0, 0.0, 2.0])
+    for sigma in (-1, 0, [0, -1, 0]):
+        calls.clear()
         pair_payoff_matrices(ego, 2, sigma, np.array([-2.0, 0.0, 1.5]), ac, ac_lane,
-                             np.array([-1.0, 0.0, 2.0]), nb, _style("aggressive"),
-                             _style("normal"), gains)
-        assert sorted(seen) == sorted(cars[c] for c in involved), sigma
-
-
-def test_matrices_without_opponent(gains):
-    nb = make_neighbors()
-    j_e, j_a, _ = pair_payoff_matrices(KinematicState(0.0, 20.0), 2, 0,
-                                       np.array([0.0, 1.0]), None, None,
-                                       np.array([0.0]), nb, _style(), _style(),
-                                       gains)
-    assert j_e.shape == (2, 1) and np.all(j_a == 0.0)
+                             a_acc, nb, _style("aggressive"), _style("normal"), gains)
+        assert calls == [[(0.0, 20.0)], [(4.0, 16.0)] * len(a_acc)], sigma
 
 
 def test_weight_shift_toward_efficiency_never_raises_velocity_error(gains, rng):

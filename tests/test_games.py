@@ -488,9 +488,9 @@ def test_two_ac_is_its_two_side_games(kind, gains, rng):
 def test_two_ac_decision_projects_each_car_once(solver, gains, monkeypatch):
     """With a lead on every lane, a decision projects the ego's grid and
     both opponents' grids in one stacked call, its rows serving both the
-    enumeration and the one payoff call, and the three leads in one more;
-    every car, lead or not, is projected exactly once, and no scalar cost
-    is called. Counted at the state stage of the projection."""
+    enumeration and the one payoff call; the three leads coast at their
+    speed and are not projected, and no scalar cost is called. Counted at
+    the state stage of the projection."""
     calls = dict.fromkeys(("project", "ego_cost", "ac_cost"), 0)
     seen = []
 
@@ -519,10 +519,9 @@ def test_two_ac_decision_projects_each_car_once(solver, gains, monkeypatch):
     sol = solver(KinematicState(s=0.0, v=20.0), 2, nb.adjacent(1), nb.adjacent(3),
                  nb, ActionGrid(), ActionGrid(), st, st, st, gains)
     assert set(sol.ac_actions) == {1, 3}
-    assert calls == {"project": 2, "ego_cost": 0, "ac_cost": 0}
-    # The ego, the two opponents, the ego's lead and each opponent's lead.
-    assert sorted(seen) == sorted([(0.0, 20.0), (4.0, 17.0), (-25.0, 14.0),
-                                   (25.0, 8.0), (40.0, 15.0), (40.0, 15.0)])
+    assert calls == {"project": 1, "ego_cost": 0, "ac_cost": 0}
+    # The ego and the two opponents, each once.
+    assert sorted(seen) == sorted([(0.0, 20.0), (4.0, 17.0), (-25.0, 14.0)])
 
 
 def test_one_ac_on_a_missing_lane_is_infeasible(gains):

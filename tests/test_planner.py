@@ -18,7 +18,8 @@ from lanegame.planner import (CHANNELS, FD_STEP, MAX_HORIZON_STEPS, MAX_PLAN_CEL
                               _bounds, _box_qp, _outputs, _project, mpc_cost,
                               solve_plan)
 from lanegame.styles import style_profile
-from lanegame.vehicle import IPHI, IR, IVX, IVY, IX, IY, NX, VehicleParams
+from lanegame.vehicle import (IPHI, IR, IVX, IVY, IX, IY, NX, ControlInput,
+                              VehicleParams, derivatives, discretize, linearize)
 
 from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
 
@@ -118,37 +119,47 @@ def test_horizon_model_needs_forward_speed():
 
 
 def test_accel_enters_through_affine_term():
-    # v_y = r = 0 at the linearization point, so the speed row of A is
-    # zero and the discrete speed update is exactly v + a_x * dt.
+    # v_y = r = phi = 0 at the linearization point, so the speed row of A
+    # is zero, X moves at the speed, and the held a_x enters through the
+    # affine remainder alone: X = X0 + v t + a_x t^2 / 2 on the exact
+    # discretization, and Y and phi stay 0 with the preview on the path.
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 2.0, VP, DP, cfg, DT)
-    steps = np.arange(1, cfg.n_p + 1)
-    assert np.allclose(m.base[:, IVX], 20.0 + 2.0 * DT * steps, atol=1e-12)
-    m0 = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
-    assert np.allclose(m0.base[:, IVX], 20.0, atol=1e-12)
+    t = _times(cfg.n_p)
+    for a_x in (2.0, 0.0):
+        m = HorizonModel(_x0(), 0.0, a_x, VP, DP, cfg, DT)
+        assert np.allclose(m.base[:, 0], 20.0 * t + 0.5 * a_x * t * t,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(m.base[:, 1:], 0.0, rtol=0.0, atol=1e-12)
+
+
+def _sequential_model(x0, u_prev, a_x, n_p):
+    """(base, cum) of the full state by the gemv chain on the discretized
+    linearization: base[i] = A base[i-1] + c from x0, with c the held
+    command's drift B u_prev + w, and cum[k] = sum_{i<k} A^i B with one
+    A @ power per step."""
+    u0 = ControlInput(y_p=u_prev, a_x=a_x)
+    a_c, b_c = linearize(x0, u0, VP, DP)
+    drift = derivatives(x0, u0, VP, DP) - a_c @ x0
+    a_d, b_d = discretize(a_c, np.column_stack([b_c[:, 0], drift]), DT)
+    base, x = [], x0
+    cum, power = [np.zeros(NX)], b_d[:, 0].copy()
+    for _ in range(n_p):
+        x = a_d @ x + b_d[:, 1]
+        base.append(x)
+        cum.append(cum[-1] + power)
+        power = a_d @ power
+    return np.array(base), np.array(cum)
 
 
 def test_base_is_held_command_rollout():
     cfg = small_cfg()
-    m = HorizonModel(_x0(y=1.0), 0.5, 0.0, VP, DP, cfg, DT)
-    x = m.x0.copy()
+    x0 = _x0(y=1.0)
+    m = HorizonModel(x0, 0.5, 0.0, VP, DP, cfg, DT)
+    base, _ = _sequential_model(x0, 0.5, 0.0, cfg.n_p)
+    assert m.base.shape == (cfg.n_p, 3)
     for i in range(cfg.n_p):
-        x = m.a_d @ x + m.b_u * 0.5 + m.w_d
-        assert np.allclose(m.base[i], x, atol=1e-12)
-    assert np.allclose(m.states(np.zeros(cfg.n_c)), m.base)
-
-
-def _sequential_model(m, n_p):
-    """(base, cum) by the gemv chain: base[i] = A base[i-1] + B u_prev + w
-    from x0, and cum[k] = sum_{i<k} A^i B with one A @ power per step."""
-    base, x = [], m.x0
-    cum, power = [np.zeros(NX)], m.b_u.copy()
-    for _ in range(n_p):
-        x = m.a_d @ x + m.b_u * m.u_prev + m.w_d
-        base.append(x)
-        cum.append(cum[-1] + power)
-        power = m.a_d @ power
-    return np.array(base), np.array(cum)
+        assert np.allclose(m.base[i], base[i, CHANNELS], atol=1e-12)
+    assert np.allclose(m.poses(np.zeros(cfg.n_c)), m.base)
 
 
 def _assert_close_to(got, want):
@@ -160,15 +171,15 @@ def _assert_close_to(got, want):
 def test_sens_is_the_lagged_cumulative_input_gain():
     cfg = small_cfg(n_p=9, n_c=4)
     m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
-    assert m.sens.shape == (cfg.n_p, NX, cfg.n_c)
+    assert m.sens.shape == (cfg.n_p, 3, cfg.n_c)
     for i in range(cfg.n_p):
         for j in range(cfg.n_c):
             if j > i:     # du_j has not acted yet
-                assert np.array_equal(m.sens[i, :, j], np.zeros(NX))
+                assert np.array_equal(m.sens[i, :, j], np.zeros(3))
             else:         # the same gain, j steps later
                 assert m.sens[i, :, j].tobytes() == m.sens[i - j, :, 0].tobytes()
-    _, cum = _sequential_model(m, cfg.n_p)
-    _assert_close_to(m.sens[:, :, 0], cum[1:])
+    _, cum = _sequential_model(_x0(y=1.0), 0.5, 1.0, cfg.n_p)
+    _assert_close_to(m.sens[:, :, 0], cum[1:, CHANNELS])
 
 
 # n_p = 1 is one product and no squaring; 2 and 17 end the doubling on a
@@ -177,22 +188,21 @@ def test_sens_is_the_lagged_cumulative_input_gain():
 def test_doubled_powers_match_the_gemv_chain(n_p):
     cfg = small_cfg(n_p=n_p, n_c=min(n_p, 4))
     m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
-    base, cum = _sequential_model(m, n_p)
-    _assert_close_to(m.base, base)
-    _assert_close_to(m.sens[:, :, 0], cum[1:])
+    base, cum = _sequential_model(_x0(y=1.0), 0.5, 1.0, n_p)
+    _assert_close_to(m.base, base[:, CHANNELS])
+    _assert_close_to(m.sens[:, :, 0], cum[1:, CHANNELS])
 
 
 def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     batch = rng.uniform(-0.3, 0.3, (7, cfg.n_c))
-    got = m.states(batch)
-    assert got.shape == (7, cfg.n_p, NX)
+    got = m.poses(batch)
+    assert got.shape == (7, cfg.n_p, 3)
     for b in range(7):
-        assert np.array_equal(got[b], m.states(batch[b]))
-    # The cost's 3-channel prediction is the full one, bit for bit, for
-    # one sequence and for batches of the sizes the planner scores (1 + n_c
-    # to start, 31 trials + n_c probe rows, n_c probe rows alone), and one
+        assert np.array_equal(got[b], m.poses(batch[b]))
+    # For batches of the sizes the planner scores (1 + n_c to start, the
+    # trials + n_c probe rows, n_c probe rows alone, and other sizes), one
     # sequence gives its row in a batch: prediction, outputs and cost alike.
     # The field's query layout is made once per rank and kept: one
     # prepared scene of 0, 1 or 3 cars, on either road, queried at ranks
@@ -210,8 +220,7 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
                          rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg, DT)
         batch = rng.uniform(-0.3, 0.3, (rows, n_c))
         poses = m.poses(batch)
-        assert np.array_equal(poses, m.states(batch)[..., [IX, IY, IPHI]])
-        assert np.array_equal(m.poses(batch[0]), m.states(batch[0])[..., [IX, IY, IPHI]])
+        assert np.array_equal(m.poses(batch[0]), poses[0])
         assert np.array_equal(m.poses(batch[-1]), poses[-1])
         assert mpc_cost(poses, batch, w, 1.0)[-1] == mpc_cost(poses[-1], batch[-1], w, 1.0)
         qx, qy = poses[..., 0], poses[..., 1]
@@ -236,14 +245,14 @@ def test_states_linear_in_du(rng):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     du = rng.uniform(-0.3, 0.3, cfg.n_c)
-    lhs = m.states(2.0 * du) - m.base
-    rhs = 2.0 * (m.states(du) - m.base)
+    lhs = m.poses(2.0 * du) - m.base
+    rhs = 2.0 * (m.poses(du) - m.base)
     assert np.allclose(lhs, rhs, atol=1e-10)
     # Commands after n_c are held: the last increment reaches every later step.
     bump = np.zeros(cfg.n_c)
     bump[-1] = 0.1
-    diff = m.states(bump) - m.base
-    assert np.all(np.abs(diff[cfg.n_c - 1:, IY]) > 0.0) or np.any(diff != 0.0)
+    diff = m.poses(bump) - m.base
+    assert np.all(np.abs(diff[cfg.n_c - 1:, 1]) > 0.0) or np.any(diff != 0.0)
 
 
 def _swept_one_pose_at_a_time(obstacles, t):
@@ -281,21 +290,21 @@ def test_outputs_channels(two_lane_road):
     cfg = small_cfg()
     m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
-    states = m.states(np.zeros(cfg.n_c))
+    poses = m.poses(np.zeros(cfg.n_c))
     field = coasted(prepare_poses(obs, two_lane_road, FP), _times(cfg.n_p))
-    y = _outputs(m.poses(np.zeros(cfg.n_c)), field, 1)
+    y = _outputs(poses, field, 1)
     assert y.shape == (cfg.n_p, 3)
     # Cross-check the vectorized field sweep step by step.
     t = (np.arange(cfg.n_p) + 1) * DT
     for i in range(cfg.n_p):
         stepped = [ObstaclePose(x=30.0 + 10.0 * t[i], y=0.0, heading=0.0, v=10.0)]
-        ref = total_field(states[i, IX], states[i, IY],
+        ref = total_field(poses[i, 0], poses[i, 1],
                           prepare_poses(stepped, two_lane_road, FP))
         assert y[i, 0] == pytest.approx(float(ref), rel=1e-12)
     # Lane 1 centerline sits at +4 on this road; the ego starts at 0.
-    s, d = two_lane_road.to_frenet(states[:, IX], states[:, IY])
+    s, d = two_lane_road.to_frenet(poses[:, 0], poses[:, 1])
     assert np.allclose(y[:, 1], d - 4.0, atol=1e-12)
-    assert np.allclose(y[:, 2], states[:, IPHI] - two_lane_road.tangent_heading(s),
+    assert np.allclose(y[:, 2], poses[:, 2] - two_lane_road.tangent_heading(s),
                        atol=1e-12)
 
 
@@ -337,15 +346,20 @@ def test_weights_match_the_quadratic_form_bit_for_bit(kind, rng):
         assert np.array_equal(y * w, y @ np.diag(w))
 
 
+def _project_loop(du, u_prev, u_box, cfg):
+    """_project through its loop, the path of a solve whose u box can bind."""
+    return _project(du, u_prev, u_box, cfg, False, np.empty_like(du))
+
+
 def test_project_respects_running_command_box():
     cfg = small_cfg(du_min=-0.3, du_max=0.3)
-    out = _project(np.array([0.3, 0.3, 0.3, 0.3]), 9.9, BOX, cfg)
+    out = _project_loop(np.array([0.3, 0.3, 0.3, 0.3]), 9.9, BOX, cfg)
     assert np.allclose(out, [0.1, 0.0, 0.0, 0.0])
-    out = _project(np.array([-1.0, -1.0, -1.0, -1.0]), -9.5, BOX, cfg)
+    out = _project_loop(np.array([-1.0, -1.0, -1.0, -1.0]), -9.5, BOX, cfg)
     assert np.allclose(out, [-0.3, -0.2, 0.0, 0.0])
     # Inside every box the projection is the identity.
     du = np.array([0.1, -0.2, 0.05, 0.0])
-    assert np.allclose(_project(du, 0.0, BOX, cfg), du)
+    assert np.allclose(_project_loop(du, 0.0, BOX, cfg), du)
 
 
 def test_project_from_outside_the_u_box_stays_in_the_du_box():
@@ -353,19 +367,19 @@ def test_project_from_outside_the_u_box_stays_in_the_du_box():
     # box per increment, from above as from below, whatever du asks for,
     # and kept inside once there.
     cfg = small_cfg(du_min=-0.3, du_max=0.3)
-    assert np.allclose(_project(np.zeros(4), 10.5, BOX, cfg), [-0.3, -0.2, 0.0, 0.0])
-    assert np.allclose(_project(np.zeros(4), -10.5, BOX, cfg), [0.3, 0.2, 0.0, 0.0])
+    assert np.allclose(_project_loop(np.zeros(4), 10.5, BOX, cfg), [-0.3, -0.2, 0.0, 0.0])
+    assert np.allclose(_project_loop(np.zeros(4), -10.5, BOX, cfg), [0.3, 0.2, 0.0, 0.0])
     for u_prev in (10.5, -10.5):
         for du in (np.zeros(4), np.full(4, 1.0), np.full(4, -1.0)):
-            out = _project(du, u_prev, BOX, cfg)
+            out = _project_loop(du, u_prev, BOX, cfg)
             assert abs(out[0]) == 0.3 and np.sign(out[0]) == -np.sign(u_prev)
             assert np.all(out >= cfg.du_min) and np.all(out <= cfg.du_max)
             u = u_prev + np.cumsum(out)
             assert np.all((u[1:] >= BOX[0] - 1e-12) & (u[1:] <= BOX[1] + 1e-12))
     # A box the du box cannot reach in n_c increments: every increment
     # is the du box's edge nearest the u box.
-    assert np.array_equal(_project(np.zeros(4), 12.0, BOX, cfg), np.full(4, -0.3))
-    assert np.array_equal(_project(np.zeros(4), -12.0, BOX, cfg), np.full(4, 0.3))
+    assert np.array_equal(_project_loop(np.zeros(4), 12.0, BOX, cfg), np.full(4, -0.3))
+    assert np.array_equal(_project_loop(np.zeros(4), -12.0, BOX, cfg), np.full(4, 0.3))
     lo, hi = _bounds(np.array([12.0, -12.0, 0.0]), BOX, cfg)
     assert np.array_equal(lo, [-0.3, 0.3, -0.3])
     assert np.array_equal(hi, [-0.3, 0.3, 0.3])
@@ -376,20 +390,23 @@ def test_project_batch_matches_rows(rng):
     box = (-1.0, 1.0)
     for u_prev in (0.0, 0.85, -0.95):
         batch = rng.uniform(-0.6, 0.6, (9, cfg.n_c))
-        got = _project(batch, u_prev, box, cfg)
+        got = _project_loop(batch, u_prev, box, cfg)
         assert got.shape == batch.shape
         for b in range(9):
-            assert np.array_equal(got[b], _project(batch[b], u_prev, box, cfg))
+            assert np.array_equal(got[b], _project_loop(batch[b], u_prev, box, cfg))
 
 
 def _sequential_project(du, u_prev, u_box, cfg):
-    """The projection as one loop over the increments, on every row; from
-    outside the u box, each bound is the du box's edge nearest it."""
+    """The projection as one loop over the increments, on every row: each
+    bound is the room to its edge of the u box clipped to the du box, so
+    from outside the u box both are the du box's edge nearest it. The clip
+    takes the maximum first, as _bounds does, so that a du box of (-0.0,
+    0.0) gives the sign of zero the planner gives."""
     out = np.empty_like(du)
     u = np.full(du.shape[:-1], float(u_prev))
     for j in range(du.shape[-1]):
-        lo = np.minimum(cfg.du_max, np.maximum(cfg.du_min, u_box[0] - u))
-        hi = np.maximum(cfg.du_min, np.minimum(cfg.du_max, u_box[1] - u))
+        lo = np.minimum(np.maximum(u_box[0] - u, cfg.du_min), cfg.du_max)
+        hi = np.minimum(np.maximum(u_box[1] - u, cfg.du_min), cfg.du_max)
         out[..., j] = np.minimum(np.maximum(du[..., j], lo), hi)
         u = u + out[..., j]
     return out
@@ -485,7 +502,7 @@ def test_box_decision_picks_the_clip_only_where_it_is_the_loop(center, spare, n_
             decided = free(float(u_prev))
             outcomes.append(decided)
             want = _sequential_project(batch, u_prev, box, cfg)
-            got = _project(batch, u_prev, box, cfg, decided)
+            got = _project(batch, u_prev, box, cfg, decided, np.empty_like(batch))
             assert got.tobytes() == want.tobytes(), (u_prev, decided)
         assert outcomes[-3:] == [True, False, False]
     assert True in outcomes and False in outcomes
@@ -502,7 +519,7 @@ def test_project_matches_the_sequential_loop(u_prev, half_width, du_box, rows):
     u_prev = min(max(u_prev, box[0]), box[1])   # the command starts in its box
     batch = np.array(rows)
     want = _sequential_project(batch, u_prev, box, cfg)
-    assert _project(batch, u_prev, box, cfg).tobytes() == want.tobytes()
+    assert _project_loop(batch, u_prev, box, cfg).tobytes() == want.tobytes()
 
 
 def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
@@ -522,17 +539,17 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     h = 1e-4
 
     def cost_of(du):
-        # The full prediction, and the field one obstacle at a time, each
+        # The pose prediction, and the field one obstacle at a time, each
         # queried in the frame that coasts with it.
-        states = model.states(du)
-        xs, ys = states[..., IX], states[..., IY]
+        poses = model.poses(du)
+        xs, ys = poses[..., 0], poses[..., 1]
         y1 = np.zeros(xs.shape)
         for o, (sx, sy) in zip(obstacles, shifts):
             y1 = y1 + obstacle_field(xs - sx, ys - sy, o, FP)
         y1 = y1 + road_field(xs, ys, road, FP)
         s, d = road.to_frenet(xs, ys)
         y = np.stack([y1, d - road.lane_offset(lane),
-                      states[..., IPHI] - road.tangent_heading(s)], axis=-1)
+                      poses[..., 2] - road.tangent_heading(s)], axis=-1)
         return mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)
 
     def project(du):
@@ -667,7 +684,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     def outputs_of(du_batch):
         return _outputs(model.poses(du_batch), prepared, lane)
 
-    du = _project(np.zeros(n_c), u_prev, box, cfg)
+    du = _project_loop(np.zeros(n_c), u_prev, box, cfg)
     y = outputs_of(du)
     best = cost_zero = float(mpc_cost(y, du, w, r))
     went_on_after = []
@@ -681,7 +698,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), box, cfg)
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
         d = _box_qp(hess, g, lo - du, hi - du)
-        trials = _project(du + NEWTON_STEPS[:, None] * d, u_prev, box, cfg)
+        trials = _project_loop(du + NEWTON_STEPS[:, None] * d, u_prev, box, cfg)
         ys = outputs_of(trials)
         vals = mpc_cost(ys, trials, w, r)
         k = int(np.argmin(vals))
@@ -696,7 +713,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
         if iterations < cfg.max_iter:
             went_on_after.append(k)
     plan = PlanResult(du_sequence=du, u_applied=float(u_prev + du[0]),
-                      predicted_states=model.states(du), predicted_outputs=y,
+                      predicted_poses=model.poses(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded, cost_rows=0)   # rows not counted here
     return plan, went_on_after
@@ -944,7 +961,7 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     assert plan.cost == float(mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)[0])
     assert plan.cost <= plan.cost_zero
     assert np.array_equal(plan.predicted_outputs, y[0])
-    assert np.array_equal(plan.predicted_states[:, CHANNELS], model.poses(du)[0])
+    assert np.array_equal(plan.predicted_poses, model.poses(du)[0])
 
 
 def test_plan_never_beats_zero_baseline(two_lane_road, rng):
@@ -973,7 +990,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
     assert not plan.degraded
-    assert plan.predicted_states.shape == (cfg.n_p, NX)
+    assert plan.predicted_poses.shape == (cfg.n_p, 3)
     assert plan.predicted_outputs.shape == (cfg.n_p, 3)
 
 

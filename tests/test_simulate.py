@@ -1,12 +1,15 @@
 """Closed-loop harness: determinism, trace schema, metric reduction."""
 
+import json
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from lanegame import field, planner, simulate
+from lanegame.cli import main
 from lanegame.costs import DecisionAction, KinematicState
 from lanegame.errors import ConfigError, InfeasibleDecisionError
 from lanegame.games import GameSolution
@@ -15,7 +18,7 @@ from lanegame.scenario import CAR_LENGTH, VehicleSpec, load_scenario
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
                                _scene_view, batch, comparison_csv,
                                metrics_lines, run_simulation, summarize,
-                               write_metrics, write_trace)
+                               write_trace)
 
 
 @pytest.fixture(scope="module")
@@ -243,7 +246,7 @@ def test_mpc_cost_rows_counts_the_planner_output_rows(merge_cfg, monkeypatch):
     assert summarize(replace(tr, rows=[])).mpc_cost_rows == 0
 
 
-def test_metrics_text_outputs(short_trace, tmp_path):
+def test_metrics_text_outputs(short_trace, tmp_path, capsys):
     m = summarize(short_trace)
     lines = metrics_lines(m)
     as_dict = dict(line.split("=", 1) for line in lines)
@@ -252,9 +255,17 @@ def test_metrics_text_outputs(short_trace, tmp_path):
     assert as_dict["sigma_commit"] == "-1"
     assert as_dict["merged"] == "0"
     assert "gap_at_commit_AC1" in as_dict
+    # `lanegame run --metrics PATH` writes the text it prints without it.
+    scene = tmp_path / "short_a.json"
+    scene.write_text(json.dumps(dict(json.loads(
+        resources.files("lanegame.scenarios").joinpath("scenario_a.json").read_text()),
+        duration=1.5)))
+    argv = ["run", str(scene), "--style", "aggressive", "--strategy", "nash"]
     p = tmp_path / "metrics.txt"
-    write_metrics(m, str(p))
-    assert p.read_text() == "\n".join(lines) + "\n"
+    assert main(argv + ["--metrics", str(p)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert p.read_text() == capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_batch_and_comparison_table(merge_cfg):

@@ -3,10 +3,10 @@ reference that projects and sorts on every use.
 
 The reference below is the enumeration the decision layer used before
 the per-grid caches: `propagate` for each use (the ego's grid and the
-opponents' stacked grid), the leads' terms made afresh on every use with
-the stop arithmetic always run, one `np.lexsort` per preference order,
-and `max(axis=-1)` for the worst sample. Every `GameSolution` field must
-come out the same, to the last bit.
+opponents' stacked grid), one `np.lexsort` per preference order, and
+`max(axis=-1)` for the worst sample. Every `GameSolution` field must
+come out the same, to the last bit. The leads, which coast at their
+speed, are checked against `propagate` at zero acceleration apart.
 """
 
 import math
@@ -67,12 +67,6 @@ def _ref_ac_columns(acs, ac_lanes, grid, nb, horizon):
     return widths, accs[col], (s[block, col], v[block, col])
 
 
-def _terms_per_use(accels, horizon):
-    """projection_terms without its cache and without the stop shortcut:
-    what propagate computes for the leads on every use."""
-    return costs._terms(np.frombuffer(accels)[:, None], sample_times(horizon))
-
-
 def _ref_solve(kind, ego, ego_lane, sides, nb, ego_grid, ac_grid, ego_style, gains,
                horizon):
     sigma, a_x, ego_track = _ref_ego_rows(ego, ego_lane, ego_grid, nb, horizon)
@@ -114,13 +108,14 @@ def _ref_solo(ego, ego_lane, nb, grid, style, gains, horizon):
     sigma, a_x, ego_track = _ref_ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    j_e, _, ego_at = pair_payoff_matrices(ego, ego_lane, sigma, a_x, None, None, (0.0,),
-                                          nb, style, style, gains, horizon,
-                                          tracks=(ego_track, (None, None)))
+    cells, parts, _ = costs._pair_parts(ego, ego_lane, sigma, a_x, style, (), (), (),
+                                        (), (), nb, gains, horizon,
+                                        tracks=(ego_track, (None, None)))
+    j_e = costs._spread(parts[3], cells, (len(sigma), 1))
     r = int(np.argmin(j_e[:, 0]))
     return GameSolution(ego_action=costs.DecisionAction(sigma=int(sigma[r]),
                                                         a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=ego_at(r, 0),
+                        ac_actions={}, ego_cost=costs.breakdown_at(cells, parts, r, 0),
                         multiplicity=1)
 
 
@@ -196,13 +191,11 @@ def test_solutions_equal_the_reference(monkeypatch):
                         horizon)
                 new.append(_outcome(games._solve, *args))
                 with monkeypatch.context() as m:
-                    m.setattr(costs, "projection_terms", _terms_per_use)
                     m.setattr(costs, "_worst", lambda x: x.max(axis=-1))
                     ref.append(_outcome(_ref_solve, *args))
         args = (ego, ego_lane, nb, e_grid, st_e, gains, horizon)
         new.append(_outcome(solve_solo, *args))
         with monkeypatch.context() as m:
-            m.setattr(costs, "projection_terms", _terms_per_use)
             m.setattr(costs, "_worst", lambda x: x.max(axis=-1))
             ref.append(_outcome(_ref_solo, *args))
     # Left and right tie in a symmetric scene, a slow lead close ahead:
@@ -243,7 +236,7 @@ def test_candidate_lists_equal_the_reference():
 def test_staged_projection_equals_propagate(accels):
     """The cached terms and the state stage give propagate's values bit
     for bit, for braking cars that stop, for grids without a negative
-    acceleration (whose terms skip the stop) and for -0.0."""
+    acceleration and for -0.0."""
     a = np.array(accels)
     ts = sample_times(costs.T_DM)
     s = np.array([0.0, -12.5, 40.0])[:, None, None]
@@ -252,6 +245,45 @@ def test_staged_projection_equals_propagate(accels):
     got = project(projection_terms(a.tobytes(), costs.T_DM), s, v)
     for x, y in zip(got, want):
         assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [costs.T_DM, 1.5])
+def test_coasting_leads_equal_propagate_at_zero_acceleration(horizon, monkeypatch):
+    """A payoff call's leads coast: their position s + v t and speed v
+    equal propagate's at a = 0 for every speed a scene allows (v >= 0,
+    standing still included), and the costs read exactly those. Checked
+    on every following term a keep-lane call makes, for the ego's lead
+    and the opponent's."""
+    rng = np.random.default_rng(11)
+    ts = sample_times(horizon)
+    leads = {}
+    real = costs._gap_term
+
+    def logged(dv, dist, g, lateral):
+        if not lateral:
+            leads.setdefault(len(leads), (dv, dist))
+        return real(dv, dist, g, lateral)
+
+    monkeypatch.setattr(costs, "_gap_term", logged)
+    for _ in range(30):
+        ego = KinematicState(s=0.0, v=float(rng.uniform(5.0, 28.0)))
+        ac = KinematicState(s=float(rng.uniform(-20.0, 20.0)),
+                            v=float(rng.uniform(5.0, 28.0)))
+        cars = [KinematicState(s=float(rng.uniform(25.0, 90.0)),
+                               v=float(rng.choice([0.0, rng.uniform(0.0, 28.0)])))
+                for _ in range(2)]
+        nb = make_neighbors(lanes={1: LaneView(adjacent=ac, ac_lead=cars[1]),
+                                   2: LaneView(lead=cars[0])})
+        leads.clear()
+        e_acc, a_acc = np.array([-2.0, 0.0, 1.0]), np.array([-1.0, 0.5])
+        pair_payoff_matrices(ego, 2, 0, e_acc, ac, 1, a_acc, nb, style_profile("normal"),
+                             style_profile("normal"), CostGains(), horizon)
+        pairs = ((cars[0], e_acc, ego), (cars[1], a_acc, ac))
+        for k, (car, a, follower) in enumerate(pairs):
+            s_l, v_l = propagate(car.s, car.v, 0.0, ts)
+            s_f, v_f = propagate(follower.s, follower.v, a[:, None], ts)
+            dv, dist = leads[k]
+            assert np.array_equal(dv, v_l - v_f) and np.array_equal(dist, s_l - s_f)
 
 
 @pytest.mark.parametrize("first", [(-0.0, 0.5), (0.0, 0.5)])
@@ -275,5 +307,5 @@ def test_signed_zero_grids_never_share_a_cache(first):
             == [sign] * 2
     cached = [projection_terms(g._packed, costs.T_DM) for g in grids] + \
         [g._orders for g in grids]
-    arrays = [x for group in cached for x in group if x is not None]
+    arrays = [x for group in cached for x in group]
     assert arrays and not any(x.flags.writeable for x in arrays)

@@ -142,7 +142,10 @@ def _barrier(s, d, road: RoadGeometry, offsets: np.ndarray, gains: np.ndarray,
     the weighted lines laid out by `_leading` with one axis more than d, so
     the leading axis runs over the lines.
     """
-    if s.min() < -1e-9 or s.max() > road.length + 1e-9:
+    # fmin and fmax skip NaN, so a NaN station (a planner start that is not
+    # finite) hides no other station outside the range.
+    if (np.fmin.reduce(s, axis=None) < -1e-9
+            or np.fmax.reduce(s, axis=None) > road.length + 1e-9):
         raise DomainError("query station outside the road's station range")
     terms = np.abs(d - offsets)
     np.negative(terms, out=terms)

@@ -15,20 +15,29 @@ scores halvings of that step in one batch. Only improvements are
 accepted, so the returned sequence never scores worse than leaving the
 command alone (or, from outside u_box, than moving it straight back).
 
-A solve makes one output batch per iteration, plus one to start. The
-Jacobian's probe rows ride with rows that are scored anyway: the first
-batch holds the baseline and its probes, and every trial batch
-also holds the probes of the full step, which is the usual winner (it
-scores lowest in all 900 trial batches of the bundled overtake run and
-in 2,490 of the 2,514 of the three scenario_a runs). Only when another
-trial wins and the search goes on are its probes scored alone. A trial
-batch is len(NEWTON_STEPS) + n_c rows.
+A receding-horizon caller can pass the previous plan moved on one step
+as the solve's start (the shift initialization of Diehl, Bock and
+Schloeder 2005, SIAM J. Control Optim. 43(5)); the search begins from
+the cheaper of that start and the zero increments, so the plan still
+never scores worse than the zero increments. Before scoring a trial
+batch, an iteration asks the model what its step can gain, and the
+search ends there if that is within the tolerance. The 720 solves of the
+three bundled scenario_a runs score 887 trial batches between them.
+
+A solve makes one output batch to start, plus one per iteration that
+scores trials. The Jacobian's probe rows ride with rows that are scored
+anyway: the first batch holds each start with its probes, and every
+trial batch also holds the probes of the full step, which is the usual
+winner (it scores lowest in all 351 trial batches of the bundled
+overtake run and in 880 of the 887 of the three scenario_a runs). Only
+when another trial wins and the search goes on are its probes scored
+alone. A trial batch is len(NEWTON_STEPS) + n_c rows.
 
 The linear prediction is a rollout of the discrete step map over the
 horizon, taken by doubling (see HorizonModel), so its NumPy calls grow
 with the log of the horizon; it keeps the 3 channels the cost reads, the
 pose (X, Y, phi). The horizon cost is prepared once per solve and has
-one evaluation path, which the baseline's cost, every trial and the
+one evaluation path, which the starts' costs, every trial and the
 returned plan share: the caller's PreparedField is coasted along the
 horizon, one contraction predicts the poses for one du sequence or a
 batch, and the positions are mapped to road coordinates once per call.
@@ -301,7 +310,7 @@ def _bounds(u, u_box: tuple[float, float], cfg: MpcConfig):
 def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only per-size constants of a solve, shared like _lag: the identity
     (which _box_qp also reads), the probe steps FD_STEP * I and the first
-    batch's offsets from the baseline (0, then the probe steps)."""
+    batch's offsets from each start (0, then the probe steps)."""
     eye = np.eye(n_c)
     probes = FD_STEP * eye
     first = np.concatenate([np.zeros((1, n_c)), probes])
@@ -373,9 +382,17 @@ def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
     return d
 
 
+def _predicted_drop(hess: np.ndarray, g: np.ndarray, d: np.ndarray) -> float:
+    """The drop in the horizon cost that the Gauss-Newton model predicts for
+    the step d: g and hess are half the cost's gradient and Hessian, so the
+    model's decrease -(g.d + d.H.d / 2) is half of it."""
+    return -2.0 * (g @ d + 0.5 * (d @ hess @ d))
+
+
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
                target_lane: int, cfg: MpcConfig, vp: VehicleParams,
-               dp: DriverParams, dt: float, u_box: tuple[float, float]) -> PlanResult:
+               dp: DriverParams, dt: float, u_box: tuple[float, float],
+               start: np.ndarray | None = None) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
 
     `scene` holds the other cars now; they coast over the horizon. dt is
@@ -386,31 +403,36 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     outputs y of the accepted du and of its n_c probe rows du + FD_STEP *
     e_j, and takes the output Jacobian J from forward differences against
     y. With W weighting the outputs by q_diag at every horizon step,
-    g = J'Wy + r du is half the cost gradient and H = J'WJ + r I its
-    Gauss-Newton Hessian. The search starts from the zero increments
+    g = J'Wy + r du is half the cost gradient and H = J'WJ + r I half its
+    Gauss-Newton Hessian. The first batch scores the zero increments
     projected, which are zeros from a u_prev inside u_box and move the
-    command toward the box from outside; cost_zero is their cost. The step
-    d minimizes the model g.d + d.H.d / 2 over lo - du <= d <= hi - du,
-    where (lo, hi) are the bounds _project clips to at du's running
-    commands (see _bounds and _box_qp); du is a projection, so that box
-    holds 0. The trials du + NEWTON_STEPS * d go through _project and
-    are scored in one batch, and the lowest is taken, the first on a tie,
-    if it beats the best cost so far. The search stops when no trial does
-    or the drop is at most tol * max(1, best), so the returned cost, which
-    is the accepted one, never exceeds cost_zero. If no step is accepted
-    while the first iteration's model promised a drop -(g.d + d.H.d / 2)
-    above tol * max(1, cost_zero), the plan is flagged degraded; at a
-    point where the box allows no descent the step is 0 and so is the
-    promise. The returned outputs are the ones the accepted
-    cost read, the returned poses are the plan's predicted (X, Y, phi),
-    and cost_rows counts the output rows the solve scored.
+    command toward the box from outside; cost_zero is their cost. `start`,
+    a du sequence of n_c increments or None, is projected the same way and
+    scored in that batch, and the search begins from whichever of the two
+    costs less; the zero increments win a tie and a start whose cost is
+    not finite. The step d minimizes the model g.d + d.H.d / 2 over
+    lo - du <= d <= hi - du, where (lo, hi) are the bounds _project clips
+    to at du's running commands (see _bounds and _box_qp); du is a
+    projection, so that box holds 0. If the drop in the cost the model
+    predicts for d (_predicted_drop, twice the model's decrease) is at
+    most tol * max(1, best), the search ends before scoring; that
+    iteration is counted. Otherwise the trials du + NEWTON_STEPS * d go
+    through _project and are scored in one batch, and the lowest is taken,
+    the first on a tie, if it beats the best cost so far. The search also
+    stops when no trial does or the drop is at most tol * max(1, best),
+    so the returned cost, which is the accepted one, never exceeds
+    cost_zero. A plan is flagged degraded when the first iteration scored
+    its trials, so its model promised more than the tolerance, and none
+    of them gained. The returned outputs are the ones the accepted cost
+    read, the returned poses are the plan's predicted (X, Y, phi), and
+    cost_rows counts the output rows the solve scored.
 
     The outputs come in as few batches as the search allows, each row
-    scored as it would be alone: the baseline with its probe rows, then
-    per iteration the trials with the probe rows of trial 0, the full
-    Newton step. When trial 0 is taken, the next Jacobian reads those;
-    when another trial is taken and the search goes on, its probe rows
-    are scored in a batch of their own.
+    scored as it would be alone: the starts with their probe rows, then
+    per iteration that scores trials, the trials with the probe rows of
+    trial 0, the full Newton step. When trial 0 is taken, the next
+    Jacobian reads those; when another trial is taken and the search goes
+    on, its probe rows are scored in a batch of their own.
 
     Whether the u box can bind is decided once, before the first
     iteration. When no running command of any du-clipped sequence comes
@@ -420,8 +442,8 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     _project's loop and the bounds are read at the running command. Both
     give the loop's result bit for bit.
 
-    DomainError if the baseline's cost is not finite (a field or a weight
-    that overflows), since no trial could then be compared with it.
+    DomainError if the zero increments' cost is not finite (a field or a
+    weight that overflows), since no trial could then be compared with it.
     """
     if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
         raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
@@ -440,15 +462,22 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     eye, probes, first = _probes(n_c)
     r_eye = r * eye
     box_free = _box_free(u_prev, u_box, cfg)
-    # The baseline is the zero increments projected: zeros from a u_prev
-    # inside u_box, a move toward it from outside.
-    du = _project(np.zeros(n_c), u_prev, u_box, cfg, box_free, out=np.empty(n_c))
-    ys = outputs_of(du + first)
-    y, y_probe = ys[0], ys[1:]
-    best = float(mpc_cost(y, du, w, r))
-    if not np.isfinite(best):
-        raise DomainError(f"the zero-increment horizon cost is {best}")
-    cost_zero = best
+    # The first batch: the zero increments, then the start if there is
+    # one, each projected and followed by its probe rows. The projected
+    # zeros are zeros from a u_prev inside u_box, a move toward it from
+    # outside.
+    starts = np.zeros((1 if start is None else 2, n_c))
+    starts[1:] = start      # an empty slice when there is no start
+    _project(starts, u_prev, u_box, cfg, box_free, out=starts)
+    ys = outputs_of((starts[:, None] + first).reshape(-1, n_c)).reshape(
+        len(starts), 1 + n_c, cfg.n_p, 3)
+    costs = mpc_cost(ys[:, 0], starts, w, r)
+    cost_zero = float(costs[0])
+    if not np.isfinite(cost_zero):
+        raise DomainError(f"the zero-increment horizon cost is {cost_zero}")
+    # The zero increments win a tie and a start whose cost is not finite.
+    i = int(costs[-1] < cost_zero)
+    du, best, y, y_probe = starts[i], float(costs[i]), ys[i, 0], ys[i, 1:]
     n_trials = len(NEWTON_STEPS)
     # Unprojected trials, and the batch scored each iteration: the
     # projected trials, then the probe rows of trial 0.
@@ -463,8 +492,6 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         jac = (y_probe - y) / FD_STEP    # (n_c, n_p, 3)
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
-        if not g.any():
-            break
         hess = jw @ jac.reshape(n_c, -1).T + r_eye
         # du is a projection, and the running commands are summed in
         # _project's order, so the step's box holds 0: a clipped increment
@@ -474,6 +501,8 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         else:
             lo, hi = _bounds(_running(du, u_prev), u_box, cfg)
         d = _box_qp(hess, g, lo - du, hi - du)
+        if _predicted_drop(hess, g, d) <= cfg.tol * max(1.0, best):
+            break   # the model says no trial can pay for its batch
         np.multiply(NEWTON_STEPS[:, None], d, out=steps)
         np.add(du, steps, out=steps)
         _project(steps, u_prev, u_box, cfg, box_free, out=trials)
@@ -482,10 +511,9 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         vals = mpc_cost(ys[:n_trials], trials, w, r)
         k = int(vals.argmin())
         if not vals[k] < best:
-            # A first iteration that gains nothing missed if its model
-            # promised a clear drop.
-            degraded = (iterations == 1 and
-                        -(g @ d + 0.5 * (d @ hess @ d)) > cfg.tol * max(1.0, cost_zero))
+            # The model promised more than the tolerance; a first
+            # iteration that gains nothing missed it.
+            degraded = iterations == 1
             break
         drop = best - float(vals[k])
         du, best, y = trials[k].copy(), float(vals[k]), ys[k]

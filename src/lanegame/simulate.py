@@ -5,10 +5,11 @@ the ego's view of the scene once (`_scene_view`: each lane's lead and
 speed cap, and the game opponent on each other lane) and its field
 (`prepare_scene`), (3) if no change is in progress, solve the decision
 game against the opponents beside the ego, (4) log style-free running
-cost components, (5) plan the steering preview command, (6) integrate
-the ego and advance the other cars as point masses. The game and the
-running costs read the roster only through that view; the planner, the
-field at the ego and the clearance metric read that one field.
+cost components, (5) plan the steering preview command, starting from
+the previous step's plan moved on one step, (6) integrate the ego and
+advance the other cars as point masses. The game and the running costs
+read the roster only through that view; the planner, the field at the
+ego and the clearance metric read that one field.
 
 The running `j_*` columns differ from the decision cost on purpose. They
 are instantaneous (the scene now, not a projection over the decision
@@ -24,9 +25,12 @@ Other cars follow their initial lane; adjacent (strategic) cars apply
 the acceleration from their side of the game while one is active and
 hold it during the ego's lane change, then coast. Everything is
 deterministic, so repeated runs give identical traces and `batch` can
-share a style's loop among its strategies (`_runs`). A layer that fails
-(no feasible decision, a query outside a model's domain) aborts the run
-with a reason; the rows produced so far are kept.
+share a style's loop among its strategies (`_runs`). The previous plan
+is state of that loop, so a strategy that parts from the others and
+reruns from step 0 starts its planner afresh, as an independent run
+does. A layer that fails (no feasible decision, a query outside a
+model's domain) aborts the run with a reason; the rows produced so far
+are kept.
 """
 
 from __future__ import annotations
@@ -303,6 +307,7 @@ def _runs(cfg: ScenarioConfig, style_name: str,
     if road.kind == "arc":
         state[IR] = ego_spec.v / road.radius
     u_prev = float(y0) + dp.t_p * ego_spec.v * phi0
+    start = None    # the last plan moved on one step, where the next solve starts
 
     # A lane change toward ego_lane + sigma_now is under way while sigma_now != 0.
     ego_lane = ego_spec.lane
@@ -358,7 +363,7 @@ def _runs(cfg: ScenarioConfig, style_name: str,
             # After the decision, so a change committed now tracks its new lane.
             plan_lane = ego_lane + sigma_now
             plan = solve_plan(x, u_prev, a_cmd, scene, plan_lane, cfg.mpc, vp,
-                              dp, cfg.dt, (u_lo, u_hi))
+                              dp, cfg.dt, (u_lo, u_hi), start)
             field_here = float(total_field(x[IX], x[IY], scene))
         except (InfeasibleDecisionError, DomainError) as exc:
             what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
@@ -403,6 +408,7 @@ def _runs(cfg: ScenarioConfig, style_name: str,
             c.s += c.v * cfg.dt + 0.5 * c.a * cfg.dt * cfg.dt
             c.v = float(min(max(c.v + c.a * cfg.dt, lane.v_min), lane.v_max))
         u_prev = u_cmd
+        start = np.append(plan.du_sequence[1:], 0.0)
 
     traces = {s: replace(trace, strategy=s, rows=[r[:] for r in trace.rows])
               for s in group[1:]}

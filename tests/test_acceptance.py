@@ -529,34 +529,47 @@ def test_bundled_output_fingerprints(merge_runs, overtake_runs, tmp_path):
 
 # Per-run metrics of the 12 bundled runs. The exact fields were recorded
 # before the cost terms were consolidated, the tolerance-checked ones
-# when the planner became projected Newton, and again for the first five
-# rows when its step became the model's exact minimizer over the box. A
-# refactor must reproduce them; an intended change to any of them must be
-# justified in CHANGES.md. t_commit is k * dt at the committing step and
-# is compared exactly, like the other integers.
+# when the planner became projected Newton, again for the first five
+# rows when its step became the model's exact minimizer over the box, and
+# for all six when each solve started from the previous plan and stopped
+# where the model promised no more than the tolerance. A refactor must
+# reproduce them; an intended change to any of them must be justified in
+# CHANGES.md. t_commit is k * dt at the committing step and is compared
+# exactly, like the other integers.
 GOLDEN_EXACT = ("steps", "t_commit", "sigma_commit", "merged", "final_lane")
 GOLDEN_CLOSE = ("rms_safety", "rms_comfort", "rms_efficiency", "rms_total",
                 "min_clearance", "max_field")
 GOLDEN_REL_TOL = 1e-6
 _GOLDEN_BY_STYLE = {
-    ("scenario_a", "aggressive"): (240, 0.9, -1, True, 1, 2.97143691,
-                                   4.72393904, 7.9609926, 6.81723928,
-                                   15.2755851, 9.05994822),
-    ("scenario_a", "normal"): (240, 2.15, -1, True, 1, 0.257208498,
-                               3.33418586, 13.1392289, 3.35479652,
-                               21.8417874, 5.33584298),
-    ("scenario_a", "conservative"): (240, 2.7, -1, True, 1, 0.177892564,
-                                     3.48818712, 19.0231553, 2.32484433,
-                                     24.3672275, 5.63079985),
+    ("scenario_a", "aggressive"): (240, 0.9, -1, True, 1, 2.97143432,
+                                   4.72393904, 7.9613069, 6.81749796,
+                                   15.2758871, 9.05578137),
+    ("scenario_a", "normal"): (240, 2.15, -1, True, 1, 0.257208032,
+                               3.33418586, 13.1396405, 3.35487084,
+                               21.8418686, 5.33525854),
+    ("scenario_a", "conservative"): (240, 2.7, -1, True, 1, 0.177892904,
+                                     3.48818712, 19.0216582, 2.32472612,
+                                     24.3671003, 5.62925525),
     ("scenario_b", "aggressive"): (300, 1.7000000000000002, -1, True, 1,
-                                   15.0546642, 5.64091806, 7.13334245,
-                                   7.33449566, 21.4773033, 6.08425987),
+                                   15.0546661, 5.64091806, 7.13353958,
+                                   7.33462054, 21.4772766, 6.08542761),
     ("scenario_b", "normal"): (300, 3.3000000000000003, -1, True, 1,
-                               12.3004818, 5.8409287, 15.0249991,
-                               9.62229575, 22.6563161, 6.06762882),
+                               12.3004813, 5.8409287, 15.0266534,
+                               9.62239605, 22.6562286, 6.06788772),
     ("scenario_b", "conservative"): (300, math.nan, 0, False, 2,
-                                     10.4968585, 0.190394328, 60.7738612,
-                                     11.9874068, 12.6524835, 5.24510348),
+                                     10.4968582, 0.190394328, 60.7738625,
+                                     11.9874067, 12.6524766, 5.24535699),
+}
+# The planner's effort on each bundled run: (mpc_iterations,
+# mpc_cost_rows), deterministic counts. A change that makes the planner
+# score more or fewer batches fails here with the counts it read.
+_EFFORT_BY_STYLE = {
+    ("scenario_a", "aggressive"): (451, 5261),
+    ("scenario_a", "normal"): (546, 6339),
+    ("scenario_a", "conservative"): (590, 6814),
+    ("scenario_b", "aggressive"): (1063, 12892),
+    ("scenario_b", "normal"): (954, 11959),
+    ("scenario_b", "conservative"): (651, 7455),
 }
 # Nash and Stackelberg give the same metrics on every bundled run.
 GOLDEN = {(scen, strat, style): vals
@@ -579,3 +592,12 @@ def test_golden_run_metrics(merge_runs, overtake_runs):
             got, exp = getattr(m, name), want[name]
             assert math.isclose(got, exp, rel_tol=GOLDEN_REL_TOL), \
                 (key, name, got, exp)
+
+
+def test_planner_effort(merge_runs, overtake_runs):
+    runs = merge_runs[2] + overtake_runs[2]
+    got = {(m.scenario, m.strategy, m.style): (m.mpc_iterations, m.mpc_cost_rows)
+           for _, m in runs}
+    assert got == {(scen, strat, style): counts
+                   for (scen, style), counts in _EFFORT_BY_STYLE.items()
+                   for strat in STRATS}

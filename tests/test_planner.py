@@ -17,6 +17,7 @@ from lanegame.planner import (CHANNELS, FD_STEP, MAX_HORIZON_STEPS, MAX_PLAN_CEL
                               NEWTON_STEPS, HorizonModel, MpcConfig, PlanResult,
                               _bounds, _box_qp, _outputs, _project, mpc_cost,
                               solve_plan)
+from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
 from lanegame.vehicle import (IPHI, IR, IVX, IVY, IX, IY, NX, ControlInput,
                               VehicleParams, derivatives, discretize, linearize)
@@ -448,8 +449,11 @@ def test_project_clips_only_where_the_u_box_cannot_bind(two_lane_road, monkeypat
         assert planner._box_free(u_prev, box, cfg) == box_free
         plan, batches, n_bounds, n_running = _logged_solve(
             monkeypatch, _x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, box)
-        # The baseline, then one batch of trials per iteration.
-        assert len(batches) == plan.iterations + 1 and plan.iterations >= 2
+        # The baseline, then one batch of trials per iteration that scored
+        # one, as many as the search that scores each batch alone scores.
+        _, _, scored = _one_batch_per_purpose(_x0(), u_prev, 0.0, [], two_lane_road,
+                                              1, cfg, box)
+        assert len(batches) == 1 + scored and plan.iterations >= 2
         assert n_running == (0 if box_free else plan.iterations)
         assert n_bounds == (0 if box_free else cfg.n_c * len(batches) + n_running)
         clipped = []
@@ -666,15 +670,16 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     assert np.all(u >= box[0] - 1e-9) and np.all(u <= box[1] + 1e-9)
 
 
-def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
+def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box,
+                           start=None):
     """solve_plan's search with every output batch scored on its own.
 
-    The same baseline, Jacobian, box QP step, trials, tie rule and
-    stopping test, but the baseline is scored alone, every iteration scores its
-    n_c probe rows in one batch and its len(NEWTON_STEPS) trials in
-    another, and the step's box is always read at the running command.
-    Returns the plan and the index of the trial each accepted step took,
-    for the steps after which the search went on.
+    The same starts, Jacobian, box QP step, trials, tie rule and stopping
+    tests, but each start is scored alone, every iteration scores its n_c
+    probe rows in one batch and its len(NEWTON_STEPS) trials in another,
+    and the step's box is always read at the running command. Returns the
+    plan, the index of the trial each accepted step took, for the steps
+    after which the search went on, and the number of trial batches scored.
     """
     model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
     prepared = coasted(prepare_poses(obstacles, road, FP), _times(cfg.n_p))
@@ -687,24 +692,33 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     du = _project_loop(np.zeros(n_c), u_prev, box, cfg)
     y = outputs_of(du)
     best = cost_zero = float(mpc_cost(y, du, w, r))
+    if start is not None:
+        projected = _project_loop(np.asarray(start, dtype=float), u_prev, box, cfg)
+        y_start = outputs_of(projected)
+        cost = float(mpc_cost(y_start, projected, w, r))
+        if cost < best:
+            du, best, y = projected, cost, y_start
     went_on_after = []
     degraded = False
+    scored = 0
     for iterations in range(1, cfg.max_iter + 1):
         jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP
         jw = (jac * w).reshape(n_c, -1)
         g = jw @ y.ravel() + r * du
-        if not np.any(g):
-            break
         lo, hi = _bounds(np.cumsum(np.concatenate(([u_prev], du[:-1]))), box, cfg)
         hess = jw @ jac.reshape(n_c, -1).T + r * eye
         d = _box_qp(hess, g, lo - du, hi - du)
+        # The model's decrease is half the cost's: g and hess are half its
+        # gradient and Hessian.
+        if -2.0 * (g @ d + 0.5 * (d @ hess @ d)) <= cfg.tol * max(1.0, best):
+            break
         trials = _project_loop(du + NEWTON_STEPS[:, None] * d, u_prev, box, cfg)
         ys = outputs_of(trials)
+        scored += 1
         vals = mpc_cost(ys, trials, w, r)
         k = int(np.argmin(vals))
         if not vals[k] < best:
-            degraded = (iterations == 1 and
-                        -(g @ d + 0.5 * (d @ hess @ d)) > cfg.tol * max(1.0, cost_zero))
+            degraded = iterations == 1
             break
         drop = best - float(vals[k])
         du, best, y = trials[k], float(vals[k]), ys[k]
@@ -716,7 +730,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
                       predicted_poses=model.poses(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
                       degraded=degraded, cost_rows=0)   # rows not counted here
-    return plan, went_on_after
+    return plan, went_on_after, scored
 
 
 def _rows_per_outputs_call(monkeypatch):
@@ -752,46 +766,50 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
                                                    monkeypatch):
     # Every PlanResult field but the row count equals, bit for bit, the
     # search that scores each batch on its own and projects through the
-    # loop, and each solve makes the calls it should: one of 1 + n_c rows,
-    # one of len(NEWTON_STEPS) + n_c per iteration, and one of n_c after
-    # each step that took another trial than the full step and did not end
-    # the search. The plan's row count is the rows of those calls. The
-    # scenes take both branches, and both projections: the boxed scenes
-    # check which one each took, by its _bounds calls.
+    # loop, and each solve makes the calls it should: one of 1 + n_c rows
+    # per start, one of len(NEWTON_STEPS) + n_c per iteration that scored
+    # its trials, and one of n_c after each step that took another trial
+    # than the full step and did not end the search. The plan's row count
+    # is the rows of those calls. Each scene is solved from the zero
+    # increments alone and again with the closed loop's start, the plan
+    # moved on one step. The scenes take both branches, and both
+    # projections: the boxed scenes check which one each took, by its
+    # _bounds calls.
     n_trials = len(NEWTON_STEPS)
     scenes = [(seed, _scene(seed, two_lane_road, three_lane_arc), None)
               for seed in SCENE_SEEDS]
     scenes += [(reach, _boxed_scene(reach, two_lane_road), path)
                for reach, path in BOXED_SCENES]
-    went_on_after, paths = [], set()
+    went_on_after, paths, model_stops = [], set(), 0
     for label, scene, path in scenes:
         road, x0, u_prev, a_x, obstacles, target, cfg, box = scene
-        want, after = _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road,
-                                             target, cfg, box)
-        rows, bounds = _rows_per_outputs_call(monkeypatch)
-        got = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP), target,
-                         cfg, VP, DP, DT, box)
-        monkeypatch.undo()
-        for f in dataclasses.fields(PlanResult):
-            if f.name == "cost_rows":
-                continue
-            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, f.name)
-        n_c = cfg.n_c
-        fallbacks = sum(k != 0 for k in after)
-        assert len(rows) == 1 + got.iterations + fallbacks, label
-        assert rows[0] == 1 + n_c
-        assert rows.count(n_trials + n_c) == got.iterations
-        assert rows.count(n_c) == fallbacks
-        assert got.cost_rows == sum(rows)
-        took = "loop" if bounds else "clip"
-        assert took == ("clip" if planner._box_free(u_prev, box, cfg) else "loop")
-        assert path in (None, took), label
-        paths.add(took)
-        went_on_after += after
+        start = None
+        for n_starts in (1, 2):
+            want, after, scored = _one_batch_per_purpose(
+                x0, u_prev, a_x, obstacles, road, target, cfg, box, start)
+            rows, bounds = _rows_per_outputs_call(monkeypatch)
+            got = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP),
+                             target, cfg, VP, DP, DT, box, start=start)
+            monkeypatch.undo()
+            _plan_fields_equal(got, want, (label, n_starts))
+            n_c = cfg.n_c
+            fallbacks = sum(k != 0 for k in after)
+            assert len(rows) == 1 + scored + fallbacks, label
+            assert rows[0] == n_starts * (1 + n_c)
+            assert rows[1:].count(n_trials + n_c) == scored
+            assert rows[1:].count(n_c) == fallbacks
+            assert got.cost_rows == sum(rows)
+            took = "loop" if bounds else "clip"
+            assert took == ("clip" if planner._box_free(u_prev, box, cfg) else "loop")
+            assert path in (None, took), label
+            paths.add(took)
+            went_on_after += after
+            model_stops += scored < got.iterations
+            start = np.append(want.du_sequence[1:], 0.0)
     assert paths == {"clip", "loop"}
     assert went_on_after.count(0) > 0
     assert len(went_on_after) - went_on_after.count(0) > 0
+    assert model_stops > 0
 
 
 def _model(hess, g, d):
@@ -901,6 +919,93 @@ def test_degraded_spares_an_optimum_on_the_box_edge(two_lane_road, monkeypatch):
     assert not plan.degraded
 
 
+def test_predicted_drop_is_the_cost_drop_of_a_short_step(two_lane_road, monkeypatch):
+    # A lane-change solve's first QP step, scaled down to 1e-3 of itself:
+    # the drop of the cost it scores is the model's prediction within 5%.
+    # g and H are half the cost's gradient and Hessian, so the model's own
+    # decrease -(g.d + d.H.d / 2) reads about half the scored drop.
+    calls = []
+    real = planner._predicted_drop
+    monkeypatch.setattr(planner, "_predicted_drop",
+                        lambda *a: calls.append(a) or real(*a))
+    cfg = small_cfg()
+    scene = prepare_poses([], two_lane_road, FP)
+    solve_plan(_x0(), 0.0, 0.0, scene, 1, cfg, VP, DP, DT, BOX)
+    monkeypatch.undo()
+    hess, g, d = calls[0]
+    du = np.array([np.zeros(cfg.n_c), 1e-3 * d])
+    model = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
+    y = _outputs(model.poses(du), coasted(scene, _times(cfg.n_p)), 1)
+    costs = mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)
+    predicted = real(hess, g, du[1])
+    assert predicted > 1e-10 * costs[0]
+    assert abs((costs[0] - costs[1]) - predicted) <= 0.05 * predicted
+
+
+def _plan_fields_equal(got, want, label=None):
+    """Every PlanResult field but the row count, bit for bit."""
+    for f in dataclasses.fields(PlanResult):
+        if f.name != "cost_rows":
+            a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, f.name)
+
+
+@pytest.mark.parametrize("seed", [*range(6), *SETTLED_SEEDS])
+def test_a_start_that_costs_more_leaves_the_plan_alone(seed, two_lane_road,
+                                                       three_lane_arc):
+    # A start that does not cost less than the zero increments, one that
+    # ties them (the zeros themselves) and one whose cost is not finite:
+    # the plan is the plan with no start, bit for bit, and the start adds
+    # only its own rows to the first batch.
+    road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
+        seed, two_lane_road, three_lane_arc)
+    scene = prepare_poses(obstacles, road, FP)
+    alone = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
+    away = -np.sign(alone.du_sequence.sum() or 1.0) * np.full(cfg.n_c, cfg.du_max)
+    for start in (away, np.zeros(cfg.n_c), np.full(cfg.n_c, np.nan)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box,
+                              start=start)
+        _plan_fields_equal(plan, alone, (seed, start))
+        assert plan.cost_rows == alone.cost_rows + 1 + cfg.n_c
+
+
+def test_a_start_that_is_not_finite_hides_no_prediction_past_the_road_end():
+    # The ego 5 m before the end of a 100 m road, its horizon reaching 20 m
+    # on, on its target lane's centerline with the road field off: the
+    # zero increments already sit at the model's rest point, so no trial
+    # batch would be scored after the first. Their prediction leaves the
+    # road, and a NaN start scored beside them must not hide that.
+    road = RoadGeometry(kind="straight", length=100.0)
+    scene = prepare_poses([], road, FieldParams(edge_weight=0.0, interior_weight=0.0))
+    x0 = _x0()
+    x0[IX] = 95.0
+    cfg = small_cfg(n_p=20)
+    for start in (None, np.full(cfg.n_c, np.nan)):
+        with pytest.raises(DomainError, match="station range"):
+            solve_plan(x0, 0.0, 0.0, scene, 2, cfg, VP, DP, DT, BOX, start=start)
+
+
+@pytest.mark.parametrize("seed", [*range(6), *SETTLED_SEEDS])
+def test_a_solve_from_its_own_plan_ends_after_its_first_batch(seed, two_lane_road,
+                                                              three_lane_arc):
+    # In these scenes the model promises no more than the tolerance at the
+    # plan a solve returns, so a solve started from that plan stops in its
+    # first iteration: the first batch alone, the zero increments and the
+    # start each with its probe rows, and the same plan and cost bit for bit.
+    road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
+        seed, two_lane_road, three_lane_arc)
+    scene = prepare_poses(obstacles, road, FP)
+    first = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
+    again = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box,
+                       start=first.du_sequence)
+    assert again.iterations == 1 and not again.degraded
+    assert again.cost_rows == 2 * (1 + cfg.n_c)
+    assert again.du_sequence.tobytes() == first.du_sequence.tobytes()
+    assert again.cost == first.cost and again.cost_zero == first.cost_zero
+
+
 def test_plan_from_below_the_u_box(two_lane_road):
     # u_prev under the u box: the baseline climbs back into the box, and
     # the solve climbs further toward the target lane, with no
@@ -962,6 +1067,99 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     assert plan.cost <= plan.cost_zero
     assert np.array_equal(plan.predicted_outputs, y[0])
     assert np.array_equal(plan.predicted_poses, model.poses(du)[0])
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _planning_problems(draw):
+    """(x0, u_prev, a_x, scene, target, cfg, dt, u_box, start) of one solve.
+
+    Straight roads and arcs of 150-1,000 m radius with 2 or 3 lanes, 0-4
+    cars coasting near the ego, horizons of 1-60 steps, du boxes with 0 on
+    an edge and u boxes with lo = hi among the draws, u_prev inside the u
+    box, on an edge or outside it, and starts inside, on and outside both
+    boxes, some not finite.
+    """
+    lanes = {i: LaneSpec(index=i) for i in range(1, draw(st.sampled_from((2, 3))) + 1)}
+    if draw(st.booleans()):
+        road = RoadGeometry(kind="straight", length=600.0, lanes=lanes)
+    else:
+        radius = draw(st.floats(150.0, 1000.0))
+        road = RoadGeometry(kind="arc", radius=radius, length=min(600.0, 3.0 * radius),
+                            lanes=lanes)
+    lane = draw(st.integers(1, road.lane_count))
+    s = draw(st.floats(20.0, 200.0))
+    d = road.lane_offset(lane) + draw(st.floats(-1.5, 1.5))
+    v = draw(st.floats(3.0, 30.0))
+    phi = float(road.tangent_heading(s)) + draw(st.floats(-0.05, 0.05))
+    x0 = np.zeros(NX)
+    x0[IVX], x0[IVY], x0[IPHI] = v, draw(st.floats(-0.3, 0.3)), phi
+    x0[IX], x0[IY] = (float(c) for c in road.to_global(s, d))
+    x0[IR] = v / road.radius if road.kind == "arc" else 0.0
+    cars = []
+    for _ in range(draw(st.integers(0, 4))):
+        so = s + draw(st.floats(-15.0, 50.0))
+        car_lane = draw(st.integers(1, road.lane_count))
+        xo, yo = road.to_global(so, road.lane_offset(car_lane))
+        cars.append(ObstaclePose(x=float(xo), y=float(yo),
+                                 heading=float(road.tangent_heading(so)),
+                                 v=draw(st.floats(0.0, 30.0))))
+    n_p = draw(st.integers(1, 60))
+    n_c = draw(st.integers(1, min(10, n_p)))
+    du_min = draw(st.sampled_from((0.0, -0.05)) | st.floats(-0.5, 0.0))
+    du_max = draw(st.sampled_from((0.0, 0.05)) | st.floats(0.0, 0.5))
+    cfg = MpcConfig(n_p=n_p, n_c=n_c, du_min=du_min, du_max=du_max,
+                    max_iter=draw(st.sampled_from((1, 5, 100))))
+    u_ref = float(x0[IY]) + DP.t_p * v * phi
+    lo = u_ref + draw(st.floats(-3.0, 1.0))
+    u_box = (lo, lo + draw(st.just(0.0) | st.floats(0.0, 4.0)))
+    where = draw(st.sampled_from(("inside", "edge", "below", "above")))
+    if where == "inside":
+        u_prev = draw(st.floats(*u_box))
+    elif where == "edge":
+        u_prev = draw(st.sampled_from(u_box))
+    else:
+        out = draw(st.floats(0.01, 3.0))
+        u_prev = u_box[0] - out if where == "below" else u_box[1] + out
+    finite = st.floats(-1.0, 1.0) | st.sampled_from((du_min, du_max))
+    start = draw(st.none() | st.lists(finite, min_size=n_c, max_size=n_c)
+                 | st.lists(finite | st.sampled_from(_NON_FINITE), min_size=n_c,
+                            max_size=n_c))
+    target = draw(st.integers(1, road.lane_count))
+    return (x0, u_prev, draw(st.floats(-3.0, 2.0)), prepare_poses(cars, road, FP),
+            target, cfg, draw(st.floats(0.01, 0.2)), u_box, start)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(problem=_planning_problems())
+def test_solve_plan_contract(problem):
+    # Every solve raises DomainError or returns a plan that scores no worse
+    # than the zero increments and keeps the du box, the u box from inside
+    # it, and from outside it moves the command toward the box as far as
+    # the du box allows, so no farther from it than u_prev; its outputs and
+    # poses are finite, and no floating-point warning is raised.
+    x0, u_prev, a_x, scene, target, cfg, dt, (lo, hi), start = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, dt,
+                              (lo, hi), start=start)
+        except DomainError:
+            return
+    assert plan.cost <= plan.cost_zero
+    du = plan.du_sequence
+    assert np.all(du >= cfg.du_min) and np.all(du <= cfg.du_max)
+    if lo <= u_prev <= hi:
+        u = u_prev + np.cumsum(du)
+        assert np.all(u >= lo - 1e-9) and np.all(u <= hi + 1e-9)
+    elif u_prev > hi:
+        assert plan.u_applied <= max(hi, u_prev + cfg.du_min) + 1e-9
+    else:
+        assert plan.u_applied >= min(lo, u_prev + cfg.du_max) - 1e-9
+    assert np.isfinite(plan.predicted_outputs).all()
+    assert np.isfinite(plan.predicted_poses).all()
 
 
 def test_plan_never_beats_zero_baseline(two_lane_road, rng):

@@ -349,8 +349,8 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     """Degenerate game with no adjacent car: plain argmin for the ego.
 
     Scores the ego's parts with no opponent, so an adjacent car would not
-    enter; `simulate._decide` calls this only when neither side lane has
-    one. Exact ties go to the earlier candidate.
+    enter; `simulate._Loop.decide` calls this only when neither side lane
+    has one. Exact ties go to the earlier candidate.
     """
     sigma, a_x, ego_track = _ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):

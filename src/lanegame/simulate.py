@@ -1,15 +1,15 @@
 """Closed-loop simulation of one scenario and its run metrics.
 
-Per step: (1) finish or continue any committed lane change, (2) build
-the ego's view of the scene once (`_scene_view`: each lane's lead and
-speed cap, and the game opponent on each other lane) and its field
-(`prepare_scene`), (3) if no change is in progress, solve the decision
-game against the opponents beside the ego, (4) log style-free running
-cost components, (5) plan the steering preview command, starting from
-the previous step's plan moved on one step, (6) integrate the ego and
-advance the other cars as point masses. The game and the running costs
-read the roster only through that view; the planner, the field at the
-ego and the clearance metric read that one field.
+Per step (`_Loop.advance`): (1) finish or continue any committed lane
+change, (2) build the ego's view of the scene once (`_scene_view`: each
+lane's lead and speed cap, and the game opponent on each other lane) and
+its field (`prepare_scene`), (3) if no change is in progress, solve the
+decision game against the opponents beside the ego, (4) log style-free
+running cost components, (5) plan the steering preview command, starting
+from the previous step's plan moved on one step, (6) integrate the ego
+and advance the other cars as point masses. The game and the running
+costs read the roster only through that view; the planner, the field at
+the ego and the clearance metric read that one field.
 
 The running `j_*` columns differ from the decision cost on purpose. They
 are instantaneous (the scene now, not a projection over the decision
@@ -23,14 +23,12 @@ the ego style.
 
 Other cars follow their initial lane; adjacent (strategic) cars apply
 the acceleration from their side of the game while one is active and
-hold it during the ego's lane change, then coast. Everything is
-deterministic, so repeated runs give identical traces and `batch` can
-share a style's loop among its strategies (`_runs`). The previous plan
-is state of that loop, so a strategy that parts from the others and
-reruns from step 0 starts its planner afresh, as an independent run
-does. A layer that fails (no feasible decision, a query outside a
-model's domain) aborts the run with a reason; the rows produced so far
-are kept.
+hold it during the ego's lane change, then coast; a car whose speed
+reaches its lane's speed band holds the band's edge speed from there.
+Everything is deterministic, so repeated runs give identical traces and
+`batch` can share a style's loop among its strategies (`_runs`). A layer
+that fails (no feasible decision, a query outside a model's domain)
+aborts the run with a reason; the rows produced so far are kept.
 """
 
 from __future__ import annotations
@@ -182,34 +180,6 @@ def _scene_view(road: RoadGeometry, cfg: ScenarioConfig, cars: list[_Car],
                         end_margin=dec.end_margin, a_brake=dec.a_brake), opponents
 
 
-def _decide(cfg: ScenarioConfig, strategy: str, nb: NeighborView,
-            ego_kin: KinematicState, ego_lane: int, ego_style,
-            opponents: dict[int, _Car]) -> tuple[GameSolution, int] | Exception:
-    """Solve the decision game against the opponents beside the ego.
-
-    Returns the solution and its mode, the number of side opponents: 0
-    solo, 1 one opponent, 2 opponents on both sides; or the layer failure
-    a solver raised. The solvers are looked up by name at call time.
-    """
-    sides = [lane for lane in (ego_lane - 1, ego_lane + 1) if lane in opponents]
-    styles = [style_profile(opponents[lane].style) for lane in sides]
-    grid, gains, horizon = cfg.grid, cfg.gains, cfg.decision.horizon
-    try:
-        if len(sides) == 2:
-            solver = solve_nash_two_ac if strategy == "nash" else solve_stackelberg_two_ac
-            sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), nb.adjacent(sides[1]),
-                         nb, grid, grid, ego_style, *styles, gains, horizon)
-        elif sides:
-            solver = solve_nash_2p if strategy == "nash" else solve_stackelberg_2p
-            sol = solver(ego_kin, ego_lane, nb.adjacent(sides[0]), sides[0], nb,
-                         grid, grid, ego_style, *styles, gains, horizon)
-        else:
-            sol = solve_solo(ego_kin, ego_lane, nb, grid, ego_style, gains, horizon)
-    except (InfeasibleDecisionError, DomainError) as exc:
-        return exc
-    return sol, len(sides)
-
-
 def _u_box(road: RoadGeometry, cfg: ScenarioConfig, dp: DriverParams,
            s_e: float, v_e: float) -> tuple[float, float]:
     """Global lateral bounds for the preview command over the horizon.
@@ -272,147 +242,176 @@ def _check_names(styles, strategies) -> None:
             raise ConfigError(f"unknown {kind} {name!r}; known: {', '.join(known)}")
 
 
-def _runs(cfg: ScenarioConfig, style_name: str,
-          strategies) -> dict[str, TraceLog]:
-    """One closed loop for the given strategies, a trace per name. They
-    share it while their decisions agree bit for bit (`repr`: `==` takes
-    -0.0 for 0.0, which the trace tells apart), failures included; any
-    that part rerun from step 0 among themselves, so each trace is that
-    of an independent run. Names must be known (`_check_names`)."""
-    group = list(dict.fromkeys(strategies))
-    if not group:
-        return {}
-    parted: list[str] = []
-    road = cfg.road
-    dec = cfg.decision
-    ego_spec = cfg.ego()
-    ego_style = style_profile(style_name)
-    vp = DEFAULT_VEHICLE
-    dp = ego_style.driver
+class _Loop:
+    """One style's closed loop, shared by the strategies in `group` while
+    their decisions agree bit for bit (`repr`: `==` takes -0.0 for 0.0,
+    which the trace tells apart), failures included; those that decide
+    otherwise move to `parted`. `advance` keeps its step's inputs: the
+    ego's kinematic state `ego`, its view `nb`, the `opponents` by lane,
+    and `outcome`, the last decision's `(solution, mode)` or the failure
+    a solver raised. The previous plan `start` is loop state, so a rerun
+    from step 0 plans afresh, as an independent run does."""
 
-    cars = initial_cars(cfg)
-    roles = [c.role for c in cars]
-    columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
-    trace = TraceLog(scenario=cfg.name, style=style_name, strategy=group[0],
-                     columns=columns, roles=roles, max_iter=cfg.mpc.max_iter)
+    def __init__(self, cfg: ScenarioConfig, style_name: str, group: list[str]):
+        self.cfg, self.group, self.parted = cfg, group, []
+        self.style = style_profile(style_name)
+        self.cars = initial_cars(cfg)
+        roles = [c.role for c in self.cars]
+        columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
+        self.trace = TraceLog(scenario=cfg.name, style=style_name, strategy=group[0],
+                              columns=columns, roles=roles, max_iter=cfg.mpc.max_iter)
+        # Ego starts aligned with the road on its lane centerline.
+        road, spec = cfg.road, cfg.ego()
+        x0, y0 = road.to_global(spec.s, _start_offset(road, spec))
+        phi0 = float(road.tangent_heading(spec.s))
+        self.state = np.zeros(8)
+        self.state[IVX] = spec.v
+        self.state[IPHI] = phi0
+        self.state[IX], self.state[IY] = float(x0), float(y0)
+        if road.kind == "arc":
+            self.state[IR] = spec.v / road.radius
+        self.u_prev = float(y0) + self.style.driver.t_p * spec.v * phi0
+        self.start = None   # the last plan moved on one step, where the next solve starts
+        # A lane change toward lane + sigma is under way while sigma != 0.
+        self.lane, self.sigma = spec.lane, 0
+        self.flow_ref = spec.v
+        self.a_y_change = lane_change_lat_accel(road.lane_width)
+        self.ego = self.nb = self.opponents = self.outcome = None
 
-    # Ego starts aligned with the road on its lane centerline.
-    s0 = ego_spec.s
-    x0, y0 = road.to_global(s0, _start_offset(road, ego_spec))
-    phi0 = float(road.tangent_heading(s0))
-    state = np.zeros(8)
-    state[IVX] = ego_spec.v
-    state[IPHI] = phi0
-    state[IX], state[IY] = float(x0), float(y0)
-    if road.kind == "arc":
-        state[IR] = ego_spec.v / road.radius
-    u_prev = float(y0) + dp.t_p * ego_spec.v * phi0
-    start = None    # the last plan moved on one step, where the next solve starts
+    def decide(self, strategy: str) -> tuple[GameSolution, int] | Exception:
+        """The decision game of `strategy` in the held view: the solution
+        and its mode, the number of side opponents (0 solo, 1 one, 2 both
+        sides), or the layer failure a solver raised. The solvers are
+        looked up by name at call time."""
+        ego, lane, nb, grid = self.ego, self.lane, self.nb, self.cfg.grid
+        gains, horizon, nash = self.cfg.gains, self.cfg.decision.horizon, strategy == "nash"
+        sides = [side for side in (lane - 1, lane + 1) if side in self.opponents]
+        styles = [style_profile(self.opponents[side].style) for side in sides]
+        try:
+            if len(sides) == 2:
+                solver = solve_nash_two_ac if nash else solve_stackelberg_two_ac
+                sol = solver(ego, lane, nb.adjacent(sides[0]), nb.adjacent(sides[1]),
+                             nb, grid, grid, self.style, *styles, gains, horizon)
+            elif sides:
+                solver = solve_nash_2p if nash else solve_stackelberg_2p
+                sol = solver(ego, lane, nb.adjacent(sides[0]), sides[0], nb,
+                             grid, grid, self.style, *styles, gains, horizon)
+            else:
+                sol = solve_solo(ego, lane, nb, grid, self.style, gains, horizon)
+        except (InfeasibleDecisionError, DomainError) as exc:
+            return exc
+        return sol, len(sides)
 
-    # A lane change toward ego_lane + sigma_now is under way while sigma_now != 0.
-    ego_lane = ego_spec.lane
-    sigma_now = 0
-    a_cmd = 0.0
-    flow_ref = ego_spec.v
-    a_y_change = lane_change_lat_accel(road.lane_width)
-    game = (-1.0, 0.0, 0.0, 0.0)       # mode, multiplicity, security, side
-    dec_cost = (0.0, 0.0, 0.0, 0.0)    # j_ds, j_rc, j_pe, total
-
-    n_steps = int(round(cfg.duration / cfg.dt))
-    for k in range(n_steps):
-        t = k * cfg.dt
-        x = state
-        s_e, d_e = road.to_frenet(x[IX], x[IY])
-        s_e, d_e = float(s_e), float(d_e)
+    def advance(self) -> str:
+        """Run the next step: append its row and return "", or return why
+        the run aborts there, with no row for a step whose layer failed."""
+        cfg, road, dec, dp = self.cfg, self.cfg.road, self.cfg.decision, self.style.driver
+        dt = cfg.dt
+        t = len(self.trace.rows) * dt
+        x = self.state
+        s_e, d_e = map(float, road.to_frenet(x[IX], x[IY]))
         v_e = float(x[IVX])
-        ego_kin = KinematicState(s=s_e, v=v_e)
-
-        if sigma_now != 0:
-            y2 = d_e - road.lane_offset(ego_lane + sigma_now)
+        self.ego = KinematicState(s=s_e, v=v_e)
+        if self.sigma != 0:
+            y2 = d_e - road.lane_offset(self.lane + self.sigma)
             y3 = float(x[IPHI]) - float(road.tangent_heading(s_e))
             if abs(y2) < dec.commit_lat_tol and abs(y3) < dec.commit_yaw_tol:
-                ego_lane += sigma_now
-                sigma_now = 0
-
-        nb, opponents = _scene_view(road, cfg, cars, ego_lane, s_e, flow_ref)
-        scene = prepare_scene(road, cars, cfg.field)
+                self.lane, self.sigma = self.lane + self.sigma, 0
+        self.nb, self.opponents = _scene_view(road, cfg, self.cars, self.lane, s_e,
+                                              self.flow_ref)
+        scene = prepare_scene(road, self.cars, cfg.field)
         u_lo, u_hi = _u_box(road, cfg, dp, s_e, v_e)
-        decided = 0.0
+        decided = self.sigma == 0
         try:
-            if sigma_now == 0:
-                outcomes = [_decide(cfg, s, nb, ego_kin, ego_lane, ego_style, opponents)
-                            for s in group]
-                if len(group) > 1:
+            if decided:
+                outcomes = [self.decide(s) for s in self.group]
+                if len(self.group) > 1:
                     first = repr(outcomes[0])
-                    parted += [s for s, o in zip(group, outcomes) if repr(o) != first]
-                    group = [s for s, o in zip(group, outcomes) if repr(o) == first]
-                if isinstance(outcomes[0], Exception):
-                    raise outcomes[0]
-                sol, mode = outcomes[0]
-                decided = 1.0
-                sigma_now = sol.ego_action.sigma
-                a_cmd = sol.ego_action.a_x
-                for c in cars:
+                    self.parted += [s for s, o in zip(self.group, outcomes)
+                                    if repr(o) != first]
+                    self.group = [s for s, o in zip(self.group, outcomes)
+                                  if repr(o) == first]
+                self.outcome = outcomes[0]
+                if isinstance(self.outcome, Exception):
+                    raise self.outcome
+                sol = self.outcome[0]
+                self.sigma = sol.ego_action.sigma
+                for c in self.cars:
                     if c.strategic:
                         c.a = sol.ac_actions.get(c.lane, 0.0)
-                cb = sol.ego_cost
-                game = (float(mode), float(sol.multiplicity),
-                        float(sol.security_fallback),
-                        0.0 if sol.side is None else float(sol.side))
-                dec_cost = (cb.j_ds, cb.j_rc, cb.j_pe, cb.total)
+            sol, mode = self.outcome
+            a_cmd = sol.ego_action.a_x
             # After the decision, so a change committed now tracks its new lane.
-            plan_lane = ego_lane + sigma_now
-            plan = solve_plan(x, u_prev, a_cmd, scene, plan_lane, cfg.mpc, vp,
-                              dp, cfg.dt, (u_lo, u_hi), start)
+            plan_lane = self.lane + self.sigma
+            plan = solve_plan(x, self.u_prev, a_cmd, scene, plan_lane, cfg.mpc,
+                              DEFAULT_VEHICLE, dp, dt, (u_lo, u_hi), self.start)
             field_here = float(total_field(x[IX], x[IY], scene))
         except (InfeasibleDecisionError, DomainError) as exc:
             what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
                     else "domain error")
-            trace.aborted = True
-            trace.abort_reason = f"{what} at t={t:.2f}: {exc}"
-            break
+            return f"{what} at t={t:.2f}: {exc}"
         u_cmd = plan.u_applied
-        trace.mpc_cost_rows += plan.cost_rows
+        self.trace.mpc_cost_rows += plan.cost_rows
         box_violation = float(not u_lo - 1e-9 <= u_cmd <= u_hi + 1e-9)
 
         # Running cost components (see the module docstring); safety
         # follows the active interaction partner.
-        if sigma_now != 0:
-            j_ds_m = lateral_safety_cost(ego_kin, nb.adjacent(plan_lane), cfg.gains)
+        if self.sigma != 0:
+            j_ds_m = lateral_safety_cost(self.ego, self.nb.adjacent(plan_lane), cfg.gains)
         else:
-            j_ds_m = longitudinal_safety_cost(ego_kin, nb.lead(ego_lane), cfg.gains)
-        j_rc_m = comfort_cost(a_cmd, a_y_change, sigma_now, cfg.gains)
-        j_pe_m = (v_e - float(nb.v_cap(road.nearest_lane(d_e)))) ** 2
-        j_total_m = float(combine(ego_style, j_ds_m, j_rc_m, j_pe_m))
-        clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]), cars, scene)
+            j_ds_m = longitudinal_safety_cost(self.ego, self.nb.lead(self.lane), cfg.gains)
+        j_rc_m = comfort_cost(a_cmd, self.a_y_change, self.sigma, cfg.gains)
+        j_pe_m = (v_e - float(self.nb.v_cap(road.nearest_lane(d_e)))) ** 2
+        j_total_m = float(combine(self.style, j_ds_m, j_rc_m, j_pe_m))
+        clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]), self.cars, scene)
 
-        state, clamped = step(x, ControlInput(y_p=u_cmd, a_x=a_cmd), vp, dp,
-                              cfg.dt)
+        self.state, clamped = step(x, ControlInput(y_p=u_cmd, a_x=a_cmd), DEFAULT_VEHICLE,
+                                   dp, dt)
+        cb = sol.ego_cost
         row = [t, s_e, d_e, v_e, float(x[IVY]), float(x[IPHI]),
                float(x[IX]), float(x[IY]), float(x[IDELTA]),
-               float(ego_lane), float(plan_lane), float(sigma_now), a_cmd,
-               float(sigma_now != 0), decided, *game, u_cmd, plan.cost,
+               float(self.lane), float(plan_lane), float(self.sigma), a_cmd,
+               float(self.sigma != 0), float(decided), float(mode),
+               float(sol.multiplicity), float(sol.security_fallback),
+               0.0 if sol.side is None else float(sol.side), u_cmd, plan.cost,
                plan.cost_zero, float(plan.iterations), float(plan.degraded),
-               box_violation, *dec_cost, j_ds_m, j_rc_m, j_pe_m, j_total_m,
-               field_here, clearance, float(clamped)]
-        for c in cars:
+               box_violation, cb.j_ds, cb.j_rc, cb.j_pe, cb.total,
+               j_ds_m, j_rc_m, j_pe_m, j_total_m, field_here, clearance, float(clamped)]
+        for c in self.cars:
             row += [c.s, c.d, c.v, c.a]
-        trace.rows.append(row)
+        self.trace.rows.append(row)
 
-        if not np.isfinite(state).all():
-            trace.aborted = True
-            trace.abort_reason = f"non-finite ego state after t={t:.2f}"
+        if not np.isfinite(self.state).all():
+            return f"non-finite ego state after t={t:.2f}"
+        for c in self.cars:
+            band = road.lanes[c.lane]
+            v = c.v + c.a * dt
+            held = min(max(v, band.v_min), band.v_max)
+            # Constant acceleration up to the band's edge, then the edge speed.
+            tau = min(max((held - c.v) / c.a, 0.0), dt) if held != v and c.a else dt
+            c.s += c.v * tau + 0.5 * c.a * tau * tau + held * (dt - tau)
+            c.v = float(held)
+        self.u_prev = u_cmd
+        self.start = np.append(plan.du_sequence[1:], 0.0)
+        return ""
+
+
+def _runs(cfg: ScenarioConfig, style_name: str,
+          strategies) -> dict[str, TraceLog]:
+    """One `_Loop` for the given strategies, a trace per name. Any that
+    part from it rerun from step 0 among themselves, so each trace is that
+    of an independent run. Names must be known (`_check_names`)."""
+    group = list(dict.fromkeys(strategies))
+    if not group:
+        return {}
+    loop = _Loop(cfg, style_name, group)
+    for _ in range(int(round(cfg.duration / cfg.dt))):
+        if reason := loop.advance():
+            loop.trace.aborted, loop.trace.abort_reason = True, reason
             break
-        for c in cars:
-            lane = road.lanes[c.lane]
-            c.s += c.v * cfg.dt + 0.5 * c.a * cfg.dt * cfg.dt
-            c.v = float(min(max(c.v + c.a * cfg.dt, lane.v_min), lane.v_max))
-        u_prev = u_cmd
-        start = np.append(plan.du_sequence[1:], 0.0)
-
-    traces = {s: replace(trace, strategy=s, rows=[r[:] for r in trace.rows])
-              for s in group[1:]}
-    return {group[0]: trace} | traces | _runs(cfg, style_name, parted)
+    traces = {s: replace(loop.trace, strategy=s, rows=[r[:] for r in loop.trace.rows])
+              for s in loop.group[1:]}
+    return {loop.group[0]: loop.trace} | traces | _runs(cfg, style_name, loop.parted)
 
 
 def run_simulation(cfg: ScenarioConfig, style: str | None = None,

@@ -8,13 +8,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from lanegame import field, planner, simulate
+from lanegame import field, games, planner, simulate
 from lanegame.cli import main
 from lanegame.costs import DecisionAction, KinematicState
 from lanegame.errors import ConfigError, InfeasibleDecisionError
 from lanegame.games import GameSolution
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.scenario import CAR_LENGTH, VehicleSpec, load_scenario
+from lanegame.styles import style_profile
 from lanegame.simulate import (BASE_COLUMNS, STYLES_ALL, TraceLog, _Car,
                                _scene_view, batch, comparison_csv,
                                metrics_lines, run_simulation, summarize,
@@ -366,8 +367,8 @@ def test_scene_view_matches_the_roster_scans(merge_cfg):
 
 
 def test_decide_looks_the_solver_up_at_call_time(merge_cfg, monkeypatch):
-    # Layer timing wraps the solvers by module attribute, so the closed
-    # loop must call whatever `simulate.solve_nash_2p` names now.
+    # Layer timing wraps the solvers by module attribute, so `_Loop.decide`
+    # must call whatever `simulate.solve_nash_2p` names now.
     calls = []
     real = simulate.solve_nash_2p
 
@@ -380,6 +381,66 @@ def test_decide_looks_the_solver_up_at_call_time(merge_cfg, monkeypatch):
                         strategy="nash")
     assert calls == [1] * int(np.sum(tr.column("decided")))
     assert calls and set(tr.column("mode")) == {1.0}
+
+
+# --- one closed loop, stepped by hand -------------------------------------
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_every_run_decides_its_first_step(name):
+    # The row's game and dec_* columns read the loop's last decision, so
+    # no run may start with a step that has none.
+    cfg = load_scenario(name)
+    for style in STYLES_ALL:
+        loop = simulate._Loop(cfg, style, ["nash", "stackelberg"])
+        assert loop.outcome is None and loop.trace.rows == []
+        assert loop.advance() == ""
+        row = dict(zip(loop.trace.columns, loop.trace.rows[0]))
+        assert row["decided"] == 1.0 and row["t"] == 0.0, style
+        assert row["mode"] == loop.outcome[1] == (1 if name == "scenario_a" else 2)
+        assert loop.group == ["nash", "stackelberg"] and loop.parted == []
+
+
+def _solved_from_the_kept_view(loop, strategy):
+    """The kept step's game, passed straight to its mode's solver."""
+    cfg, lane, nb, ego_style = loop.cfg, loop.lane, loop.nb, style_profile(loop.trace.style)
+    sides = [side for side in (lane - 1, lane + 1) if side in loop.opponents]
+    styles = [style_profile(loop.opponents[side].style) for side in sides]
+    tail = (cfg.gains, cfg.decision.horizon)
+    if not sides:
+        return games.solve_solo(loop.ego, lane, nb, cfg.grid, ego_style, *tail), 0
+    name = f"solve_{strategy}_{'2p' if len(sides) == 1 else 'two_ac'}"
+    opps = [nb.adjacent(side) for side in sides]
+    if len(sides) == 1:
+        opps.append(sides[0])
+    sol = getattr(games, name)(loop.ego, lane, *opps, nb, cfg.grid, cfg.grid,
+                               ego_style, *styles, *tail)
+    return sol, len(sides)
+
+
+@pytest.mark.parametrize("name,strategy,steps,modes,decided", [
+    ("scenario_a", "stackelberg", 240, {0, 1}, {0.0, 1.0}),
+    ("scenario_b", "nash", 20, {2}, {1.0}),
+])
+def test_a_decided_step_keeps_what_its_solver_saw(name, strategy, steps, modes, decided):
+    # At each decided step, the view and opponents the loop kept reproduce
+    # its outcome through the solver of that mode, and the row's game and
+    # dec_* columns are that outcome's; a held step's columns stay its.
+    loop = simulate._Loop(load_scenario(name), "normal", [strategy])
+    seen = set()
+    for k in range(steps):
+        assert loop.advance() == ""
+        row = dict(zip(loop.trace.columns, loop.trace.rows[k]))
+        sol, mode = loop.outcome
+        if row["decided"]:
+            assert repr(_solved_from_the_kept_view(loop, strategy)) == repr(loop.outcome), k
+            seen.add(mode)
+        cb = sol.ego_cost
+        assert [row[c] for c in ("mode", "multiplicity", "security", "side", "dec_j_ds",
+                                 "dec_j_rc", "dec_j_pe", "dec_total")] == \
+            [mode, sol.multiplicity, sol.security_fallback, sol.side or 0,
+             cb.j_ds, cb.j_rc, cb.j_pe, cb.total], k
+    assert seen == modes
+    assert set(loop.trace.column("decided")) == decided
 
 
 # --- strategies sharing one closed loop ----------------------------------
@@ -524,3 +585,25 @@ def test_contact_steps_counts_steps_under_a_car_length(merge_cfg, short_trace):
     assert m.contact_steps == np.sum(tr.column("min_clearance") < CAR_LENGTH) == 19
     assert "contact_steps=19" in metrics_lines(m)
     assert summarize(short_trace).contact_steps == 0
+
+
+@pytest.mark.parametrize("v0,a_x", [(1.0, -4.0), (24.9, 3.0)])
+def test_other_cars_hold_their_band_edge_speed(merge_cfg, monkeypatch, v0, a_x):
+    # AC1 holds a command that drives its speed out of the lane's band
+    # [0, 25]: it accelerates up to the edge and then moves at the edge
+    # speed, so a braking car stops where `costs.project` stops it and
+    # never rolls back, and a fast one gains no station beyond v_max.
+    real = simulate.solve_nash_2p
+    monkeypatch.setattr(simulate, "solve_nash_2p", lambda *args: replace(
+        real(*args), ego_action=DecisionAction(sigma=0, a_x=0.0), ac_actions={1: a_x}))
+    vehicles = [replace(v, v=v0) if v.role == "AC1" else v for v in merge_cfg.vehicles]
+    tr = run_simulation(replace(merge_cfg, vehicles=vehicles, duration=1.5))
+    assert not tr.aborted and set(tr.column("sigma")) == {0.0}
+    edge = 0.0 if a_x < 0 else 25.0
+    tau = (edge - v0) / a_x
+    t = tr.column("t")
+    held = np.minimum(t, tau)
+    want = v0 * held + 0.5 * a_x * held * held + edge * (t - held)
+    assert tr.column("s_ac1") == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert tr.column("v_ac1")[t > tau].tolist() == [edge] * int(np.sum(t > tau))
+    assert np.all(np.diff(tr.column("s_ac1")) >= 0.0)

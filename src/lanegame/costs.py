@@ -12,6 +12,9 @@ partners share one lateral pair term, and off the merge cells each
 player's cost depends on its own action alone, so only the merge cells
 are evaluated per cell. A cell's breakdown is read from those parts by
 `breakdown_at`, and `ego_cost`/`ac_cost` are the same call on one cell.
+The ego's off-merge parts have one broadcasting definition, `_ego_parts`:
+on a payoff call's rows, on one candidate (`ego_cost` with no merge
+partner), or on the whole (sigma x acceleration) grid of a solo decision.
 
 A projection has two stages. Its acceleration-only terms are cached
 read-only per (accelerations, horizon) by `projection_terms`, keyed on
@@ -286,9 +289,45 @@ def sample_times(horizon: float) -> np.ndarray:
     return ts
 
 
+_NO_LANE = LaneView(v_max=math.nan)  # what `_ego_parts` reads of a lane the road lacks
 # Merge cells whose pair term is evaluated at once: bounds the (cells, K)
 # temporaries of a large grid to a few MB.
 PAIR_CHUNK = 4096
+
+
+def _behind(lead: KinematicState, s, v, g: CostGains, horizon: float):
+    """Worst following term along each row of the projection (s, v), at
+    sample_times(horizon), behind a lead that coasts at its speed."""
+    return _worst(_gap_term(lead.v - v, lead.s + lead.v * sample_times(horizon) - s, g,
+                            lateral=False))
+
+
+def _ego_parts(ego_lane: int, sigma, a_x, s, v, style: StyleProfile,
+               nb: NeighborView, g: CostGains, horizon: float):
+    """The ego's parts off the merge cells, (j_ds, j_rc, j_pe, total).
+
+    s and v are the ego's projection at sample_times(horizon), a row
+    (..., K) per acceleration a_x. The lane moves sigma broadcast against
+    a_x: one per row on given rows, or a column of moves against the row
+    of accelerations for the whole (sigma x acceleration) grid. The ego
+    follows its lead on keep-lane candidates, pays longitudinal and
+    sigma^2-gated lateral comfort, and aims at the desired speed of its
+    target lane; a lane the road lacks has none, so a move onto it scores
+    NaN efficiency and total.
+    """
+    sigma = np.asarray(sigma)
+    keep = sigma == 0
+    lead = nb.lead(ego_lane)
+    rc = comfort_cost(a_x, lane_change_lat_accel(nb.lane_width), sigma, g)
+    ds = (np.zeros(rc.shape) if lead is None or not keep.any()
+          else np.where(keep, _behind(lead, s, v, g, horizon), 0.0))
+    moves = sorted(set(sigma.ravel().tolist()))
+    targets = [nb.lanes.get(ego_lane + m, _NO_LANE) for m in moves]
+    v_bar = desired_speed([t.v_max for t in targets],
+                          [INF if t.lead is None else t.lead.v for t in targets],
+                          style.v_factor, nb.flow_ref)
+    pe = np.square(v[:, -1] - v_bar[np.asarray(moves).searchsorted(sigma)])
+    return ds, rc, pe, combine(style, ds, rc, pe)
 
 
 def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
@@ -299,27 +338,27 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
     Rows are the ego accelerations a_e, each with its lane move in sigma
     (one for all rows, or one per row). Columns are the opponents'
     accelerations a_a in blocks: acs[b] on lane ac_lanes[b] owns the next
-    widths[b] columns, with its state, lead, cruise speed and style; with
-    no opponent there are no columns. Each car is projected once, unless
-    `tracks` gives the rows' and the columns' projections at
-    sample_times(horizon), ((rows, K), (columns, K)) pairs (s, v); the
-    leads coast at their speed, s + v t.
+    widths[b] columns, with its state, lead, cruise speed and style; there
+    is at least one opponent (`_ego_parts` scores the ego alone). Each
+    car is projected once, unless `tracks` gives the rows' and the
+    columns' projections at sample_times(horizon), ((rows, K), (columns,
+    K)) pairs (s, v); the leads coast at their speed, s + v t.
 
     Where sigma moves the ego onto a column's lane the two are merge
     partners and both pay the one lateral pair term: a merge cell.
-    Elsewhere the opponent follows its own lead, and the ego follows its
-    lead on keep-lane and pays nothing on a move to a lane whose car is
-    not in that column. An opponent's comfort covers only its
-    longitudinal acceleration: it is not the one swerving. So off the
-    merge cells the ego's parts depend on the row alone and an
-    opponent's on the column alone.
+    Elsewhere the opponent follows its own lead, and the ego takes its
+    `_ego_parts`: it follows its lead on keep-lane and pays nothing on a
+    move to a lane whose car is not in that column. An opponent's comfort
+    covers only its longitudinal acceleration: it is not the one
+    swerving. So off the merge cells the ego's parts depend on the row
+    alone and an opponent's on the column alone.
 
     Returns (cells, ego, ac): the merge cells as (rows, columns) index
     arrays, and per player (j_ds, j_rc, j_pe, total), each an (off, on)
-    pair (ac None with no opponent): `off` broadcasts to the matrix
-    shape, a column (rows, 1) for the ego and a row (columns,) for the
-    opponents, and `on` holds the merge cells' values (None where they
-    take `off`). `breakdown_at` reads one cell of them.
+    pair: `off` broadcasts to the matrix shape, a column (rows, 1) for
+    the ego and a row (columns,) for the opponents, and `on` holds the
+    merge cells' values (None where they take `off`). `breakdown_at`
+    reads one cell of them.
     """
     a_e = np.asarray(a_e, dtype=float).reshape(-1)
     a_a = np.asarray(a_a, dtype=float).reshape(-1)
@@ -331,16 +370,11 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
     else:
         ts = sample_times(horizon)
         se, ve = propagate(ego.s, ego.v, a_e[:, None], ts)
-        if acs:
-            sa, va = propagate(np.repeat([ac.s for ac in acs], widths)[:, None],
-                               np.repeat([ac.v for ac in acs], widths)[:, None],
-                               a_a[:, None], ts)
-    if acs:
-        lane_c = np.asarray(ac_lanes).repeat(widths)
-        cells = (moving[:, None] & (target[:, None] == lane_c)).nonzero()
-    else:  # no opponent, no merge cell
-        cells = (np.empty(0, dtype=np.intp),) * 2
-    ri, ci = cells
+        sa, va = propagate(np.repeat([ac.s for ac in acs], widths)[:, None],
+                           np.repeat([ac.v for ac in acs], widths)[:, None],
+                           a_a[:, None], ts)
+    lane_c = np.asarray(ac_lanes).repeat(widths)
+    cells = ri, ci = (moving[:, None] & (target[:, None] == lane_c)).nonzero()
     pair = np.empty(len(ri))
     for lo in range(0, len(ri), PAIR_CHUNK):
         r, c = ri[lo:lo + PAIR_CHUNK], ci[lo:lo + PAIR_CHUNK]
@@ -348,66 +382,35 @@ def _pair_parts(ego: KinematicState, ego_lane: int, sigma, a_e,
                                                     sa.take(c, 0) - se.take(r, 0), g,
                                                     lateral=True))
 
-    # The leads followed, the ego's then each opponent's (None for none):
-    # the ego follows on its keep-lane rows, an opponent unless every row
-    # merges with it, which leaves it no lead. All coast at their speed.
-    keep = sigma == 0
-    lead = nb.lead(ego_lane)
-    leads = [lead if lead is not None and keep.any() else None]
-    if acs:
-        lanes = [nb.lanes[lane] for lane in ac_lanes]
-        leads += [None if lv.ac_lead is None or (moving & (target == lane)).all()
-                  else lv.ac_lead for lane, lv in zip(ac_lanes, lanes)]
-    followed = [i for i, x in enumerate(leads) if x is not None]
-    if followed:
-        vl = np.array([[leads[i].v] for i in followed])
-        sl = np.array([[leads[i].s] for i in followed]) + vl * sample_times(horizon)
-
-    def behind(i, s, v):
-        # Worst following term behind lead i along each row of (s, v).
-        k = followed.index(i)
-        return _worst(_gap_term(vl[k] - v, sl[k] - s, g, lateral=False))
-
-    ds = (np.zeros(len(a_e)) if leads[0] is None
-          else np.where(keep, behind(0, se, ve), 0.0))
-    # Each row aims at the desired speed of its own target lane.
-    moves = sorted(set(sigma.tolist()))
-    targets = [nb.lanes[ego_lane + m] for m in moves]
-    v_bar = desired_speed([t.v_max for t in targets],
-                          [INF if t.lead is None else t.lead.v for t in targets],
-                          ego_style.v_factor, nb.flow_ref)
-    rc = comfort_cost(a_e, lane_change_lat_accel(nb.lane_width), sigma, g)
-    pe = np.square(ve[:, -1] - v_bar[np.asarray(moves).searchsorted(sigma)])
-    ego_parts = ((ds[:, None], pair),
-                 (rc[:, None], None), (pe[:, None], None),
-                 (combine(ego_style, ds, rc, pe)[:, None],
-                  combine(ego_style, pair, rc[ri], pe[ri])))
-    ac_parts = None
-    if acs:
-        n = len(a_a)
-        block = np.arange(len(acs)).repeat(widths)
-        # Per car: cruise speed, lane limit, its lead's speed, style.
-        car = np.array([(ac.v if lv.adjacent_v_ref is None else lv.adjacent_v_ref,
-                         lv.v_max, INF if lv.ac_lead is None else lv.ac_lead.v,
-                         st.v_factor, st.w_ds, st.w_rc, st.w_pe)
-                        for ac, lv, st in zip(acs, lanes, ac_styles)])
-        # Every column, then every merge cell, in one evaluation; in a merge
-        # cell, an ego that ends up ahead becomes the column car's lead.
-        at = np.concatenate([np.arange(n), ci])
-        v_ref, v_max, lead_v, v_fac, *w = car[block.take(at)].T
-        ahead = se[:, -1].take(ri) > sa[:, -1].take(ci)
-        lead_v[n:] = np.where(ahead, ve[:, -1].take(ri), lead_v[n:])
-        ds, hi = np.zeros(n), 0
-        for b, width in enumerate(widths, 1):
-            lo, hi = hi, hi + width
-            if leads[b] is not None:
-                ds[lo:hi] = behind(b, sa[lo:hi], va[lo:hi])
-        rc = comfort_cost(a_a, 0.0, 0, g)
-        # The adjacent car defends its own cruise speed, not the lane limit.
-        pe = np.square(va[:, -1].take(at) - desired_speed(np.minimum(v_max, v_ref), lead_v,
-                                                          v_fac, v_ref))
-        j = w[0] * np.concatenate([ds, pair]) + w[1] * rc.take(at) + w[2] * pe
-        ac_parts = ((ds, pair), (rc, None), (pe[:n], pe[n:]), (j[:n], j[n:]))
+    ds, rc, pe, j = _ego_parts(ego_lane, sigma, a_e, se, ve, ego_style, nb, g, horizon)
+    ego_parts = ((ds[:, None], pair), (rc[:, None], None), (pe[:, None], None),
+                 (j[:, None], combine(ego_style, pair, rc[ri], pe[ri])))
+    n = len(a_a)
+    block = np.arange(len(acs)).repeat(widths)
+    lanes = [nb.lanes[lane] for lane in ac_lanes]
+    # Per car: cruise speed, lane limit, its lead's speed, style.
+    car = np.array([(ac.v if lv.adjacent_v_ref is None else lv.adjacent_v_ref,
+                     lv.v_max, INF if lv.ac_lead is None else lv.ac_lead.v,
+                     st.v_factor, st.w_ds, st.w_rc, st.w_pe)
+                    for ac, lv, st in zip(acs, lanes, ac_styles)])
+    # Every column, then every merge cell, in one evaluation; in a merge
+    # cell, an ego that ends up ahead becomes the column car's lead.
+    at = np.concatenate([np.arange(n), ci])
+    v_ref, v_max, lead_v, v_fac, *w = car[block.take(at)].T
+    ahead = se[:, -1].take(ri) > sa[:, -1].take(ci)
+    lead_v[n:] = np.where(ahead, ve[:, -1].take(ri), lead_v[n:])
+    # An opponent follows its lead unless every row merges with it.
+    ds, hi = np.zeros(n), 0
+    for lane, lv, width in zip(ac_lanes, lanes, widths):
+        lo, hi = hi, hi + width
+        if lv.ac_lead is not None and not (moving & (target == lane)).all():
+            ds[lo:hi] = _behind(lv.ac_lead, sa[lo:hi], va[lo:hi], g, horizon)
+    rc = comfort_cost(a_a, 0.0, 0, g)
+    # The adjacent car defends its own cruise speed, not the lane limit.
+    pe = np.square(va[:, -1].take(at) - desired_speed(np.minimum(v_max, v_ref), lead_v,
+                                                      v_fac, v_ref))
+    j = w[0] * np.concatenate([ds, pair]) + w[1] * rc.take(at) + w[2] * pe
+    ac_parts = ((ds, pair), (rc, None), (pe[:n], pe[n:]), (j[:n], j[n:]))
     return cells, ego_parts, ac_parts
 
 
@@ -431,8 +434,7 @@ def breakdown_at(cells, parts, r, c) -> CostBreakdown:
 
 
 def combine(style: StyleProfile, j_ds, j_rc, j_pe):
-    return style.w_ds * np.asarray(j_ds) + style.w_rc * np.asarray(j_rc) \
-        + style.w_pe * np.asarray(j_pe)
+    return style.w_ds * j_ds + style.w_rc * j_rc + style.w_pe * j_pe
 
 
 def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
@@ -446,10 +448,14 @@ def ego_cost(ego: KinematicState, ego_lane: int, action: DecisionAction,
     if action.sigma == 0 and neighbors.keep_lane_blocked(ego_lane, ego.v):
         return INFEASIBLE
     partner = neighbors.adjacent(target) if action.sigma != 0 else None
-    acs = () if partner is None else (partner,)
+    if partner is None:
+        a_x = np.array([action.a_x])
+        s, v = propagate(ego.s, ego.v, a_x[:, None], sample_times(horizon))
+        return CostBreakdown(*(float(x[0]) for x in _ego_parts(
+            ego_lane, action.sigma, a_x, s, v, style, neighbors, gains, horizon)))
     cells, parts, _ = _pair_parts(ego, ego_lane, action.sigma, action.a_x, style,
-                                  acs, (target,) * len(acs), (1,) * len(acs),
-                                  opponent_accels.get(target, 0.0), (style,) * len(acs),
+                                  (partner,), (target,), (1,),
+                                  opponent_accels.get(target, 0.0), (style,),
                                   neighbors, gains, horizon)
     return breakdown_at(cells, parts, 0, 0)
 

@@ -14,11 +14,12 @@ each side game keeps the rows whose sigma does not move the ego onto
 another side's lane, so with a car on each side the left game keeps
 sigma in {-1, 0} and the right one {0, +1}. Every side game of a
 decision is scored in one payoff call: all candidates as rows, each
-car's accelerations as its own block of columns; the solo game scores
-the ego's candidates alone. Each core then runs on its game's rows and
-block; the winning cell maps back to actions, and the ego's breakdown
-there comes from the reader that call returned, which reads the cell
-from the payoff parts.
+car's accelerations as its own block of columns. Each core then runs
+on its game's rows and block; the winning cell maps back to actions,
+and the ego's breakdown there comes from the reader that call
+returned, which reads the cell from the payoff parts. The solo game
+makes no payoff call: it scores the ego's whole grid at once and takes
+the first lowest total among the feasible cells.
 
 Tie-break order everywhere: lower ego cost, then lower row index, then
 lower column index. Candidate lists are ordered so that the row index
@@ -34,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import (CostBreakdown, CostGains, DecisionAction, KinematicState,
-                    NeighborView, T_DM, _pair_parts, breakdown_at,
-                    pair_payoff_matrices, project, projection_terms)
+                    NeighborView, T_DM, _ego_parts, pair_payoff_matrices, project,
+                    projection_terms)
 # Not called here; bench/layers.py patches them on this module for its
 # costs.breakdown layer, until a benchmark change drops that layer.
 from .costs import ac_cost, ego_cost  # noqa: F401
@@ -63,11 +64,14 @@ def _check_count(n: int, what: str) -> None:
 
 
 def accel_range(a_min: float, a_max: float, step: float) -> tuple[float, ...]:
-    """Evenly spaced accelerations from a_min to a_max, both included."""
+    """Evenly spaced accelerations from a_min to a_max, both included; the
+    step must divide a_max - a_min, to within rounding."""
     if step <= 0 or a_max < a_min:
         raise ValueError("need step > 0 and a_max >= a_min")
     n = int(round((a_max - a_min) / step))
     _check_count(n + 1, "range")  # before building it
+    if abs(n * step - (a_max - a_min)) > 1e-9 * max(1.0, a_max - a_min):
+        raise ValueError(f"step {step} does not divide a_max - a_min = {a_max - a_min}")
     return tuple(round(a_min + i * step, 9) for i in range(n + 1))
 
 
@@ -154,27 +158,30 @@ def _project(cars, grid: ActionGrid, horizon: float):
                    np.array([c.v for c in cars])[:, None, None])
 
 
-def _ego_rows(ego: KinematicState, ego_lane: int, grid: ActionGrid,
-              nb: NeighborView, horizon: float, track=None):
-    """The ego's feasible candidates in tie-break preference order, as
-    (sigma, a_x) arrays, and their rows of the grid's projection (s, v) at
-    sample_times(horizon), each (candidates, K); `track` passes in that
-    projection when the caller has made it.
-
-    A candidate survives when its target lane exists, keeping an ending
-    lane is still allowed, and the projected end speed stays inside the
-    speed band of its target lane. The projection does not depend on
-    sigma, so its last sample, the horizon's end, is tested per target
-    lane; the survivors keep the grid's cached order.
-    """
-    s, v = [x[0] for x in _project([ego], grid, horizon)] if track is None else track
-    accs, order, sigma, idx, _ = grid._orders
+def _ego_mask(ego: KinematicState, ego_lane: int, grid: ActionGrid,
+              nb: NeighborView, s_end, v_end):
+    """The ego's feasible cells, a (sigmas, accelerations) mask of the grid:
+    the target lane exists, keeping an ending lane is still allowed, and
+    the end of the ego's projection, (s_end, v_end) per acceleration,
+    stays inside the speed band of the target lane."""
     offered = [i for i, sg in enumerate(grid.sigmas) if nb.has_lane(ego_lane + sg)
                and not (sg == 0 and nb.keep_lane_blocked(ego_lane, ego.v))]
-    ok = np.zeros((len(grid.sigmas), len(accs)), dtype=bool)
+    ok = np.zeros((len(grid.sigmas), len(s_end)), dtype=bool)
     ok[offered] = _envelope(nb, [ego_lane + grid.sigmas[i] for i in offered], ego.s,
-                            s[:, -1], v[:, -1])[0]
-    keep = ok.reshape(-1)[order]
+                            s_end, v_end)[0]
+    return ok
+
+
+def _ego_rows(ego: KinematicState, ego_lane: int, grid: ActionGrid,
+              nb: NeighborView, horizon: float, track=None):
+    """The ego's feasible candidates (`_ego_mask`) in the grid's cached
+    preference order, as (sigma, a_x) arrays, and their rows of the grid's
+    projection (s, v) at sample_times(horizon), each (candidates, K);
+    `track` passes in that projection when the caller has made it."""
+    s, v = project(projection_terms(grid._packed, horizon), ego.s, ego.v) \
+        if track is None else track
+    accs, order, sigma, idx, _ = grid._orders
+    keep = _ego_mask(ego, ego_lane, grid, nb, s[:, -1], v[:, -1]).reshape(-1)[order]
     sigma, idx = sigma[keep], idx[keep]
     return sigma, accs[idx], (s.take(idx, 0), v.take(idx, 0))
 
@@ -209,7 +216,7 @@ def _ac_columns(acs, ac_lanes, grid: ActionGrid, nb: NeighborView, horizon: floa
 def ego_candidates(ego: KinematicState, ego_lane: int, grid: ActionGrid,
                    nb: NeighborView, horizon: float = T_DM) -> list[DecisionAction]:
     """Feasible (sigma, a_x) pairs in tie-break preference order; see
-    `_ego_rows` for the rules."""
+    `_ego_mask` for the rules."""
     sigma, a_x, _ = _ego_rows(ego, ego_lane, grid, nb, horizon)
     return [DecisionAction(sigma=sg, a_x=a) for sg, a in zip(sigma.tolist(), a_x.tolist())]
 
@@ -348,18 +355,24 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
                horizon: float = T_DM) -> GameSolution:
     """Degenerate game with no adjacent car: plain argmin for the ego.
 
-    Scores the ego's parts with no opponent, so an adjacent car would not
-    enter; `simulate._Loop.decide` calls this only when neither side lane
-    has one. Exact ties go to the earlier candidate.
+    Scores the whole (sigma x acceleration) grid at once, the ego's parts
+    (`costs._ego_parts`) on one projection, and takes the first lowest
+    total among the feasible cells (`_ego_mask`) in the grid's cached
+    preference order, so exact ties go to the earlier candidate. An
+    adjacent car does not enter; `simulate._Loop.decide` calls this only
+    when neither side lane has one.
     """
-    sigma, a_x, ego_track = _ego_rows(ego, ego_lane, grid, nb, horizon)
-    if not len(sigma):
+    s, v = project(projection_terms(grid._packed, horizon), ego.s, ego.v)
+    ok = _ego_mask(ego, ego_lane, grid, nb, s[:, -1], v[:, -1])
+    accs, order, *_ = grid._orders
+    flat = order[ok.reshape(-1)[order]]    # the feasible cells, preferred first
+    if not len(flat):
         raise InfeasibleDecisionError("no feasible ego action")
-    cells, parts, _ = _pair_parts(ego, ego_lane, sigma, a_x, style, (), (), (), (), (),
-                                  nb, gains, horizon, tracks=(ego_track, (None, None)))
-    r = int(parts[3][0].argmin())    # the ego's total, a (rows, 1) column
-    return GameSolution(ego_action=DecisionAction(sigma=int(sigma[r]), a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=breakdown_at(cells, parts, r, 0),
+    parts = _ego_parts(ego_lane, np.reshape(grid.sigmas, (-1, 1)), accs, s, v, style, nb,
+                       gains, horizon)
+    i, j = divmod(flat[parts[3].reshape(-1).take(flat).argmin()].item(), len(accs))
+    return GameSolution(ego_action=DecisionAction(sigma=grid.sigmas[i], a_x=accs.item(j)),
+                        ac_actions={}, ego_cost=CostBreakdown(*[x.item(i, j) for x in parts]),
                         multiplicity=1)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lanegame
-from lanegame import games, planner, simulate
+from lanegame import costs, games, planner, simulate
 from lanegame.field import FieldParams
 from lanegame.scenario import load_scenario
 from lanegame.styles import style_profile
@@ -94,8 +94,11 @@ def test_closed_loops_reach_every_patched_solver(monkeypatch):
     # `--trace 1` times decisions through the solver names the harness
     # patches on `simulate`, and the payoff layer (costs.payoff) through
     # `games.pair_payoff_matrices`. A short closed loop of each mode
-    # decides through its own solver and no other, and the one- and
-    # two-opponent solvers still score through the payoff name.
+    # decides through its own solver and no other. Each one- and
+    # two-opponent decision scores through the payoff name exactly once,
+    # and a solo decision scores on the ego's grid: it calls neither the
+    # payoff name nor `costs._pair_parts`, so costs.payoff keeps meaning
+    # the games with an opponent.
     layers = _bench_module("layers", monkeypatch)
     tracing = _bench_module("tracing", monkeypatch)
     patched = {(owner, attr)
@@ -105,31 +108,37 @@ def test_closed_loops_reach_every_patched_solver(monkeypatch):
     assert sorted(s for _, _, s, _ in LOOPS) == solvers
     assert (games, "pair_payoff_matrices") in patched
     calls = dict.fromkeys(solvers, 0)
-    payoffs = dict.fromkeys(solvers, 0)
+    inner = {name: [] for name in solvers}   # per decision: inner call counts
     active = []
 
     def counted(name, real):
         def wrapped(*args, **kwargs):
             calls[name] += 1
-            active.append(name)
+            active.append(dict.fromkeys(("payoff", "pair_parts"), 0))
             try:
                 return real(*args, **kwargs)
             finally:
-                active.pop()
+                inner[name].append(active.pop())
         return wrapped
 
-    def payoff(*args, _real=games.pair_payoff_matrices, **kwargs):
-        payoffs[active[-1]] += 1
-        return _real(*args, **kwargs)
+    def inside(key, real):
+        def wrapped(*args, **kwargs):
+            active[-1][key] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
     for name in solvers:
         monkeypatch.setattr(simulate, name, counted(name, vars(simulate)[name]))
-    monkeypatch.setattr(games, "pair_payoff_matrices", payoff)
+    monkeypatch.setattr(games, "pair_payoff_matrices",
+                        inside("payoff", games.pair_payoff_matrices))
+    for owner in (costs, games):   # and wherever it is imported
+        if "_pair_parts" in vars(owner):
+            monkeypatch.setattr(owner, "_pair_parts", inside("pair_parts", costs._pair_parts))
     for scene, strategy, solver, mode in LOOPS:
         cfg = (_bystander(load_scenario("scenario_a")) if scene == "solo"
                else load_scenario(scene))
         for name in solvers:
-            calls[name] = payoffs[name] = 0
+            calls[name], inner[name] = 0, []
         trace = simulate.run_simulation(replace(cfg, duration=0.25), strategy=strategy)
         assert not trace.aborted
         rows = np.array(trace.rows)
@@ -138,5 +147,5 @@ def test_closed_loops_reach_every_patched_solver(monkeypatch):
         assert set(rows[decided, trace.columns.index("mode")].tolist()) == {mode}
         assert calls == {name: int(decided.sum()) if name == solver else 0
                          for name in solvers}, scene
-        if mode:
-            assert payoffs[solver] == calls[solver], scene
+        want = {"payoff": 1, "pair_parts": 1} if mode else {"payoff": 0, "pair_parts": 0}
+        assert inner[solver] == [want] * calls[solver], scene

@@ -368,39 +368,58 @@ def _random_two_opponent_scene(rng):
 def test_breakdown_reader_equals_the_spread_matrices(gains, rng):
     """`breakdown_at` gives, bit for bit, what the parts spread into full
     matrices give at every cell, for the ego and for every opponent: on
-    one-opponent calls, two-opponent block calls and solo calls, merge
-    cells and others alike."""
+    one-opponent calls and two-opponent block calls, merge cells and
+    others alike. (A solo decision scores no payoff call: see
+    test_games.py::test_solo_matches_enumeration_on_random_scenes.)"""
     names = sorted(BUILTIN_STYLES)
     merge = other = 0
     for trial in range(120):
         st_e, st_1, st_3 = (_style(str(rng.choice(names))) for _ in range(3))
         sigmas = rng.choice([-1, 0, 1], 7)
         e_acc = rng.uniform(-4.0, 3.0, 7)
-        if trial % 3 == 0:
+        if trial % 2 == 0:
             nb, ego, ac, ac_lane = _random_three_lane_scene(rng)
             acs, lanes, styles, widths = (ac,), (ac_lane,), (st_1,), (5,)
-        elif trial % 3 == 1:
+        else:
             nb, ego = _random_two_opponent_scene(rng)
             acs, lanes = (nb.adjacent(1), nb.adjacent(3)), (1, 3)
             styles, widths = (st_1, st_3), (4, 3)
-        else:
-            nb, ego = _random_two_opponent_scene(rng)
-            acs, lanes, styles, widths = (), (), (), ()
-        a_acc = rng.uniform(-4.0, 3.0, sum(widths) or 1)
+        a_acc = rng.uniform(-4.0, 3.0, sum(widths))
         cells, ego_parts, ac_parts = costs._pair_parts(
             ego, 2, sigmas, e_acc, st_e, acs, lanes, widths, a_acc, styles, nb, gains,
             T_DM)
-        assert (ac_parts is None) == (not acs)
         shape = (len(e_acc), len(a_acc))
         merged = set(zip(*(x.tolist() for x in cells)))
         for r in range(shape[0]):
             for c in range(shape[1]):
-                for parts in (ego_parts, ac_parts)[:1 + bool(acs)]:
+                for parts in (ego_parts, ac_parts):
                     assert _bits(costs.breakdown_at(cells, parts, r, c)) == _bits(
                         breakdown_from_matrices(cells, parts, shape, r, c)), (trial, r, c)
                 merge += (r, c) in merged
                 other += (r, c) not in merged
     assert merge > 100 and other > 100
+
+
+def test_pair_chunking_changes_no_bit(gains, rng, monkeypatch):
+    """The pair term is evaluated PAIR_CHUNK merge cells at a time; with
+    chunks far smaller than the merge cells, both matrices and every
+    ego breakdown come out the same, bit for bit."""
+    for trial in range(12):
+        nb, ego = _random_two_opponent_scene(rng)
+        sigma = rng.choice([-1, 0, 1], 40)
+        e_acc, a_acc = rng.uniform(-4.0, 3.0, 40), rng.uniform(-4.0, 3.0, 30)
+        args = (ego, 2, sigma, e_acc, (nb.adjacent(1), nb.adjacent(3)), (1, 3), a_acc, nb,
+                _style(), (_style("aggressive"), _style("conservative")), gains)
+        outs = []
+        for chunk in (costs.PAIR_CHUNK, 7, 1):
+            monkeypatch.setattr(costs, "PAIR_CHUNK", chunk)
+            j_e, j_a, ego_at = costs.pair_payoff_matrices(*args, widths=(16, 14))
+            outs.append((j_e.tobytes(), j_a.tobytes(),
+                         [_bits(ego_at(r, c)) for r in range(40) for c in range(30)]))
+        cells = costs._pair_parts(ego, 2, sigma, e_acc, _style(), args[4], (1, 3), (16, 14),
+                                  a_acc, args[9], nb, gains, T_DM)[0]
+        assert len(cells[0]) > 7 * 10
+        assert outs[1] == outs[0] and outs[2] == outs[0], trial
 
 
 def test_ac_follows_its_lead_unless_merged(gains):

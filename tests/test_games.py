@@ -251,6 +251,74 @@ def test_solo_matches_enumeration(gains):
         assert sol.ac_actions == {} and sol.multiplicity == 1
 
 
+def random_solo_scene(rng):
+    """The ego on lane 2 of a two- or three-lane road with no adjacent car:
+    random bands, lane ends (the ego's own among them, at times too close
+    to keep), leads absent or slower, a random style, and a grid of +-a
+    pairs around 0 (or -0.0) with one of several sigma sets. One scene in
+    five has identical open lanes and no lateral comfort gain, so that
+    every sigma ties at each acceleration."""
+    lanes, ends = {}, {}
+    alike = rng.random() < 0.2
+    for lane in (1, 2, 3)[:rng.integers(2, 4)]:
+        lead = None if rng.random() < 0.4 else KinematicState(
+            s=float(rng.uniform(5.0, 80.0)), v=float(rng.uniform(5.0, 22.0)))
+        lanes[lane] = LaneView(lead=lead, v_min=float(rng.choice([0.0, rng.uniform(5.0, 15.0)])),
+                               v_max=float(rng.uniform(18.0, 30.0)))
+        if rng.random() < 0.4:
+            ends[lane] = float(rng.uniform(0.0, 200.0))
+        if alike:
+            lanes[lane], ends = LaneView(), {}
+    nb = make_neighbors(lanes=lanes, end_remaining=ends)
+    mags = np.sort(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0, 4.0], rng.integers(1, 5),
+                              replace=False))
+    zero = [[0.0], [-0.0], []][rng.integers(3)]
+    sigmas = [(-1, 0, 1), (1, 0, -1), (0,), (-1, 0), (1,), (0, 1)][rng.integers(6)]
+    grid = ActionGrid(accelerations=tuple(np.concatenate([-mags[::-1], zero, mags]).tolist()),
+                      sigmas=sigmas)
+    # At the flow speed with v_factor 0 and no lead, +-a tie on keep-lane.
+    v = nb.flow_ref if rng.random() < 0.2 else float(rng.uniform(2.0, 28.0))
+    style = replace(style_profile(str(rng.choice(sorted(BUILTIN_STYLES)))),
+                    v_factor=float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
+    gains = CostGains(kappa_ay=0.0) if alike else CostGains()
+    return KinematicState(s=float(rng.uniform(0.0, 50.0)), v=v), nb, grid, style, gains
+
+
+def _hex(cb):
+    return tuple(float(x).hex() for x in (cb.j_ds, cb.j_rc, cb.j_pe, cb.total))
+
+
+def test_solo_matches_enumeration_on_random_scenes():
+    # solve_solo scores the whole grid at once; the reference scores each
+    # feasible candidate with ego_cost and keeps the first of equal minima.
+    seen = set()
+    for seed in range(300):
+        ego, nb, grid, style, gains = random_solo_scene(np.random.default_rng(seed))
+        cands = ego_candidates(ego, 2, grid, nb)
+        if not cands:
+            seen.add("infeasible")
+            with pytest.raises(InfeasibleDecisionError):
+                solve_solo(ego, 2, nb, grid, style, gains)
+            continue
+        sol = solve_solo(ego, 2, nb, grid, style, gains)
+        costs_ = [ego_cost(ego, 2, c, {}, nb, style, gains) for c in cands]
+        totals = [cb.total for cb in costs_]
+        best = totals.index(min(totals))
+        assert repr(sol.ego_action) == repr(cands[best]), seed
+        assert _hex(sol.ego_cost) == _hex(costs_[best]), seed
+        assert sol.ac_actions == {} and sol.multiplicity == 1
+        ties = {c.sigma for c, t in zip(cands, totals) if t == totals[best]}
+        seen.add("sigma tie" if len(ties) > 1 else "tie" if totals.count(totals[best]) > 1
+                 else "unique")
+        seen.add("lead" if nb.lead(2) and sol.ego_action.sigma == 0 else "no lead")
+        seen.update({"ending lane"} if 2 in nb.end_remaining else set())
+        seen.update({"keep blocked"} if nb.keep_lane_blocked(2, ego.v) else set())
+        seen.update({"-0.0"} if sol.ego_action.a_x.hex() == "-0x0.0p+0" else set())
+        seen.add(f"sigmas {grid.sigmas}")
+    assert seen >= {"infeasible", "tie", "sigma tie", "unique", "lead", "no lead", "ending lane",
+                    "keep blocked", "-0.0", "sigmas (0,)", "sigmas (-1, 0)", "sigmas (1,)"}
+
+
 def _pair_scene(gains):
     nb = make_neighbors(lanes={
         1: LaneView(adjacent=KinematicState(s=2.0, v=16.0), adjacent_v_ref=16.0),
@@ -545,6 +613,15 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GRID.restrict_sigmas(())
     assert GRID.restrict_sigmas((-1, 0)).sigmas == (-1, 0)
+    # A range holds both of its ends: a step that does not divide it is
+    # refused, not rounded past a_max or short of it.
+    for step in (0.35, 0.3, 0.75, 3.0):
+        with pytest.raises(ValueError, match="does not divide"):
+            games.accel_range(-1.0, 1.0, step)
+    assert games.accel_range(-1.0, 1.0, 0.4) == (-1.0, -0.6, -0.2, 0.2, 0.6, 1.0)
+    assert games.accel_range(-1.0, 1.0, 0.1)[-1] == 1.0
+    assert games.accel_range(0.5, 0.5, 0.3) == (0.5,)
+    assert games.accel_range(*games.ACCEL_RANGE) == ActionGrid().accelerations
 
 
 def test_default_grid_shape():

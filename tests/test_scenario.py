@@ -337,6 +337,12 @@ def test_grid_block_forms():
         config_from_dict(minimal_doc(grid={"step": -1.0}))
     with pytest.raises(ConfigError, match="grid"):
         config_from_dict(minimal_doc(grid={"sigmas": [5]}))
+    # Both ends are included, so a step must divide the range.
+    for step in (0.35, 0.3):
+        with pytest.raises(ConfigError, match="grid: step .* does not divide"):
+            config_from_dict(minimal_doc(grid={"a_min": -1, "a_max": 1, "step": step}))
+    cfg = config_from_dict(minimal_doc(grid={"a_min": -1, "a_max": 1, "step": 0.25}))
+    assert cfg.grid.accelerations[0] == -1.0 and cfg.grid.accelerations[-1] == 1.0
 
 
 def test_mpc_block_q_diag():

@@ -6,7 +6,9 @@ the per-grid caches: `propagate` for each use (the ego's grid and the
 opponents' stacked grid), one `np.lexsort` per preference order, and
 `max(axis=-1)` for the worst sample. Every `GameSolution` field must
 come out the same, to the last bit. The leads, which coast at their
-speed, are checked against `propagate` at zero acceleration apart.
+speed, are checked against `propagate` at zero acceleration apart. The
+solo reference scores its enumerated rows with `costs._ego_parts`, which
+`solve_solo` applies to the whole grid at once.
 """
 
 import math
@@ -108,14 +110,12 @@ def _ref_solo(ego, ego_lane, nb, grid, style, gains, horizon):
     sigma, a_x, ego_track = _ref_ego_rows(ego, ego_lane, grid, nb, horizon)
     if not len(sigma):
         raise InfeasibleDecisionError("no feasible ego action")
-    cells, parts, _ = costs._pair_parts(ego, ego_lane, sigma, a_x, style, (), (), (),
-                                        (), (), nb, gains, horizon,
-                                        tracks=(ego_track, (None, None)))
-    j_e = costs._spread(parts[3], cells, (len(sigma), 1))
-    r = int(np.argmin(j_e[:, 0]))
+    parts = costs._ego_parts(ego_lane, sigma, a_x, *ego_track, style, nb, gains, horizon)
+    r = int(np.argmin(parts[3]))
     return GameSolution(ego_action=costs.DecisionAction(sigma=int(sigma[r]),
                                                         a_x=float(a_x[r])),
-                        ac_actions={}, ego_cost=costs.breakdown_at(cells, parts, r, 0),
+                        ac_actions={}, ego_cost=costs.CostBreakdown(
+                            *(float(x[r]) for x in parts)),
                         multiplicity=1)
 
 

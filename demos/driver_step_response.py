@@ -10,8 +10,7 @@ Run: python3 demos/driver_step_response.py
 import numpy as np
 
 from lanegame.styles import BUILTIN_STYLES, style_profile
-from lanegame.vehicle import (DEFAULT_VEHICLE, IVX, IY, NX, ControlInput,
-                              step)
+from lanegame.vehicle import IVX, IY, NX, step
 
 SPEED = 20.0
 TARGET = 4.0
@@ -26,8 +25,7 @@ def response(style_name):
     ys = []
     n = int(T_END / DT)
     for _ in range(n):
-        x, _ = step(x, ControlInput(y_p=TARGET, a_x=0.0), DEFAULT_VEHICLE,
-                    dp, DT)
+        x, _ = step(x, TARGET, 0.0, dp, DT)
         ys.append(x[IY])
     return np.array(ys)
 

@@ -12,7 +12,7 @@ from lanegame.field import FieldParams, prepare_field
 from lanegame.planner import MpcConfig, solve_plan
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
-from lanegame.vehicle import DEFAULT_VEHICLE, IVX, IX, IY, NX
+from lanegame.vehicle import IVX, IX, IY, NX
 
 
 def main():
@@ -34,8 +34,7 @@ def main():
     scene = prepare_field(x=[65.0], y=[0.0], heading=[0.0], v=[10.0], road=road,
                           params=FieldParams())
     plan = solve_plan(x, u_prev=0.0, a_x=0.0, scene=scene, target_lane=1,
-                      cfg=cfg, vp=DEFAULT_VEHICLE, dp=dp, dt=0.05,
-                      u_box=(-2.0, 6.0))
+                      cfg=cfg, dp=dp, dt=0.05, u_box=(-2.0, 6.0))
 
     print("preview increments:",
           " ".join(f"{d:+.3f}" for d in plan.du_sequence))

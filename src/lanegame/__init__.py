@@ -11,7 +11,8 @@ and the dataclasses needed to call them:
 - ``prepare_field`` / ``total_field`` for risk-map sampling, ``solve_plan``
   for one planner step
 - ``derivatives`` / ``step`` / ``linearize`` / ``discretize`` for the
-  vehicle model
+  vehicle model, which takes the preview point and the acceleration as
+  two numbers; its constants are those of ``lanegame.vehicle``
 
 Everything else is reached through its module.
 """
@@ -27,7 +28,6 @@ from .road import LaneSpec, RoadGeometry
 from .scenario import ScenarioConfig, load_scenario
 from .simulate import batch, run_simulation, summarize
 from .styles import StyleProfile
-from .vehicle import (ControlInput, DriverParams, VehicleParams, derivatives,
-                      discretize, linearize, step)
+from .vehicle import DriverParams, derivatives, discretize, linearize, step
 
 __version__ = "0.1.0"

@@ -68,8 +68,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import PreparedField, coasted, total_field
-from .vehicle import (ControlInput, DriverParams, IPHI, IX, IY, NX, V_FLOOR,
-                      VehicleParams, derivatives, discretize, linearize)
+from .vehicle import (DriverParams, IPHI, IX, IY, NX, V_FLOOR, derivatives,
+                      discretize, linearize)
 
 
 # Forward finite-difference step of the output Jacobian, in preview-command m.
@@ -137,6 +137,7 @@ class PlanResult:
     iterations: int
     degraded: bool
     cost_rows: int                # output rows scored, probes included
+    at_cap: bool                  # the search ran out of iterations
 
 
 @functools.lru_cache(maxsize=8)
@@ -150,34 +151,35 @@ def _lag(n_p: int, n_c: int) -> np.ndarray:
 class HorizonModel:
     """Frozen linear prediction of the pose (X, Y, phi) over one planning step.
 
-    Holds the held-command rollout `base` (n_p, 3) and the lagged input
-    gains `sens` (n_p, 3, n_c) that map a du sequence to poses in one
-    tensor contraction. Both are the pose channels of one rollout of the
-    discretized augmented step map M = [[A, B, c], [0, 1, 0], [0, 0, 1]],
-    c = B u_prev + w the held command's drift, applied to the two columns
-    (0, 1, 0) and (x0, 0, 1): M^k of them holds the input gain
-    sum_{m<k} A^m B and the held-command state after k steps. The rollout
-    goes by doubling: with M^m known and the first m steps rolled out, one
-    matrix product gives the next m and one squaring gives M^2m, so a
-    horizon of n_p steps takes ceil(log2(n_p + 1)) products. They differ
-    from the step-by-step rollout by rounding only, within 1e-12 of the
-    largest value (6.1e-15 over the 1,620 planner steps of the six bundled
-    Nash runs); `sens` repeats each gain bit for bit at every lag.
+    Linearized at x0 with the preview command u_prev and acceleration a_x
+    held, and discretized with the step dt. Holds the held-command rollout
+    `base` (n_p, 3) and the lagged input gains `sens` (n_p, 3, n_c) that map
+    a du sequence to poses in one tensor contraction. Both are the pose
+    channels of one rollout of the discretized augmented step map
+    M = [[A, B, c], [0, 1, 0], [0, 0, 1]], c = B u_prev + w the held
+    command's drift, applied to the two columns (0, 1, 0) and (x0, 0, 1):
+    M^k of them holds the input gain sum_{m<k} A^m B and the held-command
+    state after k steps. The rollout goes by doubling: with M^m known and
+    the first m steps rolled out, one matrix product gives the next m and
+    one squaring gives M^2m, so a horizon of n_p steps takes
+    ceil(log2(n_p + 1)) products. They differ from the step-by-step rollout
+    by rounding only, within 1e-12 of the largest value (6.1e-15 over the
+    1,620 planner steps of the six bundled Nash runs); `sens` repeats each
+    gain bit for bit at every lag.
     """
 
     def __init__(self, x0: np.ndarray, u_prev: float, a_x: float,
-                 vp: VehicleParams, dp: DriverParams, cfg: MpcConfig, dt: float):
+                 dp: DriverParams, cfg: MpcConfig, dt: float):
         if x0[0] <= V_FLOOR:
             raise DomainError("linearization needs forward speed above the floor")
         x0 = np.asarray(x0, dtype=float)
-        u0 = ControlInput(y_p=u_prev, a_x=a_x)
-        a_c, b_c = linearize(x0, u0, vp, dp)
-        # Drift of the held command, f(x0, u0) - A x0 = B u_prev + w: the
+        a_c, b_c = linearize(x0, u_prev, a_x, dp)
+        # Drift of the held command, f(x0, u_prev) - A x0 = B u_prev + w: the
         # model is affine, not linear through the origin, and a_x enters
         # the prediction only through its remainder w.
         b_aug = np.empty((NX, 2))
         b_aug[:, :1] = b_c
-        np.subtract(derivatives(x0, u0, vp, dp), a_c @ x0, out=b_aug[:, 1])
+        np.subtract(derivatives(x0, u_prev, a_x, dp), a_c @ x0, out=b_aug[:, 1])
         a_d, b_d = discretize(a_c, b_aug, dt)
 
         n_p = cfg.n_p
@@ -390,14 +392,15 @@ def _predicted_drop(hess: np.ndarray, g: np.ndarray, d: np.ndarray) -> float:
 
 
 def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
-               target_lane: int, cfg: MpcConfig, vp: VehicleParams,
-               dp: DriverParams, dt: float, u_box: tuple[float, float],
-               start: np.ndarray | None = None) -> PlanResult:
+               target_lane: int, cfg: MpcConfig, dp: DriverParams, dt: float,
+               u_box: tuple[float, float], start: np.ndarray | None = None) -> PlanResult:
     """Minimize the horizon cost over bounded preview increments.
 
-    `scene` holds the other cars now; they coast over the horizon. dt is
-    the model step and u_box = (lo, hi) bounds the preview command over
-    the horizon; ValueError unless dt > 0 and lo <= hi.
+    The ego starts at state x0 with the preview command u_prev and holds
+    the acceleration a_x; dp is its steering driver. `scene` holds the
+    other cars now; they coast over the horizon. dt is the model step and
+    u_box = (lo, hi) bounds the preview command over the horizon;
+    ValueError unless dt > 0 and lo <= hi.
 
     Projected Newton on a Gauss-Newton model. Each iteration keeps the
     outputs y of the accepted du and of its n_c probe rows du + FD_STEP *
@@ -421,7 +424,8 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     the first on a tie, if it beats the best cost so far. The search also
     stops when no trial does or the drop is at most tol * max(1, best),
     so the returned cost, which is the accepted one, never exceeds
-    cost_zero. A plan is flagged degraded when the first iteration scored
+    cost_zero. A plan is flagged at_cap when max_iter iterations pass and
+    no stop rule fires. A plan is flagged degraded when the first iteration scored
     its trials, so its model promised more than the tolerance, and none
     of them gained. The returned outputs are the ones the accepted cost
     read, the returned poses are the plan's predicted (X, Y, phi), and
@@ -447,7 +451,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     """
     if not dt > 0 or not u_box[0] <= u_box[1]:   # NaN fails too
         raise ValueError("need dt > 0 and a u box (lo, hi) with lo <= hi")
-    model = HorizonModel(x0, u_prev, a_x, vp, dp, cfg, dt)
+    model = HorizonModel(x0, u_prev, a_x, dp, cfg, dt)
     n_c, r = cfg.n_c, cfg.r
     w = np.array(cfg.q_diag, dtype=float)
     prepared = coasted(scene, (np.arange(cfg.n_p) + 1) * dt)
@@ -484,7 +488,7 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
     steps = np.empty((n_trials, n_c))
     batch = np.empty((n_trials + n_c, n_c))
     trials = batch[:n_trials]
-    degraded = False
+    degraded = at_cap = False
 
     for iterations in range(1, cfg.max_iter + 1):
         if y_probe is None:
@@ -520,9 +524,11 @@ def solve_plan(x0: np.ndarray, u_prev: float, a_x: float, scene: PreparedField,
         y_probe = ys[n_trials:] if k == 0 else None
         if drop <= cfg.tol * max(1.0, best):
             break  # converged
+    else:
+        at_cap = True
 
     u_applied = float(u_prev + du[0])
     return PlanResult(du_sequence=du, u_applied=u_applied,
                       predicted_poses=model.poses(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
-                      degraded=degraded, cost_rows=scored)
+                      degraded=degraded, cost_rows=scored, at_cap=at_cap)

@@ -45,12 +45,11 @@ from .errors import ConfigError, DomainError, InfeasibleDecisionError
 from .field import FieldParams, PreparedField, prepare_field, total_field
 from .games import (GameSolution, solve_nash_2p, solve_nash_two_ac,
                     solve_solo, solve_stackelberg_2p, solve_stackelberg_two_ac)
-from .planner import MpcConfig, solve_plan
+from .planner import solve_plan
 from .road import RoadGeometry
 from .scenario import CAR_LENGTH, EGO_ROLE, STRATEGIES, ScenarioConfig, VehicleSpec
 from .styles import BUILTIN_STYLES, style_profile
-from .vehicle import (DEFAULT_VEHICLE, IDELTA, IPHI, IR, IVX, IVY, IX, IY,
-                      ControlInput, DriverParams, step)
+from .vehicle import IDELTA, IPHI, IR, IVX, IVY, IX, IY, DriverParams, step
 
 # Cars closer laterally than this are treated as sharing a lane when the
 # inter-vehicle clearance metric is collected.
@@ -84,9 +83,9 @@ class TraceLog:
     roles: list[str] = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
-    max_iter: int = MpcConfig.max_iter   # the planner's iteration cap in this run
-    # Planner output rows scored over the run; kept off the CSV columns.
-    mpc_cost_rows: int = 0
+    # Planner totals over the run, kept off the CSV columns.
+    mpc_cost_rows: int = 0   # output rows scored
+    maxiter_steps: int = 0   # plans that ran out of iterations
 
     def column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
@@ -121,7 +120,7 @@ class RunMetrics:
     planner_regressions: int = 0     # steps where the plan lost to zero increments
     box_violations: int = 0
     degraded_steps: int = 0
-    maxiter_steps: int = 0           # plans that stopped at the iteration cap
+    maxiter_steps: int = 0           # plans that ran out of iterations
     mpc_iterations: int = 0          # planner iterations summed over the run
     mpc_cost_rows: int = 0           # planner output rows scored over the run
     security_steps: int = 0
@@ -259,7 +258,7 @@ class _Loop:
         roles = [c.role for c in self.cars]
         columns = BASE_COLUMNS + [f"{q}_{r.lower()}" for r in roles for q in "sdva"]
         self.trace = TraceLog(scenario=cfg.name, style=style_name, strategy=group[0],
-                              columns=columns, roles=roles, max_iter=cfg.mpc.max_iter)
+                              columns=columns, roles=roles)
         # Ego starts aligned with the road on its lane centerline.
         road, spec = cfg.road, cfg.ego()
         x0, y0 = road.to_global(spec.s, _start_offset(road, spec))
@@ -343,8 +342,8 @@ class _Loop:
             a_cmd = sol.ego_action.a_x
             # After the decision, so a change committed now tracks its new lane.
             plan_lane = self.lane + self.sigma
-            plan = solve_plan(x, self.u_prev, a_cmd, scene, plan_lane, cfg.mpc,
-                              DEFAULT_VEHICLE, dp, dt, (u_lo, u_hi), self.start)
+            plan = solve_plan(x, self.u_prev, a_cmd, scene, plan_lane, cfg.mpc, dp,
+                              dt, (u_lo, u_hi), self.start)
             field_here = float(total_field(x[IX], x[IY], scene))
         except (InfeasibleDecisionError, DomainError) as exc:
             what = ("decision infeasible" if isinstance(exc, InfeasibleDecisionError)
@@ -352,6 +351,7 @@ class _Loop:
             return f"{what} at t={t:.2f}: {exc}"
         u_cmd = plan.u_applied
         self.trace.mpc_cost_rows += plan.cost_rows
+        self.trace.maxiter_steps += plan.at_cap
         box_violation = float(not u_lo - 1e-9 <= u_cmd <= u_hi + 1e-9)
 
         # Running cost components (see the module docstring); safety
@@ -365,8 +365,7 @@ class _Loop:
         j_total_m = float(combine(self.style, j_ds_m, j_rc_m, j_pe_m))
         clearance = _lane_share_clearance(d_e, float(x[IX]), float(x[IY]), self.cars, scene)
 
-        self.state, clamped = step(x, ControlInput(y_p=u_cmd, a_x=a_cmd), DEFAULT_VEHICLE,
-                                   dp, dt)
+        self.state, clamped = step(x, u_cmd, a_cmd, dp, dt)
         cb = sol.ego_cost
         row = [t, s_e, d_e, v_e, float(x[IVY]), float(x[IPHI]),
                float(x[IX]), float(x[IY]), float(x[IDELTA]),
@@ -468,7 +467,7 @@ def summarize(trace: TraceLog) -> RunMetrics:
         planner_regressions=int(np.sum(col("mpc_cost") > col("mpc_cost_zero") + 1e-9)),
         box_violations=int(np.sum(col("box_violation"))),
         degraded_steps=int(np.sum(col("mpc_degraded"))),
-        maxiter_steps=int(np.sum(col("mpc_iters") >= trace.max_iter)),
+        maxiter_steps=trace.maxiter_steps,
         mpc_iterations=int(np.sum(col("mpc_iters"))),
         mpc_cost_rows=trace.mpc_cost_rows,
         security_steps=int(np.sum(col("security"))),

@@ -4,7 +4,8 @@ Eight continuous states: [v_x, v_y, r, phi, X, Y, delta_f, delta_f_dot].
 The front steering angle is not an input; it is driven by a second-order
 preview-tracking driver whose command is the lateral preview point Y_p.
 Longitudinal acceleration a_x enters as an exogenous input chosen by the
-decision layer.
+decision layer. Both inputs are plain numbers; the one vehicle's chassis
+and tire constants are the module constants MASS, I_Z, L_F, L_R, K_F, K_R.
 
 The equations are written once, in `derivatives`. `linearize` takes
 their Jacobians from it by complex step, which needs `derivatives` to
@@ -31,6 +32,14 @@ NX = 8
 # Forward speed floor; the slip-angle terms divide by v_x.
 V_FLOOR = 0.5
 
+# Chassis and tire constants of the single-track model.
+MASS = 1300.0    # kg
+I_Z = 2500.0     # yaw inertia, kg m^2
+L_F = 1.25       # CoG to front axle, m
+L_R = 1.32       # CoG to rear axle, m
+K_F = 35000.0    # front cornering stiffness, N/rad
+K_R = 38000.0    # rear cornering stiffness, N/rad
+
 # Imaginary step of `linearize`: h^2 vanishes beside any state value.
 _CS_STEP = 1e-20
 # Its probes, made once: i h e_j on state j in column j < NX, and on the
@@ -38,18 +47,6 @@ _CS_STEP = 1e-20
 _CS_STATES = 1j * _CS_STEP * np.eye(NX, NX + 1)
 _CS_PREVIEW = 1j * _CS_STEP * np.eye(NX + 1)[NX]
 _CS_STATES.flags.writeable = _CS_PREVIEW.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class VehicleParams:
-    """Chassis and tire constants for the single-track model."""
-
-    m: float = 1300.0      # mass, kg
-    i_z: float = 2500.0    # yaw inertia, kg m^2
-    l_f: float = 1.25      # CoG to front axle, m
-    l_r: float = 1.32      # CoG to rear axle, m
-    k_f: float = 35000.0   # front cornering stiffness, N/rad
-    k_r: float = 38000.0   # rear cornering stiffness, N/rad
 
 
 @dataclass(frozen=True)
@@ -62,49 +59,38 @@ class DriverParams:
     a: float     # delay shaping constant
 
 
-DEFAULT_VEHICLE = VehicleParams()
-
-
-@dataclass
-class ControlInput:
-    """Inputs to the integrated model for one step."""
-
-    y_p: float         # lateral coordinate of the preview point, m
-    a_x: float = 0.0   # longitudinal acceleration command, m/s^2
-
-
-def lateral_forces(state: np.ndarray, vp: VehicleParams) -> tuple[float, float]:
+def lateral_forces(state: np.ndarray) -> tuple[float, float]:
     """Linear-tire lateral forces (front, rear) at the current state."""
     v_x = state[IVX]
-    alpha_f = -state[IDELTA] + (state[IVY] + vp.l_f * state[IR]) / v_x
-    alpha_r = (state[IVY] - vp.l_r * state[IR]) / v_x
-    return -vp.k_f * alpha_f, -vp.k_r * alpha_r
+    alpha_f = -state[IDELTA] + (state[IVY] + L_F * state[IR]) / v_x
+    alpha_r = (state[IVY] - L_R * state[IR]) / v_x
+    return -K_F * alpha_f, -K_R * alpha_r
 
 
-def derivatives(state: np.ndarray, u: ControlInput, vp: VehicleParams,
+def derivatives(state: np.ndarray, y_p, a_x: float,
                 dp: DriverParams) -> np.ndarray:
-    """Time derivative of the 8-state vector.
+    """Time derivative of the 8-state vector under the inputs y_p and a_x.
 
-    `state` may hold a batch of states along a trailing axis, with `u.y_p`
-    one value or one per state; real or complex, so `linearize` can
+    `state` may hold a batch of states along a trailing axis, with `y_p`
+    one value or one per state; both real or complex, so `linearize` can
     differentiate it. Caller guarantees v_x >= V_FLOOR; the slip angles
     are singular at v_x = 0.
     """
     v_x, v_y, r, phi = state[IVX], state[IVY], state[IR], state[IPHI]
     delta, ddelta = state[IDELTA], state[IDDELTA]
 
-    f_yf, f_yr = lateral_forces(state, vp)
+    f_yf, f_yr = lateral_forces(state)
     cos_d = np.cos(delta)
 
     atd = dp.a * dp.t_d
     atd2 = dp.a * dp.t_d * dp.t_d
     # Preview error: commanded lateral point vs. predicted lateral position.
-    err = u.y_p - (state[IY] + dp.t_p * v_x * phi)
+    err = y_p - (state[IY] + dp.t_p * v_x * phi)
 
-    out = np.empty(np.shape(state), dtype=np.result_type(state, u.y_p))
-    out[IVX] = v_y * r + u.a_x
-    out[IVY] = -v_x * r + (f_yf * cos_d + f_yr) / vp.m
-    out[IR] = (vp.l_f * f_yf * cos_d - vp.l_r * f_yr) / vp.i_z
+    out = np.empty(np.shape(state), dtype=np.result_type(state, y_p))
+    out[IVX] = v_y * r + a_x
+    out[IVY] = -v_x * r + (f_yf * cos_d + f_yr) / MASS
+    out[IR] = (L_F * f_yf * cos_d - L_R * f_yr) / I_Z
     out[IPHI] = r
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     out[IX] = v_x * cos_phi - v_y * sin_phi
@@ -114,17 +100,17 @@ def derivatives(state: np.ndarray, u: ControlInput, vp: VehicleParams,
     return out
 
 
-def step(state: np.ndarray, u: ControlInput, vp: VehicleParams,
-         dp: DriverParams, dt: float) -> tuple[np.ndarray, bool]:
-    """One fixed-step RK4 integration step.
+def step(state: np.ndarray, y_p: float, a_x: float, dp: DriverParams,
+         dt: float) -> tuple[np.ndarray, bool]:
+    """One fixed-step RK4 integration step with the inputs held.
 
     Returns the new state and a flag that is True when the forward speed
     had to be clamped at V_FLOOR.
     """
-    k1 = derivatives(state, u, vp, dp)
-    k2 = derivatives(state + 0.5 * dt * k1, u, vp, dp)
-    k3 = derivatives(state + 0.5 * dt * k2, u, vp, dp)
-    k4 = derivatives(state + dt * k3, u, vp, dp)
+    k1 = derivatives(state, y_p, a_x, dp)
+    k2 = derivatives(state + 0.5 * dt * k1, y_p, a_x, dp)
+    k3 = derivatives(state + 0.5 * dt * k2, y_p, a_x, dp)
+    k4 = derivatives(state + dt * k3, y_p, a_x, dp)
     nxt = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     clamped = False
     if nxt[IVX] < V_FLOOR:
@@ -133,10 +119,10 @@ def step(state: np.ndarray, u: ControlInput, vp: VehicleParams,
     return nxt, clamped
 
 
-def linearize(state: np.ndarray, u: ControlInput, vp: VehicleParams,
+def linearize(state: np.ndarray, y_p: float, a_x: float,
               dp: DriverParams) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-time Jacobians A = df/dx, B = df/du of `derivatives` at
-    (state, u), by complex step.
+    """Continuous-time Jacobians A = df/dx, B = df/dy_p of `derivatives`
+    at (state, y_p, a_x), by complex step.
 
     One call of `derivatives` takes the NX state probes x + i h e_j and the
     preview probe Y_p + i h side by side; each column is imag / h. That
@@ -145,8 +131,7 @@ def linearize(state: np.ndarray, u: ControlInput, vp: VehicleParams,
     point Y_p; a_x is treated as a held constant.
     """
     probes = state[:, None] + _CS_STATES
-    y_p = u.y_p + _CS_PREVIEW
-    jac = derivatives(probes, ControlInput(y_p=y_p, a_x=u.a_x), vp, dp).imag / _CS_STEP
+    jac = derivatives(probes, y_p + _CS_PREVIEW, a_x, dp).imag / _CS_STEP
     return jac[:, :NX], jac[:, NX:]
 
 

@@ -30,8 +30,7 @@ from lanegame.scenario import load_scenario
 from lanegame.cli import main as cli_main
 from lanegame.simulate import batch, comparison_csv, run_simulation, write_trace
 from lanegame.styles import style_profile
-from lanegame.vehicle import (DEFAULT_VEHICLE, IVX, NX, ControlInput,
-                              derivatives, discretize, linearize)
+from lanegame.vehicle import IVX, NX, derivatives, discretize, linearize
 
 from conftest import FINGERPRINTS, check_fingerprints, make_neighbors
 from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
@@ -266,25 +265,23 @@ def test_two_ac_decomposition():
 @criterion("complex-step Jacobians within 1e-5 of central differences (500 states)")
 def test_linearization_accuracy():
     rng = np.random.default_rng(11)
-    vp = DEFAULT_VEHICLE
     dp = style_profile("normal").driver
     h = 1e-6
     worst = 0.0
     for _ in range(500):
         x = rng.normal(0.0, 0.3, NX)
         x[IVX] = rng.uniform(5.0, 30.0)
-        u = ControlInput(y_p=rng.normal(0.0, 2.0), a_x=rng.normal(0.0, 1.0))
-        a_lin, b_lin = linearize(x, u, vp, dp)
+        y_p, a_x = rng.normal(0.0, 2.0), rng.normal(0.0, 1.0)
+        a_lin, b_lin = linearize(x, y_p, a_x, dp)
         scale = max(1.0, np.max(np.abs(a_lin)))
         for j in range(NX):
             e = np.zeros(NX)
             e[j] = h
-            col = (derivatives(x + e, u, vp, dp)
-                   - derivatives(x - e, u, vp, dp)) / (2.0 * h)
+            col = (derivatives(x + e, y_p, a_x, dp)
+                   - derivatives(x - e, y_p, a_x, dp)) / (2.0 * h)
             worst = max(worst, np.max(np.abs(col - a_lin[:, j])) / scale)
-        up = ControlInput(y_p=u.y_p + h, a_x=u.a_x)
-        dn = ControlInput(y_p=u.y_p - h, a_x=u.a_x)
-        bcol = (derivatives(x, up, vp, dp) - derivatives(x, dn, vp, dp)) / (2.0 * h)
+        bcol = (derivatives(x, y_p + h, a_x, dp)
+                - derivatives(x, y_p - h, a_x, dp)) / (2.0 * h)
         worst = max(worst, np.max(np.abs(bcol - b_lin[:, 0])) / scale)
     print(f"  max relative Jacobian error {worst:.3g}")
     assert worst < 1e-5
@@ -295,7 +292,6 @@ def test_discretization_accuracy():
     # The reference splits the step into 10 substeps, each integrated to
     # 1e-12 so the comparison measures the discretizer, not the reference.
     rng = np.random.default_rng(13)
-    vp = DEFAULT_VEHICLE
     dp = style_profile("normal").driver
     dt = 0.05
     worst = 0.0
@@ -303,7 +299,7 @@ def test_discretization_accuracy():
         x0 = rng.normal(0.0, 0.3, NX)
         x0[IVX] = rng.uniform(5.0, 30.0)
         u_val = float(rng.uniform(-6.0, 6.0))
-        a_c, b_c = linearize(x0, ControlInput(y_p=u_val), vp, dp)
+        a_c, b_c = linearize(x0, u_val, 0.0, dp)
         a_d, b_d = discretize(a_c, b_c, dt)
         ref = solve_ivp(lambda t, z: a_c @ z + b_c[:, 0] * u_val,
                         (0.0, dt), x0, method="DOP853",
@@ -401,7 +397,6 @@ def test_planner_invariants(merge_runs, overtake_runs):
     road = RoadGeometry(kind="straight", length=400.0)
     cfg = replace(load_scenario("scenario_a").mpc)
     params = FieldParams()
-    vp = DEFAULT_VEHICLE
     dp = style_profile("normal").driver
     # The increment box alone lets a plan reach n_c * du_max = 1.5 from
     # u_prev = 0, so this command box binds wherever a plan heads upward.
@@ -414,7 +409,7 @@ def test_planner_invariants(merge_runs, overtake_runs):
         obstacles = [ObstaclePose(x=float(rng.uniform(10.0, 50.0)), y=0.0,
                                   heading=0.0, v=float(rng.uniform(5.0, 15.0)))]
         plan = solve_plan(x0, 0.0, 0.0, prepare_poses(obstacles, road, params), 1,
-                          cfg, vp, dp, 0.05, (lo, hi))
+                          cfg, dp, 0.05, (lo, hi))
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)

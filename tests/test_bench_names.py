@@ -20,7 +20,7 @@ from lanegame import costs, games, planner, simulate
 from lanegame.field import FieldParams
 from lanegame.scenario import load_scenario
 from lanegame.styles import style_profile
-from lanegame.vehicle import IVX, NX, VehicleParams
+from lanegame.vehicle import IVX, NX
 
 from reference import ObstaclePose, prepare_poses
 
@@ -68,8 +68,7 @@ def test_a_solve_calls_every_patched_planner_name(monkeypatch, two_lane_road):
     cars = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=15.0)]
     scene = prepare_poses(cars, two_lane_road, FieldParams())
     plan = planner.solve_plan(x0, 0.0, 0.0, scene, 1, planner.MpcConfig(),
-                              VehicleParams(), style_profile("normal").driver, 0.05,
-                              (-10.0, 10.0))
+                              style_profile("normal").driver, 0.05, (-10.0, 10.0))
     assert plan.iterations >= 1
     assert all(calls.values()), calls
 

@@ -19,12 +19,11 @@ from lanegame.planner import (CHANNELS, FD_STEP, MAX_HORIZON_STEPS, MAX_PLAN_CEL
                               solve_plan)
 from lanegame.road import LaneSpec, RoadGeometry
 from lanegame.styles import style_profile
-from lanegame.vehicle import (IPHI, IR, IVX, IVY, IX, IY, NX, ControlInput,
-                              VehicleParams, derivatives, discretize, linearize)
+from lanegame.vehicle import (IPHI, IR, IVX, IVY, IX, IY, NX, derivatives,
+                              discretize, linearize)
 
 from reference import ObstaclePose, obstacle_field, prepare_poses, road_field
 
-VP = VehicleParams()
 DP = style_profile("normal").driver
 FP = FieldParams()
 # Step and preview-command box of the solves below, unless a test sets its own.
@@ -92,7 +91,7 @@ def test_config_validation(two_lane_road):
                     (DT, (float("nan"), 1.0))):
         with pytest.raises(ValueError, match="dt > 0 .* lo <= hi"):
             solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 1,
-                       small_cfg(), VP, DP, dt, box)
+                       small_cfg(), DP, dt, box)
 
 
 @pytest.mark.parametrize("field,q_diag,cost", [
@@ -110,13 +109,13 @@ def test_non_finite_zero_increment_cost_is_a_domain_error(field, q_diag, cost,
     with np.errstate(all="ignore"), pytest.raises(
             DomainError, match=f"the zero-increment horizon cost is {cost}"):
         solve_plan(_x0(), 0.0, 0.0, prepare_poses(obs, two_lane_road, field), 1,
-                   small_cfg(q_diag=q_diag), VP, DP, DT, BOX)
+                   small_cfg(q_diag=q_diag), DP, DT, BOX)
 
 
 def test_horizon_model_needs_forward_speed():
     # A named domain error, so a closed-loop run can abort on it cleanly.
     with pytest.raises(DomainError):
-        HorizonModel(_x0(v=0.2), 0.0, 0.0, VP, DP, small_cfg(), DT)
+        HorizonModel(_x0(v=0.2), 0.0, 0.0, DP, small_cfg(), DT)
 
 
 def test_accel_enters_through_affine_term():
@@ -127,7 +126,7 @@ def test_accel_enters_through_affine_term():
     cfg = small_cfg()
     t = _times(cfg.n_p)
     for a_x in (2.0, 0.0):
-        m = HorizonModel(_x0(), 0.0, a_x, VP, DP, cfg, DT)
+        m = HorizonModel(_x0(), 0.0, a_x, DP, cfg, DT)
         assert np.allclose(m.base[:, 0], 20.0 * t + 0.5 * a_x * t * t,
                            rtol=0.0, atol=1e-12)
         assert np.allclose(m.base[:, 1:], 0.0, rtol=0.0, atol=1e-12)
@@ -138,9 +137,8 @@ def _sequential_model(x0, u_prev, a_x, n_p):
     linearization: base[i] = A base[i-1] + c from x0, with c the held
     command's drift B u_prev + w, and cum[k] = sum_{i<k} A^i B with one
     A @ power per step."""
-    u0 = ControlInput(y_p=u_prev, a_x=a_x)
-    a_c, b_c = linearize(x0, u0, VP, DP)
-    drift = derivatives(x0, u0, VP, DP) - a_c @ x0
+    a_c, b_c = linearize(x0, u_prev, a_x, DP)
+    drift = derivatives(x0, u_prev, a_x, DP) - a_c @ x0
     a_d, b_d = discretize(a_c, np.column_stack([b_c[:, 0], drift]), DT)
     base, x = [], x0
     cum, power = [np.zeros(NX)], b_d[:, 0].copy()
@@ -155,7 +153,7 @@ def _sequential_model(x0, u_prev, a_x, n_p):
 def test_base_is_held_command_rollout():
     cfg = small_cfg()
     x0 = _x0(y=1.0)
-    m = HorizonModel(x0, 0.5, 0.0, VP, DP, cfg, DT)
+    m = HorizonModel(x0, 0.5, 0.0, DP, cfg, DT)
     base, _ = _sequential_model(x0, 0.5, 0.0, cfg.n_p)
     assert m.base.shape == (cfg.n_p, 3)
     for i in range(cfg.n_p):
@@ -171,7 +169,7 @@ def _assert_close_to(got, want):
 
 def test_sens_is_the_lagged_cumulative_input_gain():
     cfg = small_cfg(n_p=9, n_c=4)
-    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
+    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, DP, cfg, DT)
     assert m.sens.shape == (cfg.n_p, 3, cfg.n_c)
     for i in range(cfg.n_p):
         for j in range(cfg.n_c):
@@ -188,7 +186,7 @@ def test_sens_is_the_lagged_cumulative_input_gain():
 @pytest.mark.parametrize("n_p", [1, 2, 17, 20, 30, 1000])
 def test_doubled_powers_match_the_gemv_chain(n_p):
     cfg = small_cfg(n_p=n_p, n_c=min(n_p, 4))
-    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, VP, DP, cfg, DT)
+    m = HorizonModel(_x0(y=1.0), 0.5, 1.0, DP, cfg, DT)
     base, cum = _sequential_model(_x0(y=1.0), 0.5, 1.0, n_p)
     _assert_close_to(m.base, base[:, CHANNELS])
     _assert_close_to(m.sens[:, :, 0], cum[1:, CHANNELS])
@@ -196,7 +194,7 @@ def test_doubled_powers_match_the_gemv_chain(n_p):
 
 def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
+    m = HorizonModel(_x0(), 0.0, 0.0, DP, cfg, DT)
     batch = rng.uniform(-0.3, 0.3, (7, cfg.n_c))
     got = m.poses(batch)
     assert got.shape == (7, cfg.n_p, 3)
@@ -218,7 +216,7 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
                            (30, 8, 9), (30, 8, 39), (5, 1, 2), (5, 1, 32)):
         cfg = small_cfg(n_p=n_p, n_c=n_c)
         m = HorizonModel(_x0(v=rng.uniform(8.0, 30.0), y=rng.uniform(-2.0, 2.0)),
-                         rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), VP, DP, cfg, DT)
+                         rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0), DP, cfg, DT)
         batch = rng.uniform(-0.3, 0.3, (rows, n_c))
         poses = m.poses(batch)
         assert np.array_equal(m.poses(batch[0]), poses[0])
@@ -244,7 +242,7 @@ def test_states_batched_matches_rows(rng, two_lane_road, three_lane_arc):
 
 def test_states_linear_in_du(rng):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
+    m = HorizonModel(_x0(), 0.0, 0.0, DP, cfg, DT)
     du = rng.uniform(-0.3, 0.3, cfg.n_c)
     lhs = m.poses(2.0 * du) - m.base
     rhs = 2.0 * (m.poses(du) - m.base)
@@ -289,7 +287,7 @@ def test_coasted_sweeps_constant_velocity(rng, two_lane_road, three_lane_arc):
 
 def test_outputs_channels(two_lane_road):
     cfg = small_cfg()
-    m = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
+    m = HorizonModel(_x0(), 0.0, 0.0, DP, cfg, DT)
     obs = [ObstaclePose(x=30.0, y=0.0, heading=0.0, v=10.0)]
     poses = m.poses(np.zeros(cfg.n_c))
     field = coasted(prepare_poses(obs, two_lane_road, FP), _times(cfg.n_p))
@@ -448,7 +446,7 @@ def test_project_clips_only_where_the_u_box_cannot_bind(two_lane_road, monkeypat
         box_free = box == BOX
         assert planner._box_free(u_prev, box, cfg) == box_free
         plan, batches, n_bounds, n_running = _logged_solve(
-            monkeypatch, _x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, box)
+            monkeypatch, _x0(), u_prev, 0.0, scene, 1, cfg, DP, DT, box)
         # The baseline, then one batch of trials per iteration that scored
         # one, as many as the search that scores each batch alone scores.
         _, _, scored = _one_batch_per_purpose(_x0(), u_prev, 0.0, [], two_lane_road,
@@ -535,7 +533,7 @@ def _halving_search(x0, u_prev, a_x, obstacles, road, lane, cfg, box):
     alone with the full prediction, the field one obstacle at a time and
     an elementwise projection written out here.
     """
-    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    model = HorizonModel(x0, u_prev, a_x, DP, cfg, DT)
     t = _times(cfg.n_p)
     # How far each obstacle has coasted from its pose at each step.
     shifts = [(o.v * t * np.cos(o.heading), o.v * t * np.sin(o.heading))
@@ -660,7 +658,7 @@ def test_batched_line_search_matches_halving_loop(seed, two_lane_road, three_lan
     road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
         seed, two_lane_road, three_lane_arc)
     plan = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP), target,
-                      cfg, VP, DP, DT, box)
+                      cfg, DP, DT, box)
     reference = _halving_search(x0, u_prev, a_x, obstacles, road, target, cfg, box)
     assert plan.cost <= reference * (1.0 + 1e-3)
     assert plan.cost <= plan.cost_zero
@@ -681,7 +679,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box,
     plan, the index of the trial each accepted step took, for the steps
     after which the search went on, and the number of trial batches scored.
     """
-    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    model = HorizonModel(x0, u_prev, a_x, DP, cfg, DT)
     prepared = coasted(prepare_poses(obstacles, road, FP), _times(cfg.n_p))
     w, r, n_c = np.array(cfg.q_diag), cfg.r, cfg.n_c
     eye = np.eye(n_c)
@@ -699,7 +697,7 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box,
         if cost < best:
             du, best, y = projected, cost, y_start
     went_on_after = []
-    degraded = False
+    degraded = at_cap = False
     scored = 0
     for iterations in range(1, cfg.max_iter + 1):
         jac = (outputs_of(du + FD_STEP * eye) - y) / FD_STEP
@@ -726,10 +724,13 @@ def _one_batch_per_purpose(x0, u_prev, a_x, obstacles, road, lane, cfg, box,
             break
         if iterations < cfg.max_iter:
             went_on_after.append(k)
+    else:
+        at_cap = True
     plan = PlanResult(du_sequence=du, u_applied=float(u_prev + du[0]),
                       predicted_poses=model.poses(du), predicted_outputs=y,
                       cost=best, cost_zero=cost_zero, iterations=iterations,
-                      degraded=degraded, cost_rows=0)   # rows not counted here
+                      degraded=degraded, cost_rows=0,   # rows not counted here
+                      at_cap=at_cap)
     return plan, went_on_after, scored
 
 
@@ -789,7 +790,7 @@ def test_fused_batches_match_one_batch_per_purpose(two_lane_road, three_lane_arc
                 x0, u_prev, a_x, obstacles, road, target, cfg, box, start)
             rows, bounds = _rows_per_outputs_call(monkeypatch)
             got = solve_plan(x0, u_prev, a_x, prepare_poses(obstacles, road, FP),
-                             target, cfg, VP, DP, DT, box, start=start)
+                             target, cfg, DP, DT, box, start=start)
             monkeypatch.undo()
             _plan_fields_equal(got, want, (label, n_starts))
             n_c = cfg.n_c
@@ -889,7 +890,7 @@ def _lane_change_solve(monkeypatch, road, u_box, worse_trials=False):
     if worse_trials:
         monkeypatch.setattr(planner, "_outputs", shifted)
     plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], road, FP), 1,
-                      cfg, VP, DP, DT, u_box)
+                      cfg, DP, DT, u_box)
     monkeypatch.undo()
     return plan, gs
 
@@ -930,11 +931,11 @@ def test_predicted_drop_is_the_cost_drop_of_a_short_step(two_lane_road, monkeypa
                         lambda *a: calls.append(a) or real(*a))
     cfg = small_cfg()
     scene = prepare_poses([], two_lane_road, FP)
-    solve_plan(_x0(), 0.0, 0.0, scene, 1, cfg, VP, DP, DT, BOX)
+    solve_plan(_x0(), 0.0, 0.0, scene, 1, cfg, DP, DT, BOX)
     monkeypatch.undo()
     hess, g, d = calls[0]
     du = np.array([np.zeros(cfg.n_c), 1e-3 * d])
-    model = HorizonModel(_x0(), 0.0, 0.0, VP, DP, cfg, DT)
+    model = HorizonModel(_x0(), 0.0, 0.0, DP, cfg, DT)
     y = _outputs(model.poses(du), coasted(scene, _times(cfg.n_p)), 1)
     costs = mpc_cost(y, du, np.array(cfg.q_diag), cfg.r)
     predicted = real(hess, g, du[1])
@@ -950,6 +951,33 @@ def _plan_fields_equal(got, want, label=None):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, f.name)
 
 
+def test_at_cap_only_when_the_cap_cuts_the_search_short(two_lane_road, three_lane_arc):
+    # Free, each scene's search stops on its own after k iterations. With
+    # max_iter = k a stop rule fires on the last allowed iteration: the same
+    # plan, not at the cap. With max_iter = k - 1 the search runs out.
+    cut_short = 0
+    for seed in SCENE_SEEDS:
+        road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
+            seed, two_lane_road, three_lane_arc)
+        scene = prepare_poses(obstacles, road, FP)
+
+        def solve(cap):
+            return solve_plan(x0, u_prev, a_x, scene, target,
+                              dataclasses.replace(cfg, max_iter=cap), DP, DT, box)
+
+        free = solve(1000)
+        k = free.iterations
+        assert k < 1000 and not free.at_cap, seed
+        at_k = solve(k)
+        assert not at_k.at_cap, seed
+        _plan_fields_equal(at_k, free, seed)
+        if k > 1:
+            cut = solve(k - 1)
+            assert cut.at_cap and cut.iterations == k - 1, seed
+            cut_short += 1
+    assert cut_short > 0
+
+
 @pytest.mark.parametrize("seed", [*range(6), *SETTLED_SEEDS])
 def test_a_start_that_costs_more_leaves_the_plan_alone(seed, two_lane_road,
                                                        three_lane_arc):
@@ -960,12 +988,12 @@ def test_a_start_that_costs_more_leaves_the_plan_alone(seed, two_lane_road,
     road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
         seed, two_lane_road, three_lane_arc)
     scene = prepare_poses(obstacles, road, FP)
-    alone = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
+    alone = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, DT, box)
     away = -np.sign(alone.du_sequence.sum() or 1.0) * np.full(cfg.n_c, cfg.du_max)
     for start in (away, np.zeros(cfg.n_c), np.full(cfg.n_c, np.nan)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box,
+            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, DT, box,
                               start=start)
         _plan_fields_equal(plan, alone, (seed, start))
         assert plan.cost_rows == alone.cost_rows + 1 + cfg.n_c
@@ -984,7 +1012,7 @@ def test_a_start_that_is_not_finite_hides_no_prediction_past_the_road_end():
     cfg = small_cfg(n_p=20)
     for start in (None, np.full(cfg.n_c, np.nan)):
         with pytest.raises(DomainError, match="station range"):
-            solve_plan(x0, 0.0, 0.0, scene, 2, cfg, VP, DP, DT, BOX, start=start)
+            solve_plan(x0, 0.0, 0.0, scene, 2, cfg, DP, DT, BOX, start=start)
 
 
 @pytest.mark.parametrize("seed", [*range(6), *SETTLED_SEEDS])
@@ -997,8 +1025,8 @@ def test_a_solve_from_its_own_plan_ends_after_its_first_batch(seed, two_lane_roa
     road, x0, u_prev, a_x, obstacles, target, cfg, box = _scene(
         seed, two_lane_road, three_lane_arc)
     scene = prepare_poses(obstacles, road, FP)
-    first = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
-    again = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box,
+    first = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, DT, box)
+    again = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, DT, box,
                        start=first.du_sequence)
     assert again.iterations == 1 and not again.degraded
     assert again.cost_rows == 2 * (1 + cfg.n_c)
@@ -1013,7 +1041,7 @@ def test_plan_from_below_the_u_box(two_lane_road):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = solve_plan(_x0(), -10.5, 0.0, prepare_poses([], two_lane_road, FP), 2,
-                          small_cfg(), VP, DP, DT, BOX)
+                          small_cfg(), DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0 and not plan.degraded
 
@@ -1026,7 +1054,7 @@ def test_plan_from_above_the_u_box(two_lane_road):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         plan = solve_plan(_x0(), 10.5, 0.0, prepare_poses([], two_lane_road, FP), 2,
-                          cfg, VP, DP, DT, BOX)
+                          cfg, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] < 0.0 and not plan.degraded
     assert np.all(plan.du_sequence >= cfg.du_min)
@@ -1042,7 +1070,7 @@ def test_plan_from_outside_the_u_box_returns_into_it(two_lane_road):
     scene = prepare_poses([], two_lane_road, FP)
     for u_prev, du, u_applied in ((10.5, [-0.3, -0.2, 0.0, 0.0], 10.2),
                                   (10.05, [-0.05, 0.0, 0.0, 0.0], 10.0)):
-        plan = solve_plan(_x0(), u_prev, 0.0, scene, 1, cfg, VP, DP, DT, BOX)
+        plan = solve_plan(_x0(), u_prev, 0.0, scene, 1, cfg, DP, DT, BOX)
         assert np.allclose(plan.du_sequence, du, rtol=0.0, atol=1e-12)
         assert plan.u_applied == pytest.approx(u_applied, abs=1e-12)
         assert plan.cost <= plan.cost_zero
@@ -1058,8 +1086,8 @@ def test_plan_reports_the_accepted_cost(seed, two_lane_road, three_lane_arc):
     road = two_lane_road if seed % 2 else three_lane_arc
     x0, u_prev, a_x, obstacles, target, cfg, box = _random_scene(rng, road)
     scene = prepare_poses(obstacles, road, FP)
-    plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, DT, box)
-    model = HorizonModel(x0, u_prev, a_x, VP, DP, cfg, DT)
+    plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, DT, box)
+    model = HorizonModel(x0, u_prev, a_x, DP, cfg, DT)
     prepared = coasted(scene, _times(cfg.n_p))
     du = plan.du_sequence[None]
     y = _outputs(model.poses(du), prepared, target)
@@ -1144,7 +1172,7 @@ def test_solve_plan_contract(problem):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, VP, DP, dt,
+            plan = solve_plan(x0, u_prev, a_x, scene, target, cfg, DP, dt,
                               (lo, hi), start=start)
         except DomainError:
             return
@@ -1169,7 +1197,7 @@ def test_plan_never_beats_zero_baseline(two_lane_road, rng):
         obs = [ObstaclePose(x=rng.uniform(10.0, 40.0), y=0.0, heading=0.0,
                             v=rng.uniform(5.0, 15.0))]
         plan = solve_plan(x0, 0.0, 0.0, prepare_poses(obs, two_lane_road, FP), 1,
-                          cfg, VP, DP, DT, BOX)
+                          cfg, DP, DT, BOX)
         assert plan.cost <= plan.cost_zero
         assert np.all(plan.du_sequence >= cfg.du_min - 1e-12)
         assert np.all(plan.du_sequence <= cfg.du_max + 1e-12)
@@ -1184,7 +1212,7 @@ def test_plan_moves_toward_target_lane(two_lane_road):
     # improve on doing nothing.
     cfg = small_cfg()
     plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 1,
-                      cfg, VP, DP, DT, BOX)
+                      cfg, DP, DT, BOX)
     assert plan.cost < plan.cost_zero
     assert plan.du_sequence[0] > 0.0
     assert not plan.degraded
@@ -1199,7 +1227,7 @@ def test_plan_at_rest_point_stays_put(two_lane_road):
     cfg = small_cfg()
     quiet = FieldParams(edge_weight=0.0, interior_weight=0.0)
     plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, quiet), 2,
-                      cfg, VP, DP, DT, BOX)
+                      cfg, DP, DT, BOX)
     assert plan.cost_zero == pytest.approx(0.0, abs=1e-18)
     assert plan.cost == pytest.approx(plan.cost_zero, abs=1e-18)
     assert not np.any(plan.du_sequence)
@@ -1211,7 +1239,7 @@ def test_plan_keeps_lane_despite_road_field(two_lane_road):
     # tracking term must keep that drift to centimeters over the horizon.
     cfg = small_cfg()
     plan = solve_plan(_x0(), 0.0, 0.0, prepare_poses([], two_lane_road, FP), 2,
-                      cfg, VP, DP, DT, BOX)
+                      cfg, DP, DT, BOX)
     assert plan.cost <= plan.cost_zero
     assert np.max(np.abs(plan.predicted_outputs[:, 1])) < 0.2
 
@@ -1221,6 +1249,6 @@ def test_applied_command_is_first_increment(two_lane_road):
     cfg = small_cfg()
     obs = [ObstaclePose(x=25.0, y=0.0, heading=0.0, v=10.0)]
     plan = solve_plan(_x0(), 0.4, 0.0, prepare_poses(obs, two_lane_road, FP), 1,
-                      cfg, VP, DP, DT, BOX)
+                      cfg, DP, DT, BOX)
     assert np.any(plan.du_sequence != 0.0)
     assert plan.u_applied == 0.4 + plan.du_sequence[0]

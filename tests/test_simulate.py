@@ -207,15 +207,34 @@ def test_layer_failure_aborts_with_reason(merge_cfg):
     assert m.aborted and m.steps == len(tr.rows)
 
 
-def test_maxiter_steps_counts_plans_at_the_cap(merge_cfg):
-    # With a cap of 5 some solves stop there and some converge first.
-    # The cap rides on the trace, so the trace columns stay as they are.
-    cfg = replace(merge_cfg, duration=1.0, mpc=replace(merge_cfg.mpc, max_iter=5))
-    tr = run_simulation(cfg, style="aggressive")
-    assert tr.max_iter == 5 and tr.columns[:len(BASE_COLUMNS)] == BASE_COLUMNS
+def test_maxiter_steps_counts_plans_at_the_cap(merge_cfg, monkeypatch):
+    # With a cap of 3, some solves run out of iterations and some stop on
+    # their own on the third. Each step is re-solved with a cap of 1000:
+    # it ran out exactly when that solve takes more than 3 iterations, and
+    # otherwise the re-solve is the same plan.
+    cap = 3
+    cfg = replace(merge_cfg, duration=4.0, mpc=replace(merge_cfg.mpc, max_iter=cap))
+    real, solves = simulate.solve_plan, []
+
+    def recorded(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "solve_plan", recorded)
+    tr = run_simulation(cfg, style="normal", strategy="nash")
+    monkeypatch.undo()
+    assert tr.columns[:len(BASE_COLUMNS)] == BASE_COLUMNS
+    assert len(solves) == len(tr.rows) == 80
+    ran_out = stopped_at_cap = 0
+    for args, iters, cost in zip(solves, tr.column("mpc_iters"), tr.column("mpc_cost")):
+        free = real(*args[:5], replace(args[5], max_iter=1000), *args[6:])
+        ran_out += free.iterations > cap
+        if free.iterations <= cap:
+            assert (free.iterations, free.cost) == (iters, cost)
+            stopped_at_cap += free.iterations == cap
     m = summarize(tr)
-    assert 0 < m.maxiter_steps < m.steps
-    assert m.maxiter_steps == int(np.sum(tr.column("mpc_iters") == 5))
+    assert m.maxiter_steps == ran_out > 0
+    assert stopped_at_cap > 0
     assert f"maxiter_steps={m.maxiter_steps}" in metrics_lines(m)
 
 

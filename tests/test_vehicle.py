@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +13,9 @@ from lanegame import planner
 from lanegame.scenario import load_scenario
 from lanegame.simulate import run_simulation
 from lanegame.styles import style_profile
-from lanegame.vehicle import (DEFAULT_VEHICLE, IDDELTA, IDELTA, IPHI, IR, IVX,
-                              IVY, IX, IY, NX, V_FLOOR, ControlInput,
-                              DriverParams, _expm, derivatives, discretize,
-                              lateral_forces, linearize, step)
+from lanegame.vehicle import (IDDELTA, IDELTA, IPHI, IR, IVX, IVY, IX, IY, NX,
+                              V_FLOOR, DriverParams, _expm, derivatives,
+                              discretize, lateral_forces, linearize, step)
 
 NORMAL_DRIVER = DriverParams(t_d=0.18, t_p=0.94, g_s=0.75, a=0.23)
 
@@ -35,15 +33,15 @@ def _state(**kw):
 def test_slip_angles_and_forces_closed_form():
     # alpha_f = -delta + (v_y + l_f r)/v_x, alpha_r = (v_y - l_r r)/v_x
     x = _state(v_x=20.0, v_y=0.5, r=0.1, delta=0.02)
-    f_yf, f_yr = lateral_forces(x, DEFAULT_VEHICLE)
+    f_yf, f_yr = lateral_forces(x)
     assert f_yf == pytest.approx(-35000.0 * 0.01125, abs=1e-9)
     assert f_yr == pytest.approx(-38000.0 * 0.0184, abs=1e-9)
 
 
 def test_lateral_acceleration_row():
     x = _state(v_x=20.0, v_y=0.5, r=0.1, delta=0.02)
-    f = derivatives(x, ControlInput(y_p=0.0), DEFAULT_VEHICLE, NORMAL_DRIVER)
-    f_yf, f_yr = lateral_forces(x, DEFAULT_VEHICLE)
+    f = derivatives(x, 0.0, 0.0, NORMAL_DRIVER)
+    f_yf, f_yr = lateral_forces(x)
     expect = -20.0 * 0.1 + (f_yf * np.cos(0.02) + f_yr) / 1300.0
     assert f[IVY] == pytest.approx(expect, rel=1e-12)
 
@@ -52,7 +50,7 @@ def test_steering_acceleration_from_rest():
     # From the all-zero lateral state with Y_p = 4 the steering row reduces
     # to the bare gain path: (g_s / (a t_d^2)) * 4.
     x = _state(v_x=20.0)
-    f = derivatives(x, ControlInput(y_p=4.0), DEFAULT_VEHICLE, NORMAL_DRIVER)
+    f = derivatives(x, 4.0, 0.0, NORMAL_DRIVER)
     assert f[IDDELTA] == pytest.approx((0.75 / (0.23 * 0.18**2)) * 4.0, rel=1e-12)
     assert f[IX] == pytest.approx(20.0)
     assert f[IY] == pytest.approx(0.0)
@@ -61,15 +59,15 @@ def test_steering_acceleration_from_rest():
 def test_preview_error_uses_projected_position():
     dp = NORMAL_DRIVER
     x = _state(v_x=20.0, phi=0.01, Y=1.0)
-    f = derivatives(x, ControlInput(y_p=0.0), DEFAULT_VEHICLE, dp)
+    f = derivatives(x, 0.0, 0.0, dp)
     err = 0.0 - (1.0 + dp.t_p * 20.0 * 0.01)
     assert f[IDDELTA] == pytest.approx((dp.g_s / (dp.a * dp.t_d**2)) * err, rel=1e-12)
 
 
 def test_ax_enters_vx_row_only():
     x = _state(v_x=15.0, v_y=0.3, r=0.05, phi=0.02, delta=0.01)
-    f0 = derivatives(x, ControlInput(y_p=2.0, a_x=0.0), DEFAULT_VEHICLE, NORMAL_DRIVER)
-    f1 = derivatives(x, ControlInput(y_p=2.0, a_x=1.7), DEFAULT_VEHICLE, NORMAL_DRIVER)
+    f0 = derivatives(x, 2.0, 0.0, NORMAL_DRIVER)
+    f1 = derivatives(x, 2.0, 1.7, NORMAL_DRIVER)
     diff = f1 - f0
     assert diff[IVX] == pytest.approx(1.7, rel=1e-12)
     assert np.allclose(np.delete(diff, IVX), 0.0, atol=1e-15)
@@ -79,12 +77,11 @@ def test_rk4_step_order():
     """Richardson check: halving dt must shrink the error about 16-fold."""
     dp = style_profile("normal").driver
     x0 = _state(v_x=20.0, Y=-2.0)
-    u = ControlInput(y_p=1.0, a_x=0.5)
 
     def integrate(dt, t_end=0.4):
         x = x0.copy()
         for _ in range(int(round(t_end / dt))):
-            x, _ = step(x, u, DEFAULT_VEHICLE, dp, dt)
+            x, _ = step(x, 1.0, 0.5, dp, dt)
         return x
 
     ref = integrate(0.0005)
@@ -96,24 +93,22 @@ def test_rk4_step_order():
 
 def test_step_clamps_speed_floor():
     x = _state(v_x=V_FLOOR + 0.01)
-    nxt, clamped = step(x, ControlInput(y_p=0.0, a_x=-5.0), DEFAULT_VEHICLE,
-                        NORMAL_DRIVER, 0.05)
+    nxt, clamped = step(x, 0.0, -5.0, NORMAL_DRIVER, 0.05)
     assert clamped
     assert nxt[IVX] == V_FLOOR
 
 
-def _assert_matches_central_differences(x, u, dp, h=1e-6):
-    vp = DEFAULT_VEHICLE
-    A, B = linearize(x, u, vp, dp)
+def _assert_matches_central_differences(x, y_p, a_x, dp, h=1e-6):
+    A, B = linearize(x, y_p, a_x, dp)
     scale = max(1.0, np.max(np.abs(A)))
     for j in range(NX):
         e = np.zeros(NX)
         e[j] = h
-        col = (derivatives(x + e, u, vp, dp) - derivatives(x - e, u, vp, dp)) / (2 * h)
+        col = (derivatives(x + e, y_p, a_x, dp)
+               - derivatives(x - e, y_p, a_x, dp)) / (2 * h)
         assert np.max(np.abs(col - A[:, j])) / scale < 1e-5
-    up = ControlInput(y_p=u.y_p + h, a_x=u.a_x)
-    dn = ControlInput(y_p=u.y_p - h, a_x=u.a_x)
-    bcol = (derivatives(x, up, vp, dp) - derivatives(x, dn, vp, dp)) / (2 * h)
+    bcol = (derivatives(x, y_p + h, a_x, dp)
+            - derivatives(x, y_p - h, a_x, dp)) / (2 * h)
     assert np.max(np.abs(bcol - B[:, 0])) / scale < 1e-5
 
 
@@ -121,8 +116,8 @@ def test_linearize_matches_finite_differences(rng):
     for _ in range(25):
         x = rng.normal(0.0, 0.3, NX)
         x[IVX] = rng.uniform(5.0, 30.0)
-        u = ControlInput(y_p=rng.normal(0.0, 2.0), a_x=rng.normal(0.0, 1.0))
-        _assert_matches_central_differences(x, u, NORMAL_DRIVER)
+        _assert_matches_central_differences(x, rng.normal(0.0, 2.0),
+                                            rng.normal(0.0, 1.0), NORMAL_DRIVER)
 
 
 def test_linearize_matches_finite_differences_along_a_bundled_run(monkeypatch):
@@ -130,16 +125,16 @@ def test_linearize_matches_finite_differences_along_a_bundled_run(monkeypatch):
     # changes lane on the arc among three cars.
     points = []
 
-    def record(x, u, vp, dp):
-        points.append((x.copy(), replace(u), dp))
-        return linearize(x, u, vp, dp)
+    def record(x, y_p, a_x, dp):
+        points.append((x.copy(), y_p, a_x, dp))
+        return linearize(x, y_p, a_x, dp)
 
     monkeypatch.setattr(planner, "linearize", record)
     trace = run_simulation(load_scenario("scenario_b"), style="aggressive",
                            strategy="nash")
     assert len(points) == len(trace.rows) == 300
-    for x, u, dp in points[::10]:
-        _assert_matches_central_differences(x, u, dp)
+    for x, y_p, a_x, dp in points[::10]:
+        _assert_matches_central_differences(x, y_p, a_x, dp)
 
 
 @pytest.mark.parametrize("kind", [float, complex])
@@ -160,7 +155,7 @@ def test_derivatives_of_a_batch_equal_its_columns(rng, kind):
     dp = style_profile("aggressive").driver
 
     def f(x, y):
-        return derivatives(x, ControlInput(y_p=y, a_x=0.7), DEFAULT_VEHICLE, dp)
+        return derivatives(x, y, 0.7, dp)
 
     out = f(states, y_p)
     assert out.shape == (NX, n) and out.dtype == np.dtype(kind)
@@ -176,8 +171,7 @@ def test_derivatives_of_a_batch_equal_its_columns(rng, kind):
 
 
 def test_control_enters_steering_row_only():
-    A, B = linearize(_state(v_x=20.0), ControlInput(y_p=0.0), DEFAULT_VEHICLE,
-                     NORMAL_DRIVER)
+    A, B = linearize(_state(v_x=20.0), 0.0, 0.0, NORMAL_DRIVER)
     assert B[IDDELTA, 0] == pytest.approx(0.75 / (0.23 * 0.18**2), rel=1e-12)
     mask = np.ones(NX, dtype=bool)
     mask[IDDELTA] = False
@@ -188,7 +182,7 @@ def test_discretize_against_fine_integration():
     dp = style_profile("normal").driver
     x0 = _state(v_x=22.0, v_y=0.2, r=0.03, phi=0.01, Y=1.5, delta=0.01)
     u_val = 2.5
-    A, B = linearize(x0, ControlInput(y_p=u_val), DEFAULT_VEHICLE, dp)
+    A, B = linearize(x0, u_val, 0.0, dp)
     dt = 0.05
     a_d, b_d = discretize(A, B, dt)
 
@@ -206,8 +200,7 @@ def test_discretize_against_fine_integration():
 
 
 def test_discretize_zero_dt_is_identity():
-    A, B = linearize(_state(v_x=20.0), ControlInput(y_p=0.0), DEFAULT_VEHICLE,
-                     NORMAL_DRIVER)
+    A, B = linearize(_state(v_x=20.0), 0.0, 0.0, NORMAL_DRIVER)
     a_d, b_d = discretize(A, B, 0.0)
     assert np.allclose(a_d, np.eye(NX), atol=1e-14)
     assert np.allclose(b_d, 0.0, atol=1e-14)
@@ -238,9 +231,9 @@ def test_discretize_matches_scipy_on_a_bundled_step():
     x0 = np.zeros(NX)
     x0[IVX] = ego.v
     x0[IX], x0[IY] = cfg.road.to_global(ego.s, cfg.road.lane_offset(ego.lane))
-    u = ControlInput(y_p=float(x0[IY]), a_x=1.0)
-    a_c, b_c = linearize(x0, u, DEFAULT_VEHICLE, dp)
-    w_c = derivatives(x0, u, DEFAULT_VEHICLE, dp) - a_c @ x0 - b_c[:, 0] * u.y_p
+    y_p = float(x0[IY])
+    a_c, b_c = linearize(x0, y_p, 1.0, dp)
+    w_c = derivatives(x0, y_p, 1.0, dp) - a_c @ x0 - b_c[:, 0] * y_p
     b_aug = np.column_stack([b_c, w_c])
     aug = np.zeros((NX + 2, NX + 2))
     aug[:NX, :NX] = a_c
@@ -296,17 +289,16 @@ def test_driver_loop_converges(name):
 
     for v in (10.0, 15.0, 20.0, 25.0):
         xeq = _state(v_x=v)
-        A, _ = linearize(xeq, ControlInput(y_p=0.0), DEFAULT_VEHICLE, dp)
+        A, _ = linearize(xeq, 0.0, 0.0, dp)
         eig = np.linalg.eigvals(A[np.ix_(_LOOP, _LOOP)])
         assert np.max(eig.real) < 0.0, f"{name} unstable at {v} m/s"
 
     x = _state(v_x=20.0, Y=-4.0)
-    u = ControlInput(y_p=0.0, a_x=0.0)
     dt = 0.005
     t_cross = None
     peak = 0.0
     for k in range(int(12.0 / dt)):
-        x, _ = step(x, u, DEFAULT_VEHICLE, dp, dt)
+        x, _ = step(x, 0.0, 0.0, dp, dt)
         peak = max(peak, abs(x[IY]))
         if t_cross is None and abs(x[IY]) < 0.05:
             t_cross = (k + 1) * dt

@@ -368,7 +368,7 @@ def solve_solo(ego: KinematicState, ego_lane: int, nb: NeighborView,
     flat = order[ok.reshape(-1)[order]]    # the feasible cells, preferred first
     if not len(flat):
         raise InfeasibleDecisionError("no feasible ego action")
-    parts = _ego_parts(ego_lane, np.reshape(grid.sigmas, (-1, 1)), accs, s, v, style, nb,
+    parts = _ego_parts(ego_lane, np.array(grid.sigmas)[:, None], accs, s, v, style, nb,
                        gains, horizon)
     i, j = divmod(flat[parts[3].reshape(-1).take(flat).argmin()].item(), len(accs))
     return GameSolution(ego_action=DecisionAction(sigma=grid.sigmas[i], a_x=accs.item(j)),

@@ -52,6 +52,13 @@ scene with its query layout (made on the first batch and kept by the
 PreparedField), and the buffer that each iteration's trials and probe
 rows are built in.
 
+At n_c = 5 a solve's time goes to calls more than to arithmetic, so the
+Newton systems go to LAPACK's gesv gufunc directly (vehicle._solve)
+rather than through NumPy's public solve and its checks, and _box_qp
+keeps its bookkeeping on Python floats, with NumPy's rounding and tie
+rules. Both give the bits of the NumPy forms: the public solve, and the
+array form of _box_qp kept in tests/reference.py.
+
 Outputs per predicted step: y1 collision field at the predicted position
 (obstacles coasting at constant velocity), y2 lateral offset from the
 target lane centerline, y3 yaw error against the road tangent. The cost
@@ -62,14 +69,15 @@ increments.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .field import PreparedField, coasted, total_field
-from .vehicle import (DriverParams, IPHI, IX, IY, NX, V_FLOOR, derivatives,
-                      discretize, linearize)
+from .vehicle import (DriverParams, IPHI, IX, IY, NX, V_FLOOR, _solve,
+                      derivatives, discretize, linearize)
 
 
 # Forward finite-difference step of the output Jacobian, in preview-command m.
@@ -322,23 +330,37 @@ def _probes(n_c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return consts
 
 
-def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.minimum(np.maximum(x, lo), hi) on Python floats: a tie takes the
+    bound, as np.maximum and np.minimum take their second argument (which
+    tells -0.0 from 0.0), and a NaN x stays NaN."""
+    x = x if x > lo or x != x else lo
+    return x if x < hi or x != x else hi
+
+
+def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray | float,
+            hi: np.ndarray | float) -> np.ndarray:
     """The d minimizing g.d + d.H.d / 2 over lo <= d <= hi.
 
-    H must be symmetric positive definite and the box must hold 0.
-    Primal active set from d = 0 (Nocedal & Wright 2006, Algorithm 16.3),
-    with the components that sit on a bound at 0 and whose gradient
-    points out of the box held from the start. Each pass makes one
-    np.linalg.solve of the masked system, identity rows for the held
-    components and H rows for the others, whose solution minimizes the
-    model with the held ones on their bounds. A solution inside the box is
-    taken; then the held component whose multiplier H d + g has the wrong
-    sign for its bound, the largest first, is let go, or the minimizer is
-    found. A solution outside the box is approached from d up to the first
-    bound it crosses, and that component is held there.
-    With no component held, the first pass is np.linalg.solve(H, -g) and
-    nothing else when that lies in the box.
+    H must be symmetric positive definite and the box must hold 0; lo and
+    hi are (n,) arrays or numbers. Primal active set from d = 0 (Nocedal &
+    Wright 2006, Algorithm 16.3), with the components that sit on a bound
+    at 0 and whose gradient points out of the box held from the start.
+    Each pass makes one LAPACK solve (vehicle._solve) of the masked
+    system, identity rows for the held components and H rows for the
+    others, whose solution minimizes the model with the held ones on
+    their bounds. A solution inside the box is taken; then the held
+    component whose multiplier H d + g has the wrong sign for its bound,
+    the largest first, is let go, or the minimizer is found. A solution
+    outside the box is approached from d up to the first bound it
+    crosses, the first such component on a tie, and that component is
+    held there. With no component held, the first pass is the solve of
+    H z = -g and a box test, and nothing else when z lies in the box.
+
+    The solves and H d stay in NumPy, whose rounding they set; the rest
+    is done on Python floats with the rounding and tie rules of NumPy's
+    (see _clip), so d is, bit for bit, that of the NumPy-array form in
+    tests/reference.py.
 
     No pass raises the model, so d stays feasible and scores no higher on
     it than 0. Every pass but the last holds or lets go one component, and
@@ -349,39 +371,52 @@ def _box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
     model than 0, though not its minimizer.
     """
     n = g.size
-    held = ((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0))
-    n_held = int(np.count_nonzero(held))
+    gs = g.tolist()
+    los = lo.tolist() if np.ndim(lo) else [float(lo)] * n
+    his = hi.tolist() if np.ndim(hi) else [float(hi)] * n
+    held = [(l == 0.0 and gi > 0.0) or (h == 0.0 and gi < 0.0)
+            for gi, l, h in zip(gs, los, his)]
     rhs = -g
-    d = np.zeros(n)
+    d = [0.0] * n
     for _ in range(4 * n + 2):
-        if n_held:
-            z = np.linalg.solve(np.where(held[:, None], _probes(n)[0], hess),
-                                np.where(held, d, rhs))
-            z[held] = d[held]
+        held_at = [i for i in range(n) if held[i]]
+        if held_at:
+            eye = _probes(n)[0]
+            a, b = hess.copy(), rhs.copy()
+            for i in held_at:
+                a[i], b[i] = eye[i], d[i]
+            z = _solve(a, b)
+            for i in held_at:
+                z[i] = d[i]
         else:
-            z = np.linalg.solve(hess, rhs)
-        below, above = z < lo, z > hi
-        crossed = below | above
-        if crossed.any():
+            z = _solve(hess, rhs)
+        zs = z.tolist()
+        crossed = [i for i in range(n) if zs[i] < los[i] or zs[i] > his[i]]
+        if crossed:
             # Go from d toward z up to the first bound crossed, and hold it.
-            bound = np.where(below, lo, hi)
-            frac = np.divide(bound - d, z - d, out=np.full(n, np.inf), where=crossed)
-            k = int(frac.argmin())
-            d = np.minimum(np.maximum(d + frac[k] * (z - d), lo), hi)
-            d[k] = bound[k]
+            frac = [math.inf] * n
+            for i in crossed:
+                bound = los[i] if zs[i] < los[i] else his[i]
+                frac[i] = (bound - d[i]) / (zs[i] - d[i])
+            # np.argmin's pick: the first NaN, else the first least.
+            nans = [i for i in crossed if frac[i] != frac[i]]
+            k = nans[0] if nans else frac.index(min(frac))
+            f = frac[k]
+            d = [_clip(di + f * (zi - di), l, h)
+                 for di, zi, l, h in zip(d, zs, los, his)]
+            d[k] = los[k] if zs[k] < los[k] else his[k]
             held[k] = True
-            n_held += 1
             continue
-        d = z
-        if not n_held:
-            break
-        mult = hess @ d + g
-        wrong = held & (((mult < 0.0) & (d < hi)) | ((mult > 0.0) & (d > lo)))
-        if not wrong.any():
-            break
-        held[int(np.abs(np.where(wrong, mult, 0.0)).argmax())] = False
-        n_held -= 1
-    return d
+        if not held_at:
+            return z
+        d = zs
+        mult = (hess @ z + g).tolist()
+        wrong = [i for i in held_at if (mult[i] < 0.0 and d[i] < his[i])
+                 or (mult[i] > 0.0 and d[i] > los[i])]
+        if not wrong:
+            return z
+        held[max(wrong, key=lambda i: abs(mult[i]))] = False
+    return np.array(d)
 
 
 def _predicted_drop(hess: np.ndarray, g: np.ndarray, d: np.ndarray) -> float:

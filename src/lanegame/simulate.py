@@ -214,10 +214,11 @@ def initial_cars(cfg: ScenarioConfig) -> list[_Car]:
 def prepare_scene(road: RoadGeometry, cars: list[_Car],
                   params: FieldParams) -> PreparedField:
     """The other cars at their global poses, laid out as the field's obstacles;
-    a straight road's scalar heading broadcasts to the car count."""
+    a straight road's scalar heading is written out to the car count."""
     s = np.array([c.s for c in cars], dtype=float)
     x, y = road.to_global(s, np.array([c.d for c in cars], dtype=float))
-    heading = np.broadcast_to(road.tangent_heading(s), s.shape)
+    heading = np.empty(s.shape)
+    heading[...] = road.tangent_heading(s)
     return prepare_field(x, y, heading, [c.v for c in cars], road, params)
 
 
@@ -391,7 +392,8 @@ class _Loop:
             c.s += c.v * tau + 0.5 * c.a * tau * tau + held * (dt - tau)
             c.v = float(held)
         self.u_prev = u_cmd
-        self.start = np.append(plan.du_sequence[1:], 0.0)
+        self.start = np.zeros(len(plan.du_sequence))
+        self.start[:-1] = plan.du_sequence[1:]
         return ""
 
 

@@ -14,7 +14,8 @@ stay complex-analytic: no abs, max or comparison of states.
 The planner discretizes the linearized model with a zero-order hold,
 through the exponential of an augmented matrix. That exponential is
 computed here with NumPy alone, by scaling and squaring with a Padé(13)
-approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
+approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)), and its
+linear solve, like the planner's, goes through `_solve`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # State vector indices.
 IVX, IVY, IR, IPHI, IX, IY, IDELTA, IDDELTA = range(8)
@@ -135,6 +137,32 @@ def linearize(state: np.ndarray, y_p: float, a_x: float,
     return jac[:, :NX], jac[:, NX:]
 
 
+def _raise_singular(err: str, flag: int) -> None:
+    """The error state's call handler of np.linalg.solve."""
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float64 (n, n) a and a float64 b of shape
+    (n,) or (n, k), bit for bit, without its Python-level checks.
+
+    It calls the LAPACK gesv gufunc that np.linalg.solve wraps,
+    numpy.linalg._umath_linalg.solve1 for a 1-D b and .solve otherwise,
+    with signature "dd->d". That module is private NumPy API; the NumPy
+    version is pinned by tests/fingerprints.json and the CI workflow, and
+    test_vehicle checks both that np.linalg.solve still calls these
+    gufuncs and that this function gives its bits. The call runs under
+    np.linalg.solve's own error state, so a singular system raises
+    LinAlgError, and a non-finite input gives what np.linalg.solve gives,
+    with no warning. Those checks cost more than a 5 x 5 solve itself.
+    """
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        if b.ndim == 1:
+            return _umath_linalg.solve1(a, b, signature="dd->d")
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
 # Padé(13) coefficients b_k of the exponential, divided by b_0 so that
 # b_0 = 1 and b_1 = 1/2 exactly: the zero matrix maps to exactly I, and a
 # matrix N with N @ N = 0 to exactly I + N.
@@ -161,7 +189,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     Padé(13) approximant r = (V - U)^-1 (V + U) of exp(a / 2^s) is built
     from the even powers a^2, a^4, a^6 and squared s times. The four
     polynomial sums of U and V come from one (4, 4) @ (4, n^2) product
-    with the stacked powers [I, a^2, a^4, a^6]. On 68 random 10 x 10
+    with the stacked powers [I, a^2, a^4, a^6], and r is one `_solve`
+    with the (n, n) right-hand side V + U. On 68 random 10 x 10
     matrices with 1-norms from 1e-6 to 100 it agrees with SciPy's expm
     to 3.9e-14 of the largest entry. A non-finite input gives a
     non-finite result.
@@ -170,14 +199,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
     a = np.ldexp(a, -s)
     pw = np.zeros((4, n, n))
-    np.fill_diagonal(pw[0], 1.0)
+    stacked = pw.reshape(4, n * n)
+    stacked[0, ::n + 1] = 1.0   # the identity's diagonal
     np.matmul(a, a, out=pw[1])
     np.matmul(pw[1], pw[1], out=pw[2])
     np.matmul(pw[2], pw[1], out=pw[3])
-    u_hi, u_lo, v_hi, v_lo = (_PADE13_SUMS @ pw.reshape(4, -1)).reshape(4, n, n)
+    u_hi, u_lo, v_hi, v_lo = (_PADE13_SUMS @ stacked).reshape(4, n, n)
     u = a @ (pw[3] @ u_hi + u_lo)
     v = pw[3] @ v_hi + v_lo
-    r = np.linalg.solve(v - u, v + u)
+    r = _solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
     return r

@@ -10,6 +10,10 @@ The decision costs: the program reads a cell's breakdown straight from the
 (off, on) parts of `costs._pair_parts` with `costs.breakdown_at`. The
 tests compare it against the parts spread into full matrices and indexed
 at the cell.
+
+The planner's box QP: `planner._box_qp` keeps its bookkeeping on Python
+floats. `box_qp` here is that function as it was written on NumPy arrays,
+word for word, and the tests compare the two bit for bit.
 """
 
 import math
@@ -20,6 +24,7 @@ import numpy as np
 from lanegame.costs import CostBreakdown
 from lanegame.field import (FieldParams, PreparedField, _barrier, _bumps, _leading,
                             _weighted_lines, prepare_field)
+from lanegame.planner import _probes
 from lanegame.road import RoadGeometry
 
 
@@ -76,3 +81,43 @@ def spread(part, cells, shape):
 def breakdown_from_matrices(cells, parts, shape, r, c) -> CostBreakdown:
     """A player's breakdown at cell (r, c), read from its parts spread."""
     return CostBreakdown(*(float(spread(p, cells, shape)[r, c]) for p in parts))
+
+
+def box_qp(hess: np.ndarray, g: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray) -> np.ndarray:
+    """`planner._box_qp` with its bookkeeping on NumPy arrays and its solves
+    through np.linalg.solve."""
+    n = g.size
+    held = ((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0))
+    n_held = int(np.count_nonzero(held))
+    rhs = -g
+    d = np.zeros(n)
+    for _ in range(4 * n + 2):
+        if n_held:
+            z = np.linalg.solve(np.where(held[:, None], _probes(n)[0], hess),
+                                np.where(held, d, rhs))
+            z[held] = d[held]
+        else:
+            z = np.linalg.solve(hess, rhs)
+        below, above = z < lo, z > hi
+        crossed = below | above
+        if crossed.any():
+            # Go from d toward z up to the first bound crossed, and hold it.
+            bound = np.where(below, lo, hi)
+            frac = np.divide(bound - d, z - d, out=np.full(n, np.inf), where=crossed)
+            k = int(frac.argmin())
+            d = np.minimum(np.maximum(d + frac[k] * (z - d), lo), hi)
+            d[k] = bound[k]
+            held[k] = True
+            n_held += 1
+            continue
+        d = z
+        if not n_held:
+            break
+        mult = hess @ d + g
+        wrong = held & (((mult < 0.0) & (d < hi)) | ((mult > 0.0) & (d > lo)))
+        if not wrong.any():
+            break
+        held[int(np.abs(np.where(wrong, mult, 0.0)).argmax())] = False
+        n_held -= 1
+    return d

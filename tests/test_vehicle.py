@@ -3,10 +3,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.linalg import expm as scipy_expm
 
 from lanegame import planner
@@ -14,7 +17,7 @@ from lanegame.scenario import load_scenario
 from lanegame.simulate import run_simulation
 from lanegame.styles import style_profile
 from lanegame.vehicle import (IDDELTA, IDELTA, IPHI, IR, IVX, IVY, IX, IY, NX,
-                              V_FLOOR, DriverParams, _expm, derivatives,
+                              V_FLOOR, DriverParams, _expm, _solve, derivatives,
                               discretize, lateral_forces, linearize, step)
 
 NORMAL_DRIVER = DriverParams(t_d=0.18, t_p=0.94, g_s=0.75, a=0.23)
@@ -254,6 +257,50 @@ def test_expm_exact_cases():
     n[0, 9], n[3, 9], n[0, 5] = 8.0, -0.3, 11.3
     assert not (n @ n).any()
     assert np.array_equal(_expm(n), np.eye(10) + n)
+
+
+def test_solve_gives_numpy_solve_bit_for_bit():
+    # Sizes 1-10, right-hand sides (n,), (n, 1) and (n, 3), and matrices
+    # from well to badly conditioned.
+    rng = np.random.default_rng(20261022)
+    for n in range(1, 11):
+        for shift in (10.0, 1.0, 1e-8):
+            a = rng.standard_normal((n, n)) + shift * np.eye(n)
+            for shape in ((n,), (n, 1), (n, 3)):
+                b = rng.standard_normal(shape)
+                got = _solve(a, b)
+                assert got.shape == shape
+                assert got.tobytes() == np.linalg.solve(a, b).tobytes(), (n, shape)
+
+
+def test_numpy_solve_still_calls_the_gufuncs_solve_calls():
+    # _solve calls np.linalg.solve's gufuncs directly; a NumPy that moves
+    # or stops using them must fail here, not change results quietly.
+    a, b = np.eye(3) + 0.5, np.arange(3.0)
+    for name, rhs in (("solve1", b), ("solve", b[:, None])):
+        gufunc = getattr(_umath_linalg, name)
+        with mock.patch.object(_umath_linalg, name, wraps=gufunc) as called:
+            np.linalg.solve(a, rhs)
+        assert called.call_count == 1
+        assert called.call_args.kwargs == {"signature": "dd->d"}
+
+
+def test_solve_of_a_singular_system_raises_and_warns_nothing():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for b in (np.ones(2), np.ones((2, 2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinAlgError, match="Singular matrix"):
+                _solve(singular, b)
+            with pytest.raises(LinAlgError, match="Singular matrix"):
+                np.linalg.solve(singular, b)
+
+
+def test_expm_of_a_nan_matrix_is_not_finite_and_raises_nothing():
+    for a in (np.full((10, 10), np.nan), np.where(np.eye(10) > 0, np.nan, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(_expm(a)).any()
 
 
 def test_import_and_load_do_not_import_scipy():
